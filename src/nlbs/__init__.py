@@ -19,7 +19,6 @@ from .adi_solver import (
     ConvergenceRecord,
     GridSpec,
     SolveResult,
-    SolverFlags,
     Surface,
     TridiagonalSystem,
     ZeroPivotError,
@@ -78,6 +77,7 @@ from .market_model import (
     MarketParams,
     SampledCost,
     Scenario,
+    SolverFlags,
     ValidationError,
     validate,
 )

@@ -40,6 +40,7 @@ Dirichlet boundary values on all four edges come from a boundary policy:
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -47,17 +48,19 @@ from typing import Callable, Literal
 
 import numpy as np
 
+from .analytic_pricing import cbest_price
+from .cost_engine import _axis_differences, _cost_norm, _mixed_diff, assemble_G, expected_cost
 from .market_model import (
     BestCashOrNothing,
     MarketParams,
     Scenario,
+    SolverFlags,
     ValidationError,
 )
 
 __all__ = [
     "GridSpec",
     "default_grid",
-    "SolverFlags",
     "Surface",
     "ConvergenceRecord",
     "SolveResult",
@@ -73,7 +76,6 @@ __all__ = [
 ]
 
 Coord = Literal["log", "price"]
-BoundaryPolicy = Literal["edges_1d", "analytic", "discounted_payoff", "scheme_discount"]
 
 
 # ---------------------------------------------------------------------------
@@ -133,33 +135,8 @@ def default_grid(market: MarketParams, payoff: BestCashOrNothing, nx: int = 100,
 
 
 # ---------------------------------------------------------------------------
-# solver configuration and result containers
+# result containers
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SolverFlags:
-    """Discretization and boundary choices (defaults = production scheme)."""
-
-    first_derivative: Literal["forward", "central"] = "forward"
-    mixed_stencil: Literal["four_corner", "asymmetric"] = "four_corner"
-    cost_prefactor: Literal["sqrt_dt", "dt"] = "sqrt_dt"
-    boundary: BoundaryPolicy = "edges_1d"
-    cbest_formula: Literal["standard", "legacy"] = "standard"
-    smoothing: Literal["cell_average", "pointwise"] = "cell_average"
-
-    def __post_init__(self) -> None:
-        checks = {
-            "first_derivative": ("forward", "central"),
-            "mixed_stencil": ("four_corner", "asymmetric"),
-            "cost_prefactor": ("sqrt_dt", "dt"),
-            "boundary": ("edges_1d", "analytic", "discounted_payoff", "scheme_discount"),
-            "cbest_formula": ("standard", "legacy"),
-            "smoothing": ("cell_average", "pointwise"),
-        }
-        for name, allowed in checks.items():
-            if getattr(self, name) not in allowed:
-                raise ValidationError(f"solver.{name}", f"expected one of {allowed}, got {getattr(self, name)!r}")
 
 
 @dataclass
@@ -274,6 +251,27 @@ def thomas_solve(system: TridiagonalSystem) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _sampled_payoff(grid: GridSpec, value: Callable, ndim: int, smoothing: str) -> np.ndarray:
+    """``value`` at the grid nodes, "pointwise" or averaged over subcells.
+
+    ``value`` takes one spot array per dimension.  "cell_average" evaluates
+    it at the 5 subcell points per axis (coordinate offsets (k - 2) dx / 5,
+    k = 0..4) around each node and returns the mean over all 5^ndim
+    combinations.
+    """
+    if smoothing == "pointwise":
+        points = [grid.spot_axis()]
+    else:
+        points = []
+        for offset in (np.arange(5) - 2.0) / 5.0 * grid.dx:
+            c = grid.axis() + offset
+            points.append(np.exp(c) if grid.coord == "log" else np.maximum(c, 1e-300))
+    acc = 0.0
+    for spots in itertools.product(points, repeat=ndim):
+        acc = acc + value(*spots)
+    return acc / float(len(points)) ** ndim
+
+
 def initial_condition(
     grid: GridSpec,
     payoff: BestCashOrNothing,
@@ -287,27 +285,11 @@ def initial_condition(
     node value with the mean of the payoff over the surrounding grid cell,
     restoring the jump location to second order.
     """
-    s = grid.spot_axis()
-    vals = payoff.value(s[:, None], s[None, :])
-    if smoothing == "pointwise":
-        return np.broadcast_to(vals, (grid.nx + 1, grid.nx + 1)).copy()
-    if smoothing != "cell_average":
+    if smoothing not in ("cell_average", "pointwise"):
         raise ValidationError(
             "smoothing", f"expected 'cell_average' or 'pointwise', got {smoothing!r}"
         )
-    ax = grid.axis()
-    offsets = (np.arange(5) - 2.0) / 5.0 * grid.dx
-    acc = np.zeros((grid.nx + 1, grid.nx + 1))
-    for ox in offsets:
-        for oy in offsets:
-            c1 = ax + ox
-            c2 = ax + oy
-            if grid.coord == "log":
-                sv1, sv2 = np.exp(c1), np.exp(c2)
-            else:
-                sv1, sv2 = np.maximum(c1, 1e-300), np.maximum(c2, 1e-300)
-            acc += payoff.value(sv1[:, None], sv2[None, :])
-    return acc / 25.0
+    return _sampled_payoff(grid, lambda s1, s2: payoff.value(s1[:, None], s2[None, :]), 2, smoothing)
 
 
 class BoundaryData:
@@ -355,16 +337,13 @@ class BoundaryData:
         elif policy == "discounted_payoff":
             vals = self._payoff_ring * math.exp(-self.scenario.market.r * tau)
         elif policy == "analytic":
-            from .analytic_pricing import cbest_price  # deferred: module layering
-
             s = self._spots
             n = s.size - 1
             vals = np.zeros((n + 1, n + 1))
-            formula = self.flags.cbest_formula
-            vals[0, :] = cbest_price(s[0], s, tau, self.scenario, formula)
-            vals[n, :] = cbest_price(s[n], s, tau, self.scenario, formula)
-            vals[:, 0] = cbest_price(s, s[0], tau, self.scenario, formula)
-            vals[:, n] = cbest_price(s, s[n], tau, self.scenario, formula)
+            vals[0, :] = cbest_price(s[0], s, tau, self.scenario)
+            vals[n, :] = cbest_price(s[n], s, tau, self.scenario)
+            vals[:, 0] = cbest_price(s, s[0], tau, self.scenario)
+            vals[:, n] = cbest_price(s, s[n], tau, self.scenario)
         else:  # pragma: no cover - SolverFlags validates
             raise ValidationError("solver.boundary", f"unknown boundary policy {policy!r}")
         self._cache[h] = vals
@@ -374,15 +353,6 @@ class BoundaryData:
 # ---------------------------------------------------------------------------
 # stage operators
 # ---------------------------------------------------------------------------
-
-
-def _mixed_diff(u: np.ndarray, dx: float, kind: str) -> np.ndarray:
-    """Mixed second difference on interior nodes, shape (n-1, n-1)."""
-    if kind == "four_corner":
-        return (u[2:, 2:] + u[:-2, :-2] - u[2:, :-2] - u[:-2, 2:]) / (4.0 * dx * dx)
-    if kind == "asymmetric":
-        return (u[2:, 2:] + u[:-2, :-2] - u[:-2, 1:-1] - u[1:-1, :-2]) / (4.0 * dx * dx)
-    raise ValidationError("mixed_stencil", f"expected 'four_corner' or 'asymmetric', got {kind!r}")
 
 
 def _axis_coefficients(
@@ -432,16 +402,9 @@ def _edge_cost_term(
     so only the edge's own asset carries hedging volume.  Stencils and
     normalization match :func:`nlbs.cost_engine.assemble_G`.
     """
-    from .cost_engine import expected_cost  # deferred: module layering
-
     grid = scenario.grid
-    dx = grid.dx
     dt = scenario.dt_tc
-    if flags.first_derivative == "forward":
-        d1 = (f[2:] - f[1:-1]) / dx
-    else:
-        d1 = (f[2:] - f[:-2]) / (2.0 * dx)
-    d2 = (f[2:] - 2.0 * f[1:-1] + f[:-2]) / (dx * dx)
+    d1, d2 = _axis_differences(f, grid.dx, flags.first_derivative)
     x = grid.axis()[1:-1]
     if grid.coord == "log":
         c = d2 - d1
@@ -451,8 +414,7 @@ def _edge_cost_term(
         theta = sigma * sigma * x * x * d2 * d2
         spots = x
     e = expected_cost(scenario.cost, np.maximum(theta, 0.0), dt)
-    norm = math.sqrt(dt) if flags.cost_prefactor == "sqrt_dt" else dt
-    return spots * e / norm
+    return spots * e / _cost_norm(dt, flags)
 
 
 def _evolve_edges(
@@ -480,7 +442,6 @@ def _evolve_edges(
     nt = grid.nt
     r = market.r
     sig1, sig2 = market.sigmas
-    ax = grid.axis()
     spots = grid.spot_axis()
     scale = 1.0 / (1.0 + dtau * r / 2.0)
     zero_cost = scenario.cost.bounds()[1] == 0.0
@@ -495,15 +456,7 @@ def _evolve_edges(
             a, b = (own, other_spot) if own_is_first else (other_spot, own)
             return payoff.value(a, b)
 
-        if flags.smoothing == "pointwise":
-            return np.broadcast_to(np.asarray(val(spots), dtype=float), (n + 1,)).copy()
-        offsets = (np.arange(5) - 2.0) / 5.0 * grid.dx
-        acc = np.zeros(n + 1)
-        for o in offsets:
-            c = ax + o
-            sv = np.exp(c) if grid.coord == "log" else np.maximum(c, 1e-300)
-            acc += val(sv)
-        return acc / 5.0
+        return _sampled_payoff(grid, val, 1, flags.smoothing)
 
     bot = edge_payoff(spots[0], True)
     top = edge_payoff(spots[n], True)
@@ -735,8 +688,6 @@ def solve_nonlinear(
     A cost model that is identically zero makes every correction vanish, so
     the linear sweep is returned immediately as converged.
     """
-    from .cost_engine import assemble_G  # deferred: module layering
-
     tol = float(tol)
     if not math.isfinite(tol) or tol <= 0.0:
         raise ValidationError("tol", f"tolerance must be positive, got {tol}")
@@ -751,13 +702,7 @@ def solve_nonlinear(
 
     def make_provider(block: np.ndarray) -> Callable[[int], np.ndarray]:
         def provider(m: int) -> np.ndarray:
-            return assemble_G(
-                block[m],
-                scenario,
-                first_derivative=flags.first_derivative,
-                mixed_stencil=flags.mixed_stencil,
-                cost_prefactor=flags.cost_prefactor,
-            )
+            return assemble_G(block[m], scenario, flags=flags)
 
         return provider
 

@@ -25,8 +25,8 @@ An alternative legacy parametrization of the same payoff (deviates without
 the risk-free drift, ratio deviate with +sigma^2 tau/2, correlations
 ``(sigma_i - rho)/sigma`` and negated in the CDF calls) circulates in some
 derivations; it does not reproduce the risk-neutral price and can produce
-|correlation| > 1.  It is available behind ``formula="legacy"`` for
-comparison, and documented as such.
+|correlation| > 1.  The package does not implement it: ``tests/oracles.py``
+keeps it, so that the test suite can show both defects.
 
 The bivariate CDF is a port of the Drezner–Wesolowsky/Genz single-integral
 algorithm with a 20-node Gauss–Legendre rule and the separate high-correlation
@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal
 
 import numpy as np
 from scipy.special import ndtr
@@ -216,9 +215,6 @@ class CbestIntermediates:
     rho2: float
 
 
-Formula = Literal["standard", "legacy"]
-
-
 def _check_positive_spots(s1: np.ndarray, s2: np.ndarray) -> None:
     if np.any(~np.isfinite(s1)) or np.any(s1 <= 0.0):
         raise ValidationError("s1", "spot prices must be positive and finite")
@@ -232,7 +228,6 @@ def cbest_intermediates(
     tau: float,
     market: MarketParams,
     payoff_spec: BestCashOrNothing,
-    formula: Formula = "standard",
 ) -> CbestIntermediates:
     """Deviates/correlations of the closed form at time-to-maturity tau > 0."""
     s1 = np.asarray(s1, dtype=float)
@@ -250,41 +245,25 @@ def cbest_intermediates(
     rt = math.sqrt(tau)
     sigma_comb = math.sqrt(max(sig1 * sig1 + sig2 * sig2 - 2.0 * rho * sig1 * sig2, 0.0))
 
-    if formula == "standard":
-        z1 = (np.log(s1 / x) + (market.r - sig1 * sig1 / 2.0) * tau) / (sig1 * rt)
-        z2 = (np.log(s2 / x) + (market.r - sig2 * sig2 / 2.0) * tau) / (sig2 * rt)
-        if sigma_comb > 0.0:
-            y = (np.log(s1 / s2) + (sig2 * sig2 - sig1 * sig1) * tau / 2.0) / (sigma_comb * rt)
-            rho1 = (sig1 - rho * sig2) / sigma_comb
-            rho2 = (sig2 - rho * sig1) / sigma_comb
-        else:
-            # identical dynamics: the ratio S1/S2 is frozen at its spot value
-            y = np.where(s1 >= s2, np.inf, -np.inf)
-            rho1 = rho2 = 0.0
-    elif formula == "legacy":
-        z1 = (np.log(s1 / x) + sig1 * sig1 * tau / 2.0) / (sig1 * rt)
-        z2 = (np.log(s2 / x) + sig2 * sig2 * tau / 2.0) / (sig2 * rt)
-        if sigma_comb > 0.0:
-            y = (np.log(s1 / s2) + sigma_comb * sigma_comb * tau / 2.0) / (sigma_comb * rt)
-            rho1 = (sig1 - rho) / sigma_comb
-            rho2 = (sig2 - rho) / sigma_comb
-        else:
-            y = np.where(s1 >= s2, np.inf, -np.inf)
-            rho1 = rho2 = 0.0
+    z1 = (np.log(s1 / x) + (market.r - sig1 * sig1 / 2.0) * tau) / (sig1 * rt)
+    z2 = (np.log(s2 / x) + (market.r - sig2 * sig2 / 2.0) * tau) / (sig2 * rt)
+    if sigma_comb > 0.0:
+        y = (np.log(s1 / s2) + (sig2 * sig2 - sig1 * sig1) * tau / 2.0) / (sigma_comb * rt)
+        rho1 = (sig1 - rho * sig2) / sigma_comb
+        rho2 = (sig2 - rho * sig1) / sigma_comb
     else:
-        raise ValidationError("formula", f"expected 'standard' or 'legacy', got {formula!r}")
+        # identical dynamics: the ratio S1/S2 is frozen at its spot value
+        y = np.where(s1 >= s2, np.inf, -np.inf)
+        rho1 = rho2 = 0.0
 
     return CbestIntermediates(sigma_comb=sigma_comb, y=y, z1=z1, z2=z2, rho1=rho1, rho2=rho2)
 
 
-def cbest_price(s1, s2, tau: float, scenario: Scenario, formula: Formula = "standard"):
-    """Closed-form price of the best cash-or-nothing option at time-to-maturity tau.
+def cbest_price(s1, s2, tau: float, scenario: Scenario):
+    """Closed-form risk-neutral price of the best cash-or-nothing option.
 
-    Vectorized over spots; ``tau`` is a scalar.  ``tau = 0`` returns the
-    payoff.  ``formula="standard"`` (default) is the risk-neutral price;
-    ``formula="legacy"`` evaluates the alternative parametrization described
-    in the module docstring verbatim (it may raise a degenerate-correlation
-    error for parameter sets where its correlations leave [-1, 1]).
+    Vectorized over spots; ``tau`` (time to maturity) is a scalar.
+    ``tau = 0`` returns the payoff.
     """
     s1 = np.asarray(s1, dtype=float)
     s2 = np.asarray(s2, dtype=float)
@@ -297,12 +276,9 @@ def cbest_price(s1, s2, tau: float, scenario: Scenario, formula: Formula = "stan
         out = scenario.payoff.value(s1, s2)
         return float(out) if scalar_in else out
 
-    inter = cbest_intermediates(s1, s2, tau, scenario.market, scenario.payoff, formula)
+    inter = cbest_intermediates(s1, s2, tau, scenario.market, scenario.payoff)
     disc = scenario.payoff.K * math.exp(-scenario.market.r * tau)
-    if formula == "standard":
-        # P(S1 >= X, S1 >= S2) + P(S2 >= X, S2 > S1)
-        p = _bvn_closed(inter.z1, inter.y, inter.rho1) + _bvn_closed(inter.z2, -inter.y, inter.rho2)
-    else:
-        p = bivariate_cdf(inter.y, inter.z1, -inter.rho1) + bivariate_cdf(-inter.y, inter.z2, -inter.rho2)
+    # P(S1 >= X, S1 >= S2) + P(S2 >= X, S2 > S1)
+    p = _bvn_closed(inter.z1, inter.y, inter.rho1) + _bvn_closed(inter.z2, -inter.y, inter.rho2)
     out = disc * p
     return float(out) if scalar_in else out

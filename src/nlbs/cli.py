@@ -15,10 +15,11 @@ All commands read one JSON config (sections ``market``, ``cost``, ``payoff``,
 ``dt_tc``, optional ``grid``, ``solver``, ``output``), accept repeated
 ``--flag dotted.key=value`` overrides (values parsed as JSON, falling back to
 bare strings), and write deterministic artifacts: CSV numbers with repr-exact
-%.17g formatting, LF line endings, and sorted-key metadata JSON.
+%.17g formatting, LF line endings, and sorted-key metadata JSON.  A
+``solver`` key that no command reads is a config error.
 
-Exit codes: 0 success, 2 invalid config, 3 numerical non-convergence,
-4 I/O failure.
+Exit codes: 0 success, 2 invalid config, 3 numerical non-convergence
+(``price``, ``converge``, and ``leland`` before it scans), 4 I/O failure.
 """
 
 from __future__ import annotations
@@ -28,17 +29,18 @@ import json
 import math
 import sys
 import warnings
+from dataclasses import fields
 from pathlib import Path
 from typing import Any
 
 import numpy as np
 
-from .adi_solver import GridSpec, SolverFlags, solve_nonlinear
+from .adi_solver import GridSpec, SolveResult, solve_nonlinear
 from .analytic_pricing import cbest_price
 from .cost_engine import QuadratureError, assemble_G
 from .diagnostics import dt_sensitivity_sweep, error_vs_analytic
 from .ellipticity import leland_number, scan_surface
-from .market_model import Scenario, ValidationError, validate
+from .market_model import Scenario, SolverFlags, ValidationError, validate
 
 __all__ = ["main"]
 
@@ -74,16 +76,20 @@ def _apply_flags(cfg: dict, flag_args: list[str]) -> None:
         _set_dotted(cfg, key, value)
 
 
-def _solver_flags(cfg: dict) -> SolverFlags:
-    s = cfg.get("solver", {}) or {}
-    return SolverFlags(
-        first_derivative=s.get("first_derivative", "forward"),
-        mixed_stencil=s.get("mixed_stencil", "four_corner"),
-        cost_prefactor=s.get("cost_prefactor", "sqrt_dt"),
-        boundary=s.get("boundary", "edges_1d"),
-        cbest_formula=s.get("cbest_formula", "standard"),
-        smoothing=s.get("smoothing", "cell_average"),
-    )
+_FLAG_KEYS = tuple(f.name for f in fields(SolverFlags))
+# must hold every solver key some command reads; _solver_section rejects any other
+_SOLVER_KEYS = _FLAG_KEYS + ("tol", "max_iter", "stop_norm", "dyf_form", "eig_tol", "theta_floor", "skip_scan")
+
+
+def _solver_section(cfg: dict) -> dict:
+    """The config's ``solver`` section; rejects a key that no command reads."""
+    solver = cfg.get("solver") or {}
+    if not isinstance(solver, dict):
+        raise ValidationError("solver", f"expected a mapping, got {type(solver).__name__}")
+    for key in solver:
+        if key not in _SOLVER_KEYS:
+            raise ValidationError(f"solver.{key}", f"unknown key; expected one of {_SOLVER_KEYS}")
+    return solver
 
 
 def _resolved_config(cfg: dict, scenario: Scenario) -> dict:
@@ -151,40 +157,55 @@ def _out_dir(args) -> Path:
     return out
 
 
-# ---------------------------------------------------------------------------
-# commands
-# ---------------------------------------------------------------------------
+def _setup(args) -> tuple[dict, Scenario, SolverFlags, dict]:
+    """Load the config, validate the scenario, resolve the solver flags.
 
-
-def _cmd_price(args) -> int:
+    Returns the config, the scenario, the flags and the ``solver`` section.
+    """
     cfg = _load_config(args.config, args.flag)
     scenario = validate(cfg)
-    flags = _solver_flags(cfg)
-    solver = cfg.get("solver", {}) or {}
-    out = _out_dir(args)
+    solver = _solver_section(cfg)
+    flags = SolverFlags(**{key: solver[key] for key in _FLAG_KEYS if key in solver})
+    return cfg, scenario, flags, solver
 
+
+def _quiet_solve(scenario: Scenario, flags: SolverFlags, solver: dict) -> SolveResult:
+    """The nonlinear solve with the config's iteration settings.
+
+    Non-convergence is reported through the result, not as a warning.
+    """
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        result = solve_nonlinear(
+        return solve_nonlinear(
             scenario,
             tol=solver.get("tol", 1e-6),
             max_iter=solver.get("max_iter", 25),
             stop_norm=solver.get("stop_norm", "inf"),
             flags=flags,
         )
-    g = assemble_G(
-        result.surface.values,
-        scenario,
-        first_derivative=flags.first_derivative,
-        mixed_stencil=flags.mixed_stencil,
-        cost_prefactor=flags.cost_prefactor,
-    )
+
+
+def _status(result: SolveResult) -> str:
+    state = "converged" if result.converged else "NOT converged"
+    return f"{state} after {result.iterations} sweeps"
+
+
+# ---------------------------------------------------------------------------
+# commands
+# ---------------------------------------------------------------------------
+
+
+def _cmd_price(args) -> int:
+    cfg, scenario, flags, solver = _setup(args)
+    out = _out_dir(args)
+
+    result = _quiet_solve(scenario, flags, solver)
+    g = assemble_G(result.surface.values, scenario, flags=flags)
     output = cfg.get("output", {}) or {}
     err = error_vs_analytic(
         result.surface.values,
         scenario,
         band=output.get("error_band", 2),
-        formula=flags.cbest_formula,
     )
 
     _write_surface_csv(out / "surface.csv", scenario.grid, result.surface.values)
@@ -209,25 +230,22 @@ def _cmd_price(args) -> int:
             },
         },
     )
-    status = "converged" if result.converged else "NOT converged"
     print(
-        f"price: {status} after {result.iterations} sweeps; "
+        f"price: {_status(result)}; "
         f"peak-normalized benchmark error {err.max_rel:.3e}; wrote {out}"
     )
     return 0 if result.converged else 3
 
 
 def _cmd_analytic(args) -> int:
-    cfg = _load_config(args.config, args.flag)
-    scenario = validate(cfg)
-    flags = _solver_flags(cfg)
+    cfg, scenario, _, _ = _setup(args)
     out = _out_dir(args)
     grid = scenario.grid
     s = grid.spot_axis()
     output = cfg.get("output", {}) or {}
     tau = output.get("tau")
     tau = scenario.market.T if tau is None else float(tau)
-    vals = cbest_price(s[:, None], s[None, :], tau, scenario, flags.cbest_formula)
+    vals = cbest_price(s[:, None], s[None, :], tau, scenario)
     vals = np.broadcast_to(vals, (grid.nx + 1, grid.nx + 1))
     _write_surface_csv(out / "surface.csv", grid, vals)
     _write_metadata(
@@ -236,7 +254,7 @@ def _cmd_analytic(args) -> int:
             "command": "analytic",
             "config": _resolved_config(cfg, scenario),
             "outputs": ["surface.csv"],
-            "result": {"tau": tau, "formula": flags.cbest_formula},
+            "result": {"tau": tau},
         },
     )
     print(f"analytic: wrote closed-form surface at tau={tau} to {out}")
@@ -244,10 +262,7 @@ def _cmd_analytic(args) -> int:
 
 
 def _cmd_leland(args) -> int:
-    cfg = _load_config(args.config, args.flag)
-    scenario = validate(cfg)
-    flags = _solver_flags(cfg)
-    solver = cfg.get("solver", {}) or {}
+    cfg, scenario, flags, solver = _setup(args)
 
     upper = scenario.cost.bounds()[1]
     for i, sigma in enumerate(scenario.market.sigmas, start=1):
@@ -261,23 +276,17 @@ def _cmd_leland(args) -> int:
     if solver.get("skip_scan", False):
         return 0
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        result = solve_nonlinear(
-            scenario,
-            tol=solver.get("tol", 1e-6),
-            max_iter=solver.get("max_iter", 25),
-            stop_norm=solver.get("stop_norm", "inf"),
-            flags=flags,
-        )
+    result = _quiet_solve(scenario, flags, solver)
+    if not result.converged:
+        print(f"leland: solve {_status(result)}; surface not scanned")
+        return 3
     report = scan_surface(
         result.surface.values,
         scenario,
         form=solver.get("dyf_form", "aggregate"),
         eig_tol=solver.get("eig_tol", 1e-10),
         theta_floor=solver.get("theta_floor", 1e-14),
-        first_derivative=flags.first_derivative,
-        mixed_stencil=flags.mixed_stencil,
+        flags=flags,
     )
     if report.n_checked:
         verdict = "satisfied" if report.satisfied else "violated"
@@ -305,20 +314,9 @@ def _cmd_leland(args) -> int:
 
 
 def _cmd_converge(args) -> int:
-    cfg = _load_config(args.config, args.flag)
-    scenario = validate(cfg)
-    flags = _solver_flags(cfg)
-    solver = cfg.get("solver", {}) or {}
+    cfg, scenario, flags, solver = _setup(args)
     out = _out_dir(args)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        result = solve_nonlinear(
-            scenario,
-            tol=solver.get("tol", 1e-6),
-            max_iter=solver.get("max_iter", 25),
-            stop_norm=solver.get("stop_norm", "inf"),
-            flags=flags,
-        )
+    result = _quiet_solve(scenario, flags, solver)
     _write_convergence_csv(out / "convergence.csv", result.records)
     _write_metadata(
         out / "metadata.json",
@@ -336,16 +334,12 @@ def _cmd_converge(args) -> int:
     print("n    d1            d2            dinf")
     for rec in result.records:
         print(f"{rec.n:<4d} {rec.d1:<13.6e} {rec.d2:<13.6e} {rec.dinf:<13.6e}")
-    status = "converged" if result.converged else "NOT converged"
-    print(f"converge: {status} after {result.iterations} sweeps; wrote {out}")
+    print(f"converge: {_status(result)}; wrote {out}")
     return 0 if result.converged else 3
 
 
 def _cmd_sweep(args) -> int:
-    cfg = _load_config(args.config, args.flag)
-    scenario = validate(cfg)
-    flags = _solver_flags(cfg)
-    solver = cfg.get("solver", {}) or {}
+    cfg, scenario, flags, solver = _setup(args)
     output = cfg.get("output", {}) or {}
     out = _out_dir(args)
 

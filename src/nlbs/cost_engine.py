@@ -23,15 +23,18 @@ Closed forms for the half-normal expectation:
   function, used for overflow safety).
 * sampled cost curves fall back to adaptive quadrature.
 
-``assemble_G`` evaluates the term on a finite-difference surface using the
-same derivative stencils as the ADI scheme (central second derivatives,
-forward first derivatives by default, four-corner mixed stencil by default).
+The package's finite-difference stencils live here, with the choices carried
+by :class:`~nlbs.market_model.SolverFlags` (central second derivatives,
+forward first derivatives and the four-corner mixed stencil by default).
+``assemble_G``, the ellipticity scan and the edge marches take their
+differences from them, the ADI stage operators their mixed term.  One grid
+routine turns the differences into (Theta_1, Theta_2) for ``assemble_G`` and
+the scan alike.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Literal
 
 import numpy as np
 from scipy.integrate import quad
@@ -44,6 +47,7 @@ from .market_model import (
     MarketParams,
     SampledCost,
     Scenario,
+    SolverFlags,
     ValidationError,
 )
 
@@ -58,10 +62,6 @@ __all__ = [
 
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 _SQRT_PI_OVER_2 = math.sqrt(math.pi / 2.0)
-
-FirstDerivative = Literal["forward", "central"]
-MixedStencil = Literal["four_corner", "asymmetric"]
-CostPrefactor = Literal["sqrt_dt", "dt"]
 
 
 class QuadratureError(RuntimeError):
@@ -205,73 +205,58 @@ def expected_cost(cost: CostModel, theta, dt: float):
 
 
 # ---------------------------------------------------------------------------
-# assembling the cost term on a grid
+# finite-difference stencils and Theta on a grid
 # ---------------------------------------------------------------------------
 
 
-def _grid_derivatives(
-    u: np.ndarray, dx: float, first: FirstDerivative, mixed: MixedStencil
-) -> tuple[np.ndarray, ...]:
-    """Interior finite differences (first both axes, second both axes, mixed).
+def _axis_differences(u: np.ndarray, dx: float, first: str) -> tuple[np.ndarray, np.ndarray]:
+    """First and second differences along axis 0 at interior positions.
 
-    Matches the ADI scheme's stencils: central second derivatives, forward or
-    central first derivatives, four-corner or one-sided mixed stencil.  All
-    returned arrays cover interior nodes only, shape (n-1, n-1).
+    ``u`` is one edge vector or a 2-D array whose other axis is kept whole.
+    The second difference is central; the first is ``"forward"`` or
+    ``"central"``.
     """
     if first == "forward":
-        ux = (u[2:, 1:-1] - u[1:-1, 1:-1]) / dx
-        uy = (u[1:-1, 2:] - u[1:-1, 1:-1]) / dx
-    elif first == "central":
-        ux = (u[2:, 1:-1] - u[:-2, 1:-1]) / (2.0 * dx)
-        uy = (u[1:-1, 2:] - u[1:-1, :-2]) / (2.0 * dx)
+        d1 = (u[2:] - u[1:-1]) / dx
     else:
-        raise ValidationError("first_derivative", f"expected 'forward' or 'central', got {first!r}")
-    uxx = (u[2:, 1:-1] - 2.0 * u[1:-1, 1:-1] + u[:-2, 1:-1]) / (dx * dx)
-    uyy = (u[1:-1, 2:] - 2.0 * u[1:-1, 1:-1] + u[1:-1, :-2]) / (dx * dx)
-    if mixed == "four_corner":
-        uxy = (u[2:, 2:] + u[:-2, :-2] - u[2:, :-2] - u[:-2, 2:]) / (4.0 * dx * dx)
-    elif mixed == "asymmetric":
-        uxy = (u[2:, 2:] + u[:-2, :-2] - u[:-2, 1:-1] - u[1:-1, :-2]) / (4.0 * dx * dx)
-    else:
-        raise ValidationError("mixed_stencil", f"expected 'four_corner' or 'asymmetric', got {mixed!r}")
-    return ux, uy, uxx, uyy, uxy
+        d1 = (u[2:] - u[:-2]) / (2.0 * dx)
+    d2 = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / (dx * dx)
+    return d1, d2
 
 
-def assemble_G(
-    surface,
-    scenario: Scenario,
-    *,
-    first_derivative: FirstDerivative = "forward",
-    mixed_stencil: MixedStencil = "four_corner",
-    cost_prefactor: CostPrefactor = "sqrt_dt",
-) -> np.ndarray:
-    """Evaluate the transaction-cost term on every interior grid node.
+def _mixed_diff(u: np.ndarray, dx: float, kind: str) -> np.ndarray:
+    """Mixed second difference on interior nodes, shape (n-1, n-1).
 
-    ``surface`` is a value array of shape (nx+1, nx+1) on ``scenario.grid``
-    (or any object with a ``values`` attribute holding one).  Returns an array
-    of the same shape; the boundary ring is zero (the PDE never reads the
-    source term on Dirichlet nodes, and one-sided second differences there
-    would be meaningless).
-
-    ``cost_prefactor`` selects the normalization of the per-interval expected
-    cost into a per-unit-time term: ``"sqrt_dt"`` (default) divides by
-    sqrt(dt), consistent with the classical discrete-rebalancing limit;
-    ``"dt"`` divides by dt.
+    ``"four_corner"`` is the standard stencil; ``"asymmetric"`` replaces two
+    corners by edge neighbours and is formally inconsistent (a diagnostic).
     """
-    u = np.asarray(getattr(surface, "values", surface), dtype=float)
+    if kind == "four_corner":
+        return (u[2:, 2:] + u[:-2, :-2] - u[2:, :-2] - u[:-2, 2:]) / (4.0 * dx * dx)
+    return (u[2:, 2:] + u[:-2, :-2] - u[:-2, 1:-1] - u[1:-1, :-2]) / (4.0 * dx * dx)
+
+
+def _grid_derivatives(u: np.ndarray, dx: float, flags: SolverFlags) -> tuple[np.ndarray, ...]:
+    """Interior finite differences (first both axes, second both axes, mixed).
+
+    All returned arrays cover interior nodes only, shape (n-1, n-1).
+    """
+    ux, uxx = _axis_differences(u[:, 1:-1], dx, flags.first_derivative)
+    uy, uyy = _axis_differences(u[1:-1, :].T, dx, flags.first_derivative)
+    return ux, uy.T, uxx, uyy.T, _mixed_diff(u, dx, flags.mixed_stencil)
+
+
+def _grid_theta(derivatives: tuple[np.ndarray, ...], scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
+    """(Theta_1, Theta_2) on interior nodes from :func:`_grid_derivatives`.
+
+    Log grids use the chain-rule expansion of :func:`theta_log_coords`,
+    price grids the quadratic form (B A B)_ii.  Roundoff below zero is
+    clamped.
+    """
+    ux, uy, uxx, uyy, uxy = derivatives
     grid = scenario.grid
-    n = grid.nx
-    if u.shape != (n + 1, n + 1):
-        raise ValidationError("surface", f"expected shape ({n + 1}, {n + 1}), got {u.shape}")
-    market = scenario.market
-    sig1, sig2 = market.sigmas
-    rho = float(market.rho[0, 1])
-    dt = scenario.dt_tc
-    dx = grid.dx
-
-    ux, uy, uxx, uyy, uxy = _grid_derivatives(u, dx, first_derivative, mixed_stencil)
+    sig1, sig2 = scenario.market.sigmas
+    rho = float(scenario.market.rho[0, 1])
     axis = grid.axis()[1:-1]
-
     if grid.coord == "log":
         x1 = axis[:, None]
         x2 = axis[None, :]
@@ -283,8 +268,6 @@ def assemble_G(
         theta2 = np.exp(-2.0 * x2) * (
             uxy * uxy * sig1 * sig1 + 2.0 * c2 * uxy * sig1 * sig2 * rho + c2 * c2 * sig2 * sig2
         )
-        s1 = np.exp(x1)
-        s2 = np.exp(x2)
     else:
         s1 = axis[:, None]
         s2 = axis[None, :]
@@ -293,19 +276,43 @@ def assemble_G(
         a22 = sig2 * sig2 * s2 * s2
         theta1 = uxx * uxx * a11 + 2.0 * uxx * uxy * a12 + uxy * uxy * a22
         theta2 = uxy * uxy * a11 + 2.0 * uyy * uxy * a12 + uyy * uyy * a22
+    return np.maximum(theta1, 0.0), np.maximum(theta2, 0.0)
 
-    theta1 = np.maximum(theta1, 0.0)
-    theta2 = np.maximum(theta2, 0.0)
+
+def _cost_norm(dt: float, flags: SolverFlags) -> float:
+    """Divisor turning a per-interval expected cost into a per-unit-time term."""
+    return math.sqrt(dt) if flags.cost_prefactor == "sqrt_dt" else dt
+
+
+# ---------------------------------------------------------------------------
+# assembling the cost term on a grid
+# ---------------------------------------------------------------------------
+
+
+def assemble_G(surface, scenario: Scenario, *, flags: SolverFlags = SolverFlags()) -> np.ndarray:
+    """Evaluate the transaction-cost term on every interior grid node.
+
+    ``surface`` is a value array of shape (nx+1, nx+1) on ``scenario.grid``
+    (or any object with a ``values`` attribute holding one).  Returns an array
+    of the same shape; the boundary ring is zero (the PDE never reads the
+    source term on Dirichlet nodes, and one-sided second differences there
+    would be meaningless).
+
+    ``flags.cost_prefactor`` selects the normalization of the per-interval
+    expected cost into a per-unit-time term: ``"sqrt_dt"`` (default) divides
+    by sqrt(dt), consistent with the classical discrete-rebalancing limit;
+    ``"dt"`` divides by dt.
+    """
+    u = np.asarray(getattr(surface, "values", surface), dtype=float)
+    grid = scenario.grid
+    n = grid.nx
+    if u.shape != (n + 1, n + 1):
+        raise ValidationError("surface", f"expected shape ({n + 1}, {n + 1}), got {u.shape}")
+    dt = scenario.dt_tc
+    theta1, theta2 = _grid_theta(_grid_derivatives(u, grid.dx, flags), scenario)
+    spots = grid.spot_axis()[1:-1]
     e1 = expected_cost(scenario.cost, theta1, dt)
     e2 = expected_cost(scenario.cost, theta2, dt)
-
-    if cost_prefactor == "sqrt_dt":
-        norm = math.sqrt(dt)
-    elif cost_prefactor == "dt":
-        norm = dt
-    else:
-        raise ValidationError("cost_prefactor", f"expected 'sqrt_dt' or 'dt', got {cost_prefactor!r}")
-
     g = np.zeros_like(u)
-    g[1:-1, 1:-1] = (s1 * e1 + s2 * e2) / norm
+    g[1:-1, 1:-1] = (spots[:, None] * e1 + spots[None, :] * e2) / _cost_norm(dt, flags)
     return g

@@ -23,14 +23,15 @@
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .adi_solver import GridSpec, SolveResult, SolverFlags, solve_nonlinear
+from .adi_solver import SolveResult, solve_nonlinear
 from .analytic_pricing import cbest_price
 from .cost_engine import assemble_G
-from .market_model import Scenario, ValidationError
+from .market_model import Scenario, SolverFlags, ValidationError
 
 __all__ = [
     "pnorm_distance",
@@ -111,7 +112,6 @@ def error_vs_analytic(
     *,
     band: int = 2,
     tau: float | None = None,
-    formula: str = "standard",
 ) -> ErrorReport:
     """Benchmark error of a surface at time-to-maturity tau (default T).
 
@@ -129,7 +129,7 @@ def error_vs_analytic(
     tau = scenario.market.T if tau is None else float(tau)
 
     s = grid.spot_axis()
-    ana = cbest_price(s[:, None], s[None, :], tau, scenario, formula)
+    ana = cbest_price(s[:, None], s[None, :], tau, scenario)
     ana = np.broadcast_to(ana, u.shape)
 
     pay = scenario.payoff.value(s[:, None], s[None, :]) > 0.0
@@ -229,18 +229,10 @@ def dt_sensitivity_sweep(
     rows: list[DtSweepRow] = []
     for d in dts:
         scen_d = scenario.with_dt(d)
-        import warnings as _warnings
-
-        with _warnings.catch_warnings():
-            _warnings.simplefilter("ignore", RuntimeWarning)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
             result: SolveResult = solve_nonlinear(scen_d, tol=tol, max_iter=max_iter, flags=flags)
-        g = assemble_G(
-            result.surface.values,
-            scen_d,
-            first_derivative=flags.first_derivative,
-            mixed_stencil=flags.mixed_stencil,
-            cost_prefactor=flags.cost_prefactor,
-        )
+        g = assemble_G(result.surface.values, scen_d, flags=flags)
         rows.append(
             DtSweepRow(
                 dt=d,
@@ -272,31 +264,23 @@ def perron_bound(
     scenario: Scenario,
     *,
     tau: float | None = None,
-    formula: str = "standard",
-    first_derivative: str = "forward",
-    mixed_stencil: str = "four_corner",
-    cost_prefactor: str = "sqrt_dt",
+    flags: SolverFlags = SolverFlags(),
 ) -> PerronBound:
     """Largest |G| on the closed-form surface at time-to-maturity tau.
 
     The benchmark surface is sampled on the scenario grid, its Hessian taken
-    with the scheme's own stencils, and the cost term assembled on interior
-    nodes.  Linear in the cost level for constant and exponential models.
+    with the scheme's own stencils (``flags``), and the cost term assembled
+    on interior nodes.  Linear in the cost level for constant and
+    exponential models.
     """
     grid = scenario.grid
     tau = scenario.market.T if tau is None else float(tau)
     if not math.isfinite(tau) or tau <= 0.0:
         raise ValidationError("tau", f"time to maturity must be positive, got {tau}")
     s = grid.spot_axis()
-    ana = cbest_price(s[:, None], s[None, :], tau, scenario, formula)
+    ana = cbest_price(s[:, None], s[None, :], tau, scenario)
     ana = np.broadcast_to(ana, (grid.nx + 1, grid.nx + 1))
-    g = assemble_G(
-        ana,
-        scenario,
-        first_derivative=first_derivative,
-        mixed_stencil=mixed_stencil,
-        cost_prefactor=cost_prefactor,
-    )
+    g = assemble_G(ana, scenario, flags=flags)
     inner = np.abs(g[1:-1, 1:-1])
     flat = int(np.argmax(inner))
     wi, wj = np.unravel_index(flat, inner.shape)

@@ -29,8 +29,12 @@ The scalar sensitivity is
     I1_i = int_0^inf C(h_i y) y e^{-y^2} dy,
     I2_i = int_0^inf C'(h_i y) y^2 e^{-y^2} dy,    h_i = sqrt(2 dt Theta_i),
 
-with closed forms for constant cost (I1 = c0/2, I2 = 0) and adaptive
-quadrature otherwise.  Theta_i -> 0 makes g_i blow up; such nodes are
+with the closed form g_i = sqrt(2/pi) S_i c0 / (2 sqrt(dt Theta_i)) for
+constant cost (I1 = c0/2, I2 = 0) and adaptive quadrature of I1, I2
+otherwise.  One routine computes g_i for both the single-state derivative
+and the surface scan; the scan takes its Hessian and Theta_i from the same
+finite-difference and Theta routines as the cost term
+(:mod:`nlbs.cost_engine`).  Theta_i -> 0 makes g_i blow up; such nodes are
 reported as degenerate rather than classified.
 
 For a single asset under constant cost the sign of D reduces to the classical
@@ -48,12 +52,13 @@ from typing import Literal, NamedTuple
 import numpy as np
 from scipy.integrate import quad
 
-from .cost_engine import QuadratureError, _grid_derivatives, theta_from_hessian
+from .cost_engine import QuadratureError, _grid_derivatives, _grid_theta, theta_from_hessian
 from .market_model import (
     ConstantCost,
     CostModel,
     MarketParams,
     Scenario,
+    SolverFlags,
     ValidationError,
 )
 
@@ -193,20 +198,21 @@ class DyfInputs:
         object.__setattr__(self, "dt", dt)
 
 
-def _sensitivities(
-    cost: CostModel, spots: np.ndarray, theta: np.ndarray, dt: float, theta_floor: float
-) -> np.ndarray:
-    """Per-asset g_i = dG/dTheta_i; raises for singular Theta."""
-    n = theta.size
-    g = np.empty(n)
-    for i in range(n):
-        if theta[i] <= theta_floor:
-            raise DegenerateThetaError(f"theta singular at asset {i}: theta={theta[i]:.3e}")
-        i1, i2 = cost_integrals(cost, math.sqrt(2.0 * dt * theta[i]))
-        g[i] = (
-            (2.0 * spots[i] / math.sqrt(dt))
+def _sensitivities(cost: CostModel, spots: np.ndarray, theta: np.ndarray, dt: float) -> np.ndarray:
+    """g = dG/dTheta for matching 1-D arrays of spots and positive Theta values.
+
+    Constant cost uses the closed form; other models make one
+    :func:`cost_integrals` call per entry.
+    """
+    if isinstance(cost, ConstantCost):
+        return _SQRT_2_OVER_PI / (2.0 * math.sqrt(dt)) * spots * cost.c0 / np.sqrt(theta)
+    g = np.empty(theta.shape)
+    for k, (s, th) in enumerate(zip(spots, theta)):
+        i1, i2 = cost_integrals(cost, math.sqrt(2.0 * dt * th))
+        g[k] = (
+            (2.0 * s / math.sqrt(dt))
             * _SQRT_2_OVER_PI
-            * (0.5 * i1 / math.sqrt(theta[i]) + math.sqrt(dt / 2.0) * i2)
+            * (0.5 * i1 / math.sqrt(th) + math.sqrt(dt / 2.0) * i2)
         )
     return g
 
@@ -220,7 +226,10 @@ def dyf_matrix(inputs: DyfInputs, form: DyfForm = "aggregate", theta_floor: floa
     a = inputs.market.diffusion_matrix(inputs.spots)
     b = inputs.hessian
     theta = theta_from_hessian(b, inputs.spots, inputs.market)
-    g = _sensitivities(inputs.cost, inputs.spots, theta, inputs.dt, theta_floor)
+    for i, th in enumerate(theta):
+        if th <= theta_floor:
+            raise DegenerateThetaError(f"theta singular at asset {i}: theta={th:.3e}")
+    g = _sensitivities(inputs.cost, inputs.spots, theta, inputs.dt)
     ab = a @ b
     ba = b @ a
     if form == "aggregate":
@@ -302,75 +311,51 @@ def scan_surface(
     form: DyfForm = "aggregate",
     eig_tol: float = 1e-10,
     theta_floor: float = 1e-14,
-    first_derivative: str = "forward",
-    mixed_stencil: str = "four_corner",
+    flags: SolverFlags = SolverFlags(),
 ) -> EllipticityReport:
     """Classify the operator derivative at every interior node of a surface.
 
     The surface's finite-difference Hessian uses the same stencils as the
-    PDE scheme.  Nodes where either Theta_i <= theta_floor (flat payoff
-    regions, deep tails) are counted as degenerate and excluded from the
-    eigenvalue statistics rather than misclassified.
+    PDE scheme (``flags``).  Nodes where either Theta_i <= theta_floor (flat
+    payoff regions, deep tails) are counted as degenerate and excluded from
+    the eigenvalue statistics rather than misclassified.
     """
     u = np.asarray(getattr(surface, "values", surface), dtype=float)
     grid = scenario.grid
     n = grid.nx
     if u.shape != (n + 1, n + 1):
         raise ValidationError("surface", f"expected shape ({n + 1}, {n + 1}), got {u.shape}")
+    if form not in ("aggregate", "exact"):
+        raise ValidationError("form", f"expected 'aggregate' or 'exact', got {form!r}")
     market = scenario.market
     sig1, sig2 = market.sigmas
     rho = float(market.rho[0, 1])
     dt = scenario.dt_tc
-    dx = grid.dx
 
-    ux, uy, uxx, uyy, uxy = _grid_derivatives(u, dx, first_derivative, mixed_stencil)
-    axis = grid.axis()[1:-1]
+    derivatives = _grid_derivatives(u, grid.dx, flags)
+    theta1, theta2 = _grid_theta(derivatives, scenario)
+    ux, uy, uxx, uyy, uxy = derivatives
+    spot_axis = grid.spot_axis()[1:-1]
+    s1 = spot_axis[:, None]
+    s2 = spot_axis[None, :]
     if grid.coord == "log":
-        s1 = np.exp(axis)[:, None]
-        s2 = np.exp(axis)[None, :]
         b11 = (uxx - ux) / (s1 * s1)
         b12 = uxy / (s1 * s2)
         b22 = (uyy - uy) / (s2 * s2)
     else:
-        s1 = axis[:, None]
-        s2 = axis[None, :]
         b11, b12, b22 = uxx, uxy, uyy
 
     a11 = sig1 * sig1 * s1 * s1
     a12 = sig1 * sig2 * rho * s1 * s2
     a22 = sig2 * sig2 * s2 * s2
-
-    theta1 = np.maximum(b11 * b11 * a11 + 2.0 * b11 * b12 * a12 + b12 * b12 * a22, 0.0)
-    theta2 = np.maximum(b12 * b12 * a11 + 2.0 * b22 * b12 * a12 + b22 * b22 * a22, 0.0)
     degenerate = (theta1 <= theta_floor) | (theta2 <= theta_floor)
-
-    s1b = np.broadcast_to(s1, theta1.shape)
-    s2b = np.broadcast_to(s2, theta1.shape)
 
     # per-asset sensitivities g_i = dG/dTheta_i on non-degenerate nodes
     g1 = np.full(theta1.shape, np.nan)
     g2 = np.full(theta1.shape, np.nan)
     ok = ~degenerate
-    if isinstance(scenario.cost, ConstantCost):
-        c0 = scenario.cost.c0
-        pref = _SQRT_2_OVER_PI / (2.0 * math.sqrt(dt))
-        g1[ok] = pref * s1b[ok] * c0 / np.sqrt(theta1[ok])
-        g2[ok] = pref * s2b[ok] * c0 / np.sqrt(theta2[ok])
-    else:
-        idx = np.argwhere(ok)
-        for ii, jj in idx:
-            i1, i2 = cost_integrals(scenario.cost, math.sqrt(2.0 * dt * theta1[ii, jj]))
-            g1[ii, jj] = (
-                (2.0 * s1b[ii, jj] / math.sqrt(dt))
-                * _SQRT_2_OVER_PI
-                * (0.5 * i1 / math.sqrt(theta1[ii, jj]) + math.sqrt(dt / 2.0) * i2)
-            )
-            i1, i2 = cost_integrals(scenario.cost, math.sqrt(2.0 * dt * theta2[ii, jj]))
-            g2[ii, jj] = (
-                (2.0 * s2b[ii, jj] / math.sqrt(dt))
-                * _SQRT_2_OVER_PI
-                * (0.5 * i1 / math.sqrt(theta2[ii, jj]) + math.sqrt(dt / 2.0) * i2)
-            )
+    g1[ok] = _sensitivities(scenario.cost, np.broadcast_to(s1, ok.shape)[ok], theta1[ok], dt)
+    g2[ok] = _sensitivities(scenario.cost, np.broadcast_to(s2, ok.shape)[ok], theta2[ok], dt)
 
     ab11 = a11 * b11 + a12 * b12
     ab12 = a11 * b12 + a12 * b22
@@ -381,12 +366,10 @@ def scan_surface(
         d11 = -a11 / 2.0 + gs * 2.0 * ab11
         d12 = -a12 / 2.0 + gs * (ab12 + ab21)
         d22 = -a22 / 2.0 + gs * 2.0 * ab22
-    elif form == "exact":
+    else:
         d11 = -a11 / 2.0 + g1 * 2.0 * ab11
         d12 = -a12 / 2.0 + g1 * ab21 + g2 * ab12
         d22 = -a22 / 2.0 + g2 * 2.0 * ab22
-    else:
-        raise ValidationError("form", f"expected 'aggregate' or 'exact', got {form!r}")
 
     half_tr = (d11 + d22) / 2.0
     eigmax = half_tr + np.sqrt(((d11 - d22) / 2.0) ** 2 + d12 * d12)
@@ -394,34 +377,22 @@ def scan_surface(
 
     n_deg = int(degenerate.sum())
     n_checked = int(ok.sum())
-    if n_checked == 0:
-        return EllipticityReport(
-            satisfied=True,
-            max_eigenvalue=math.nan,
-            worst_node=None,
-            worst_spots=None,
-            fraction_satisfied=1.0,
-            n_checked=0,
-            degenerate_count=n_deg,
-            eig_tol=eig_tol,
-            theta_floor=theta_floor,
-            form=form,
-            eigenvalues=eigmax,
-            spot_axes=(np.exp(axis) if grid.coord == "log" else axis.copy(),) * 2,
-        )
-
-    good = eigmax[ok]
-    max_eig = float(good.max())
-    flat_idx = np.nanargmax(np.where(ok, eigmax, -np.inf))
-    wi, wj = np.unravel_index(flat_idx, eigmax.shape)
-    n_sat = int((good <= eig_tol).sum())
-    spot_axis = np.exp(axis) if grid.coord == "log" else axis.copy()
+    # with no node checked the verdict holds vacuously
+    max_eig, worst_node, worst_spots, n_sat = math.nan, None, None, 0
+    if n_checked:
+        good = eigmax[ok]
+        max_eig = float(good.max())
+        flat_idx = np.nanargmax(np.where(ok, eigmax, -np.inf))
+        wi, wj = np.unravel_index(flat_idx, eigmax.shape)
+        worst_node = (int(wi) + 1, int(wj) + 1)
+        worst_spots = (float(spot_axis[wi]), float(spot_axis[wj]))
+        n_sat = int((good <= eig_tol).sum())
     return EllipticityReport(
         satisfied=n_sat == n_checked,
         max_eigenvalue=max_eig,
-        worst_node=(int(wi) + 1, int(wj) + 1),
-        worst_spots=(float(spot_axis[wi]), float(spot_axis[wj])),
-        fraction_satisfied=n_sat / n_checked,
+        worst_node=worst_node,
+        worst_spots=worst_spots,
+        fraction_satisfied=n_sat / n_checked if n_checked else 1.0,
         n_checked=n_checked,
         degenerate_count=n_deg,
         eig_tol=eig_tol,

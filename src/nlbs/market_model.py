@@ -13,8 +13,8 @@ read-only ``numpy`` arrays.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Any, Mapping, Union
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING, Any, Literal, Mapping, Union, get_args, get_type_hints
 
 import numpy as np
 
@@ -31,6 +31,7 @@ __all__ = [
     "CostModel",
     "BestCashOrNothing",
     "Scenario",
+    "SolverFlags",
     "validate",
 ]
 
@@ -343,6 +344,30 @@ class Scenario:
 
     def with_grid(self, grid: "GridSpec") -> "Scenario":
         return replace(self, grid=grid)
+
+
+BoundaryPolicy = Literal["edges_1d", "analytic", "discounted_payoff", "scheme_discount"]
+
+
+@dataclass(frozen=True)
+class SolverFlags:
+    """Discretization and boundary choices (defaults = production scheme).
+
+    Each field takes one of the values of its ``Literal`` annotation; the
+    config's ``solver`` section sets the fields by name.
+    """
+
+    first_derivative: Literal["forward", "central"] = "forward"
+    mixed_stencil: Literal["four_corner", "asymmetric"] = "four_corner"
+    cost_prefactor: Literal["sqrt_dt", "dt"] = "sqrt_dt"
+    boundary: BoundaryPolicy = "edges_1d"
+    smoothing: Literal["cell_average", "pointwise"] = "cell_average"
+
+    def __post_init__(self) -> None:
+        for name, hint in get_type_hints(SolverFlags).items():
+            allowed = get_args(hint)
+            if getattr(self, name) not in allowed:
+                raise ValidationError(f"solver.{name}", f"expected one of {allowed}, got {getattr(self, name)!r}")
 
 
 # ---------------------------------------------------------------------------

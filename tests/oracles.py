@@ -1,13 +1,18 @@
 """Independent reference implementations used to freeze and check test values.
 
-Nothing here imports from the package: every function re-derives its quantity
-from scratch (dense linear algebra, adaptive quadrature, Monte Carlo, mpmath)
-so agreement with the package is evidence, not tautology.
+Nothing here imports from the package at module level, and almost every
+function re-derives its quantity from scratch (dense linear algebra, adaptive
+quadrature, Monte Carlo, mpmath) so agreement with the package is evidence,
+not tautology.  Two sections are different on purpose: the legacy closed form
+is a defective parametrization the package does not implement, kept here so
+the tests can pin its defects; the lagged march composes the package's public
+stage operators to pin the structure of its fixed-point loop.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import mpmath
 import numpy as np
@@ -324,3 +329,77 @@ def cbest_mc(
     t2 = s2 * np.exp((r - 0.5 * sig2 * sig2) * tau + sig2 * math.sqrt(tau) * z2)
     pay = np.where(np.maximum(t1, t2) >= X, K, 0.0) * math.exp(-r * tau)
     return float(np.mean(pay)), float(np.std(pay) / math.sqrt(n_paths))
+
+
+# ---------------------------------------------------------------------------
+# legacy closed-form parametrization (not risk-neutral)
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class LegacyIntermediates:
+    sigma_comb: float
+    y: np.ndarray
+    z1: np.ndarray
+    z2: np.ndarray
+    rho1: float
+    rho2: float
+
+
+def cbest_legacy_intermediates(s1, s2, tau: float, market, payoff) -> LegacyIntermediates:
+    """Deviates of the legacy formula: no risk-free drift, +sigma^2 tau/2 in
+    the ratio deviate, correlations (sigma_i - rho)/sigma_comb."""
+    s1 = np.asarray(s1, dtype=float)
+    s2 = np.asarray(s2, dtype=float)
+    sig1, sig2 = market.sigmas
+    rho = float(market.rho[0, 1])
+    x = payoff.X
+    rt = math.sqrt(tau)
+    sigma_comb = math.sqrt(max(sig1 * sig1 + sig2 * sig2 - 2.0 * rho * sig1 * sig2, 0.0))
+    z1 = (np.log(s1 / x) + sig1 * sig1 * tau / 2.0) / (sig1 * rt)
+    z2 = (np.log(s2 / x) + sig2 * sig2 * tau / 2.0) / (sig2 * rt)
+    if sigma_comb > 0.0:
+        y = (np.log(s1 / s2) + sigma_comb * sigma_comb * tau / 2.0) / (sigma_comb * rt)
+        rho1 = (sig1 - rho) / sigma_comb
+        rho2 = (sig2 - rho) / sigma_comb
+    else:
+        y = np.where(s1 >= s2, np.inf, -np.inf)
+        rho1 = rho2 = 0.0
+    return LegacyIntermediates(sigma_comb=sigma_comb, y=y, z1=z1, z2=z2, rho1=rho1, rho2=rho2)
+
+
+def cbest_legacy_price(s1, s2, tau: float, scenario, bivariate_cdf) -> float:
+    """Legacy best-of digital price at scalar spots, tau > 0.
+
+    ``bivariate_cdf(a, b, corr)`` is the bivariate normal CDF to evaluate it
+    with; the legacy correlations enter it negated.
+    """
+    inter = cbest_legacy_intermediates(s1, s2, tau, scenario.market, scenario.payoff)
+    disc = scenario.payoff.K * math.exp(-scenario.market.r * tau)
+    p = bivariate_cdf(inter.y, inter.z1, -inter.rho1) + bivariate_cdf(-inter.y, inter.z2, -inter.rho2)
+    return float(disc * p)
+
+
+# ---------------------------------------------------------------------------
+# single lagged march (the limit of the fixed-point iteration)
+# ---------------------------------------------------------------------------
+
+
+def lagged_march(scenario, flags) -> np.ndarray:
+    """Terminal surface of one march whose step m -> m+1 takes its source
+    term from level m of the same march, level 0 included.
+
+    Built from the package's public pieces (initial data, boundary rings,
+    the two stage operators, the source assembly), one level at a time.
+    """
+    from nlbs import BoundaryData, assemble_G, initial_condition, lx_stage, ly_stage
+
+    grid = scenario.grid
+    dtau = scenario.market.T / grid.nt
+    boundary = BoundaryData(scenario, flags, dtau)
+    u = initial_condition(grid, scenario.payoff, flags.smoothing)
+    for m in range(grid.nt):
+        g = assemble_G(u, scenario, flags=flags)
+        half = lx_stage(u, scenario, boundary.ring(2 * m + 1), flags=flags, dtau=dtau)
+        u = ly_stage(half, scenario, boundary.ring(2 * m + 2), g=g, flags=flags, dtau=dtau)
+    return u

@@ -79,7 +79,6 @@ def test_solver_flags_defaults_and_validation():
     assert f.mixed_stencil == "four_corner"
     assert f.cost_prefactor == "sqrt_dt"
     assert f.boundary == "edges_1d"
-    assert f.cbest_formula == "standard"
     assert f.smoothing == "cell_average"
     with pytest.raises(ValidationError, match="solver.boundary"):
         SolverFlags(boundary="reflecting")
@@ -474,6 +473,20 @@ def test_solve_records_match_norm_oracles():
         assert rec.d1 == pytest.approx(oracles.induced_norm(diff, 1), rel=1e-12)
         assert rec.d2 == pytest.approx(oracles.induced_norm(diff, 2), rel=1e-9)
         assert rec.dinf == pytest.approx(oracles.induced_norm(diff, np.inf), rel=1e-12)
+
+
+@pytest.mark.parametrize("case", [1, 2, 3])
+def test_fixed_point_limit_is_the_single_lagged_march(case):
+    """The source is lagged one sweep and level 0 never changes, so level m
+    is final after m + 1 sweeps: the iteration stops exactly (distance 0.0)
+    by nt + 2 sweeps, on the march that takes each step's source from the
+    level it has just computed."""
+    scen = benchmark_scenario(case, nx=20, nt=20)
+    flags = SolverFlags()
+    res = solve_nonlinear(scen, tol=1e-300, max_iter=scen.grid.nt + 2, flags=flags)
+    assert res.converged
+    assert res.records[-1].dinf == 0.0
+    np.testing.assert_array_equal(res.surface.values, oracles.lagged_march(scen, flags))
 
 
 def test_solve_warns_when_iteration_budget_runs_out():

@@ -159,8 +159,6 @@ def test_intermediates_validation():
         cbest_intermediates(30.0, 30.0, 0.0, scen.market, scen.payoff)
     with pytest.raises(ValidationError, match="s1"):
         cbest_intermediates(-1.0, 30.0, 1.0, scen.market, scen.payoff)
-    with pytest.raises(ValidationError, match="formula"):
-        cbest_intermediates(30.0, 30.0, 1.0, scen.market, scen.payoff, formula="modern")
 
 
 def test_intermediates_identical_dynamics_degenerate_ratio():
@@ -287,7 +285,7 @@ def test_price_rejects_negative_tau():
 
 
 # ---------------------------------------------------------------------------
-# legacy formula variant
+# legacy formula variant (kept in the oracles; the package dropped it)
 # ---------------------------------------------------------------------------
 
 
@@ -299,12 +297,12 @@ def test_legacy_formula_degenerates_on_low_vol_benchmarks():
         scen = benchmark_scenario(case)
         x = scen.payoff.X
         with pytest.raises(ValidationError, match="corr"):
-            cbest_price(x, x, 1.0, scen, formula="legacy")
+            oracles.cbest_legacy_price(x, x, 1.0, scen, bivariate_cdf)
 
 
 def test_legacy_formula_value_where_it_is_defined():
     scen = benchmark_scenario(3)
-    legacy = cbest_price(15.0, 15.0, 1.0, scen, formula="legacy")
+    legacy = oracles.cbest_legacy_price(15.0, 15.0, 1.0, scen, bivariate_cdf)
     assert legacy == pytest.approx(2.9307385587940984, abs=1e-13)
     # visibly different from the risk-neutral price
     standard = cbest_price(15.0, 15.0, 1.0, scen)
@@ -313,9 +311,9 @@ def test_legacy_formula_value_where_it_is_defined():
 
 def test_legacy_intermediates_pinned_correlations():
     scen = benchmark_scenario(1)
-    inter = cbest_intermediates(30.0, 30.0, 1.0, scen.market, scen.payoff, formula="legacy")
+    inter = oracles.cbest_legacy_intermediates(30.0, 30.0, 1.0, scen.market, scen.payoff)
     assert abs(inter.rho2) == pytest.approx(1.3471506281091268, abs=1e-15)
     scen2 = benchmark_scenario(2)
-    i2 = cbest_intermediates(40.0, 40.0, 1.0, scen2.market, scen2.payoff, formula="legacy")
+    i2 = oracles.cbest_legacy_intermediates(40.0, 40.0, 1.0, scen2.market, scen2.payoff)
     assert i2.rho1 == pytest.approx(2.8112676511587456, abs=1e-14)
     assert i2.rho2 > 1.0  # both correlations leave [-1, 1]

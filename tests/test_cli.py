@@ -84,6 +84,22 @@ def test_price_reports_nonconvergence_with_exit_3(tmp_path, capsys):
     assert "NOT converged" in capsys.readouterr().out
 
 
+def test_leland_does_not_scan_an_unconverged_surface(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    write_config(
+        cfg_path,
+        cost={"type": "constant", "C0": 0.005},
+        solver={"max_iter": 1, "tol": 1e-14},
+    )
+    out = tmp_path / "scan"
+    rc = main(["leland", "--config", str(cfg_path), "--out", str(out)])
+    assert rc == 3
+    text = capsys.readouterr().out
+    assert "NOT converged after 1 sweeps" in text
+    assert "scan:" not in text
+    assert not (out / "ellipticity.json").exists()
+
+
 def test_analytic_matches_closed_form_and_honors_tau_flag(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg = write_config(cfg_path)
@@ -199,6 +215,18 @@ def test_exit_code_2_on_config_errors(tmp_path, capsys, mutate_argv):
     bad.write_text("{not json")
     assert main(mutate_argv(cfg_path, bad)) == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["boundry", "cbest_formula"])
+@pytest.mark.parametrize("command", ["price", "analytic", "leland", "converge", "sweep"])
+def test_exit_code_2_names_an_unknown_solver_key(tmp_path, capsys, command, key):
+    """A misspelt key and the removed closed-form switch are both rejected."""
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path)
+    argv = [command, "--config", str(cfg_path), "--out", str(tmp_path / "o")]
+    assert main(argv + ["--flag", f"solver.{key}=standard"]) == 2
+    assert f"solver.{key}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_exit_code_2_on_missing_section(tmp_path, capsys):

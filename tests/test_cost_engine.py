@@ -13,6 +13,7 @@ from nlbs import (
     QuadratureError,
     SampledCost,
     Scenario,
+    SolverFlags,
     Surface,
     ValidationError,
     assemble_G,
@@ -246,8 +247,8 @@ def test_assemble_g_linear_in_constant_cost_level():
 def test_assemble_g_prefactor_normalizations():
     scen = small_scenario()
     u = bumpy_surface(scen, np.random.default_rng(4))
-    g_root = assemble_G(u, scen, cost_prefactor="sqrt_dt")
-    g_lin = assemble_G(u, scen, cost_prefactor="dt")
+    g_root = assemble_G(u, scen, flags=SolverFlags(cost_prefactor="sqrt_dt"))
+    g_lin = assemble_G(u, scen, flags=SolverFlags(cost_prefactor="dt"))
     np.testing.assert_allclose(g_root, g_lin * math.sqrt(scen.dt_tc), rtol=1e-14)
 
 
@@ -322,23 +323,23 @@ def test_assemble_g_rejects_unknown_flags():
     scen = small_scenario()
     u = bumpy_surface(scen, np.random.default_rng(8))
     with pytest.raises(ValidationError, match="first_derivative"):
-        assemble_G(u, scen, first_derivative="upwind")
+        assemble_G(u, scen, flags=SolverFlags(first_derivative="upwind"))
     with pytest.raises(ValidationError, match="mixed_stencil"):
-        assemble_G(u, scen, mixed_stencil="diagonal")
+        assemble_G(u, scen, flags=SolverFlags(mixed_stencil="diagonal"))
     with pytest.raises(ValidationError, match="cost_prefactor"):
-        assemble_G(u, scen, cost_prefactor="none")
+        assemble_G(u, scen, flags=SolverFlags(cost_prefactor="none"))
 
 
 def test_assemble_g_first_derivative_variants_differ_but_agree_on_symmetric_data():
     scen = small_scenario()
     rng = np.random.default_rng(9)
     u = bumpy_surface(scen, rng)
-    g_f = assemble_G(u, scen, first_derivative="forward")
-    g_c = assemble_G(u, scen, first_derivative="central")
+    g_f = assemble_G(u, scen, flags=SolverFlags(first_derivative="forward"))
+    g_c = assemble_G(u, scen, flags=SolverFlags(first_derivative="central"))
     assert not np.allclose(g_f, g_c)
     # on an axis-constant surface the first derivatives vanish either way
     flat = np.full_like(u, 3.0)
     np.testing.assert_array_equal(
-        assemble_G(flat, scen, first_derivative="forward"),
-        assemble_G(flat, scen, first_derivative="central"),
+        assemble_G(flat, scen, flags=SolverFlags(first_derivative="forward")),
+        assemble_G(flat, scen, flags=SolverFlags(first_derivative="central")),
     )
