@@ -36,6 +36,12 @@ Dirichlet boundary values on all four edges come from a boundary policy:
 * "scheme_discount": payoff / (1 + r dtau/2)^h at half-level h -- this makes
   a constant payoff decay exactly like the scheme's own discounting, turning
   the constant-payoff solution into a machine-precision identity.
+
+Only the four edge vectors of each half level are stored, O(nt nx) floats;
+the stage operators write them straight into their output level.  Each
+half-step's nx - 1 tridiagonal line solves run as one LAPACK ``dgttrs`` call
+on the matrix's Thomas factor (factored once per operator, no pivoting), which
+is bit-identical to the row-by-row Thomas loop.
 """
 
 from __future__ import annotations
@@ -47,6 +53,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Literal
 
 import numpy as np
+from scipy.linalg.lapack import dgttrs
 
 from .analytic_pricing import cbest_price
 from .cost_engine import _axis_differences, _cost_norm, _mixed_diff, assemble_G, expected_cost
@@ -225,16 +232,31 @@ def _thomas_factor(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray):
     return w, piv
 
 
-def _thomas_apply(w: np.ndarray, piv: np.ndarray, upper: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Back/forward substitution; rhs may be (n,) or (n, m) for m systems."""
+def _thomas_apply(
+    w: np.ndarray, piv: np.ndarray, upper: np.ndarray, rhs: np.ndarray, overwrite: bool = False
+) -> np.ndarray:
+    """Forward/back substitution with the factor of :func:`_thomas_factor`.
+
+    rhs may be (n,) or (n, m) for m systems.  One LAPACK ``dgttrs`` call does
+    the work: fed the factor as an LU without row interchanges (identity
+    ``ipiv``, zero second superdiagonal), it runs the same operations in the
+    same order as the textbook loop, so the result is bit-identical to it.
+    With ``overwrite`` a Fortran-ordered rhs is solved in place.
+    """
     n = piv.shape[0]
-    y = np.array(rhs, dtype=float)
-    for k in range(1, n):
-        y[k] -= w[k - 1] * y[k - 1]
-    y[n - 1] /= piv[n - 1]
-    for k in range(n - 2, -1, -1):
-        y[k] = (y[k] - upper[k] * y[k + 1]) / piv[k]
-    return y
+    if n <= 2:  # scipy's dgttrs wrapper rejects n = 2; production lines have n >= 3
+        y = np.array(rhs, dtype=float)
+        if n == 1:
+            return y / piv[0]
+        y[1] = (y[1] - w[0] * y[0]) / piv[1]
+        y[0] = (y[0] - upper[0] * y[1]) / piv[0]
+        return y
+    b = rhs if rhs.ndim == 2 else rhs[:, None]
+    if not (overwrite and b.flags.f_contiguous):
+        b = np.array(b, dtype=float, order="F")  # numpy transposes faster than the f2py wrapper
+    ipiv = np.arange(1, n + 1, dtype=np.int32)
+    x, _ = dgttrs(w, piv, upper, np.zeros(n - 2), ipiv, b, overwrite_b=True)
+    return x if rhs.ndim == 2 else x[:, 0]
 
 
 def thomas_solve(system: TridiagonalSystem) -> np.ndarray:
@@ -292,61 +314,86 @@ def initial_condition(
     return _sampled_payoff(grid, lambda s1, s2: payoff.value(s1[:, None], s2[None, :]), 2, smoothing)
 
 
-class BoundaryData:
-    """Dirichlet edge values for every half time level, cached per level.
+Edges = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
-    ``ring(h)`` returns a full (nx+1, nx+1) array whose boundary ring holds
-    the edge values at half-level h (time to maturity h * dtau / 2) and whose
-    interior is zero; stage operators copy the ring into their output.
+
+def _ring_edges(a: np.ndarray) -> Edges:
+    """Copies of the (bottom, top, left, right) edges of a square array.
+
+    Bottom and top are the columns j = 0 and j = nx (running along asset 1),
+    left and right the rows i = 0 and i = nx (running along asset 2).
+    """
+    return a[:, 0].copy(), a[:, -1].copy(), a[0, :].copy(), a[-1, :].copy()
+
+
+def _write_edges(out: np.ndarray, edges: Edges) -> None:
+    """Write edges into ``out`` in the order bottom, top, left, right.
+
+    Each corner therefore takes its value from the left or right edge.
+    """
+    bottom, top, left, right = edges
+    out[:, 0] = bottom
+    out[:, -1] = top
+    out[0, :] = left
+    out[-1, :] = right
+
+
+class BoundaryData:
+    """Dirichlet edge values for every half time level.
+
+    ``edges(h)`` returns the (bottom, top, left, right) edge vectors, each of
+    length nx+1, at half-level h (time to maturity h * dtau / 2); stage
+    operators write them into their output.  Only these four vectors are kept
+    per level, 4 (2 nt + 1) (nx + 1) floats in all: "edges_1d" marches every
+    level at construction, the other policies compute a level on first use.
+    ``ring(h)`` assembles them into a dense (nx+1, nx+1) array with a zero
+    interior, the form :func:`lx_stage` and :func:`ly_stage` take; it is not
+    cached.
     """
 
     def __init__(self, scenario: Scenario, flags: SolverFlags, dtau: float) -> None:
         self.scenario = scenario
         self.flags = flags
         self.dtau = float(dtau)
-        self._cache: dict[int, np.ndarray] = {}
-        grid = scenario.grid
-        self._spots = grid.spot_axis()
-        n = grid.nx
-        pay = scenario.payoff.value(self._spots[:, None], self._spots[None, :])
-        pay = np.broadcast_to(pay, (n + 1, n + 1)).copy()
-        pay[1:-1, 1:-1] = 0.0
-        self._payoff_ring = pay
-        self._edges: tuple[list[np.ndarray], ...] | None = None
+        self._cache: dict[int, Edges] = {}
         if flags.boundary == "edges_1d":
-            self._edges = _evolve_edges(scenario, flags, self.dtau)
+            self._cache.update(enumerate(zip(*_evolve_edges(scenario, flags, self.dtau))))
+        elif flags.boundary in ("scheme_discount", "discounted_payoff"):
+            s = scenario.grid.spot_axis()
+            self._payoff_edges = _ring_edges(scenario.payoff.value(s[:, None], s[None, :]))
 
-    def ring(self, h: int) -> np.ndarray:
+    def edges(self, h: int) -> Edges:
         cached = self._cache.get(h)
         if cached is not None:
             return cached
         tau = h * self.dtau / 2.0
         policy = self.flags.boundary
-        if policy == "edges_1d":
-            assert self._edges is not None
-            bottoms, tops, lefts, rights = self._edges
-            n = self._spots.size - 1
-            vals = np.zeros((n + 1, n + 1))
-            vals[:, 0] = bottoms[h]
-            vals[:, n] = tops[h]
-            vals[0, :] = lefts[h]
-            vals[n, :] = rights[h]
-        elif policy == "scheme_discount":
-            r = self.scenario.market.r
-            vals = self._payoff_ring * (1.0 + r * self.dtau / 2.0) ** (-h)
+        if policy == "scheme_discount":
+            factor = (1.0 + self.scenario.market.r * self.dtau / 2.0) ** (-h)
+            edges = tuple(e * factor for e in self._payoff_edges)
         elif policy == "discounted_payoff":
-            vals = self._payoff_ring * math.exp(-self.scenario.market.r * tau)
+            factor = math.exp(-self.scenario.market.r * tau)
+            edges = tuple(e * factor for e in self._payoff_edges)
         elif policy == "analytic":
-            s = self._spots
+            s = self.scenario.grid.spot_axis()
             n = s.size - 1
-            vals = np.zeros((n + 1, n + 1))
-            vals[0, :] = cbest_price(s[0], s, tau, self.scenario)
-            vals[n, :] = cbest_price(s[n], s, tau, self.scenario)
-            vals[:, 0] = cbest_price(s, s[0], tau, self.scenario)
-            vals[:, n] = cbest_price(s, s[n], tau, self.scenario)
-        else:  # pragma: no cover - SolverFlags validates
-            raise ValidationError("solver.boundary", f"unknown boundary policy {policy!r}")
-        self._cache[h] = vals
+            bottom = cbest_price(s, s[0], tau, self.scenario)
+            top = cbest_price(s, s[n], tau, self.scenario)
+            left = cbest_price(s[0], s, tau, self.scenario)
+            right = cbest_price(s[n], s, tau, self.scenario)
+            # this policy's corners are the bottom and top values
+            left[0], left[n], right[0], right[n] = bottom[0], top[0], bottom[n], top[n]
+            edges = (bottom, top, left, right)
+        else:  # "edges_1d" holds every level from construction
+            raise IndexError(f"half-level {h} outside 0..{len(self._cache) - 1}")
+        self._cache[h] = edges
+        return edges
+
+    def ring(self, h: int) -> np.ndarray:
+        edges = self.edges(h)
+        n = edges[0].size - 1
+        vals = np.zeros((n + 1, n + 1))
+        _write_edges(vals, edges)
         return vals
 
 
@@ -481,7 +528,7 @@ def _evolve_edges(
             rhs -= dtau * g
         rhs[0] -= lo[0] * out[0]
         rhs[-1] -= up[-1] * out[-1]
-        out[1:-1] = _thomas_apply(w, piv, up[:-1], rhs)
+        out[1:-1] = _thomas_apply(w, piv, up[:-1], rhs, overwrite=True)
         return out
 
     def own_axis_explicit(f, eu, em, ed, g=None):
@@ -571,7 +618,8 @@ class _StageOperator:
         self._upper_band = upper_full[:-1]
         self._w, self._piv = _thomas_factor(lower_full[1:], diag_full, upper_full[:-1])
 
-    def apply(self, w_level: np.ndarray, ring: np.ndarray, g: np.ndarray | None = None) -> np.ndarray:
+    def apply(self, w_level: np.ndarray, edges: Edges, g: np.ndarray | None = None) -> np.ndarray:
+        """The output level: ``edges`` (bottom, top, left, right) on its ring."""
         n = self.n
         if w_level.shape != (n + 1, n + 1):
             raise ValidationError("surface", f"expected shape ({n + 1}, {n + 1}), got {w_level.shape}")
@@ -588,15 +636,20 @@ class _StageOperator:
         rhs = mid + cu * up + cm * mid + cd * dn + self.dtau * mix
         if g is not None:
             rhs = rhs - self.dtau * g[1:-1, 1:-1]
-        out = ring.copy()
+        bottom, top, left, right = edges
+        out = np.empty((n + 1, n + 1))
+        _write_edges(out, edges)
+        # lines run along the implicit axis; rhs.T is already Fortran-ordered
         if self.axis == 0:
-            rhs[0, :] -= self._lift_lo * ring[0, 1:-1]
-            rhs[-1, :] -= self._lift_hi * ring[-1, 1:-1]
-            out[1:-1, 1:-1] = _thomas_apply(self._w, self._piv, self._upper_band, rhs)
+            rhs[0, :] -= self._lift_lo * left[1:-1]
+            rhs[-1, :] -= self._lift_hi * right[1:-1]
+            lines = rhs
         else:
-            rhs[:, 0] -= self._lift_lo * ring[1:-1, 0]
-            rhs[:, -1] -= self._lift_hi * ring[1:-1, -1]
-            out[1:-1, 1:-1] = _thomas_apply(self._w, self._piv, self._upper_band, rhs.T).T
+            rhs[:, 0] -= self._lift_lo * bottom[1:-1]
+            rhs[:, -1] -= self._lift_hi * top[1:-1]
+            lines = rhs.T
+        solved = _thomas_apply(self._w, self._piv, self._upper_band, lines, overwrite=True)
+        out[1:-1, 1:-1] = solved if self.axis == 0 else solved.T
         return out
 
 
@@ -617,7 +670,7 @@ def lx_stage(
     one-off applications.
     """
     dtau = scenario.market.T / scenario.grid.nt if dtau is None else float(dtau)
-    return _StageOperator(scenario, flags, dtau, axis=0).apply(u, boundary_ring, g)
+    return _StageOperator(scenario, flags, dtau, axis=0).apply(u, _ring_edges(boundary_ring), g)
 
 
 def ly_stage(
@@ -630,7 +683,7 @@ def ly_stage(
 ) -> np.ndarray:
     """Single y-implicit half-step (mirror of :func:`lx_stage`)."""
     dtau = scenario.market.T / scenario.grid.nt if dtau is None else float(dtau)
-    return _StageOperator(scenario, flags, dtau, axis=1).apply(u, boundary_ring, g)
+    return _StageOperator(scenario, flags, dtau, axis=1).apply(u, _ring_edges(boundary_ring), g)
 
 
 # ---------------------------------------------------------------------------
@@ -664,8 +717,8 @@ def sweep(
     block[0] = initial_condition(grid, scenario.payoff, flags.smoothing)
     for m in range(nt):
         g = g_provider(m) if g_provider is not None else None
-        half = op_x.apply(block[m], boundary.ring(2 * m + 1), g=None)
-        block[m + 1] = op_y.apply(half, boundary.ring(2 * m + 2), g=g)
+        half = op_x.apply(block[m], boundary.edges(2 * m + 1), g=None)
+        block[m + 1] = op_y.apply(half, boundary.edges(2 * m + 2), g=g)
     return block
 
 

@@ -9,7 +9,8 @@ Subcommands:
                  node-by-node scan of the operator derivative on the solved
                  surface.
 * ``converge`` - runs the fixed-point iteration and reports its records.
-* ``sweep``    - re-solves across a range of rebalancing intervals.
+* ``sweep``    - re-solves across a range of rebalancing intervals and
+                 names the ill-posed ones (Le >= 1).
 
 All commands read one JSON config (sections ``market``, ``cost``, ``payoff``,
 ``dt_tc``, optional ``grid``, ``solver``, ``output``), accept repeated
@@ -19,7 +20,8 @@ bare strings), and write deterministic artifacts: CSV numbers with repr-exact
 ``solver`` key that no command reads is a config error.
 
 Exit codes: 0 success, 2 invalid config, 3 numerical non-convergence
-(``price``, ``converge``, and ``leland`` before it scans), 4 I/O failure.
+(``price``, ``converge``, and ``leland`` before it scans) or, for ``sweep``,
+a row with Le >= 1 or a non-finite price, 4 I/O failure.
 """
 
 from __future__ import annotations
@@ -366,6 +368,13 @@ def _cmd_sweep(args) -> int:
             cells += [_fmt(v) for v in row.prices]
             cells += [_fmt(v) for v in row.g_values]
             fh.write(",".join(cells) + "\n")
+    # per-asset Leland numbers of each row, as `leland` computes them
+    upper = scenario.cost.bounds()[1]
+    leland = [
+        [leland_number(sigma, 2.0 * upper, row.dt) for sigma in scenario.market.sigmas] for row in result.rows
+    ]
+    ill_posed = [row.dt for row, les in zip(result.rows, leland) if not all(le.well_posed for le in les)]
+    non_finite = [row.dt for row in result.rows if not all(map(math.isfinite, row.prices))]
     _write_metadata(
         out / "metadata.json",
         {
@@ -377,11 +386,17 @@ def _cmd_sweep(args) -> int:
                 "probe_spots": [list(s) for s in result.probe_spots],
                 "n_dt": len(result.rows),
                 "n_converged": sum(r.converged for r in result.rows),
+                "leland_numbers": [[le.value for le in les] for les in leland],
+                "ill_posed_dts": ill_posed,
             },
         },
     )
     print(f"sweep: solved {len(result.rows)} rebalancing intervals; wrote {out}")
-    return 0
+    if ill_posed:
+        print(f"sweep: ILL-POSED (Le >= 1) at dt = {', '.join(f'{d:.6g}' for d in ill_posed)}")
+    if non_finite:
+        print(f"sweep: non-finite prices at dt = {', '.join(f'{d:.6g}' for d in non_finite)}")
+    return 3 if ill_posed or non_finite else 0
 
 
 # ---------------------------------------------------------------------------

@@ -384,6 +384,31 @@ def _require(section: Mapping[str, Any], key: str, qualified: str) -> Any:
     return value
 
 
+def _numbers(value: Any, qualified: str, ndims: tuple[int, ...] = (0,)) -> Any:
+    """``value`` as floats: a number (ndim 0) or nested lists of numbers.
+
+    Strings, booleans, nulls and ragged lists are rejected, as is an array
+    whose number of dimensions is not in ``ndims``.
+    """
+    try:
+        arr = np.asarray(value)
+    except ValueError:
+        arr = np.asarray(None)
+    if arr.dtype.kind not in "iuf":
+        raise ValidationError(qualified, f"expected numbers, got {value!r}")
+    if arr.ndim not in ndims:
+        want = " or ".join({0: "a number", 1: "a list of numbers", 2: "a matrix of numbers"}[d] for d in ndims)
+        raise ValidationError(qualified, f"expected {want}, got {value!r}")
+    return float(arr) if arr.ndim == 0 else arr.astype(float)
+
+
+def _integer(value: Any, qualified: str) -> int:
+    x = _numbers(value, qualified)
+    if not x.is_integer():
+        raise ValidationError(qualified, f"expected an integer, got {value!r}")
+    return int(x)
+
+
 def _build_cost(section: Mapping[str, Any]) -> CostModel:
     kind = str(section.get("type", "")).lower()
     if kind == "constant":
@@ -429,19 +454,24 @@ def validate(raw: "Mapping[str, Any] | Scenario") -> Scenario:
         raise ValidationError("dt_tc", "missing required field")
 
     m = raw["market"]
-    market = MarketParams(
-        sigmas=tuple(_require(m, "sigmas", "market.sigmas")),
-        rho=_require(m, "rho", "market.rho"),
-        r=_require(m, "r", "market.r"),
-        T=_require(m, "T", "market.T"),
+    sigmas, rho, r, T = (
+        _numbers(_require(m, key, f"market.{key}"), f"market.{key}", ndims)
+        for key, ndims in (("sigmas", (1,)), ("rho", (0, 2)), ("r", (0,)), ("T", (0,)))
     )
+    try:
+        market = MarketParams(sigmas=tuple(sigmas), rho=rho, r=r, T=T)
+    except ValidationError as exc:
+        raise ValidationError(f"market.{exc.field}", str(exc).removeprefix(f"{exc.field}: ")) from None
     cost = _build_cost(raw["cost"])
 
     p = raw["payoff"]
     kind = str(p.get("type", "best_cash_or_nothing")).lower()
     if kind not in ("best_cash_or_nothing", "best-cash-or-nothing"):
         raise ValidationError("payoff.type", f"unsupported payoff type {kind!r}")
-    payoff = BestCashOrNothing(K=_require(p, "K", "payoff.K"), X=_require(p, "X", "payoff.X"))
+    payoff = BestCashOrNothing(
+        K=_numbers(_require(p, "K", "payoff.K"), "payoff.K"),
+        X=_numbers(_require(p, "X", "payoff.X"), "payoff.X"),
+    )
 
     grid = None
     if raw.get("grid") is not None:
@@ -450,12 +480,16 @@ def validate(raw: "Mapping[str, Any] | Scenario") -> Scenario:
         g = raw["grid"]
         if not isinstance(g, Mapping):
             raise ValidationError("grid", f"expected a mapping, got {type(g).__name__}")
+        coord = g.get("coord", "log")
+        if not isinstance(coord, str):
+            raise ValidationError("grid.coord", f"expected 'log' or 'price', got {coord!r}")
         grid = GridSpec(
-            a=g.get("a"),
-            b=g.get("b"),
-            nx=g.get("nx", 100),
-            nt=g.get("nt", 100),
-            coord=g.get("coord", "log"),
+            a=_numbers(_require(g, "a", "grid.a"), "grid.a"),
+            b=_numbers(_require(g, "b", "grid.b"), "grid.b"),
+            nx=_integer(g.get("nx", 100), "grid.nx"),
+            nt=_integer(g.get("nt", 100), "grid.nt"),
+            coord=coord,
         )
 
-    return Scenario(market=market, cost=cost, payoff=payoff, dt_tc=raw["dt_tc"], grid=grid)
+    dt_tc = _numbers(raw["dt_tc"], "dt_tc")
+    return Scenario(market=market, cost=cost, payoff=payoff, dt_tc=dt_tc, grid=grid)

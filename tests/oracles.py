@@ -34,6 +34,23 @@ def dense_tridiagonal_solve(lower, diag, upper, rhs):
     return np.linalg.solve(m, rhs)
 
 
+def thomas_apply_loop(w, piv, upper, rhs):
+    """Thomas substitution as the textbook row loop, given the factor.
+
+    ``w`` holds the elimination multipliers and ``piv`` the pivots; rhs may
+    be (n,) or (n, m).  The package's compiled substitution must reproduce
+    this loop bit for bit.
+    """
+    n = piv.shape[0]
+    y = np.array(rhs, dtype=float)
+    for k in range(1, n):
+        y[k] -= w[k - 1] * y[k - 1]
+    y[n - 1] /= piv[n - 1]
+    for k in range(n - 2, -1, -1):
+        y[k] = (y[k] - upper[k] * y[k + 1]) / piv[k]
+    return y
+
+
 def induced_norm(a: np.ndarray, p) -> float:
     """Induced matrix p-norm from the definition (p in {1, 2, inf})."""
     a = np.asarray(a, dtype=float)

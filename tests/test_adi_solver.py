@@ -1,6 +1,7 @@
 """Scheme-level tests: tridiagonal solver and stage operators against dense
 oracles, boundary policies, the time march, the fixed-point wrapper."""
 
+import hashlib
 import math
 import warnings
 
@@ -16,6 +17,7 @@ from nlbs import (
     TridiagonalSystem,
     ValidationError,
     ZeroPivotError,
+    assemble_G,
     cbest_price,
     default_grid,
     initial_condition,
@@ -26,6 +28,7 @@ from nlbs import (
     thomas_solve,
     univariate_cdf,
 )
+from nlbs.adi_solver import _thomas_apply, _thomas_factor
 
 import oracles
 from conftest import benchmark_scenario
@@ -132,6 +135,25 @@ def test_thomas_solve_zero_pivot():
         thomas_solve(
             TridiagonalSystem(lower=np.r_[1.0], diag=np.r_[1.0, 1.0], upper=np.r_[1.0], rhs=np.r_[1.0, 1.0])
         )
+
+
+@pytest.mark.parametrize("layout", ["1d", "C", "F"])
+def test_thomas_apply_is_bit_identical_to_the_row_loop(layout):
+    """The compiled substitution repeats the loop's operations in its order."""
+    rng = np.random.default_rng(2718)
+    for n in range(3, 61):
+        lower = rng.normal(size=n - 1)
+        upper = rng.normal(size=n - 1)
+        diag = rng.normal(size=n)
+        diag += np.sign(diag) * (3.0 + np.abs(np.r_[lower, 0.0]) + np.abs(np.r_[0.0, upper]))
+        w, piv = _thomas_factor(lower, diag, upper)
+        shape = (n,) if layout == "1d" else (n, 7)
+        rhs = np.asarray(rng.normal(size=shape), order="F" if layout == "F" else "C")
+        kept = rhs.copy()
+        expected = oracles.thomas_apply_loop(w, piv, upper, rhs)
+        assert np.array_equal(_thomas_apply(w, piv, upper, rhs), expected)
+        assert np.array_equal(rhs, kept)  # rhs is left alone unless overwrite is asked for
+        assert np.array_equal(_thomas_apply(w, piv, upper, rhs, overwrite=True), expected)
 
 
 def test_tridiagonal_system_validation():
@@ -312,7 +334,75 @@ def test_boundary_analytic_places_closed_form_on_edges():
 def test_boundary_rings_are_cached():
     scen = benchmark_scenario(1, nx=8, nt=4)
     bd = BoundaryData(scen, SolverFlags(), scen.market.T / 4)
-    assert bd.ring(3) is bd.ring(3)
+    assert bd.edges(3) is bd.edges(3)
+
+
+# sha256 of the 2 nt + 1 dense rings of config 1 at nx = nt = 8, stacked;
+# recorded when BoundaryData still cached one dense ring per half level
+RING_SHA256 = {
+    "edges_1d": "1e9ea32a3864b45bb7cd9225b7520af3cb04b9ef56357b07edef5457ab52af83",
+    "analytic": "1fe93979ff65e285aebcd7fbec8b9b8b061d8065b02a5b6342a44462210e498c",
+    "discounted_payoff": "b72f40242aaa395d0f2a1599d8e3c0d41df18c85733b0042d8b3d0038de1a918",
+    "scheme_discount": "cf1b594968f90560cd814cc5691e00304e5c79731c46557b5a5abdd2079de899",
+}
+
+
+@pytest.mark.parametrize("policy", sorted(RING_SHA256))
+def test_boundary_rings_match_the_recorded_dense_rings(policy):
+    scen = benchmark_scenario(1, nx=8, nt=8)
+    bd = BoundaryData(scen, SolverFlags(boundary=policy), scen.market.T / 8)
+    rings = np.stack([bd.ring(h) for h in range(17)])
+    assert hashlib.sha256(rings.tobytes()).hexdigest() == RING_SHA256[policy]
+
+
+def _array_bytes(obj, seen=None) -> int:
+    """Bytes of the distinct arrays held in dicts, lists and tuples under obj.
+
+    A view counts with the whole array it keeps alive.
+    """
+    seen = set() if seen is None else seen
+    if isinstance(obj, np.ndarray):
+        owner = obj if obj.base is None else obj.base
+        if id(owner) in seen:
+            return 0
+        seen.add(id(owner))
+        return owner.nbytes
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    if isinstance(obj, (list, tuple)):
+        return sum(_array_bytes(item, seen) for item in obj)
+    return 0
+
+
+def test_boundary_data_keeps_only_the_edge_vectors():
+    nx = nt = 40
+    scen = benchmark_scenario(1, nx=nx, nt=nt)
+    bd = BoundaryData(scen, SolverFlags(), scen.market.T / nt)
+    sweep(scen, boundary=bd)
+    assert 0 < _array_bytes(vars(bd)) <= 4 * (2 * nt + 1) * (nx + 1) * 8
+    for h in (0, 1, 2, nt, 2 * nt):
+        bottom, top, left, right = bd.edges(h)
+        dense = np.zeros((nx + 1, nx + 1))
+        dense[:, 0], dense[:, -1], dense[0, :], dense[-1, :] = bottom, top, left, right
+        assert np.array_equal(bd.ring(h), dense)
+
+
+# sha256 of the space-time block of one costed sweep at nx = nt = 20: the
+# source of step m is assembled on level m of the linear sweep.  Recorded
+# with the row-loop Thomas substitution and the dense boundary rings.
+COSTED_BLOCK_SHA256 = {
+    1: "8724426f406b118043e06f3400d84b7a17fb42c6595a62094b4bad080e963256",
+    2: "f85304ea126b9628dacd65b1e17ad9b2da238166e0cced74a1997d82cfcbd245",
+    3: "a0de48f4905aea8db130a929fdfc7539e6289fa6114a602b25eb18a76fb6c124",
+}
+
+
+@pytest.mark.parametrize("config", [1, 2, 3])
+def test_costed_sweep_block_is_bit_identical_to_the_recorded_one(config):
+    scen = benchmark_scenario(config, nx=20, nt=20)
+    linear = sweep(scen)
+    block = sweep(scen, g_provider=lambda m: assemble_G(linear[m], scen))
+    assert hashlib.sha256(block.tobytes()).hexdigest() == COSTED_BLOCK_SHA256[config]
 
 
 def test_edges_1d_level_zero_is_the_smoothed_edge_payoff():

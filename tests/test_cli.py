@@ -14,6 +14,8 @@ import pytest
 from nlbs import SolverFlags, cbest_price, solve_nonlinear, validate
 from nlbs.cli import main
 
+from conftest import CONFIG_DIR
+
 
 CENTER = math.log(30.0)
 
@@ -227,6 +229,47 @@ def test_exit_code_2_names_an_unknown_solver_key(tmp_path, capsys, command, key)
     assert main(argv + ["--flag", f"solver.{key}=standard"]) == 2
     assert f"solver.{key}" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "flags,field",
+    [
+        (["grid.nx=8"], "grid.a"),
+        (['market.sigmas="ab"'], "market.sigmas"),
+        (["grid.a=1.5", "grid.b=5.3", 'grid.nt="x"'], "grid.nt"),
+        (["grid.a=1.5", "grid.b=5.3", "grid.nx=8.5"], "grid.nx"),
+        (["market.rho=[1,2]"], "market.rho"),
+        (["market.T=null"], "market.T"),
+        (["market.r=[0.05]"], "market.r"),
+        (['payoff.K="x"'], "payoff.K"),
+        (['dt_tc="x"'], "dt_tc"),
+    ],
+)
+def test_exit_code_2_names_a_malformed_grid_or_market_field(tmp_path, capsys, flags, field):
+    """Malformed values on a shipped config exit 2 naming the field, no traceback."""
+    out = tmp_path / "o"
+    argv = ["analytic", "--config", str(CONFIG_DIR / "testing1.json"), "--out", str(out)]
+    for flag in flags:
+        argv += ["--flag", flag]
+    assert main(argv) == 2
+    assert f"config error: {field}:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_exits_3_and_names_the_ill_posed_intervals(tmp_path, capsys):
+    """Config 1 at dt = 7.6e-5 has Le = 3.05 and 6.10: the row is ill-posed."""
+    out = tmp_path / "sweep"
+    argv = ["sweep", "--config", str(CONFIG_DIR / "testing1.json"), "--out", str(out)]
+    for flag in ("output.dt_values=[7.6e-5]", "grid.a=1.5", "grid.b=5.3", "grid.nx=16", "grid.nt=8",
+                 "solver.max_iter=3"):
+        argv += ["--flag", flag]
+    assert main(argv) == 3
+    assert "sweep: ILL-POSED (Le >= 1) at dt = 7.6e-05" in capsys.readouterr().out
+    meta = json.loads((out / "metadata.json").read_text())["result"]
+    assert meta["ill_posed_dts"] == [7.6e-5]
+    assert meta["leland_numbers"] == [pytest.approx([3.05, 6.10], abs=0.01)]
+    _, rows = read_csv(out / "sweep.csv")
+    assert len(rows) == 1
 
 
 def test_exit_code_2_on_missing_section(tmp_path, capsys):
