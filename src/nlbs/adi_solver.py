@@ -11,9 +11,10 @@ solve) and the other axis plus the mixed derivative explicitly:
 where each of Lx, Ly carries half of the corresponding one-dimensional
 convection-diffusion-discount operator, Lxy half the mixed diffusion term,
 and G the (frozen) transaction-cost source.  First derivatives are one-sided
-forward differences by default ("central" available), the mixed stencil is
-the standard four-corner one by default ("asymmetric" available for
-comparison; it is formally inconsistent and kept only as a diagnostic).
+forward differences by default ("central" available); the mixed term uses
+the four-corner stencil.  The initial data is the payoff averaged over each
+node's grid cell, which places the digital's jump to second order (the
+initial-data averaging of Pooley, Vetzal & Forsyth, 2003).
 
 The nonlinear problem is solved by fixed-point iteration on the source term:
 iterate 0 is identically zero, so the first sweep is the pure linear problem;
@@ -22,20 +23,13 @@ Recorded convergence distances start with the first cost-bearing correction:
 record n is the distance between sweeps n+1 and n at tau = T in the induced
 matrix 1-, 2- and infinity-norms.
 
-Dirichlet boundary values on all four edges come from a boundary policy:
-
-* "edges_1d" (default): each edge is marched with the one-dimensional limit
-  of the two-stage scheme itself (the exact reduction of the interior stencil
-  for a surface that is flat in the transverse direction), including a
-  one-dimensional single-asset cost term.  Corners decay by the scheme's own
-  half-step discount factor.  No closed form enters, so the edges stay
-  consistent with the interior discretization for any cost level,
-* "analytic": the zero-cost closed-form price at the half-level's
-  time-to-maturity,
-* "discounted_payoff": payoff * exp(-r tau),
-* "scheme_discount": payoff / (1 + r dtau/2)^h at half-level h -- this makes
-  a constant payoff decay exactly like the scheme's own discounting, turning
-  the constant-payoff solution into a machine-precision identity.
+Dirichlet boundary values on all four edges come from marching each edge
+with the one-dimensional limit of the two-stage scheme itself (the exact
+reduction of the interior stencil for a surface that is flat in the
+transverse direction), including a one-dimensional single-asset cost term.
+Corners decay by the scheme's own half-step discount factor.  No closed form
+enters, so the edges stay consistent with the interior discretization for
+any cost level.
 
 Only the four edge vectors of each half level are stored, O(nt nx) floats;
 the stage operators write them straight into their output level.  Each
@@ -55,8 +49,7 @@ from typing import Callable, Literal
 import numpy as np
 from scipy.linalg.lapack import dgttrs
 
-from .analytic_pricing import cbest_price
-from .cost_engine import _axis_differences, _cost_norm, _mixed_diff, assemble_G, expected_cost
+from .cost_engine import _axis_differences, _mixed_diff, assemble_G, expected_cost
 from .market_model import (
     BestCashOrNothing,
     MarketParams,
@@ -273,45 +266,33 @@ def thomas_solve(system: TridiagonalSystem) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _sampled_payoff(grid: GridSpec, value: Callable, ndim: int, smoothing: str) -> np.ndarray:
-    """``value`` at the grid nodes, "pointwise" or averaged over subcells.
+def _sampled_payoff(grid: GridSpec, value: Callable, ndim: int) -> np.ndarray:
+    """``value`` averaged over the subcells around each grid node.
 
-    ``value`` takes one spot array per dimension.  "cell_average" evaluates
-    it at the 5 subcell points per axis (coordinate offsets (k - 2) dx / 5,
-    k = 0..4) around each node and returns the mean over all 5^ndim
-    combinations.
+    ``value`` takes one spot array per dimension.  It is evaluated at the 5
+    subcell points per axis (coordinate offsets (k - 2) dx / 5, k = 0..4)
+    around each node, and the mean over all 5^ndim combinations is returned.
     """
-    if smoothing == "pointwise":
-        points = [grid.spot_axis()]
-    else:
-        points = []
-        for offset in (np.arange(5) - 2.0) / 5.0 * grid.dx:
-            c = grid.axis() + offset
-            points.append(np.exp(c) if grid.coord == "log" else np.maximum(c, 1e-300))
+    points = []
+    for offset in (np.arange(5) - 2.0) / 5.0 * grid.dx:
+        c = grid.axis() + offset
+        points.append(np.exp(c) if grid.coord == "log" else np.maximum(c, 1e-300))
     acc = 0.0
     for spots in itertools.product(points, repeat=ndim):
         acc = acc + value(*spots)
     return acc / float(len(points)) ** ndim
 
 
-def initial_condition(
-    grid: GridSpec,
-    payoff: BestCashOrNothing,
-    smoothing: Literal["cell_average", "pointwise"] = "pointwise",
-) -> np.ndarray:
-    """Payoff sampled on the grid, "pointwise" or 5x5-subcell "cell_average".
+def initial_condition(grid: GridSpec, payoff: BestCashOrNothing) -> np.ndarray:
+    """Payoff averaged over 5x5 subcells around each grid node.
 
-    Pointwise sampling aliases the payoff discontinuity onto the nearest
-    node, which displaces the jump by up to half a cell and leaves a
+    Sampling the payoff at the nodes would alias its discontinuity onto the
+    nearest node, displacing the jump by up to half a cell and leaving a
     first-order error plateau near the strike.  Cell averaging replaces each
     node value with the mean of the payoff over the surrounding grid cell,
     restoring the jump location to second order.
     """
-    if smoothing not in ("cell_average", "pointwise"):
-        raise ValidationError(
-            "smoothing", f"expected 'cell_average' or 'pointwise', got {smoothing!r}"
-        )
-    return _sampled_payoff(grid, lambda s1, s2: payoff.value(s1[:, None], s2[None, :]), 2, smoothing)
+    return _sampled_payoff(grid, lambda s1, s2: payoff.value(s1[:, None], s2[None, :]), 2)
 
 
 Edges = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
@@ -343,51 +324,18 @@ class BoundaryData:
 
     ``edges(h)`` returns the (bottom, top, left, right) edge vectors, each of
     length nx+1, at half-level h (time to maturity h * dtau / 2); stage
-    operators write them into their output.  Only these four vectors are kept
-    per level, 4 (2 nt + 1) (nx + 1) floats in all: "edges_1d" marches every
-    level at construction, the other policies compute a level on first use.
-    ``ring(h)`` assembles them into a dense (nx+1, nx+1) array with a zero
-    interior, the form :func:`lx_stage` and :func:`ly_stage` take; it is not
-    cached.
+    operators write them into their output.  Every level is marched at
+    construction, and only these four vectors are kept per level,
+    4 (2 nt + 1) (nx + 1) floats in all.  ``ring(h)`` assembles them into a
+    dense (nx+1, nx+1) array with a zero interior, the form :func:`lx_stage`
+    and :func:`ly_stage` take; it is not cached.
     """
 
     def __init__(self, scenario: Scenario, flags: SolverFlags, dtau: float) -> None:
-        self.scenario = scenario
-        self.flags = flags
-        self.dtau = float(dtau)
-        self._cache: dict[int, Edges] = {}
-        if flags.boundary == "edges_1d":
-            self._cache.update(enumerate(zip(*_evolve_edges(scenario, flags, self.dtau))))
-        elif flags.boundary in ("scheme_discount", "discounted_payoff"):
-            s = scenario.grid.spot_axis()
-            self._payoff_edges = _ring_edges(scenario.payoff.value(s[:, None], s[None, :]))
+        self._levels: list[Edges] = list(zip(*_evolve_edges(scenario, flags, float(dtau))))
 
     def edges(self, h: int) -> Edges:
-        cached = self._cache.get(h)
-        if cached is not None:
-            return cached
-        tau = h * self.dtau / 2.0
-        policy = self.flags.boundary
-        if policy == "scheme_discount":
-            factor = (1.0 + self.scenario.market.r * self.dtau / 2.0) ** (-h)
-            edges = tuple(e * factor for e in self._payoff_edges)
-        elif policy == "discounted_payoff":
-            factor = math.exp(-self.scenario.market.r * tau)
-            edges = tuple(e * factor for e in self._payoff_edges)
-        elif policy == "analytic":
-            s = self.scenario.grid.spot_axis()
-            n = s.size - 1
-            bottom = cbest_price(s, s[0], tau, self.scenario)
-            top = cbest_price(s, s[n], tau, self.scenario)
-            left = cbest_price(s[0], s, tau, self.scenario)
-            right = cbest_price(s[n], s, tau, self.scenario)
-            # this policy's corners are the bottom and top values
-            left[0], left[n], right[0], right[n] = bottom[0], top[0], bottom[n], top[n]
-            edges = (bottom, top, left, right)
-        else:  # "edges_1d" holds every level from construction
-            raise IndexError(f"half-level {h} outside 0..{len(self._cache) - 1}")
-        self._cache[h] = edges
-        return edges
+        return self._levels[h]
 
     def ring(self, h: int) -> np.ndarray:
         edges = self.edges(h)
@@ -461,7 +409,7 @@ def _edge_cost_term(
         theta = sigma * sigma * x * x * d2 * d2
         spots = x
     e = expected_cost(scenario.cost, np.maximum(theta, 0.0), dt)
-    return spots * e / _cost_norm(dt, flags)
+    return spots * e / math.sqrt(dt)
 
 
 def _evolve_edges(
@@ -503,7 +451,7 @@ def _evolve_edges(
             a, b = (own, other_spot) if own_is_first else (other_spot, own)
             return payoff.value(a, b)
 
-        return _sampled_payoff(grid, val, 1, flags.smoothing)
+        return _sampled_payoff(grid, val, 1)
 
     bot = edge_payoff(spots[0], True)
     top = edge_payoff(spots[n], True)
@@ -612,7 +560,6 @@ class _StageOperator:
         self.dtau = dtau
         self.dx = dx
         self.n = n
-        self.mixed_kind = flags.mixed_stencil
         self._lift_lo = lower_full[0]
         self._lift_hi = upper_full[-1]
         self._upper_band = upper_full[:-1]
@@ -624,7 +571,7 @@ class _StageOperator:
         if w_level.shape != (n + 1, n + 1):
             raise ValidationError("surface", f"expected shape ({n + 1}, {n + 1}), got {w_level.shape}")
         mid = w_level[1:-1, 1:-1]
-        mix = self._mixed_coeff * _mixed_diff(w_level, self.dx, self.mixed_kind)
+        mix = self._mixed_coeff * _mixed_diff(w_level, self.dx)
         if self.axis == 0:
             up = w_level[1:-1, 2:]
             dn = w_level[1:-1, :-2]
@@ -714,7 +661,7 @@ def sweep(
     op_y = _StageOperator(scenario, flags, dtau, axis=1)
     n = grid.nx
     block = np.empty((nt + 1, n + 1, n + 1))
-    block[0] = initial_condition(grid, scenario.payoff, flags.smoothing)
+    block[0] = initial_condition(grid, scenario.payoff)
     for m in range(nt):
         g = g_provider(m) if g_provider is not None else None
         half = op_x.apply(block[m], boundary.edges(2 * m + 1), g=None)

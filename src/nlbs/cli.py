@@ -16,8 +16,10 @@ All commands read one JSON config (sections ``market``, ``cost``, ``payoff``,
 ``dt_tc``, optional ``grid``, ``solver``, ``output``), accept repeated
 ``--flag dotted.key=value`` overrides (values parsed as JSON, falling back to
 bare strings), and write deterministic artifacts: CSV numbers with repr-exact
-%.17g formatting, LF line endings, and sorted-key metadata JSON.  A
-``solver`` key that no command reads is a config error.
+%.17g formatting, LF line endings, and sorted-key metadata JSON.  A key
+that the ``market``, ``cost``, ``payoff`` or ``grid`` section does not
+define, a ``solver`` key that no command reads, and a value of the wrong
+type are config errors.
 
 Exit codes: 0 success, 2 invalid config, 3 numerical non-convergence
 (``price``, ``converge``, and ``leland`` before it scans) or, for ``sweep``,
@@ -42,7 +44,7 @@ from .analytic_pricing import cbest_price
 from .cost_engine import QuadratureError, assemble_G
 from .diagnostics import dt_sensitivity_sweep, error_vs_analytic
 from .ellipticity import leland_number, scan_surface
-from .market_model import Scenario, SolverFlags, ValidationError, validate
+from .market_model import Scenario, SolverFlags, ValidationError, _integer, _numbers, validate
 
 __all__ = ["main"]
 
@@ -81,16 +83,29 @@ def _apply_flags(cfg: dict, flag_args: list[str]) -> None:
 _FLAG_KEYS = tuple(f.name for f in fields(SolverFlags))
 # must hold every solver key some command reads; _solver_section rejects any other
 _SOLVER_KEYS = _FLAG_KEYS + ("tol", "max_iter", "stop_norm", "dyf_form", "eig_tol", "theta_floor", "skip_scan")
+# the numeric solver settings and their parsers
+_SOLVER_NUMBERS = {"tol": _numbers, "max_iter": _integer, "eig_tol": _numbers, "theta_floor": _numbers}
+
+
+def _section(cfg: dict, name: str) -> dict:
+    """The config's optional section ``name``; ``{}`` when it is absent."""
+    section = cfg.get(name) or {}
+    if not isinstance(section, dict):
+        raise ValidationError(name, f"expected a mapping, got {type(section).__name__}")
+    return section
 
 
 def _solver_section(cfg: dict) -> dict:
-    """The config's ``solver`` section; rejects a key that no command reads."""
-    solver = cfg.get("solver") or {}
-    if not isinstance(solver, dict):
-        raise ValidationError("solver", f"expected a mapping, got {type(solver).__name__}")
-    for key in solver:
+    """The config's ``solver`` section with numeric settings parsed.
+
+    Rejects a key that no command reads and a number of the wrong type.
+    """
+    solver = dict(_section(cfg, "solver"))
+    for key, value in solver.items():
         if key not in _SOLVER_KEYS:
             raise ValidationError(f"solver.{key}", f"unknown key; expected one of {_SOLVER_KEYS}")
+        if key in _SOLVER_NUMBERS:
+            solver[key] = _SOLVER_NUMBERS[key](value, f"solver.{key}")
     return solver
 
 
@@ -199,16 +214,13 @@ def _status(result: SolveResult) -> str:
 
 def _cmd_price(args) -> int:
     cfg, scenario, flags, solver = _setup(args)
+    output = _section(cfg, "output")
+    band = _integer(output.get("error_band", 2), "output.error_band")
     out = _out_dir(args)
 
     result = _quiet_solve(scenario, flags, solver)
     g = assemble_G(result.surface.values, scenario, flags=flags)
-    output = cfg.get("output", {}) or {}
-    err = error_vs_analytic(
-        result.surface.values,
-        scenario,
-        band=output.get("error_band", 2),
-    )
+    err = error_vs_analytic(result.surface.values, scenario, band=band)
 
     _write_surface_csv(out / "surface.csv", scenario.grid, result.surface.values)
     _write_surface_csv(out / "cost_field.csv", scenario.grid, g, value_name="G")
@@ -241,12 +253,12 @@ def _cmd_price(args) -> int:
 
 def _cmd_analytic(args) -> int:
     cfg, scenario, _, _ = _setup(args)
+    output = _section(cfg, "output")
+    tau = output.get("tau")
+    tau = scenario.market.T if tau is None else _numbers(tau, "output.tau")
     out = _out_dir(args)
     grid = scenario.grid
     s = grid.spot_axis()
-    output = cfg.get("output", {}) or {}
-    tau = output.get("tau")
-    tau = scenario.market.T if tau is None else float(tau)
     vals = cbest_price(s[:, None], s[None, :], tau, scenario)
     vals = np.broadcast_to(vals, (grid.nx + 1, grid.nx + 1))
     _write_surface_csv(out / "surface.csv", grid, vals)
@@ -309,7 +321,7 @@ def _cmd_leland(args) -> int:
                 "result": report.to_json_dict(),
             },
         )
-        if (cfg.get("output", {}) or {}).get("per_node_csv", False):
+        if _section(cfg, "output").get("per_node_csv", False):
             report.write_nodes_csv(out / "ellipticity_nodes.csv")
         print(f"leland: wrote scan report to {out}")
     return 0
@@ -342,7 +354,7 @@ def _cmd_converge(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg, scenario, flags, solver = _setup(args)
-    output = cfg.get("output", {}) or {}
+    output = _section(cfg, "output")
     out = _out_dir(args)
 
     dt_values = output.get("dt_values")

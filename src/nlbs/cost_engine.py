@@ -23,9 +23,9 @@ Closed forms for the half-normal expectation:
   function, used for overflow safety).
 * sampled cost curves fall back to adaptive quadrature.
 
-The package's finite-difference stencils live here, with the choices carried
-by :class:`~nlbs.market_model.SolverFlags` (central second derivatives,
-forward first derivatives and the four-corner mixed stencil by default).
+The package's finite-difference stencils live here: central second
+derivatives, the four-corner mixed difference, and first derivatives chosen
+by :class:`~nlbs.market_model.SolverFlags` (forward by default, or central).
 ``assemble_G``, the ellipticity scan and the edge marches take their
 differences from them, the ADI stage operators their mixed term.  One grid
 routine turns the differences into (Theta_1, Theta_2) for ``assemble_G`` and
@@ -224,15 +224,9 @@ def _axis_differences(u: np.ndarray, dx: float, first: str) -> tuple[np.ndarray,
     return d1, d2
 
 
-def _mixed_diff(u: np.ndarray, dx: float, kind: str) -> np.ndarray:
-    """Mixed second difference on interior nodes, shape (n-1, n-1).
-
-    ``"four_corner"`` is the standard stencil; ``"asymmetric"`` replaces two
-    corners by edge neighbours and is formally inconsistent (a diagnostic).
-    """
-    if kind == "four_corner":
-        return (u[2:, 2:] + u[:-2, :-2] - u[2:, :-2] - u[:-2, 2:]) / (4.0 * dx * dx)
-    return (u[2:, 2:] + u[:-2, :-2] - u[:-2, 1:-1] - u[1:-1, :-2]) / (4.0 * dx * dx)
+def _mixed_diff(u: np.ndarray, dx: float) -> np.ndarray:
+    """Four-corner mixed second difference on interior nodes, shape (n-1, n-1)."""
+    return (u[2:, 2:] + u[:-2, :-2] - u[2:, :-2] - u[:-2, 2:]) / (4.0 * dx * dx)
 
 
 def _grid_derivatives(u: np.ndarray, dx: float, flags: SolverFlags) -> tuple[np.ndarray, ...]:
@@ -242,7 +236,7 @@ def _grid_derivatives(u: np.ndarray, dx: float, flags: SolverFlags) -> tuple[np.
     """
     ux, uxx = _axis_differences(u[:, 1:-1], dx, flags.first_derivative)
     uy, uyy = _axis_differences(u[1:-1, :].T, dx, flags.first_derivative)
-    return ux, uy.T, uxx, uyy.T, _mixed_diff(u, dx, flags.mixed_stencil)
+    return ux, uy.T, uxx, uyy.T, _mixed_diff(u, dx)
 
 
 def _grid_theta(derivatives: tuple[np.ndarray, ...], scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
@@ -279,11 +273,6 @@ def _grid_theta(derivatives: tuple[np.ndarray, ...], scenario: Scenario) -> tupl
     return np.maximum(theta1, 0.0), np.maximum(theta2, 0.0)
 
 
-def _cost_norm(dt: float, flags: SolverFlags) -> float:
-    """Divisor turning a per-interval expected cost into a per-unit-time term."""
-    return math.sqrt(dt) if flags.cost_prefactor == "sqrt_dt" else dt
-
-
 # ---------------------------------------------------------------------------
 # assembling the cost term on a grid
 # ---------------------------------------------------------------------------
@@ -298,10 +287,8 @@ def assemble_G(surface, scenario: Scenario, *, flags: SolverFlags = SolverFlags(
     source term on Dirichlet nodes, and one-sided second differences there
     would be meaningless).
 
-    ``flags.cost_prefactor`` selects the normalization of the per-interval
-    expected cost into a per-unit-time term: ``"sqrt_dt"`` (default) divides
-    by sqrt(dt), consistent with the classical discrete-rebalancing limit;
-    ``"dt"`` divides by dt.
+    The per-interval expected cost becomes a per-unit-time term by division
+    by sqrt(dt), consistent with the classical discrete-rebalancing limit.
     """
     u = np.asarray(getattr(surface, "values", surface), dtype=float)
     grid = scenario.grid
@@ -314,5 +301,5 @@ def assemble_G(surface, scenario: Scenario, *, flags: SolverFlags = SolverFlags(
     e1 = expected_cost(scenario.cost, theta1, dt)
     e2 = expected_cost(scenario.cost, theta2, dt)
     g = np.zeros_like(u)
-    g[1:-1, 1:-1] = (spots[:, None] * e1 + spots[None, :] * e2) / _cost_norm(dt, flags)
+    g[1:-1, 1:-1] = (spots[:, None] * e1 + spots[None, :] * e2) / math.sqrt(dt)
     return g

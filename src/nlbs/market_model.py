@@ -346,22 +346,18 @@ class Scenario:
         return replace(self, grid=grid)
 
 
-BoundaryPolicy = Literal["edges_1d", "analytic", "discounted_payoff", "scheme_discount"]
-
-
 @dataclass(frozen=True)
 class SolverFlags:
-    """Discretization and boundary choices (defaults = production scheme).
+    """Discretization choices (defaults = production scheme).
 
-    Each field takes one of the values of its ``Literal`` annotation; the
-    config's ``solver`` section sets the fields by name.
+    The only choice is the first-derivative stencil of the drift and
+    hedge-variance terms: one-sided ``"forward"`` differences (default) or
+    ``"central"`` ones.  Each field takes one of the values of its
+    ``Literal`` annotation; the config's ``solver`` section sets the fields
+    by name.
     """
 
     first_derivative: Literal["forward", "central"] = "forward"
-    mixed_stencil: Literal["four_corner", "asymmetric"] = "four_corner"
-    cost_prefactor: Literal["sqrt_dt", "dt"] = "sqrt_dt"
-    boundary: BoundaryPolicy = "edges_1d"
-    smoothing: Literal["cell_average", "pointwise"] = "cell_average"
 
     def __post_init__(self) -> None:
         for name, hint in get_type_hints(SolverFlags).items():
@@ -374,7 +370,15 @@ class SolverFlags:
 # config parsing
 # ---------------------------------------------------------------------------
 
-_COST_TYPES = {"constant", "exponential", "sampled"}
+# the keys each section may hold; a cost section holds its type's keys and "type"
+_MARKET_KEYS = ("sigmas", "rho", "r", "T")
+_PAYOFF_KEYS = ("type", "K", "X")
+_GRID_KEYS = ("a", "b", "nx", "nt", "coord")
+_COST_KEYS = {
+    "constant": ("C0", "c0"),
+    "exponential": ("C0", "c0", "k"),
+    "sampled": ("x", "c", "c_lower", "c_upper", "dc"),
+}
 
 
 def _require(section: Mapping[str, Any], key: str, qualified: str) -> Any:
@@ -382,6 +386,13 @@ def _require(section: Mapping[str, Any], key: str, qualified: str) -> Any:
     if value is None:
         raise ValidationError(qualified, "missing required field")
     return value
+
+
+def _known_keys(section: Mapping[str, Any], name: str, known: tuple[str, ...]) -> None:
+    """Reject a key of config section ``name`` that is not in ``known``."""
+    for key in section:
+        if key not in known:
+            raise ValidationError(f"{name}.{key}", f"unknown key; expected one of {known}")
 
 
 def _numbers(value: Any, qualified: str, ndims: tuple[int, ...] = (0,)) -> Any:
@@ -411,25 +422,26 @@ def _integer(value: Any, qualified: str) -> int:
 
 def _build_cost(section: Mapping[str, Any]) -> CostModel:
     kind = str(section.get("type", "")).lower()
-    if kind == "constant":
-        c0 = section.get("C0", section.get("c0"))
-        if c0 is None:
-            raise ValidationError("cost.C0", "missing required field")
-        return ConstantCost(c0=c0)
-    if kind == "exponential":
-        c0 = section.get("C0", section.get("c0"))
-        if c0 is None:
-            raise ValidationError("cost.C0", "missing required field")
-        return ExponentialCost(c0=c0, k=_require(section, "k", "cost.k"))
+    if kind not in _COST_KEYS:
+        raise ValidationError("cost.type", f"expected one of {sorted(_COST_KEYS)}, got {kind!r}")
+    _known_keys(section, "cost", ("type",) + _COST_KEYS[kind])
+
+    def number(key: str, ndims: tuple[int, ...] = (0,)) -> Any:
+        return _numbers(_require(section, key, f"cost.{key}"), f"cost.{key}", ndims)
+
     if kind == "sampled":
+        dc = section.get("dc")
         return SampledCost(
-            x=_require(section, "x", "cost.x"),
-            c=_require(section, "c", "cost.c"),
-            c_lower=section.get("c_lower", 0.0),
-            c_upper=_require(section, "c_upper", "cost.c_upper"),
-            dc=section.get("dc"),
+            x=number("x", (1,)),
+            c=number("c", (1,)),
+            c_lower=_numbers(section.get("c_lower", 0.0), "cost.c_lower"),
+            c_upper=number("c_upper"),
+            dc=None if dc is None else _numbers(dc, "cost.dc", (1,)),
         )
-    raise ValidationError("cost.type", f"expected one of {sorted(_COST_TYPES)}, got {kind!r}")
+    c0 = _numbers(_require(section, "C0" if "C0" in section else "c0", "cost.C0"), "cost.C0")
+    if kind == "constant":
+        return ConstantCost(c0=c0)
+    return ExponentialCost(c0=c0, k=number("k"))
 
 
 def validate(raw: "Mapping[str, Any] | Scenario") -> Scenario:
@@ -437,7 +449,9 @@ def validate(raw: "Mapping[str, Any] | Scenario") -> Scenario:
 
     Accepts either a mapping with sections ``market``, ``cost``, ``payoff``,
     ``dt_tc`` and optional ``grid`` (the JSON config layout used by the CLI)
-    or an already-built :class:`Scenario`.  Idempotent:
+    or an already-built :class:`Scenario`.  Every field is type-checked, and
+    a key that a section does not define is rejected, naming
+    ``section.key``.  Idempotent:
     ``validate(validate(x)) == validate(x)``.
     """
     if isinstance(raw, Scenario):
@@ -454,6 +468,7 @@ def validate(raw: "Mapping[str, Any] | Scenario") -> Scenario:
         raise ValidationError("dt_tc", "missing required field")
 
     m = raw["market"]
+    _known_keys(m, "market", _MARKET_KEYS)
     sigmas, rho, r, T = (
         _numbers(_require(m, key, f"market.{key}"), f"market.{key}", ndims)
         for key, ndims in (("sigmas", (1,)), ("rho", (0, 2)), ("r", (0,)), ("T", (0,)))
@@ -465,6 +480,7 @@ def validate(raw: "Mapping[str, Any] | Scenario") -> Scenario:
     cost = _build_cost(raw["cost"])
 
     p = raw["payoff"]
+    _known_keys(p, "payoff", _PAYOFF_KEYS)
     kind = str(p.get("type", "best_cash_or_nothing")).lower()
     if kind not in ("best_cash_or_nothing", "best-cash-or-nothing"):
         raise ValidationError("payoff.type", f"unsupported payoff type {kind!r}")
@@ -480,6 +496,7 @@ def validate(raw: "Mapping[str, Any] | Scenario") -> Scenario:
         g = raw["grid"]
         if not isinstance(g, Mapping):
             raise ValidationError("grid", f"expected a mapping, got {type(g).__name__}")
+        _known_keys(g, "grid", _GRID_KEYS)
         coord = g.get("coord", "log")
         if not isinstance(coord, str):
             raise ValidationError("grid.coord", f"expected 'log' or 'price', got {coord!r}")

@@ -214,7 +214,6 @@ def dense_half_step(
     dtau: float,
     g: np.ndarray | None = None,
     first_derivative: str = "forward",
-    mixed: str = "four_corner",
 ) -> np.ndarray:
     """One implicit-explicit half-step assembled as dense matrices.
 
@@ -225,7 +224,7 @@ def dense_half_step(
     Mx: sA^2/4 second difference + (r - sA^2/2)/2 first difference - r/2
         (log coordinates; price coordinates use sA^2 s^2/4 and r s/2),
     My: same along the other axis with sB, no -r/2 term,
-    C:  s1 s2 rho / 2 mixed difference.
+    C:  s1 s2 rho / 2 four-corner mixed difference.
     Boundary values of the output level come from ``ring_out``.
     """
     n1 = u.shape[0]
@@ -294,16 +293,10 @@ def dense_half_step(
                 else sigmas[0] * sigmas[1] * rho * s1n * s2n / 2.0
             )
             w = dtau * mc / (4.0 * dx * dx)
-            if mixed == "four_corner":
-                expl[p, idx(i + 1, j + 1)] += w
-                expl[p, idx(i - 1, j - 1)] += w
-                expl[p, idx(i + 1, j - 1)] -= w
-                expl[p, idx(i - 1, j + 1)] -= w
-            else:
-                expl[p, idx(i + 1, j + 1)] += w
-                expl[p, idx(i - 1, j - 1)] += w
-                expl[p, idx(i - 1, j)] -= w
-                expl[p, idx(i, j - 1)] -= w
+            expl[p, idx(i + 1, j + 1)] += w
+            expl[p, idx(i - 1, j - 1)] += w
+            expl[p, idx(i + 1, j - 1)] -= w
+            expl[p, idx(i - 1, j + 1)] -= w
 
     rhs = u.ravel() + expl @ u.ravel()
     if g is not None:
@@ -414,7 +407,7 @@ def lagged_march(scenario, flags) -> np.ndarray:
     grid = scenario.grid
     dtau = scenario.market.T / grid.nt
     boundary = BoundaryData(scenario, flags, dtau)
-    u = initial_condition(grid, scenario.payoff, flags.smoothing)
+    u = initial_condition(grid, scenario.payoff)
     for m in range(grid.nt):
         g = assemble_G(u, scenario, flags=flags)
         half = lx_stage(u, scenario, boundary.ring(2 * m + 1), flags=flags, dtau=dtau)

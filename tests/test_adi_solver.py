@@ -1,9 +1,10 @@
 """Scheme-level tests: tridiagonal solver and stage operators against dense
-oracles, boundary policies, the time march, the fixed-point wrapper."""
+oracles, the boundary edge march, the time march, the fixed-point wrapper."""
 
 import hashlib
 import math
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from nlbs import (
     ValidationError,
     ZeroPivotError,
     assemble_G,
-    cbest_price,
     default_grid,
     initial_condition,
     lx_stage,
@@ -77,16 +77,11 @@ def test_default_grid_pinned_bounds():
 
 
 def test_solver_flags_defaults_and_validation():
-    f = SolverFlags()
-    assert f.first_derivative == "forward"
-    assert f.mixed_stencil == "four_corner"
-    assert f.cost_prefactor == "sqrt_dt"
-    assert f.boundary == "edges_1d"
-    assert f.smoothing == "cell_average"
-    with pytest.raises(ValidationError, match="solver.boundary"):
-        SolverFlags(boundary="reflecting")
-    with pytest.raises(ValidationError, match="solver.smoothing"):
-        SolverFlags(smoothing="gaussian")
+    assert [f.name for f in fields(SolverFlags)] == ["first_derivative"]
+    assert SolverFlags().first_derivative == "forward"
+    assert SolverFlags(first_derivative="central").first_derivative == "central"
+    with pytest.raises(ValidationError, match="solver.first_derivative"):
+        SolverFlags(first_derivative="upwind")
 
 
 # ---------------------------------------------------------------------------
@@ -172,20 +167,12 @@ def test_tridiagonal_system_validation():
 # ---------------------------------------------------------------------------
 
 
-def test_initial_condition_pointwise_samples_the_payoff():
-    scen = benchmark_scenario(1, nx=10, nt=4)
-    u0 = initial_condition(scen.grid, scen.payoff, smoothing="pointwise")
-    s = scen.grid.spot_axis()
-    np.testing.assert_array_equal(u0, scen.payoff.value(s[:, None], s[None, :]))
-    assert set(np.unique(u0)) <= {0.0, scen.payoff.K}
-
-
 def test_initial_condition_cell_average_counts_subcells():
     """Each node should carry K * (fraction of the 5x5 subcell samples that
     land in the paying region)."""
     scen = benchmark_scenario(1, nx=12, nt=4)
     grid, payoff = scen.grid, scen.payoff
-    u0 = initial_condition(grid, payoff, smoothing="cell_average")
+    u0 = initial_condition(grid, payoff)
     ax = grid.axis()
     offs = (np.arange(5) - 2.0) / 5.0 * grid.dx
     for i in [0, 3, 6, 9, 12]:
@@ -200,12 +187,6 @@ def test_initial_condition_cell_average_counts_subcells():
     assert np.all((0.0 <= u0) & (u0 <= payoff.K))
     frac = (u0 > 0) & (u0 < payoff.K)
     assert 0 < frac.sum() < u0.size / 4
-
-
-def test_initial_condition_rejects_unknown_smoothing():
-    scen = benchmark_scenario(1, nx=8, nt=2)
-    with pytest.raises(ValidationError, match="smoothing"):
-        initial_condition(scen.grid, scen.payoff, smoothing="mollifier")
 
 
 # ---------------------------------------------------------------------------
@@ -229,22 +210,22 @@ def test_stage_discounts_a_constant_surface_exactly():
 
 @pytest.mark.parametrize("axis", [0, 1])
 @pytest.mark.parametrize("first", ["forward", "central"])
-@pytest.mark.parametrize("mixed", ["four_corner", "asymmetric"])
+@pytest.mark.parametrize("mixed", ["four_corner"])  # the one mixed stencil; keeps the test ids
 def test_stage_matches_dense_oracle_log_grid(axis, first, mixed):
     scen = benchmark_scenario(1, nx=8, nt=4)
     grid = scen.grid
     dtau = scen.market.T / grid.nt
-    rng = np.random.default_rng(10 * axis + (first == "central") * 5 + (mixed == "asymmetric"))
+    rng = np.random.default_rng(10 * axis + (first == "central") * 5)
     u = rng.normal(size=(9, 9))
     ring = rng.normal(size=(9, 9))
     g = np.zeros((9, 9))
     g[1:-1, 1:-1] = rng.normal(size=(7, 7))
-    flags = SolverFlags(first_derivative=first, mixed_stencil=mixed)
+    flags = SolverFlags(first_derivative=first)
     stage = lx_stage if axis == 0 else ly_stage
     ours = stage(u, scen, ring, g=g, flags=flags, dtau=dtau)
     ref = oracles.dense_half_step(
         u, ring, axis, scen.market.sigmas, float(scen.market.rho[0, 1]), scen.market.r,
-        grid.a, grid.b, "log", dtau, g=g, first_derivative=first, mixed=mixed,
+        grid.a, grid.b, "log", dtau, g=g, first_derivative=first,
     )
     np.testing.assert_allclose(ours, ref, atol=1e-12)
 
@@ -285,7 +266,7 @@ def test_stage_rejects_wrong_shape():
 
 
 # ---------------------------------------------------------------------------
-# boundary policies
+# boundary data
 # ---------------------------------------------------------------------------
 
 
@@ -294,41 +275,6 @@ def payoff_ring(scen):
     pay = scen.payoff.value(s[:, None], s[None, :]).copy()
     pay[1:-1, 1:-1] = 0.0
     return pay
-
-
-def test_boundary_scheme_discount_matches_closed_expression():
-    scen = benchmark_scenario(1, nx=10, nt=5)
-    dtau = scen.market.T / scen.grid.nt
-    bd = BoundaryData(scen, SolverFlags(boundary="scheme_discount"), dtau)
-    base = payoff_ring(scen)
-    for h in [0, 1, 2, 7, 10]:
-        np.testing.assert_allclose(
-            bd.ring(h), base * (1.0 + scen.market.r * dtau / 2.0) ** (-h), rtol=1e-15
-        )
-
-
-def test_boundary_discounted_payoff_matches_closed_expression():
-    scen = benchmark_scenario(1, nx=10, nt=5)
-    dtau = scen.market.T / scen.grid.nt
-    bd = BoundaryData(scen, SolverFlags(boundary="discounted_payoff"), dtau)
-    base = payoff_ring(scen)
-    for h in [0, 3, 10]:
-        tau = h * dtau / 2.0
-        np.testing.assert_allclose(bd.ring(h), base * math.exp(-scen.market.r * tau), rtol=1e-15)
-
-
-def test_boundary_analytic_places_closed_form_on_edges():
-    scen = benchmark_scenario(1, nx=10, nt=5)
-    dtau = scen.market.T / scen.grid.nt
-    bd = BoundaryData(scen, SolverFlags(boundary="analytic"), dtau)
-    s = scen.grid.spot_axis()
-    h = 4
-    tau = h * dtau / 2.0
-    ring = bd.ring(h)
-    np.testing.assert_allclose(ring[:, 0], cbest_price(s, s[0], tau, scen), rtol=1e-14)
-    np.testing.assert_allclose(ring[0, :], cbest_price(s[0], s, tau, scen), rtol=1e-14)
-    np.testing.assert_allclose(ring[:, -1], cbest_price(s, s[-1], tau, scen), rtol=1e-14)
-    assert np.all(ring[1:-1, 1:-1] == 0.0)
 
 
 def test_boundary_rings_are_cached():
@@ -341,16 +287,13 @@ def test_boundary_rings_are_cached():
 # recorded when BoundaryData still cached one dense ring per half level
 RING_SHA256 = {
     "edges_1d": "1e9ea32a3864b45bb7cd9225b7520af3cb04b9ef56357b07edef5457ab52af83",
-    "analytic": "1fe93979ff65e285aebcd7fbec8b9b8b061d8065b02a5b6342a44462210e498c",
-    "discounted_payoff": "b72f40242aaa395d0f2a1599d8e3c0d41df18c85733b0042d8b3d0038de1a918",
-    "scheme_discount": "cf1b594968f90560cd814cc5691e00304e5c79731c46557b5a5abdd2079de899",
 }
 
 
 @pytest.mark.parametrize("policy", sorted(RING_SHA256))
 def test_boundary_rings_match_the_recorded_dense_rings(policy):
     scen = benchmark_scenario(1, nx=8, nt=8)
-    bd = BoundaryData(scen, SolverFlags(boundary=policy), scen.market.T / 8)
+    bd = BoundaryData(scen, SolverFlags(), scen.market.T / 8)
     rings = np.stack([bd.ring(h) for h in range(17)])
     assert hashlib.sha256(rings.tobytes()).hexdigest() == RING_SHA256[policy]
 
@@ -408,12 +351,8 @@ def test_costed_sweep_block_is_bit_identical_to_the_recorded_one(config):
 def test_edges_1d_level_zero_is_the_smoothed_edge_payoff():
     scen = benchmark_scenario(1, nx=12, nt=4)
     dtau = scen.market.T / scen.grid.nt
-    # pointwise smoothing: level 0 must be the raw payoff on all four edges
-    bd = BoundaryData(scen, SolverFlags(smoothing="pointwise"), dtau)
-    np.testing.assert_array_equal(bd.ring(0), payoff_ring(scen))
-    # cell averaging: interior edge nodes carry the 1-D five-point average
-    bd_avg = BoundaryData(scen, SolverFlags(smoothing="cell_average"), dtau)
-    ring0 = bd_avg.ring(0)
+    # interior edge nodes carry the 1-D five-point average
+    ring0 = BoundaryData(scen, SolverFlags(), dtau).ring(0)
     ax = scen.grid.axis()
     offs = (np.arange(5) - 2.0) / 5.0 * scen.grid.dx
     s_min = math.exp(ax[0])
@@ -437,9 +376,9 @@ def test_edges_1d_constant_payoff_reduces_to_scheme_discount():
     )
     dtau = scen.market.T / scen.grid.nt
     bd = BoundaryData(scen, SolverFlags(), dtau)
-    ref = BoundaryData(scen, SolverFlags(boundary="scheme_discount"), dtau)
     for h in [0, 1, 2, 5, 10]:
-        np.testing.assert_allclose(bd.ring(h), ref.ring(h), rtol=1e-12, atol=1e-13)
+        ref = payoff_ring(scen) * (1.0 + scen.market.r * dtau / 2.0) ** (-h)
+        np.testing.assert_allclose(bd.ring(h), ref, rtol=1e-12, atol=1e-13)
 
 
 def test_edges_1d_corners_decay_by_half_step_discount():
@@ -489,7 +428,7 @@ def test_sweep_block_layout():
     block = sweep(scen, flags=flags)
     assert block.shape == (7, 11, 11)
     np.testing.assert_array_equal(
-        block[0], initial_condition(scen.grid, scen.payoff, flags.smoothing)
+        block[0], initial_condition(scen.grid, scen.payoff)
     )
     bd = BoundaryData(scen, flags, scen.market.T / 6)
     for m in [1, 3, 6]:

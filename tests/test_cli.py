@@ -206,7 +206,7 @@ def test_sweep_csv_layout(tmp_path, capsys):
         lambda cfg, bad: ["price", "--config", str(bad), "--out", str(bad.parent / "o")],
         lambda cfg, bad: ["price", "--config", str(cfg), "--out", str(cfg.parent / "o"), "--flag", "no-equals-sign"],
         lambda cfg, bad: ["price", "--config", str(cfg), "--out", str(cfg.parent / "o"), "--flag", "=5"],
-        lambda cfg, bad: ["price", "--config", str(cfg), "--out", str(cfg.parent / "o"), "--flag", "solver.boundary=bogus"],
+        lambda cfg, bad: ["price", "--config", str(cfg), "--out", str(cfg.parent / "o"), "--flag", "solver.first_derivative=bogus"],
     ],
     ids=["malformed-json", "flag-missing-equals", "flag-empty-key", "bad-solver-choice"],
 )
@@ -219,10 +219,12 @@ def test_exit_code_2_on_config_errors(tmp_path, capsys, mutate_argv):
     assert "error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("key", ["boundry", "cbest_formula"])
+@pytest.mark.parametrize(
+    "key", ["boundry", "cbest_formula", "mixed_stencil", "cost_prefactor", "boundary", "smoothing"]
+)
 @pytest.mark.parametrize("command", ["price", "analytic", "leland", "converge", "sweep"])
 def test_exit_code_2_names_an_unknown_solver_key(tmp_path, capsys, command, key):
-    """A misspelt key and the removed closed-form switch are both rejected."""
+    """A misspelt key and the removed scheme switches are all rejected."""
     cfg_path = tmp_path / "cfg.json"
     write_config(cfg_path)
     argv = [command, "--config", str(cfg_path), "--out", str(tmp_path / "o")]
@@ -243,15 +245,70 @@ def test_exit_code_2_names_an_unknown_solver_key(tmp_path, capsys, command, key)
         (["market.r=[0.05]"], "market.r"),
         (['payoff.K="x"'], "payoff.K"),
         (['dt_tc="x"'], "dt_tc"),
+        (['cost.C0="x"'], "cost.C0"),
+        (["cost.k=[1]"], "cost.k"),
+        (['cost={"type":"sampled","x":[0,"a"],"c":[1,1],"c_upper":2}'], "cost.x"),
+        (['cost={"type":"sampled","x":[0,1],"c":[1,1],"c_upper":2,"dc":"x"}'], "cost.dc"),
+        (['cost={"type":"sampled","x":[0,1],"c":[1,1],"c_upper":2,"c_lower":null}'], "cost.c_lower"),
+        (['cost={"type":"constant","c0":[0.1]}'], "cost.C0"),
     ],
 )
 def test_exit_code_2_names_a_malformed_grid_or_market_field(tmp_path, capsys, flags, field):
-    """Malformed values on a shipped config exit 2 naming the field, no traceback."""
+    """Malformed values on a shipped config exit 2 naming the field, no traceback.
+
+    The cases cover every scenario section: grid, market, payoff, dt_tc and cost.
+    """
     out = tmp_path / "o"
     argv = ["analytic", "--config", str(CONFIG_DIR / "testing1.json"), "--out", str(out)]
     for flag in flags:
         argv += ["--flag", flag]
     assert main(argv) == 2
+    assert f"config error: {field}:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flag,field",
+    [
+        ("market.sigma=[0.2,0.2]", "market.sigma"),
+        ('cost.c_upper="x"', "cost.c_upper"),
+        ('cost={"type":"constant","C0":0.001,"k":1}', "cost.k"),
+        ("payoff.Strike=3", "payoff.Strike"),
+        ('grid={"a":1.5,"b":5.3,"nx":8,"nt":2,"cord":"log"}', "grid.cord"),
+    ],
+)
+def test_exit_code_2_names_an_unknown_section_key(tmp_path, capsys, flag, field):
+    """A key its section does not define is rejected, not ignored.
+
+    Config 1's cost is exponential, so ``c_upper`` (a sampled-cost key) is
+    unknown there, and a constant cost has no ``k``.
+    """
+    out = tmp_path / "o"
+    argv = ["analytic", "--config", str(CONFIG_DIR / "testing1.json"), "--out", str(out), "--flag", flag]
+    assert main(argv) == 2
+    assert f"config error: {field}: unknown key" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command,flag,field",
+    [
+        ("analytic", 'output.tau="x"', "output.tau"),
+        ("analytic", "output.tau=[0.5]", "output.tau"),
+        ("price", 'output.error_band="x"', "output.error_band"),
+        ("price", "output.error_band=1.5", "output.error_band"),
+        ("price", "output=5", "output"),
+        ("price", 'solver.max_iter="x"', "solver.max_iter"),
+        ("converge", "solver.tol=[1]", "solver.tol"),
+        ("sweep", "solver.max_iter=2.5", "solver.max_iter"),
+        ("leland", 'solver.eig_tol="a"', "solver.eig_tol"),
+    ],
+)
+def test_exit_code_2_names_a_malformed_output_or_solver_value(tmp_path, capsys, command, flag, field):
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path)
+    out = tmp_path / "o"
+    assert main([command, "--config", str(cfg_path), "--out", str(out), "--flag", flag]) == 2
     assert f"config error: {field}:" in capsys.readouterr().err
     assert not out.exists()
 

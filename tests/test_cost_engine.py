@@ -245,11 +245,14 @@ def test_assemble_g_linear_in_constant_cost_level():
 
 
 def test_assemble_g_prefactor_normalizations():
-    scen = small_scenario()
+    """Constant cost: the per-interval expected cost does not depend on dt,
+    so G scales as 1/sqrt(dt)."""
+    scen = small_scenario().with_cost(ConstantCost(c0=0.004))
     u = bumpy_surface(scen, np.random.default_rng(4))
-    g_root = assemble_G(u, scen, flags=SolverFlags(cost_prefactor="sqrt_dt"))
-    g_lin = assemble_G(u, scen, flags=SolverFlags(cost_prefactor="dt"))
-    np.testing.assert_allclose(g_root, g_lin * math.sqrt(scen.dt_tc), rtol=1e-14)
+    g_daily = assemble_G(u, scen)
+    for dt in (scen.dt_tc / 4.0, scen.dt_tc * 9.0):
+        g = assemble_G(u, scen.with_dt(dt))
+        np.testing.assert_allclose(g * math.sqrt(dt), g_daily * math.sqrt(scen.dt_tc), rtol=1e-14)
 
 
 def test_assemble_g_log_grid_against_manual_node_composition():
@@ -324,10 +327,6 @@ def test_assemble_g_rejects_unknown_flags():
     u = bumpy_surface(scen, np.random.default_rng(8))
     with pytest.raises(ValidationError, match="first_derivative"):
         assemble_G(u, scen, flags=SolverFlags(first_derivative="upwind"))
-    with pytest.raises(ValidationError, match="mixed_stencil"):
-        assemble_G(u, scen, flags=SolverFlags(mixed_stencil="diagonal"))
-    with pytest.raises(ValidationError, match="cost_prefactor"):
-        assemble_G(u, scen, flags=SolverFlags(cost_prefactor="none"))
 
 
 def test_assemble_g_first_derivative_variants_differ_but_agree_on_symmetric_data():
