@@ -17,9 +17,10 @@ All commands read one JSON config (sections ``market``, ``cost``, ``payoff``,
 ``--flag dotted.key=value`` overrides (values parsed as JSON, falling back to
 bare strings), and write deterministic artifacts: CSV numbers with repr-exact
 %.17g formatting, LF line endings, and sorted-key metadata JSON.  A key
-that the ``market``, ``cost``, ``payoff`` or ``grid`` section does not
-define, a ``solver`` key that no command reads, and a value of the wrong
-type are config errors.
+that no command reads, at the top level or in any section, and a value of
+the wrong type are config errors, found before any solve; switches take
+JSON booleans, and a ``solver`` or ``output`` value of null means the key is
+absent.
 
 Exit codes: 0 success, 2 invalid config, 3 numerical non-convergence
 (``price``, ``converge``, and ``leland`` before it scans) or, for ``sweep``,
@@ -35,7 +36,7 @@ import sys
 import warnings
 from dataclasses import fields
 from pathlib import Path
-from typing import Any
+from typing import Any, get_args
 
 import numpy as np
 
@@ -43,7 +44,7 @@ from .adi_solver import GridSpec, SolveResult, solve_nonlinear
 from .analytic_pricing import cbest_price
 from .cost_engine import QuadratureError, assemble_G
 from .diagnostics import dt_sensitivity_sweep, error_vs_analytic
-from .ellipticity import leland_number, scan_surface
+from .ellipticity import DyfForm, leland_number, scan_surface
 from .market_model import Scenario, SolverFlags, ValidationError, _integer, _numbers, validate
 
 __all__ = ["main"]
@@ -80,33 +81,62 @@ def _apply_flags(cfg: dict, flag_args: list[str]) -> None:
         _set_dotted(cfg, key, value)
 
 
+def _boolean(value: Any, qualified: str) -> bool:
+    if not isinstance(value, bool):
+        raise ValidationError(qualified, f"expected true or false, got {value!r}")
+    return value
+
+
+def _dyf_form(value: Any, qualified: str) -> str:
+    if value not in get_args(DyfForm):
+        raise ValidationError(qualified, f"expected one of {get_args(DyfForm)}, got {value!r}")
+    return value
+
+
+def _probes(value: Any, qualified: str) -> np.ndarray:
+    probes = _numbers(value, qualified, (2,))
+    if probes.shape[1] != 2:
+        raise ValidationError(qualified, f"expected a list of [S1, S2] pairs, got {value!r}")
+    return probes
+
+
 _FLAG_KEYS = tuple(f.name for f in fields(SolverFlags))
-# must hold every solver key some command reads; _solver_section rejects any other
-_SOLVER_KEYS = _FLAG_KEYS + ("tol", "max_iter", "stop_norm", "dyf_form", "eig_tol", "theta_floor", "skip_scan")
-# the numeric solver settings and their parsers
-_SOLVER_NUMBERS = {"tol": _numbers, "max_iter": _integer, "eig_tol": _numbers, "theta_floor": _numbers}
+# the parser of every key some command reads; SolverFlags checks its own fields
+_SOLVER_PARSERS = {
+    **dict.fromkeys(_FLAG_KEYS, lambda value, qualified: value),
+    "tol": _numbers,
+    "max_iter": _integer,
+    "dyf_form": _dyf_form,
+    "eig_tol": _numbers,
+    "theta_floor": _numbers,
+    "skip_scan": _boolean,
+}
+_OUTPUT_PARSERS = {
+    "tau": _numbers,
+    "error_band": _integer,
+    "per_node_csv": _boolean,
+    "dt_values": lambda value, qualified: _numbers(value, qualified, (0, 1)),
+    "probes": _probes,
+}
+_TOP_LEVEL_KEYS = ("market", "cost", "payoff", "dt_tc", "grid", "solver", "output")
 
 
-def _section(cfg: dict, name: str) -> dict:
-    """The config's optional section ``name``; ``{}`` when it is absent."""
+def _parsed_section(cfg: dict, name: str, parsers: dict) -> dict:
+    """The config's optional section ``name`` with every value parsed.
+
+    Rejects a key without a parser and a value of the wrong type; a null
+    value is dropped, so the command uses its default.
+    """
     section = cfg.get(name) or {}
     if not isinstance(section, dict):
         raise ValidationError(name, f"expected a mapping, got {type(section).__name__}")
-    return section
-
-
-def _solver_section(cfg: dict) -> dict:
-    """The config's ``solver`` section with numeric settings parsed.
-
-    Rejects a key that no command reads and a number of the wrong type.
-    """
-    solver = dict(_section(cfg, "solver"))
-    for key, value in solver.items():
-        if key not in _SOLVER_KEYS:
-            raise ValidationError(f"solver.{key}", f"unknown key; expected one of {_SOLVER_KEYS}")
-        if key in _SOLVER_NUMBERS:
-            solver[key] = _SOLVER_NUMBERS[key](value, f"solver.{key}")
-    return solver
+    parsed = {}
+    for key, value in section.items():
+        if key not in parsers:
+            raise ValidationError(f"{name}.{key}", f"unknown key; expected one of {tuple(parsers)}")
+        if value is not None:
+            parsed[key] = parsers[key](value, f"{name}.{key}")
+    return parsed
 
 
 def _resolved_config(cfg: dict, scenario: Scenario) -> dict:
@@ -155,8 +185,9 @@ def _write_metadata(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
-def _records_json(records) -> list[dict]:
-    return [{"n": r.n, "d1": r.d1, "d2": r.d2, "dinf": r.dinf} for r in records]
+def _solve_json(result: SolveResult) -> dict:
+    records = [{"n": r.n, "d1": r.d1, "d2": r.d2, "dinf": r.dinf} for r in result.records]
+    return {"converged": result.converged, "iterations": result.iterations, "records": records}
 
 
 def _load_config(path: str, flag_args: list[str]) -> dict:
@@ -174,16 +205,21 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _setup(args) -> tuple[dict, Scenario, SolverFlags, dict]:
+def _setup(args) -> tuple[dict, Scenario, SolverFlags, dict, dict]:
     """Load the config, validate the scenario, resolve the solver flags.
 
-    Returns the config, the scenario, the flags and the ``solver`` section.
+    Returns the config, the scenario, the flags and the parsed ``solver`` and
+    ``output`` sections.
     """
     cfg = _load_config(args.config, args.flag)
+    for key in cfg:
+        if key not in _TOP_LEVEL_KEYS:
+            raise ValidationError(key, f"unknown key; expected one of {_TOP_LEVEL_KEYS}")
     scenario = validate(cfg)
-    solver = _solver_section(cfg)
+    solver = _parsed_section(cfg, "solver", _SOLVER_PARSERS)
+    output = _parsed_section(cfg, "output", _OUTPUT_PARSERS)
     flags = SolverFlags(**{key: solver[key] for key in _FLAG_KEYS if key in solver})
-    return cfg, scenario, flags, solver
+    return cfg, scenario, flags, solver, output
 
 
 def _quiet_solve(scenario: Scenario, flags: SolverFlags, solver: dict) -> SolveResult:
@@ -197,7 +233,6 @@ def _quiet_solve(scenario: Scenario, flags: SolverFlags, solver: dict) -> SolveR
             scenario,
             tol=solver.get("tol", 1e-6),
             max_iter=solver.get("max_iter", 25),
-            stop_norm=solver.get("stop_norm", "inf"),
             flags=flags,
         )
 
@@ -213,9 +248,8 @@ def _status(result: SolveResult) -> str:
 
 
 def _cmd_price(args) -> int:
-    cfg, scenario, flags, solver = _setup(args)
-    output = _section(cfg, "output")
-    band = _integer(output.get("error_band", 2), "output.error_band")
+    cfg, scenario, flags, solver, output = _setup(args)
+    band = output.get("error_band", 2)
     out = _out_dir(args)
 
     result = _quiet_solve(scenario, flags, solver)
@@ -232,9 +266,7 @@ def _cmd_price(args) -> int:
             "config": _resolved_config(cfg, scenario),
             "outputs": ["surface.csv", "cost_field.csv", "convergence.csv"],
             "result": {
-                "converged": result.converged,
-                "iterations": result.iterations,
-                "records": _records_json(result.records),
+                **_solve_json(result),
                 "error_vs_analytic": {
                     "max_rel": err.max_rel,
                     "mean_abs": err.mean_abs,
@@ -252,10 +284,8 @@ def _cmd_price(args) -> int:
 
 
 def _cmd_analytic(args) -> int:
-    cfg, scenario, _, _ = _setup(args)
-    output = _section(cfg, "output")
-    tau = output.get("tau")
-    tau = scenario.market.T if tau is None else _numbers(tau, "output.tau")
+    cfg, scenario, _, _, output = _setup(args)
+    tau = output.get("tau", scenario.market.T)
     out = _out_dir(args)
     grid = scenario.grid
     s = grid.spot_axis()
@@ -276,7 +306,7 @@ def _cmd_analytic(args) -> int:
 
 
 def _cmd_leland(args) -> int:
-    cfg, scenario, flags, solver = _setup(args)
+    cfg, scenario, flags, solver, output = _setup(args)
 
     upper = scenario.cost.bounds()[1]
     for i, sigma in enumerate(scenario.market.sigmas, start=1):
@@ -321,14 +351,14 @@ def _cmd_leland(args) -> int:
                 "result": report.to_json_dict(),
             },
         )
-        if _section(cfg, "output").get("per_node_csv", False):
+        if output.get("per_node_csv", False):
             report.write_nodes_csv(out / "ellipticity_nodes.csv")
         print(f"leland: wrote scan report to {out}")
     return 0
 
 
 def _cmd_converge(args) -> int:
-    cfg, scenario, flags, solver = _setup(args)
+    cfg, scenario, flags, solver, _ = _setup(args)
     out = _out_dir(args)
     result = _quiet_solve(scenario, flags, solver)
     _write_convergence_csv(out / "convergence.csv", result.records)
@@ -338,11 +368,7 @@ def _cmd_converge(args) -> int:
             "command": "converge",
             "config": _resolved_config(cfg, scenario),
             "outputs": ["convergence.csv"],
-            "result": {
-                "converged": result.converged,
-                "iterations": result.iterations,
-                "records": _records_json(result.records),
-            },
+            "result": _solve_json(result),
         },
     )
     print("n    d1            d2            dinf")
@@ -353,8 +379,7 @@ def _cmd_converge(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    cfg, scenario, flags, solver = _setup(args)
-    output = _section(cfg, "output")
+    cfg, scenario, flags, solver, output = _setup(args)
     out = _out_dir(args)
 
     dt_values = output.get("dt_values")

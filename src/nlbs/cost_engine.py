@@ -153,6 +153,27 @@ def exponential_decay_factor(q):
     return 1.0 - _SQRT_PI_OVER_2 * q * erfcx(q / math.sqrt(2.0))
 
 
+def _quad_to_inf(integrand, name: str, h: float) -> float:
+    """int_0^inf integrand(y) dy by adaptive quadrature.
+
+    Raises :class:`QuadratureError` naming the integral when the error
+    estimate exceeds 1e-8 relative (absolute below magnitude 1).
+    """
+    val, err = quad(integrand, 0.0, np.inf, epsabs=1e-14, epsrel=1e-10, limit=200)
+    if err > 1e-8 * max(abs(val), 1.0):
+        raise QuadratureError(f"{name} quadrature reached error {err:.3e} at scale h={h:.6e}")
+    return val
+
+
+def _cost_integral_i1(cost: CostModel, h: float) -> float:
+    """I1 = int_0^inf C(h y) y e^{-y^2} dy for cost argument scale h = sqrt(2 dt Theta).
+
+    E[C(sqrt(dt)|phi|) |phi|] = 2 sqrt(2/pi) sqrt(Theta) I1, and I1 also
+    enters the sensitivity dG/dTheta (:mod:`nlbs.ellipticity`).
+    """
+    return _quad_to_inf(lambda y: float(cost.value(h * y)) * y * math.exp(-y * y), "I1", h)
+
+
 def _expected_cost_quad(cost: CostModel, theta: np.ndarray, dt: float) -> np.ndarray:
     """E[C(sqrt(dt)|phi|) |phi|] by adaptive quadrature (sampled cost curves)."""
     flat = np.atleast_1d(theta).ravel()
@@ -161,17 +182,7 @@ def _expected_cost_quad(cost: CostModel, theta: np.ndarray, dt: float) -> np.nda
         if th == 0.0:
             out[idx] = 0.0
             continue
-        scale = math.sqrt(2.0 * dt * th)
-
-        def integrand(y: float, s: float = scale) -> float:
-            return float(cost.value(s * y)) * y * math.exp(-y * y)
-
-        val, err = quad(integrand, 0.0, np.inf, epsabs=1e-14, epsrel=1e-10, limit=200)
-        if err > 1e-8 * max(abs(val), 1.0):
-            raise QuadratureError(
-                f"expected-cost quadrature reached error {err:.3e} for theta={th:.6e}"
-            )
-        out[idx] = 2.0 * _SQRT_2_OVER_PI * math.sqrt(th) * val
+        out[idx] = 2.0 * _SQRT_2_OVER_PI * math.sqrt(th) * _cost_integral_i1(cost, math.sqrt(2.0 * dt * th))
     return out.reshape(np.shape(theta))
 
 

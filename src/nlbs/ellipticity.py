@@ -50,9 +50,8 @@ from dataclasses import dataclass, field
 from typing import Literal, NamedTuple
 
 import numpy as np
-from scipy.integrate import quad
 
-from .cost_engine import QuadratureError, _grid_derivatives, _grid_theta, theta_from_hessian
+from .cost_engine import _cost_integral_i1, _grid_derivatives, _grid_theta, _quad_to_inf, theta_from_hessian
 from .market_model import (
     ConstantCost,
     CostModel,
@@ -143,18 +142,8 @@ def cost_integrals(cost: CostModel, h: float) -> tuple[float, float]:
     if isinstance(cost, ConstantCost):
         return cost.c0 / 2.0, 0.0
 
-    def f1(y: float) -> float:
-        return float(cost.value(h * y)) * y * math.exp(-y * y)
-
-    def f2(y: float) -> float:
-        return float(cost.derivative(h * y)) * y * y * math.exp(-y * y)
-
-    i1, e1 = quad(f1, 0.0, np.inf, epsabs=1e-14, epsrel=1e-10, limit=200)
-    if e1 > 1e-8 * max(abs(i1), 1.0):
-        raise QuadratureError(f"I1 quadrature reached error {e1:.3e} at scale h={h:.6e}")
-    i2, e2 = quad(f2, 0.0, np.inf, epsabs=1e-14, epsrel=1e-10, limit=200)
-    if e2 > 1e-8 * max(abs(i2), 1.0):
-        raise QuadratureError(f"I2 quadrature reached error {e2:.3e} at scale h={h:.6e}")
+    i1 = _cost_integral_i1(cost, h)
+    i2 = _quad_to_inf(lambda y: float(cost.derivative(h * y)) * y * y * math.exp(-y * y), "I2", h)
     return i1, i2
 
 

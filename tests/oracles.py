@@ -51,6 +51,26 @@ def thomas_apply_loop(w, piv, upper, rhs):
     return y
 
 
+def dilate_loop(mask: np.ndarray, times: int) -> np.ndarray:
+    """Chebyshev dilation as ``times`` single steps, each OR-ing the eight shifts.
+
+    The package's one-window dilation must reproduce this mask exactly.
+    """
+    out = mask.copy()
+    for _ in range(times):
+        grown = out.copy()
+        grown[1:, :] |= out[:-1, :]
+        grown[:-1, :] |= out[1:, :]
+        grown[:, 1:] |= out[:, :-1]
+        grown[:, :-1] |= out[:, 1:]
+        grown[1:, 1:] |= out[:-1, :-1]
+        grown[:-1, :-1] |= out[1:, 1:]
+        grown[1:, :-1] |= out[:-1, 1:]
+        grown[:-1, 1:] |= out[1:, :-1]
+        out = grown
+    return out
+
+
 def induced_norm(a: np.ndarray, p) -> float:
     """Induced matrix p-norm from the definition (p in {1, 2, inf})."""
     a = np.asarray(a, dtype=float)

@@ -220,11 +220,11 @@ def test_exit_code_2_on_config_errors(tmp_path, capsys, mutate_argv):
 
 
 @pytest.mark.parametrize(
-    "key", ["boundry", "cbest_formula", "mixed_stencil", "cost_prefactor", "boundary", "smoothing"]
+    "key", ["boundry", "cbest_formula", "mixed_stencil", "cost_prefactor", "boundary", "smoothing", "stop_norm"]
 )
 @pytest.mark.parametrize("command", ["price", "analytic", "leland", "converge", "sweep"])
 def test_exit_code_2_names_an_unknown_solver_key(tmp_path, capsys, command, key):
-    """A misspelt key and the removed scheme switches are all rejected."""
+    """A misspelt key, the removed scheme switches and the removed stop norm are all rejected."""
     cfg_path = tmp_path / "cfg.json"
     write_config(cfg_path)
     argv = [command, "--config", str(cfg_path), "--out", str(tmp_path / "o")]
@@ -275,10 +275,12 @@ def test_exit_code_2_names_a_malformed_grid_or_market_field(tmp_path, capsys, fl
         ('cost={"type":"constant","C0":0.001,"k":1}', "cost.k"),
         ("payoff.Strike=3", "payoff.Strike"),
         ('grid={"a":1.5,"b":5.3,"nx":8,"nt":2,"cord":"log"}', "grid.cord"),
+        ("output.tua=0.5", "output.tua"),
+        ("tua=0.5", "tua"),
     ],
 )
 def test_exit_code_2_names_an_unknown_section_key(tmp_path, capsys, flag, field):
-    """A key its section does not define is rejected, not ignored.
+    """A key its section, or the top level, does not define is rejected, not ignored.
 
     Config 1's cost is exponential, so ``c_upper`` (a sampled-cost key) is
     unknown there, and a constant cost has no ``k``.
@@ -302,6 +304,14 @@ def test_exit_code_2_names_an_unknown_section_key(tmp_path, capsys, flag, field)
         ("converge", "solver.tol=[1]", "solver.tol"),
         ("sweep", "solver.max_iter=2.5", "solver.max_iter"),
         ("leland", 'solver.eig_tol="a"', "solver.eig_tol"),
+        ("sweep", 'output.dt_values="x"', "output.dt_values"),
+        ("sweep", "output.probes=5", "output.probes"),
+        ("sweep", "output.probes=[[1]]", "output.probes"),
+        ("leland", 'output.per_node_csv="no"', "output.per_node_csv"),
+        ("leland", 'solver.skip_scan="false"', "solver.skip_scan"),
+        ("leland", "solver.skip_scan=1", "solver.skip_scan"),
+        ("leland", 'solver.dyf_form="bogus"', "solver.dyf_form"),
+        ("price", "output.probes=5", "output.probes"),
     ],
 )
 def test_exit_code_2_names_a_malformed_output_or_solver_value(tmp_path, capsys, command, flag, field):
@@ -311,6 +321,15 @@ def test_exit_code_2_names_a_malformed_output_or_solver_value(tmp_path, capsys, 
     assert main([command, "--config", str(cfg_path), "--out", str(out), "--flag", flag]) == 2
     assert f"config error: {field}:" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_null_solver_or_output_value_means_the_default(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path)
+    main(["price", "--config", str(cfg_path), "--out", str(tmp_path / "a")])
+    flags = ["--flag", "solver.tol=null", "--flag", "output.error_band=null"]
+    assert main(["price", "--config", str(cfg_path), "--out", str(tmp_path / "b")] + flags) == 0
+    assert (tmp_path / "a" / "surface.csv").read_bytes() == (tmp_path / "b" / "surface.csv").read_bytes()
 
 
 def test_sweep_exits_3_and_names_the_ill_posed_intervals(tmp_path, capsys):

@@ -1,10 +1,13 @@
-"""Property test of the config boundary.
+"""Property tests of the config boundary.
 
 Each example takes a shipped config (on a small grid), replaces one to three
-scenario fields by values of the wrong type or out of range (strings,
-booleans, nulls, non-finite numbers, lists, mappings) and runs ``nlbs
-analytic`` on it.  The command must exit 0, or 2 with a config error; any
-exception fails the test.
+fields by values of the wrong type or out of range (strings, booleans,
+nulls, non-finite numbers, lists, mappings) and runs a command on it.
+Mutated scenario fields go to ``nlbs analytic``, which must exit 0, or 2
+with a config error.  Mutated ``solver`` and ``output`` fields go to ``nlbs
+sweep`` and ``nlbs leland``, which solve and may also exit 3 (no
+convergence, an ill-posed interval or a failed quadrature).  Any exception
+fails a test.
 """
 
 import contextlib
@@ -59,6 +62,26 @@ VALUES = st.recursive(
 )
 MUTATIONS = st.lists(st.tuples(st.sampled_from(FIELDS), VALUES), min_size=1, max_size=3)
 
+# every key some command reads in these sections, at a valid value
+SETTINGS = {
+    "solver": {
+        "first_derivative": "forward",
+        "tol": 1e-6,
+        "max_iter": 4,
+        "dyf_form": "aggregate",
+        "eig_tol": 1e-10,
+        "theta_floor": 1e-14,
+        "skip_scan": False,
+    },
+    "output": {"tau": 1.0, "error_band": 2, "per_node_csv": True, "dt_values": [0.004], "probes": [[30.0, 30.0]]},
+}
+SETTING_FIELDS = [(name,) for name in SETTINGS] + [
+    (name, key) for name, section in SETTINGS.items() for key in section
+]
+SETTING_MUTATIONS = st.lists(
+    st.tuples(st.sampled_from(SETTING_FIELDS), st.one_of(VALUES, NUMBERS)), min_size=1, max_size=3
+)
+
 
 def small_config(n: int) -> dict:
     """Config n on a 9 x 9 grid around ln(X), so one ``analytic`` run is cheap."""
@@ -85,6 +108,17 @@ def mutate(cfg: dict, path: tuple, value) -> None:
         node[path[-1]] = value
 
 
+def run(command: str, cfg: dict) -> tuple[int, str]:
+    """Exit code and stderr of one in-process command on ``cfg``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg_path = Path(tmp) / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = main([command, "--config", str(cfg_path), "--out", str(Path(tmp) / "o")])
+    return rc, err.getvalue()
+
+
 @pytest.mark.parametrize("config", [1, 2, 3])
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(mutations=MUTATIONS)
@@ -92,12 +126,22 @@ def test_malformed_config_exits_0_or_2_never_a_traceback(config, mutations):
     cfg = small_config(config)
     for path, value in mutations:
         mutate(cfg, path, value)
-    with tempfile.TemporaryDirectory() as tmp:
-        cfg_path = Path(tmp) / "cfg.json"
-        cfg_path.write_text(json.dumps(cfg))
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            rc = main(["analytic", "--config", str(cfg_path), "--out", str(Path(tmp) / "o")])
+    rc, err = run("analytic", cfg)
     assert rc in (0, 2)
     if rc == 2:
-        assert err.getvalue().startswith("config error: ")
+        assert err.startswith("config error: ")
+
+
+@pytest.mark.parametrize("command", ["sweep", "leland"])
+@pytest.mark.parametrize("config", [1, 2, 3])
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(mutations=SETTING_MUTATIONS)
+def test_malformed_solver_or_output_exits_0_2_or_3_never_a_traceback(command, config, mutations):
+    cfg = small_config(config)
+    cfg.update(json.loads(json.dumps(SETTINGS)))
+    for path, value in mutations:
+        mutate(cfg, path, value)
+    rc, err = run(command, cfg)
+    assert rc in (0, 2, 3)
+    if rc == 2:
+        assert err.startswith("config error: ")

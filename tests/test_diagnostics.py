@@ -20,6 +20,8 @@ from nlbs import (
     pnorm_distance,
 )
 
+from nlbs.diagnostics import _dilate
+
 import oracles
 from conftest import benchmark_scenario
 
@@ -97,8 +99,21 @@ def test_error_report_band_controls_inclusion():
     assert n0 > n2 > n5 > 0
     with pytest.raises(ValidationError, match="band"):
         error_vs_analytic(u, scen, band=200)
+    # one filter window, capped at the grid (stepwise growth took 25 s at 9 x 9)
+    with pytest.raises(ValidationError, match="band"):
+        error_vs_analytic(u, scen, band=1_000_000)
     with pytest.raises(ValidationError, match="band"):
         error_vs_analytic(u, scen, band=-1)
+
+
+@pytest.mark.parametrize("shape", [(9, 9), (12, 7)])
+def test_dilation_matches_the_step_loop(shape):
+    rng = np.random.default_rng(7)
+    masks = [np.zeros(shape, bool), rng.random(shape) < 0.05, rng.random(shape) < 0.3]
+    masks[0][0, -1] = True
+    for mask in masks:
+        for band in list(range(0, 15)) + [40, 200]:
+            assert np.array_equal(_dilate(mask, band), oracles.dilate_loop(mask, band)), band
 
 
 def test_error_report_ignores_errors_inside_the_excluded_band():
@@ -189,6 +204,8 @@ def test_dt_sweep_validation():
         dt_sensitivity_sweep(scen, [0.01, -0.01])
     with pytest.raises(ValidationError, match="probes"):
         dt_sensitivity_sweep(scen, [0.01], probes=[(0.0, 30.0)])
+    with pytest.raises(ValidationError, match="probes"):
+        dt_sensitivity_sweep(scen, [0.01], probes=[(30.0, math.nan)])
 
 
 # ---------------------------------------------------------------------------
