@@ -43,7 +43,7 @@ import numpy as np
 from .adi_solver import GridSpec, SolveResult, solve_nonlinear
 from .analytic_pricing import cbest_price
 from .cost_engine import QuadratureError, assemble_G
-from .diagnostics import dt_sensitivity_sweep, error_vs_analytic
+from .diagnostics import compared_nodes, dt_sensitivity_sweep, error_vs_analytic
 from .ellipticity import DyfForm, leland_number, scan_surface
 from .market_model import Scenario, SolverFlags, ValidationError, _integer, _numbers, validate
 
@@ -93,8 +93,30 @@ def _dyf_form(value: Any, qualified: str) -> str:
     return value
 
 
+def _positive(value: Any, qualified: str, ndims: tuple[int, ...] = (0,)) -> Any:
+    x = _numbers(value, qualified, ndims)
+    arr = np.asarray(x)
+    if arr.size == 0 or not (np.isfinite(arr) & (arr > 0.0)).all():
+        raise ValidationError(qualified, f"expected positive finite numbers, got {value!r}")
+    return x
+
+
+def _nonnegative(value: Any, qualified: str) -> float:
+    x = _numbers(value, qualified)
+    if not (math.isfinite(x) and x >= 0.0):
+        raise ValidationError(qualified, f"expected a nonnegative finite number, got {value!r}")
+    return x
+
+
+def _sweep_count(value: Any, qualified: str) -> int:
+    n = _integer(value, qualified)
+    if n < 1:
+        raise ValidationError(qualified, f"need at least one sweep, got {n}")
+    return n
+
+
 def _probes(value: Any, qualified: str) -> np.ndarray:
-    probes = _numbers(value, qualified, (2,))
+    probes = _positive(value, qualified, (2,))
     if probes.shape[1] != 2:
         raise ValidationError(qualified, f"expected a list of [S1, S2] pairs, got {value!r}")
     return probes
@@ -104,18 +126,18 @@ _FLAG_KEYS = tuple(f.name for f in fields(SolverFlags))
 # the parser of every key some command reads; SolverFlags checks its own fields
 _SOLVER_PARSERS = {
     **dict.fromkeys(_FLAG_KEYS, lambda value, qualified: value),
-    "tol": _numbers,
-    "max_iter": _integer,
+    "tol": _positive,
+    "max_iter": _sweep_count,
     "dyf_form": _dyf_form,
     "eig_tol": _numbers,
     "theta_floor": _numbers,
     "skip_scan": _boolean,
 }
 _OUTPUT_PARSERS = {
-    "tau": _numbers,
+    "tau": _nonnegative,
     "error_band": _integer,
     "per_node_csv": _boolean,
-    "dt_values": lambda value, qualified: _numbers(value, qualified, (0, 1)),
+    "dt_values": lambda value, qualified: _positive(value, qualified, (0, 1)),
     "probes": _probes,
 }
 _TOP_LEVEL_KEYS = ("market", "cost", "payoff", "dt_tc", "grid", "solver", "output")
@@ -250,6 +272,10 @@ def _status(result: SolveResult) -> str:
 def _cmd_price(args) -> int:
     cfg, scenario, flags, solver, output = _setup(args)
     band = output.get("error_band", 2)
+    try:
+        compared_nodes(scenario, band)
+    except ValidationError as exc:
+        raise ValidationError("output.error_band", str(exc).removeprefix(f"{exc.field}: ")) from None
     out = _out_dir(args)
 
     result = _quiet_solve(scenario, flags, solver)

@@ -37,6 +37,7 @@ from .market_model import Scenario, SolverFlags, ValidationError
 __all__ = [
     "pnorm_distance",
     "ErrorReport",
+    "compared_nodes",
     "error_vs_analytic",
     "DtSweepRow",
     "DtSweepResult",
@@ -84,6 +85,34 @@ def _dilate(mask: np.ndarray, times: int) -> np.ndarray:
     return maximum_filter(mask, size=2 * min(times, max(mask.shape)) + 1, mode="constant")
 
 
+def compared_nodes(scenario: Scenario, band: int = 2) -> np.ndarray:
+    """Mask of the nodes :func:`error_vs_analytic` compares, shape (nx+1, nx+1).
+
+    Excludes the Dirichlet boundary ring and every node within ``band``
+    cells (Chebyshev distance) of the payoff discontinuity (nodes where the
+    terminal indicator changes between neighbors).  The mask depends only on
+    the grid, the payoff and ``band``, so ``band`` can be checked before any
+    solve: a negative band, or one that leaves no node, raises
+    :class:`ValidationError` naming ``band``.
+    """
+    if band < 0:
+        raise ValidationError("band", f"exclusion band must be nonnegative, got {band}")
+    s = scenario.grid.spot_axis()
+    pay = scenario.payoff.value(s[:, None], s[None, :]) > 0.0
+    pay = np.broadcast_to(pay, (s.size, s.size))
+    edge = np.zeros_like(pay)
+    edge[:-1, :] |= pay[:-1, :] != pay[1:, :]
+    edge[1:, :] |= pay[:-1, :] != pay[1:, :]
+    edge[:, :-1] |= pay[:, :-1] != pay[:, 1:]
+    edge[:, 1:] |= pay[:, :-1] != pay[:, 1:]
+    include = ~_dilate(edge, band)
+    include[0, :] = include[-1, :] = False
+    include[:, 0] = include[:, -1] = False
+    if not include.any():
+        raise ValidationError("band", "exclusion band leaves no interior nodes to compare")
+    return include
+
+
 @dataclass(frozen=True)
 class ErrorReport:
     """Comparison of a numerical surface against the closed-form benchmark.
@@ -108,39 +137,17 @@ def error_vs_analytic(
 ) -> ErrorReport:
     """Benchmark error of a surface at time-to-maturity tau (default T).
 
-    Excluded from the statistics: the Dirichlet boundary ring and every node
-    within ``band`` cells (Chebyshev distance) of the payoff discontinuity
-    (nodes where the terminal indicator changes between neighbors).
+    The statistics cover the nodes of :func:`compared_nodes`.
     """
     u = np.asarray(getattr(surface, "values", surface), dtype=float)
-    grid = scenario.grid
-    n = grid.nx
+    n = scenario.grid.nx
     if u.shape != (n + 1, n + 1):
         raise ValidationError("surface", f"expected shape ({n + 1}, {n + 1}), got {u.shape}")
-    if band < 0:
-        raise ValidationError("band", f"exclusion band must be nonnegative, got {band}")
+    include = compared_nodes(scenario, band)
     tau = scenario.market.T if tau is None else float(tau)
 
-    s = grid.spot_axis()
-    ana = cbest_price(s[:, None], s[None, :], tau, scenario)
-    ana = np.broadcast_to(ana, u.shape)
-
-    pay = scenario.payoff.value(s[:, None], s[None, :]) > 0.0
-    pay = np.broadcast_to(pay, u.shape)
-    edge = np.zeros_like(pay)
-    edge[:-1, :] |= pay[:-1, :] != pay[1:, :]
-    edge[1:, :] |= pay[:-1, :] != pay[1:, :]
-    edge[:, :-1] |= pay[:, :-1] != pay[:, 1:]
-    edge[:, 1:] |= pay[:, :-1] != pay[:, 1:]
-    excluded = _dilate(edge, band)
-
-    include = ~excluded
-    include[0, :] = include[-1, :] = False
-    include[:, 0] = include[:, -1] = False
-    n_inc = int(include.sum())
-    if n_inc == 0:
-        raise ValidationError("band", "exclusion band leaves no interior nodes to compare")
-
+    s = scenario.grid.spot_axis()
+    ana = np.broadcast_to(cbest_price(s[:, None], s[None, :], tau, scenario), u.shape)
     diff = np.abs(u - ana)[include]
     peak = float(ana[include].max())
     max_abs = float(diff.max())
@@ -151,7 +158,7 @@ def error_vs_analytic(
     return ErrorReport(
         max_rel=max_rel,
         mean_abs=float(diff.mean()),
-        n_included=n_inc,
+        n_included=int(include.sum()),
         peak_analytic=peak,
     )
 

@@ -148,6 +148,36 @@ def expected_cost_quad(cost_fn, theta: float, dt: float) -> float:
     return 2.0 / math.sqrt(2.0 * math.pi) * root * val
 
 
+def cost_integrals_quad(cost, h: float) -> tuple[float, float]:
+    """(I1, I2) sensitivity integrals of a cost model by adaptive quadrature.
+
+    I1 = int_0^inf C(h y) y e^{-y^2} dy and I2 = int_0^inf C'(h y) y^2 e^{-y^2} dy,
+    with the quadrature settings the package used before the exponential
+    closed forms; drop-in for ``nlbs.ellipticity.cost_integrals``.
+    """
+    results = []
+    for integrand in (
+        lambda y: float(cost.value(h * y)) * y * math.exp(-y * y),
+        lambda y: float(cost.derivative(h * y)) * y * y * math.exp(-y * y),
+    ):
+        val, err = quad(integrand, 0.0, np.inf, epsabs=1e-14, epsrel=1e-10, limit=200)
+        if err > 1e-8 * max(abs(val), 1.0):
+            raise RuntimeError(f"sensitivity-integral quad error {err:.3e}")
+        results.append(val)
+    return results[0], results[1]
+
+
+def cost_integrals_mp(c0: float, k: float, h: float, dps: int = 30) -> tuple[float, float]:
+    """(I1, I2) for exponential cost C(x) = c0 e^{-kx} by mpmath quadrature at ``dps`` digits."""
+    with mpmath.workdps(dps):
+        c0, k, h = mpmath.mpf(c0), mpmath.mpf(k), mpmath.mpf(h)
+        # the integrands decay on the scale 1/(1 + k h); split there
+        nodes = [0, 1 / (1 + k * h), mpmath.inf]
+        i1 = mpmath.quad(lambda y: c0 * mpmath.exp(-k * h * y - y * y) * y, nodes)
+        i2 = mpmath.quad(lambda y: -k * c0 * mpmath.exp(-k * h * y - y * y) * y * y, nodes)
+        return float(i1), float(i2)
+
+
 def expected_cost_mc(cost_fn, theta: float, dt: float, draws: np.ndarray) -> float:
     """Monte Carlo E[C(sqrt(dt)|phi|) |phi|] from standard half-normal draws."""
     phi = math.sqrt(theta) * draws

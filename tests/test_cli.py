@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from nlbs import SolverFlags, cbest_price, solve_nonlinear, validate
+from nlbs import cli
 from nlbs.cli import main
 
 from conftest import CONFIG_DIR
@@ -297,6 +298,7 @@ def test_exit_code_2_names_an_unknown_section_key(tmp_path, capsys, flag, field)
     [
         ("analytic", 'output.tau="x"', "output.tau"),
         ("analytic", "output.tau=[0.5]", "output.tau"),
+        ("analytic", "output.tau=-1", "output.tau"),
         ("price", 'output.error_band="x"', "output.error_band"),
         ("price", "output.error_band=1.5", "output.error_band"),
         ("price", "output=5", "output"),
@@ -307,11 +309,24 @@ def test_exit_code_2_names_an_unknown_section_key(tmp_path, capsys, flag, field)
         ("sweep", 'output.dt_values="x"', "output.dt_values"),
         ("sweep", "output.probes=5", "output.probes"),
         ("sweep", "output.probes=[[1]]", "output.probes"),
+        ("sweep", "output.probes=[[30, -1]]", "output.probes"),
+        ("sweep", "output.probes=[[30, NaN]]", "output.probes"),
         ("leland", 'output.per_node_csv="no"', "output.per_node_csv"),
         ("leland", 'solver.skip_scan="false"', "solver.skip_scan"),
         ("leland", "solver.skip_scan=1", "solver.skip_scan"),
         ("leland", 'solver.dyf_form="bogus"', "solver.dyf_form"),
         ("price", "output.probes=5", "output.probes"),
+        ("converge", "solver.tol=-1", "solver.tol"),
+        ("price", "solver.tol=0", "solver.tol"),
+        ("sweep", "solver.tol=Infinity", "solver.tol"),
+        ("price", "solver.max_iter=0", "solver.max_iter"),
+        ("converge", "solver.max_iter=-3", "solver.max_iter"),
+        ("sweep", "output.dt_values=[-1]", "output.dt_values"),
+        ("sweep", "output.dt_values=0", "output.dt_values"),
+        ("sweep", "output.dt_values=[0.002, NaN]", "output.dt_values"),
+        ("sweep", "output.dt_values=[]", "output.dt_values"),
+        ("price", "output.error_band=-1", "output.error_band"),
+        ("price", "output.error_band=1000000", "output.error_band"),
     ],
 )
 def test_exit_code_2_names_a_malformed_output_or_solver_value(tmp_path, capsys, command, flag, field):
@@ -320,6 +335,20 @@ def test_exit_code_2_names_a_malformed_output_or_solver_value(tmp_path, capsys, 
     out = tmp_path / "o"
     assert main([command, "--config", str(cfg_path), "--out", str(out), "--flag", flag]) == 2
     assert f"config error: {field}:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_error_band_leaving_no_node_exits_2_before_the_solve(tmp_path, capsys, monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the solve ran")
+
+    monkeypatch.setattr(cli, "_quiet_solve", no_solve)
+    out = tmp_path / "o"
+    argv = ["price", "--config", str(CONFIG_DIR / "testing1.json"), "--out", str(out)]
+    for flag in ('grid={"a":1.5,"b":5.3,"nx":8,"nt":8}', "output.error_band=1000000"):
+        argv += ["--flag", flag]
+    assert main(argv) == 2
+    assert "config error: output.error_band: exclusion band leaves no interior nodes" in capsys.readouterr().err
     assert not out.exists()
 
 

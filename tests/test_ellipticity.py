@@ -6,7 +6,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import erfcx
 
 from nlbs import (
     ConstantCost,
@@ -25,6 +24,8 @@ from nlbs import (
     leland_number,
     scan_surface,
 )
+from nlbs import ellipticity
+from nlbs.ellipticity import _EXPONENTIAL_CLOSED_FORM_MAX_A as CLOSED_FORM_MAX_A
 
 import oracles
 from conftest import benchmark_scenario
@@ -71,21 +72,41 @@ def test_cost_integrals_constant_closed_form():
         assert i1 == 0.006 and i2 == 0.0
 
 
+def check_exponential_integrals(a, rel, c0=0.005, k=1.3):
+    i1, i2 = cost_integrals(ExponentialCost(c0=c0, k=k), a / k)
+    ref1, ref2 = oracles.cost_integrals_mp(c0, k, a / k)
+    assert i1 == pytest.approx(ref1, rel=rel), a
+    assert i2 == pytest.approx(ref2, rel=rel), a
+
+
+def test_cost_integrals_exponential_at_zero_scale():
+    """a = k h = 0: I1 = c0/2 and I2 = -k c0 sqrt(pi)/4."""
+    c0, k = 0.005, 1.3
+    i1, i2 = cost_integrals(ExponentialCost(c0=c0, k=k), 0.0)
+    assert i1 == c0 / 2.0
+    assert i2 == pytest.approx(-k * c0 * math.sqrt(math.pi) / 4.0, rel=1e-15)
+
+
 def test_cost_integrals_exponential_closed_form():
-    """Quadrature against the erfcx closed forms of both integrals."""
+    """The closed forms against 30-digit quadrature, from a = 1e-8 through
+    the benchmark range (a <= 0.05) up to the cutoff a = 20."""
     rng = np.random.default_rng(606)
-    for _ in range(30):
-        c0 = rng.uniform(1e-4, 0.05)
-        k = rng.uniform(0.01, 4.0)
-        h = rng.uniform(1e-4, 5.0)
-        i1, i2 = cost_integrals(ExponentialCost(c0=c0, k=k), h)
-        a = k * h
-        ref1 = c0 * (0.5 - (a * math.sqrt(math.pi) / 4.0) * erfcx(a / 2.0))
-        ref2 = -k * c0 * (
-            (math.sqrt(math.pi) / 4.0) * (1.0 + a * a / 2.0) * erfcx(a / 2.0) - a / 4.0
-        )
-        assert i1 == pytest.approx(ref1, rel=1e-9)
-        assert i2 == pytest.approx(ref2, rel=1e-9)
+    workload = np.exp(rng.uniform(math.log(1e-8), math.log(0.05), size=10))
+    upper = rng.uniform(0.05, CLOSED_FORM_MAX_A, size=10)
+    for a in [1e-8, *workload, 0.05, *upper, CLOSED_FORM_MAX_A]:
+        check_exponential_integrals(float(a), rel=1e-11)
+
+
+def test_cost_integrals_exponential_quadrature_past_the_cutoff():
+    for a in [CLOSED_FORM_MAX_A * (1.0 + 1e-9), 25.0, 100.0, 1e3]:
+        check_exponential_integrals(a, rel=1e-9)
+
+
+def test_cost_integrals_exponential_branches_agree_at_the_cutoff():
+    cost = ExponentialCost(c0=0.005, k=1.0)
+    closed = cost_integrals(cost, CLOSED_FORM_MAX_A)
+    quadrature = cost_integrals(cost, math.nextafter(CLOSED_FORM_MAX_A, math.inf))
+    np.testing.assert_allclose(closed, quadrature, rtol=1e-11)
 
 
 def test_cost_integrals_sampled_requires_derivative_samples():
@@ -186,6 +207,46 @@ def test_exact_form_matches_finite_differences():
         )
         scale = np.abs(ref).max()
         assert np.abs(d - ref).max() <= 1e-5 * scale
+
+
+def test_exact_form_matches_finite_differences_under_exponential_cost():
+    """Criterion 3's 50 draws with C(x) = c0 e^{-kx}; k h spans both sides of
+    the closed-form cutoff, so both branches of cost_integrals are checked."""
+    rng = np.random.default_rng(303)
+    worst = 0.0
+    for _ in range(50):
+        market, spots, b, dt, c0 = well_conditioned_state(rng)
+        k = rng.uniform(0.1, 8.0)
+        cost = ExponentialCost(c0=c0, k=k)
+        inputs = DyfInputs(hessian=b, spots=spots, market=market, dt=dt, cost=cost)
+        ref = oracles.fd_hessian_derivative(
+            b,
+            spots,
+            market.sigmas,
+            np.asarray(market.rho),
+            lambda x, c0=c0, k=k: c0 * np.exp(-k * np.asarray(x, dtype=float)),
+            dt,
+        )
+        worst = max(worst, np.abs(dyf_matrix(inputs, form="exact") - ref).max() / np.abs(ref).max())
+    assert worst <= 1e-5
+
+
+@pytest.mark.parametrize("k", [1.0, 3000.0])
+def test_scan_surface_exponential_matches_the_quadrature_path(monkeypatch, k):
+    """The closed-form scan against the same scan with quadrature (I1, I2).
+
+    Config 1 has k = 1; k = 3000 puts part of the surface past the cutoff."""
+    scen = scan_scenario().with_cost(ExponentialCost(c0=0.005, k=k))
+    u = analytic_surface(scen)
+    closed = {form: scan_surface(u, scen, form=form) for form in ("aggregate", "exact")}
+    monkeypatch.setattr(ellipticity, "cost_integrals", oracles.cost_integrals_quad)
+    for form, rep in closed.items():
+        ref = scan_surface(u, scen, form=form)
+        assert rep.n_checked == ref.n_checked > 0
+        np.testing.assert_array_equal(np.isnan(rep.eigenvalues), np.isnan(ref.eigenvalues))
+        np.testing.assert_array_equal(rep.eigenvalues <= rep.eig_tol, ref.eigenvalues <= ref.eig_tol)
+        np.testing.assert_allclose(rep.eigenvalues, ref.eigenvalues, rtol=1e-10)
+        assert (rep.satisfied, rep.worst_node) == (ref.satisfied, ref.worst_node)
 
 
 def test_aggregate_form_divergence_is_systematic():

@@ -104,18 +104,18 @@ GOLDEN = {
     },
     "leland1": {
         "exit": 0,
-        "ellipticity.json": "f204760e8dbcf8e80e5b4f5604e6df3585cb6a5ebe752650f72821d728f7ba7b",
-        "ellipticity_nodes.csv": "a175c537179134e547b9541954ea3074c1d09263780398079cfab9ef76958464",
+        "ellipticity.json": "988687a9d660dc0b6e6871ef4dcaa4f4bba98cbbb665f69f9c552ce7e8e756ed",
+        "ellipticity_nodes.csv": "aca91053ce789f592a03e36230b329784a23835d70b11c59c73d3a30e45baeb8",
     },
     "leland2": {
         "exit": 0,
         "ellipticity.json": "529e65c2ef84546598fff81818487f73444a38030ae05bc35f673e57a249a2b2",
-        "ellipticity_nodes.csv": "c702df35555a65dedfb558b73615e9ce8acdae0d2237ac758ecf2517cccd889c",
+        "ellipticity_nodes.csv": "e68159e591142b2b1fcc23009247e3f0241fc43a38aeccb9097e644848cfea66",
     },
     "leland3_exact": {
         "exit": 0,
         "ellipticity.json": "25d384d719371c823b6aa2cb854522f26bce1c73245184e19c50ce02ba0c2041",
-        "ellipticity_nodes.csv": "9278f60e2ce866f65d39e327ceacdcbe558de5621d4b248fdbd7535b7942c0d8",
+        "ellipticity_nodes.csv": "204ad269630ee9ec10078e86087bdeeca6b06784953a7ce2a6591bfb146db246",
     },
     "leland3_sampled_exact": {
         "exit": 0,
