@@ -22,6 +22,10 @@ sweep n evaluates G on iterate n-1's surface at the matching time level.
 Recorded convergence distances start with the first cost-bearing correction:
 record n is the distance between sweeps n+1 and n at tau = T in the induced
 matrix 1-, 2- and infinity-norms, and the iteration stops on the last.
+A costed sweep keeps its whole space-time block, (nt+1)(nx+1)^2 floats,
+because the next sweep evaluates the source on it level by level.  A
+zero-cost solve converges after its one linear sweep, which streams: it
+holds only the current level and its half level and keeps the terminal one.
 
 Dirichlet boundary values on all four edges come from marching each edge
 with the one-dimensional limit of the two-stage scheme itself (the exact
@@ -44,6 +48,7 @@ bit-identical to the row-by-row Thomas loop.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import warnings
@@ -124,11 +129,25 @@ class GridSpec:
         return (self.b - self.a) / self.nx
 
     def axis(self) -> np.ndarray:
-        return np.linspace(self.a, self.b, self.nx + 1)
+        """The nx+1 node coordinates, computed once per grid; read-only."""
+        return self._nodes
 
     def spot_axis(self) -> np.ndarray:
-        ax = self.axis()
-        return np.exp(ax) if self.coord == "log" else ax
+        """The node spots (exp of the axis on a log grid), computed once; read-only."""
+        return self._spots
+
+    @functools.cached_property
+    def _nodes(self) -> np.ndarray:
+        return _read_only(np.linspace(self.a, self.b, self.nx + 1))
+
+    @functools.cached_property
+    def _spots(self) -> np.ndarray:
+        return _read_only(np.exp(self._nodes)) if self.coord == "log" else self._nodes
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 def default_grid(market: MarketParams, payoff: BestCashOrNothing, nx: int = 100, nt: int = 100) -> GridSpec:
@@ -169,6 +188,14 @@ class ConvergenceRecord:
 
 @dataclass
 class SolveResult:
+    """Outcome of :func:`solve_nonlinear`.
+
+    ``block`` holds the levels the last sweep kept: all nt+1 levels of a
+    costed solve (shape (nt+1, nx+1, nx+1)), only the terminal level of a
+    zero-cost solve (shape (1, nx+1, nx+1)).  ``block[-1]`` is the surface
+    at tau = T either way.
+    """
+
     surface: Surface
     records: list[ConvergenceRecord]
     converged: bool
@@ -580,13 +607,17 @@ def sweep(
     g_provider: Callable[[int], np.ndarray] | None = None,
     flags: SolverFlags = SolverFlags(),
     boundary: BoundaryData | None = None,
+    keep_block: bool = True,
 ) -> np.ndarray:
     """March the scheme from the payoff to tau = T.
 
     Returns the full space-time block, shape (nt+1, nx+1, nx+1); level m is
-    the surface at tau = m dtau.  ``g_provider(m)`` must return the source
-    field used for the step m -> m+1 (full-shape array); None means zero
-    source (the linear problem).
+    the surface at tau = m dtau.  With ``keep_block=False`` the march holds
+    only the current level (and its half level) and returns the terminal
+    level alone, shape (1, nx+1, nx+1), with the same values as the last
+    level of the block.  ``g_provider(m)`` must return the source field used
+    for the step m -> m+1 (full-shape array); None means zero source (the
+    linear problem).
     """
     grid = scenario.grid
     nt = grid.nt
@@ -596,12 +627,17 @@ def sweep(
     op_x = _StageOperator(scenario, flags, dtau, axis=0)
     op_y = _StageOperator(scenario, flags, dtau, axis=1)
     n = grid.nx
-    block = np.empty((nt + 1, n + 1, n + 1))
-    block[0] = initial_condition(grid, scenario.payoff)
+    block = np.empty((nt + 1, n + 1, n + 1)) if keep_block else None
+    level = initial_condition(grid, scenario.payoff)
     for m in range(nt):
+        if block is not None:
+            block[m] = level
         g = g_provider(m) if g_provider is not None else None
-        half = op_x.apply(block[m], boundary.edges(2 * m + 1), g=None)
-        block[m + 1] = op_y.apply(half, boundary.edges(2 * m + 2), g=g)
+        half = op_x.apply(level, boundary.edges(2 * m + 1), g=None)
+        level = op_y.apply(half, boundary.edges(2 * m + 2), g=g)
+    if block is None:
+        return level[None]
+    block[nt] = level
     return block
 
 
@@ -621,7 +657,8 @@ def solve_nonlinear(
     sweeps (then ``converged=False`` and a RuntimeWarning is issued).
 
     A cost model that is identically zero makes every correction vanish, so
-    the linear sweep is returned immediately as converged.
+    the linear sweep is returned immediately as converged; that sweep streams
+    its levels and ``block`` holds the terminal level alone.
     """
     tol = float(tol)
     if not math.isfinite(tol) or tol <= 0.0:
@@ -644,7 +681,8 @@ def solve_nonlinear(
     prev: np.ndarray | None = None
     for sweeps in range(1, int(max_iter) + 1):
         provider = None if prev is None else make_provider(prev)
-        cur = sweep(scenario, g_provider=provider, flags=flags, boundary=boundary)
+        # a costed sweep keeps its block: the next sweep's source reads it
+        cur = sweep(scenario, g_provider=provider, flags=flags, boundary=boundary, keep_block=not zero_cost)
         if prev is None:
             converged = zero_cost
         else:

@@ -94,10 +94,12 @@ def _bvn_upper(h, k, r):
         hs = (h * h + k * k) / 2.0
         asr = math.asin(r)
         sn = np.sin(asr * (_GL_X + 1.0) / 2.0)  # (20,)
-        # integrand over quadrature nodes, broadcast against grid of (h, k)
-        ex = np.exp(
-            (sn * hk[..., None] - hs[..., None]) / (1.0 - sn * sn)
-        )
+        # integrand over quadrature nodes, broadcast against grid of (h, k),
+        # built in one buffer: the same operations in the same order
+        ex = sn * hk[..., None]
+        ex -= hs[..., None]
+        ex /= 1.0 - sn * sn
+        np.exp(ex, out=ex)
         bvn = ex @ _GL_W
         return bvn * asr / (2.0 * _TWO_PI) + ndtr(-h) * ndtr(-k)
 

@@ -108,6 +108,13 @@ def _nonnegative(value: Any, qualified: str) -> float:
     return x
 
 
+def _finite(value: Any, qualified: str) -> float:
+    x = _numbers(value, qualified)
+    if not math.isfinite(x):
+        raise ValidationError(qualified, f"expected a finite number, got {value!r}")
+    return x
+
+
 def _sweep_count(value: Any, qualified: str) -> int:
     n = _integer(value, qualified)
     if n < 1:
@@ -129,8 +136,8 @@ _SOLVER_PARSERS = {
     "tol": _positive,
     "max_iter": _sweep_count,
     "dyf_form": _dyf_form,
-    "eig_tol": _numbers,
-    "theta_floor": _numbers,
+    "eig_tol": _finite,
+    "theta_floor": _nonnegative,
     "skip_scan": _boolean,
 }
 _OUTPUT_PARSERS = {

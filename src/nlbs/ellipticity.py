@@ -336,7 +336,9 @@ def scan_surface(
     The surface's finite-difference Hessian uses the same stencils as the
     PDE scheme (``flags``).  Nodes where either Theta_i <= theta_floor (flat
     payoff regions, deep tails) are counted as degenerate and excluded from
-    the eigenvalue statistics rather than misclassified.
+    the eigenvalue statistics rather than misclassified.  ``theta_floor``
+    must be finite and nonnegative (the sensitivities divide by sqrt(Theta))
+    and ``eig_tol`` finite; otherwise :class:`ValidationError` names them.
     """
     u = np.asarray(getattr(surface, "values", surface), dtype=float)
     grid = scenario.grid
@@ -345,6 +347,10 @@ def scan_surface(
         raise ValidationError("surface", f"expected shape ({n + 1}, {n + 1}), got {u.shape}")
     if form not in ("aggregate", "exact"):
         raise ValidationError("form", f"expected 'aggregate' or 'exact', got {form!r}")
+    if not (math.isfinite(theta_floor) and theta_floor >= 0.0):
+        raise ValidationError("theta_floor", f"expected a nonnegative finite number, got {theta_floor}")
+    if not math.isfinite(eig_tol):
+        raise ValidationError("eig_tol", f"expected a finite number, got {eig_tol}")
     market = scenario.market
     sig1, sig2 = market.sigmas
     rho = float(market.rho[0, 1])

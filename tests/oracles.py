@@ -124,6 +124,26 @@ def phi_fast(x: float) -> float:
     return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
 
+def bvn_upper_two_temporaries(h, k, r: float):
+    """P(X > h, Y > k) by the Drezner-Wesolowsky branch (|r| < 0.925) as the
+    package evaluated it before its integrand was built in one buffer: one
+    expression, with two (N, 20) temporaries alive at once."""
+    from scipy.special import ndtr
+
+    gl_x, gl_w = np.polynomial.legendre.leggauss(20)
+    h = np.asarray(h, dtype=float)
+    k = np.asarray(k, dtype=float)
+    hk = h * k
+    hs = (h * h + k * k) / 2.0
+    asr = math.asin(r)
+    sn = np.sin(asr * (gl_x + 1.0) / 2.0)
+    ex = np.exp(
+        (sn * hk[..., None] - hs[..., None]) / (1.0 - sn * sn)
+    )
+    bvn = ex @ gl_w
+    return bvn * asr / (2.0 * (2.0 * math.pi)) + ndtr(-h) * ndtr(-k)
+
+
 # ---------------------------------------------------------------------------
 # expected rebalancing cost
 # ---------------------------------------------------------------------------

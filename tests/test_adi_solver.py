@@ -3,6 +3,7 @@ oracles, the boundary edge march, the time march, the fixed-point wrapper."""
 
 import hashlib
 import math
+import tracemalloc
 import warnings
 from dataclasses import fields
 
@@ -47,6 +48,21 @@ def test_grid_spec_accessors():
     np.testing.assert_allclose(g.spot_axis(), np.exp(ax))
     price = GridSpec(a=1.0, b=9.0, nx=4, nt=1, coord="price")
     np.testing.assert_allclose(price.spot_axis(), price.axis())
+
+
+def test_grid_axes_are_computed_once_and_read_only():
+    g = GridSpec(a=0.0, b=2.0, nx=8, nt=5)
+    assert g.axis() is g.axis() and g.spot_axis() is g.spot_axis()
+    np.testing.assert_array_equal(g.axis(), np.linspace(0.0, 2.0, 9))
+    np.testing.assert_array_equal(g.spot_axis(), np.exp(np.linspace(0.0, 2.0, 9)))
+    price = GridSpec(a=1.0, b=9.0, nx=4, nt=1, coord="price")
+    assert price.spot_axis() is price.axis()
+    for arr in (g.axis(), g.spot_axis(), price.axis()):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1.0
+    # the cache is no field: equal grids stay equal and hash alike
+    same = GridSpec(a=0.0, b=2.0, nx=8, nt=5)
+    assert g == same and hash(g) == hash(same)
 
 
 @pytest.mark.parametrize(
@@ -475,6 +491,49 @@ def test_solve_zero_cost_returns_linear_solution_immediately():
     np.testing.assert_array_equal(res.surface.values, res.block[-1])
     assert res.surface.time_index == 5
     np.testing.assert_array_equal(res.block[-1], sweep(scen)[-1])
+
+
+@pytest.mark.parametrize("nx,nt", [(200, 200), (120, 70)])
+def test_zero_cost_solve_streams_the_march(nx, nt):
+    """A zero-cost solve keeps the terminal level alone, bit-identical to the
+    last level of the full block."""
+    scen = benchmark_scenario(1, nx=nx, nt=nt).with_cost(ConstantCost(c0=0.0))
+    res = solve_nonlinear(scen)
+    assert res.block.shape == (1, nx + 1, nx + 1)
+    full = sweep(scen)
+    assert full.shape == (nt + 1, nx + 1, nx + 1)
+    np.testing.assert_array_equal(res.surface.values, full[-1])
+    np.testing.assert_array_equal(res.block[-1], full[-1])
+
+
+def test_zero_cost_solve_memory_is_a_few_levels():
+    scen = benchmark_scenario(1, nx=200, nt=200).with_cost(ConstantCost(c0=0.0))
+    block_bytes = (scen.grid.nt + 1) * (scen.grid.nx + 1) ** 2 * 8
+    tracemalloc.start()
+    try:
+        solve_nonlinear(scen)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < block_bytes / 8
+
+
+def test_sweep_without_the_block_keeps_the_terminal_level():
+    scen = benchmark_scenario(2, nx=14, nt=9)
+    g = assemble_G(initial_condition(scen.grid, scen.payoff), scen)
+    for provider in (None, lambda m: g * (m + 1)):
+        full = sweep(scen, g_provider=provider)
+        last = sweep(scen, g_provider=provider, keep_block=False)
+        assert last.shape == (1, 15, 15)
+        np.testing.assert_array_equal(last[0], full[-1])
+
+
+def test_costed_solve_keeps_the_full_block():
+    scen = benchmark_scenario(1, nx=12, nt=6)
+    res = solve_nonlinear(scen, tol=1e-8)
+    assert res.iterations >= 2
+    assert res.block.shape == (7, 13, 13)
+    np.testing.assert_array_equal(res.block[-1], res.surface.values)
 
 
 def test_solve_costed_converges_on_coarse_grid():

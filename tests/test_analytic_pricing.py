@@ -12,6 +12,7 @@ from nlbs import (
     cbest_price,
     univariate_cdf,
 )
+from nlbs.analytic_pricing import _bvn_upper
 
 import oracles
 from conftest import benchmark_scenario
@@ -40,6 +41,24 @@ def test_univariate_cdf_vectorized():
 # ---------------------------------------------------------------------------
 # bivariate CDF
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("case", [1, 2, 3])
+def test_bvn_upper_matches_the_two_temporary_expression(case):
+    """The one-buffer integrand repeats the old expression's operations in
+    the same order, so every value is the same float.  Configs 1-3 give the
+    closed form |rho1|, |rho2| in {0, 0.632, 0.643, 0.866, 0.924}, all on the
+    Drezner-Wesolowsky branch."""
+    scen = benchmark_scenario(case)
+    inter = cbest_intermediates(scen.payoff.X, scen.payoff.X, scen.market.T, scen.market, scen.payoff)
+    rng = np.random.default_rng(case)
+    h, k = rng.normal(0.0, 2.5, size=(2, 100_000))
+    grid = np.linspace(-6.0, 6.0, 41)
+    h2, k2 = np.meshgrid(grid, grid, indexing="ij")
+    for corr in (inter.rho1, -inter.rho1, inter.rho2, -inter.rho2):
+        assert abs(corr) < 0.925
+        np.testing.assert_array_equal(_bvn_upper(h, k, corr), oracles.bvn_upper_two_temporaries(h, k, corr))
+        np.testing.assert_array_equal(_bvn_upper(h2, k2, corr), oracles.bvn_upper_two_temporaries(h2, k2, corr))
 
 
 def test_bivariate_cdf_against_quadrature_oracle():

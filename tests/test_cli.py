@@ -327,6 +327,11 @@ def test_exit_code_2_names_an_unknown_section_key(tmp_path, capsys, flag, field)
         ("sweep", "output.dt_values=[]", "output.dt_values"),
         ("price", "output.error_band=-1", "output.error_band"),
         ("price", "output.error_band=1000000", "output.error_band"),
+        ("leland", "solver.theta_floor=-1", "solver.theta_floor"),
+        ("leland", "solver.theta_floor=NaN", "solver.theta_floor"),
+        ("leland", "solver.theta_floor=Infinity", "solver.theta_floor"),
+        ("leland", "solver.eig_tol=NaN", "solver.eig_tol"),
+        ("leland", "solver.eig_tol=-Infinity", "solver.eig_tol"),
     ],
 )
 def test_exit_code_2_names_a_malformed_output_or_solver_value(tmp_path, capsys, command, flag, field):

@@ -469,6 +469,32 @@ def test_scan_surface_shape_validation():
         scan_surface(analytic_surface(scen), scen, form="hybrid")
 
 
+@pytest.mark.parametrize(
+    "kwargs,field",
+    [
+        ({"theta_floor": -1.0}, "theta_floor"),
+        ({"theta_floor": math.nan}, "theta_floor"),
+        ({"theta_floor": math.inf}, "theta_floor"),
+        ({"eig_tol": math.nan}, "eig_tol"),
+        ({"eig_tol": -math.inf}, "eig_tol"),
+    ],
+)
+def test_scan_surface_rejects_a_negative_or_non_finite_threshold(kwargs, field):
+    """A negative floor would let Theta = 0 reach the 1/sqrt(Theta) of the
+    sensitivities (a flat surface is Theta = 0 everywhere); NaN would mark
+    no node degenerate, or every checked node violating."""
+    scen = benchmark_scenario(1, nx=10, nt=2)
+    with pytest.raises(ValidationError, match=field):
+        scan_surface(np.ones((11, 11)), scen, **kwargs)
+
+
+def test_scan_surface_accepts_a_zero_theta_floor():
+    scen = scan_scenario()
+    n = scen.grid.nx
+    report = scan_surface(np.ones((n + 1, n + 1)), scen, theta_floor=0.0)
+    assert report.degenerate_count == (n - 1) ** 2
+
+
 def test_scan_report_serialization(tmp_path):
     scen = scan_scenario(nx=10)
     report = scan_surface(analytic_surface(scen), scen)
