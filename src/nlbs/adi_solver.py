@@ -22,6 +22,8 @@ sweep n evaluates G on iterate n-1's surface at the matching time level.
 Recorded convergence distances start with the first cost-bearing correction:
 record n is the distance between sweeps n+1 and n at tau = T in the induced
 matrix 1-, 2- and infinity-norms, and the iteration stops on the last.
+The source lags one time level, so level m is final after m + 1 sweeps: the
+iteration always stops, at distance 0, by sweep nt + 2 (the default cap).
 A costed sweep keeps its whole space-time block, (nt+1)(nx+1)^2 floats,
 because the next sweep evaluates the source on it level by level.  A
 zero-cost solve converges after its one linear sweep, which streams: it
@@ -51,7 +53,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Literal
 
@@ -645,7 +646,7 @@ def solve_nonlinear(
     scenario: Scenario,
     *,
     tol: float = 1e-6,
-    max_iter: int = 25,
+    max_iter: int | None = None,
     flags: SolverFlags = SolverFlags(),
 ) -> SolveResult:
     """Fixed-point iteration on the transaction-cost source term.
@@ -654,19 +655,22 @@ def solve_nonlinear(
     evaluates the source on sweep n-1's space-time block, level by level.
     Stops when the distance between consecutive terminal surfaces drops below
     ``tol`` in the induced infinity-norm (max row sum), or after ``max_iter``
-    sweeps (then ``converged=False`` and a RuntimeWarning is issued).
+    sweeps (then ``converged=False``, and no warning is issued).
+    ``max_iter`` defaults to nt + 2, by which the iteration always stops at
+    distance 0 (see the module docstring), so a default solve converges.
 
     A cost model that is identically zero makes every correction vanish, so
     the linear sweep is returned immediately as converged; that sweep streams
     its levels and ``block`` holds the terminal level alone.
     """
+    grid = scenario.grid
     tol = float(tol)
     if not math.isfinite(tol) or tol <= 0.0:
         raise ValidationError("tol", f"tolerance must be positive, got {tol}")
-    if int(max_iter) < 1:
+    max_iter = grid.nt + 2 if max_iter is None else int(max_iter)
+    if max_iter < 1:
         raise ValidationError("max_iter", f"need at least one sweep, got {max_iter}")
 
-    grid = scenario.grid
     dtau = scenario.market.T / grid.nt
     boundary = BoundaryData(scenario, flags, dtau)
 
@@ -679,7 +683,7 @@ def solve_nonlinear(
     zero_cost = scenario.cost.bounds()[1] == 0.0
     records: list[ConvergenceRecord] = []
     prev: np.ndarray | None = None
-    for sweeps in range(1, int(max_iter) + 1):
+    for sweeps in range(1, max_iter + 1):
         provider = None if prev is None else make_provider(prev)
         # a costed sweep keeps its block: the next sweep's source reads it
         cur = sweep(scenario, g_provider=provider, flags=flags, boundary=boundary, keep_block=not zero_cost)
@@ -700,12 +704,6 @@ def solve_nonlinear(
         if converged:
             break
     assert prev is not None
-    if not converged:
-        warnings.warn(
-            f"fixed-point iteration did not reach tol={tol} within {max_iter} sweeps",
-            RuntimeWarning,
-            stacklevel=2,
-        )
     return SolveResult(
         surface=Surface(values=prev[-1], time_index=grid.nt, iterate_index=sweeps),
         records=records,

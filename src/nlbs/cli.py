@@ -22,9 +22,16 @@ the wrong type are config errors, found before any solve; switches take
 JSON booleans, and a ``solver`` or ``output`` value of null means the key is
 absent.
 
-Exit codes: 0 success, 2 invalid config, 3 numerical non-convergence
-(``price``, ``converge``, and ``leland`` before it scans) or, for ``sweep``,
-a row with Le >= 1 or a non-finite price, 4 I/O failure.
+A solver or output setting the config leaves out takes the library's
+default; ``solver.max_iter`` defaults to nt + 2, by which the fixed-point
+iteration always converges.
+
+Exit codes: 0 success, 2 invalid config, 3 a result not to trust, 4 I/O
+failure.  Exit 3 means: for ``price`` and a scanning ``leland``, an asset
+with Leland number Le >= 1 at ``dt_tc`` (from the cost's upper bound), a
+non-finite surface, or a solve stopped short by an explicit ``max_iter``
+(``leland`` then does not scan); for ``sweep``, a row with Le >= 1 or a
+non-finite price; for ``converge``, a solve stopped short.
 """
 
 from __future__ import annotations
@@ -33,7 +40,6 @@ import argparse
 import json
 import math
 import sys
-import warnings
 from dataclasses import fields
 from pathlib import Path
 from typing import Any, get_args
@@ -44,7 +50,7 @@ from .adi_solver import GridSpec, SolveResult, solve_nonlinear
 from .analytic_pricing import cbest_price
 from .cost_engine import QuadratureError, assemble_G
 from .diagnostics import compared_nodes, dt_sensitivity_sweep, error_vs_analytic
-from .ellipticity import DyfForm, leland_number, scan_surface
+from .ellipticity import DyfForm, LelandNumber, leland_number, scan_surface
 from .market_model import Scenario, SolverFlags, ValidationError, _integer, _numbers, validate
 
 __all__ = ["main"]
@@ -148,6 +154,10 @@ _OUTPUT_PARSERS = {
     "probes": _probes,
 }
 _TOP_LEVEL_KEYS = ("market", "cost", "payoff", "dt_tc", "grid", "solver", "output")
+# config key -> keyword of the library call it configures
+_SOLVE_ARGS = {"tol": "tol", "max_iter": "max_iter"}
+_SCAN_ARGS = {"dyf_form": "form", "eig_tol": "eig_tol", "theta_floor": "theta_floor"}
+_BAND_ARG = {"error_band": "band"}
 
 
 def _parsed_section(cfg: dict, name: str, parsers: dict) -> dict:
@@ -251,19 +261,15 @@ def _setup(args) -> tuple[dict, Scenario, SolverFlags, dict, dict]:
     return cfg, scenario, flags, solver, output
 
 
-def _quiet_solve(scenario: Scenario, flags: SolverFlags, solver: dict) -> SolveResult:
-    """The nonlinear solve with the config's iteration settings.
+def _settings(section: dict, args: dict[str, str]) -> dict:
+    """Keyword arguments for the keys of ``args`` that ``section`` sets; the rest keep the library's defaults."""
+    return {arg: section[key] for key, arg in args.items() if key in section}
 
-    Non-convergence is reported through the result, not as a warning.
-    """
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        return solve_nonlinear(
-            scenario,
-            tol=solver.get("tol", 1e-6),
-            max_iter=solver.get("max_iter", 25),
-            flags=flags,
-        )
+
+def _leland_numbers(scenario: Scenario, dt: float) -> list[LelandNumber]:
+    """Each asset's Leland number at rebalancing interval ``dt``, from the round-trip cost bound."""
+    round_trip = 2.0 * scenario.cost.bounds()[1]
+    return [leland_number(sigma, round_trip, dt) for sigma in scenario.market.sigmas]
 
 
 def _status(result: SolveResult) -> str:
@@ -278,16 +284,16 @@ def _status(result: SolveResult) -> str:
 
 def _cmd_price(args) -> int:
     cfg, scenario, flags, solver, output = _setup(args)
-    band = output.get("error_band", 2)
+    band = _settings(output, _BAND_ARG)
     try:
-        compared_nodes(scenario, band)
+        compared_nodes(scenario, **band)
     except ValidationError as exc:
         raise ValidationError("output.error_band", str(exc).removeprefix(f"{exc.field}: ")) from None
     out = _out_dir(args)
 
-    result = _quiet_solve(scenario, flags, solver)
+    result = solve_nonlinear(scenario, flags=flags, **_settings(solver, _SOLVE_ARGS))
     g = assemble_G(result.surface.values, scenario, flags=flags)
-    err = error_vs_analytic(result.surface.values, scenario, band=band)
+    err = error_vs_analytic(result.surface.values, scenario, **band)
 
     _write_surface_csv(out / "surface.csv", scenario.grid, result.surface.values)
     _write_surface_csv(out / "cost_field.csv", scenario.grid, g, value_name="G")
@@ -313,7 +319,13 @@ def _cmd_price(args) -> int:
         f"price: {_status(result)}; "
         f"peak-normalized benchmark error {err.max_rel:.3e}; wrote {out}"
     )
-    return 0 if result.converged else 3
+    ill_posed = [i for i, le in enumerate(_leland_numbers(scenario, scenario.dt_tc), start=1) if not le.well_posed]
+    if ill_posed:
+        print(f"price: ILL-POSED (Le >= 1) at dt_tc={scenario.dt_tc:.6g} for asset {', '.join(map(str, ill_posed))}")
+    finite = bool(np.isfinite(result.surface.values).all())
+    if not finite:
+        print("price: the surface is not finite")
+    return 0 if result.converged and finite and not ill_posed else 3
 
 
 def _cmd_analytic(args) -> int:
@@ -341,30 +353,27 @@ def _cmd_analytic(args) -> int:
 def _cmd_leland(args) -> int:
     cfg, scenario, flags, solver, output = _setup(args)
 
-    upper = scenario.cost.bounds()[1]
-    for i, sigma in enumerate(scenario.market.sigmas, start=1):
-        le = leland_number(sigma, 2.0 * upper, scenario.dt_tc)
+    round_trip = 2.0 * scenario.cost.bounds()[1]
+    lelands = _leland_numbers(scenario, scenario.dt_tc)
+    for i, (sigma, le) in enumerate(zip(scenario.market.sigmas, lelands), start=1):
         verdict = "well-posed (Le < 1)" if le.well_posed else "ILL-POSED (Le >= 1)"
         print(
-            f"asset {i}: sigma={_fmt(sigma)}, round-trip cost bound={_fmt(2.0 * upper)}, "
+            f"asset {i}: sigma={_fmt(sigma)}, round-trip cost bound={_fmt(round_trip)}, "
             f"dt={_fmt(scenario.dt_tc)} -> Le={le.value:.6g}: {verdict}"
         )
 
+    # the classification alone is a trusted result, whatever its verdict
     if solver.get("skip_scan", False):
         return 0
 
-    result = _quiet_solve(scenario, flags, solver)
+    result = solve_nonlinear(scenario, flags=flags, **_settings(solver, _SOLVE_ARGS))
     if not result.converged:
         print(f"leland: solve {_status(result)}; surface not scanned")
         return 3
-    report = scan_surface(
-        result.surface.values,
-        scenario,
-        form=solver.get("dyf_form", "aggregate"),
-        eig_tol=solver.get("eig_tol", 1e-10),
-        theta_floor=solver.get("theta_floor", 1e-14),
-        flags=flags,
-    )
+    if not np.isfinite(result.surface.values).all():
+        print("leland: the surface is not finite; not scanned")
+        return 3
+    report = scan_surface(result.surface.values, scenario, flags=flags, **_settings(solver, _SCAN_ARGS))
     if report.n_checked:
         verdict = "satisfied" if report.satisfied else "violated"
         print(
@@ -387,13 +396,13 @@ def _cmd_leland(args) -> int:
         if output.get("per_node_csv", False):
             report.write_nodes_csv(out / "ellipticity_nodes.csv")
         print(f"leland: wrote scan report to {out}")
-    return 0
+    return 0 if all(le.well_posed for le in lelands) else 3
 
 
 def _cmd_converge(args) -> int:
     cfg, scenario, flags, solver, _ = _setup(args)
     out = _out_dir(args)
-    result = _quiet_solve(scenario, flags, solver)
+    result = solve_nonlinear(scenario, flags=flags, **_settings(solver, _SOLVE_ARGS))
     _write_convergence_csv(out / "convergence.csv", result.records)
     _write_metadata(
         out / "metadata.json",
@@ -419,14 +428,7 @@ def _cmd_sweep(args) -> int:
     if dt_values is None:
         dt_values = np.logspace(math.log10(7.6e-5), math.log10(7e-3), 20).tolist()
     probes = output.get("probes")
-    result = dt_sensitivity_sweep(
-        scenario,
-        dt_values,
-        probes,
-        tol=solver.get("tol", 1e-6),
-        max_iter=solver.get("max_iter", 25),
-        flags=flags,
-    )
+    result = dt_sensitivity_sweep(scenario, dt_values, probes, flags=flags, **_settings(solver, _SOLVE_ARGS))
     n_probe = len(result.probe_nodes)
     with open(out / "sweep.csv", "w", newline="") as fh:
         heads = ["dt", "converged", "iterations"]
@@ -438,11 +440,7 @@ def _cmd_sweep(args) -> int:
             cells += [_fmt(v) for v in row.prices]
             cells += [_fmt(v) for v in row.g_values]
             fh.write(",".join(cells) + "\n")
-    # per-asset Leland numbers of each row, as `leland` computes them
-    upper = scenario.cost.bounds()[1]
-    leland = [
-        [leland_number(sigma, 2.0 * upper, row.dt) for sigma in scenario.market.sigmas] for row in result.rows
-    ]
+    leland = [_leland_numbers(scenario, row.dt) for row in result.rows]
     ill_posed = [row.dt for row, les in zip(result.rows, leland) if not all(le.well_posed for le in les)]
     non_finite = [row.dt for row in result.rows if not all(map(math.isfinite, row.prices))]
     _write_metadata(

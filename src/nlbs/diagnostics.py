@@ -23,7 +23,6 @@
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -191,16 +190,17 @@ def dt_sensitivity_sweep(
     dt_values,
     probes=None,
     *,
-    tol: float = 1e-6,
-    max_iter: int = 25,
     flags: SolverFlags = SolverFlags(),
+    **settings,
 ) -> DtSweepResult:
     """Solve the nonlinear problem for each rebalancing interval in dt_values.
 
     ``probes`` is a sequence of (S1, S2) spot pairs (default: the single
     at-the-threshold probe (X, X)); each is snapped to the nearest grid node.
-    A solve that fails to converge is recorded with ``converged=False`` and
-    the sweep continues.
+    ``settings`` (``tol``, ``max_iter``) go to :func:`solve_nonlinear`, whose
+    defaults hold for those not given; with the default ``max_iter`` of
+    nt + 2 every solve converges.  A solve stopped short by an explicit
+    ``max_iter`` is recorded with ``converged=False`` and the sweep continues.
     """
     dts = [float(d) for d in np.atleast_1d(dt_values)]
     if not dts:
@@ -229,9 +229,7 @@ def dt_sensitivity_sweep(
     rows: list[DtSweepRow] = []
     for d in dts:
         scen_d = scenario.with_dt(d)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            result: SolveResult = solve_nonlinear(scen_d, tol=tol, max_iter=max_iter, flags=flags)
+        result: SolveResult = solve_nonlinear(scen_d, flags=flags, **settings)
         g = assemble_G(result.surface.values, scen_d, flags=flags)
         rows.append(
             DtSweepRow(

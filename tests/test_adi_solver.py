@@ -552,12 +552,10 @@ def test_solve_records_match_norm_oracles():
     """Record n must equal the induced-norm distance between the terminal
     surfaces of runs capped at n and n+1 sweeps."""
     scen = benchmark_scenario(1, nx=10, nt=5)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        b1 = solve_nonlinear(scen, max_iter=1).block[-1]
-        b2 = solve_nonlinear(scen, max_iter=2).block[-1]
-        b3 = solve_nonlinear(scen, max_iter=3).block[-1]
-        res = solve_nonlinear(scen, max_iter=3)
+    b1 = solve_nonlinear(scen, max_iter=1).block[-1]
+    b2 = solve_nonlinear(scen, max_iter=2).block[-1]
+    b3 = solve_nonlinear(scen, max_iter=3).block[-1]
+    res = solve_nonlinear(scen, max_iter=3)
     for rec, (hi, lo) in zip(res.records, [(b2, b1), (b3, b2)]):
         diff = hi - lo
         assert rec.d1 == pytest.approx(oracles.induced_norm(diff, 1), rel=1e-12)
@@ -579,9 +577,22 @@ def test_fixed_point_limit_is_the_single_lagged_march(case):
     np.testing.assert_array_equal(res.surface.values, oracles.lagged_march(scen, flags))
 
 
-def test_solve_warns_when_iteration_budget_runs_out():
+def test_default_iteration_cap_reaches_the_fixed_point():
+    """Without ``max_iter`` the cap is nt + 2 sweeps, where the iteration
+    stops even at a tolerance no nonzero distance meets.  On this grid it
+    needs every one of the 28 sweeps."""
+    scen = benchmark_scenario(1, nx=32, nt=26)
+    res = solve_nonlinear(scen, tol=1e-300)
+    assert res.converged
+    assert res.iterations == scen.grid.nt + 2
+    assert res.records[-1].dinf == 0.0 and res.records[-2].dinf > 0.0
+
+
+def test_solve_reports_when_iteration_budget_runs_out():
+    """A solve stopped short says so in its result and warns nothing."""
     scen = benchmark_scenario(1, nx=10, nt=5)
-    with pytest.warns(RuntimeWarning, match="did not reach"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         res = solve_nonlinear(scen, max_iter=1)
     assert not res.converged
     assert res.iterations == 1 and res.records == []

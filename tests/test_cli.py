@@ -347,7 +347,7 @@ def test_error_band_leaving_no_node_exits_2_before_the_solve(tmp_path, capsys, m
     def no_solve(*args, **kwargs):
         raise AssertionError("the solve ran")
 
-    monkeypatch.setattr(cli, "_quiet_solve", no_solve)
+    monkeypatch.setattr(cli, "solve_nonlinear", no_solve)
     out = tmp_path / "o"
     argv = ["price", "--config", str(CONFIG_DIR / "testing1.json"), "--out", str(out)]
     for flag in ('grid={"a":1.5,"b":5.3,"nx":8,"nt":8}', "output.error_band=1000000"):
@@ -380,6 +380,45 @@ def test_sweep_exits_3_and_names_the_ill_posed_intervals(tmp_path, capsys):
     assert meta["leland_numbers"] == [pytest.approx([3.05, 6.10], abs=0.01)]
     _, rows = read_csv(out / "sweep.csv")
     assert len(rows) == 1
+
+
+SMALL_GRID = ("grid.a=1.5", "grid.b=5.3", "grid.nx=16", "grid.nt=8")
+
+
+@pytest.mark.parametrize("command", ["price", "leland"])
+def test_an_ill_posed_dt_tc_exits_3(tmp_path, capsys, command):
+    """Config 1 at dt_tc = 7.6e-5 has Le = 3.05 and 6.10: the solve converges
+    and its outputs are written, but the result is not to be trusted."""
+    out = tmp_path / "o"
+    argv = [command, "--config", str(CONFIG_DIR / "testing1.json"), "--out", str(out)]
+    for flag in SMALL_GRID + ("dt_tc=7.6e-5", "output.per_node_csv=true"):
+        argv += ["--flag", flag]
+    assert main(argv) == 3
+    text = capsys.readouterr().out
+    assert "ILL-POSED (Le >= 1)" in text
+    if command == "price":
+        assert "price: converged after" in text
+        assert "for asset 1, 2" in text
+        assert (out / "surface.csv").exists()
+    else:
+        assert "scan:" in text
+        assert (out / "ellipticity.json").exists()
+
+
+@pytest.mark.parametrize("command", ["price", "leland"])
+def test_a_non_finite_surface_exits_3(tmp_path, capsys, monkeypatch, command):
+    def nan_solve(*args, **kwargs):
+        result = solve_nonlinear(*args, **kwargs)
+        result.surface.values[5, 5] = np.nan
+        return result
+
+    monkeypatch.setattr(cli, "solve_nonlinear", nan_solve)
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path)
+    assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 3
+    text = capsys.readouterr().out
+    assert "the surface is not finite" in text
+    assert "scan:" not in text
 
 
 def test_exit_code_2_on_missing_section(tmp_path, capsys):

@@ -8,9 +8,11 @@ A refactor that claims unchanged outputs must keep every digest; a change
 that moves outputs must restate the digests it moves and say why.
 
 ``python tests/test_golden_outputs.py`` prints the digests of the current
-tree in the layout of ``GOLDEN``.
+tree in the layout of ``GOLDEN``; with ``--changed`` it prints only the
+artifacts whose digest (or exit code) differs from ``GOLDEN``, old -> new.
 """
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -39,6 +41,8 @@ SCAN_FILES = ("ellipticity.json", "ellipticity_nodes.csv")
 # name: (command, config number, grid (nx, nt, coord), config overrides, artifacts)
 CASES = {
     "price1": ("price", 1, (16, 16, "log"), {}, PRICE_FILES),
+    # needs 30 fixed-point sweeps, inside the default cap of nt + 2 = 32
+    "price1_uncapped": ("price", 1, (60, 30, "log"), {}, PRICE_FILES),
     "price2": ("price", 2, (16, 16, "log"), {}, PRICE_FILES),
     "price3": ("price", 3, (16, 16, "log"), {}, PRICE_FILES),
     "price1_central": ("price", 1, (16, 16, "log"), {"solver": {"first_derivative": "central"}}, PRICE_FILES),
@@ -71,6 +75,12 @@ GOLDEN = {
         "surface.csv": "def2bbe97cc1f05196c9bb22dcedbd14b5d046d16f469b095f8608975b137478",
         "cost_field.csv": "9fe335e9647cba2c2f7490e328d1a28216b5214eb2768c28ca115f8183bce35f",
         "convergence.csv": "25998433e8fe22c153844fc65a2048f3a5a65cd300b576442ebeec408aecfb28",
+    },
+    "price1_uncapped": {
+        "exit": 0,
+        "surface.csv": "02bf55b63bfa43a943087db4831d5ed25c0ff843968df4654c81c8e4545ebe9b",
+        "cost_field.csv": "82cd524745411d59801961a4998cf4048513a14875af9097e1a31a295180ff90",
+        "convergence.csv": "80a3823930758779d9260ae1858bf79c45a8244cc0c89e19ac10a11587eeb002",
     },
     "price2": {
         "exit": 0,
@@ -173,11 +183,27 @@ def test_artifacts_match_pinned_digests(name):
     assert run_case(name) == GOLDEN[name]
 
 
-if __name__ == "__main__":
-    print("GOLDEN = {")
+def print_changed() -> None:
+    """Print each case's artifacts whose digest differs from ``GOLDEN``."""
     for case in CASES:
-        print(f"    {case!r}: {{")
-        for artifact, digest in run_case(case).items():
-            print(f"        {artifact!r}: {digest!r},")
-        print("    },")
-    print("}")
+        old, new = GOLDEN.get(case, {}), run_case(case)
+        moved = [key for key in {**old, **new} if old.get(key) != new.get(key)]
+        if moved:
+            print(f"{case}:")
+            for key in moved:
+                print(f"    {key}: {old.get(key)} -> {new.get(key)}")
+
+
+if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description="Print the golden digests of the current tree.")
+    parser.add_argument("--changed", action="store_true", help="print only the digests that differ from GOLDEN")
+    if parser.parse_args().changed:
+        print_changed()
+    else:
+        print("GOLDEN = {")
+        for case in CASES:
+            print(f"    {case!r}: {{")
+            for artifact, digest in run_case(case).items():
+                print(f"        {artifact!r}: {digest!r},")
+            print("    },")
+        print("}")
