@@ -66,6 +66,7 @@ from .market_model import (
     Scenario,
     SolverFlags,
     ValidationError,
+    _integer,
 )
 
 __all__ = [
@@ -111,7 +112,7 @@ class GridSpec:
         a, b = float(self.a), float(self.b)
         if not (math.isfinite(a) and math.isfinite(b)) or b <= a:
             raise ValidationError("grid.b", f"need finite bounds with b > a, got ({a}, {b})")
-        nx, nt = int(self.nx), int(self.nt)
+        nx, nt = _integer(self.nx, "grid.nx"), _integer(self.nt, "grid.nt")
         if nx < 4:
             raise ValidationError("grid.nx", f"need at least 4 cells per axis, got {nx}")
         if nt < 1:

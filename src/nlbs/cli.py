@@ -5,9 +5,11 @@ Subcommands:
 * ``price``    - nonlinear PDE solve; writes surface, source field,
                  convergence records, metadata.
 * ``analytic`` - closed-form benchmark surface on the same grid.
-* ``leland``   - per-asset Leland numbers and classification; optionally a
-                 node-by-node scan of the operator derivative on the solved
-                 surface.
+* ``leland``   - per-asset Leland numbers and classification; unless
+                 ``solver.skip_scan``, a node-by-node scan of the operator
+                 derivative on the solved surface, whose per-node CSV
+                 (``output.per_node_csv``) needs ``--out``.  The scan has
+                 no settings; ``solver.dyf_form`` accepts only ``"exact"``.
 * ``converge`` - runs the fixed-point iteration and reports its records.
 * ``sweep``    - re-solves across a range of rebalancing intervals and
                  names the ill-posed ones (Le >= 1).
@@ -42,7 +44,7 @@ import math
 import sys
 from dataclasses import fields
 from pathlib import Path
-from typing import Any, get_args
+from typing import Any
 
 import numpy as np
 
@@ -50,7 +52,7 @@ from .adi_solver import GridSpec, SolveResult, solve_nonlinear
 from .analytic_pricing import cbest_price
 from .cost_engine import QuadratureError, assemble_G
 from .diagnostics import compared_nodes, dt_sensitivity_sweep, error_vs_analytic
-from .ellipticity import DyfForm, LelandNumber, leland_number, scan_surface
+from .ellipticity import LelandNumber, leland_number, scan_surface
 from .market_model import Scenario, SolverFlags, ValidationError, _integer, _numbers, validate
 
 __all__ = ["main"]
@@ -93,9 +95,9 @@ def _boolean(value: Any, qualified: str) -> bool:
     return value
 
 
-def _dyf_form(value: Any, qualified: str) -> str:
-    if value not in get_args(DyfForm):
-        raise ValidationError(qualified, f"expected one of {get_args(DyfForm)}, got {value!r}")
+def _exact(value: Any, qualified: str) -> str:
+    if value != "exact":
+        raise ValidationError(qualified, f"expected 'exact', the only operator derivative, got {value!r}")
     return value
 
 
@@ -111,13 +113,6 @@ def _nonnegative(value: Any, qualified: str) -> float:
     x = _numbers(value, qualified)
     if not (math.isfinite(x) and x >= 0.0):
         raise ValidationError(qualified, f"expected a nonnegative finite number, got {value!r}")
-    return x
-
-
-def _finite(value: Any, qualified: str) -> float:
-    x = _numbers(value, qualified)
-    if not math.isfinite(x):
-        raise ValidationError(qualified, f"expected a finite number, got {value!r}")
     return x
 
 
@@ -141,9 +136,7 @@ _SOLVER_PARSERS = {
     **dict.fromkeys(_FLAG_KEYS, lambda value, qualified: value),
     "tol": _positive,
     "max_iter": _sweep_count,
-    "dyf_form": _dyf_form,
-    "eig_tol": _finite,
-    "theta_floor": _nonnegative,
+    "dyf_form": _exact,  # names the one operator derivative; nothing to choose
     "skip_scan": _boolean,
 }
 _OUTPUT_PARSERS = {
@@ -156,7 +149,6 @@ _OUTPUT_PARSERS = {
 _TOP_LEVEL_KEYS = ("market", "cost", "payoff", "dt_tc", "grid", "solver", "output")
 # config key -> keyword of the library call it configures
 _SOLVE_ARGS = {"tol": "tol", "max_iter": "max_iter"}
-_SCAN_ARGS = {"dyf_form": "form", "eig_tol": "eig_tol", "theta_floor": "theta_floor"}
 _BAND_ARG = {"error_band": "band"}
 
 
@@ -352,6 +344,8 @@ def _cmd_analytic(args) -> int:
 
 def _cmd_leland(args) -> int:
     cfg, scenario, flags, solver, output = _setup(args)
+    if output.get("per_node_csv", False) and (args.out is None or solver.get("skip_scan", False)):
+        raise ValidationError("output.per_node_csv", "the per-node CSV needs a scan and --out")
 
     round_trip = 2.0 * scenario.cost.bounds()[1]
     lelands = _leland_numbers(scenario, scenario.dt_tc)
@@ -373,7 +367,7 @@ def _cmd_leland(args) -> int:
     if not np.isfinite(result.surface.values).all():
         print("leland: the surface is not finite; not scanned")
         return 3
-    report = scan_surface(result.surface.values, scenario, flags=flags, **_settings(solver, _SCAN_ARGS))
+    report = scan_surface(result.surface.values, scenario, flags=flags)
     if report.n_checked:
         verdict = "satisfied" if report.satisfied else "violated"
         print(

@@ -5,21 +5,13 @@ diffusion matrix, G the transaction-cost term) stays parabolic only while its
 matrix derivative D = dF/dB is negative definite.  This module evaluates that
 derivative, classifies it, and scans whole solution surfaces node by node.
 
-Two forms of the derivative are provided:
-
-* ``form="exact"`` - the literal entrywise derivative.  Because
-  dTheta_i/dB_lm = delta_il (A B)_mi + delta_im (B A)_il, each asset
-  contributes a rank-two matrix R_i supported on row/column i, and
-  D = -A/2 + sum_i g_i R_i with g_i = dG/dTheta_i.  This is what central
-  finite differences of F converge to.
-* ``form="aggregate"`` (default) - the per-asset sensitivities are summed
-  first and multiplied by (A B + B A) = sum_i R_i, i.e.
-  D = -A/2 + (sum_i g_i) (A B + B A).  The two forms coincide for a single
-  asset.  With several assets the aggregate applies every asset's
-  sensitivity to the whole anticommutator instead of to its own row/column
-  slice, so it overweights the cost contribution even when the g_i are
-  equal (in the fully symmetric two-asset case the cost part is exactly
-  doubled); the test suite measures the gap against finite differences.
+D is the literal entrywise derivative.  Because
+dTheta_i/dB_lm = delta_il (A B)_mi + delta_im (B A)_il, each asset
+contributes a rank-two matrix R_i supported on row/column i, and
+D = -A/2 + sum_i g_i R_i with g_i = dG/dTheta_i; central finite differences
+of F converge to it.  Summing the g_i first and applying them to the whole
+anticommutator A B + B A = sum_i R_i is not this derivative: it doubles the
+cost part even in the fully symmetric two-asset case.
 
 The scalar sensitivity is
 
@@ -50,7 +42,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Literal, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import erfcx
@@ -91,8 +83,10 @@ _HALF_SQRT_PI = math.sqrt(math.pi) / 2.0
 # They cancel as a grows: against 30-digit quadrature, I2 is off by 3.7e-12
 # relative at a = 20, 1.6e-9 at a = 100 and 1.3e-5 at a = 1000.
 _EXPONENTIAL_CLOSED_FORM_MAX_A = 20.0
-
-DyfForm = Literal["aggregate", "exact"]
+# Largest eigenvalue of D that counts as negative definite, and the Theta_i at
+# or below which g_i is treated as singular.
+EIG_TOL = 1e-10
+THETA_FLOOR = 1e-14
 
 
 class DegenerateThetaError(ValueError):
@@ -109,7 +103,7 @@ class LelandNumber(NamedTuple):
     well_posed: bool
 
 
-def is_negative_definite(mat: np.ndarray, tol: float = 1e-10) -> NegativeDefiniteness:
+def is_negative_definite(mat: np.ndarray, tol: float = EIG_TOL) -> NegativeDefiniteness:
     """Check max eigenvalue <= tol for a (symmetrized) real matrix."""
     m = np.asarray(mat, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -235,33 +229,29 @@ def _sensitivities(cost: CostModel, spots: np.ndarray, theta: np.ndarray, dt: fl
     return g
 
 
-def dyf_matrix(inputs: DyfInputs, form: DyfForm = "aggregate", theta_floor: float = 1e-14) -> np.ndarray:
-    """Matrix derivative of the nonlinear operator at the given state.
+def dyf_matrix(inputs: DyfInputs) -> np.ndarray:
+    """Matrix derivative D of the nonlinear operator at the given state.
 
-    See the module docstring for the two forms.  Raises
-    :class:`DegenerateThetaError` when any Theta_i <= theta_floor.
+    See the module docstring.  Raises :class:`DegenerateThetaError` when any
+    Theta_i <= THETA_FLOOR.
     """
     a = inputs.market.diffusion_matrix(inputs.spots)
     b = inputs.hessian
     theta = theta_from_hessian(b, inputs.spots, inputs.market)
     for i, th in enumerate(theta):
-        if th <= theta_floor:
+        if th <= THETA_FLOOR:
             raise DegenerateThetaError(f"theta singular at asset {i}: theta={th:.3e}")
     g = _sensitivities(inputs.cost, inputs.spots, theta, inputs.dt)
     ab = a @ b
     ba = b @ a
-    if form == "aggregate":
-        return -a / 2.0 + g.sum() * (ab + ba)
-    if form == "exact":
-        d = -a / 2.0
-        n = inputs.market.n_assets
-        for i in range(n):
-            r = np.zeros((n, n))
-            r[i, :] = ab[:, i]
-            r[:, i] += ba[i, :]
-            d = d + g[i] * r
-        return d
-    raise ValidationError("form", f"expected 'aggregate' or 'exact', got {form!r}")
+    d = -a / 2.0
+    n = inputs.market.n_assets
+    for i in range(n):
+        r = np.zeros((n, n))
+        r[i, :] = ab[:, i]
+        r[:, i] += ba[i, :]
+        d = d + g[i] * r
+    return d
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +265,7 @@ class EllipticityReport:
 
     ``eigenvalues`` holds the largest eigenvalue of D at each interior node
     (NaN where Theta was degenerate).  ``satisfied`` is True when every
-    non-degenerate node has max eigenvalue <= eig_tol.
+    non-degenerate node has max eigenvalue <= EIG_TOL.
     """
 
     satisfied: bool
@@ -285,9 +275,6 @@ class EllipticityReport:
     fraction_satisfied: float
     n_checked: int
     degenerate_count: int
-    eig_tol: float
-    theta_floor: float
-    form: str
     eigenvalues: np.ndarray = field(repr=False)
     spot_axes: tuple[np.ndarray, np.ndarray] = field(repr=False)
 
@@ -300,9 +287,9 @@ class EllipticityReport:
             "fraction_satisfied": float(self.fraction_satisfied),
             "n_checked": int(self.n_checked),
             "degenerate_count": int(self.degenerate_count),
-            "eig_tol": float(self.eig_tol),
-            "theta_floor": float(self.theta_floor),
-            "form": self.form,
+            "eig_tol": EIG_TOL,
+            "theta_floor": THETA_FLOOR,
+            "form": "exact",
         }
 
     def write_nodes_csv(self, path) -> None:
@@ -314,7 +301,7 @@ class EllipticityReport:
                 for jj in range(self.eigenvalues.shape[1]):
                     ev = self.eigenvalues[ii, jj]
                     deg = math.isnan(ev)
-                    ok = (not deg) and ev <= self.eig_tol
+                    ok = (not deg) and ev <= EIG_TOL
                     ev_txt = "" if deg else format(ev, ".17g")
                     fh.write(
                         f"{ii + 1},{jj + 1},{format(s1[ii], '.17g')},{format(s2[jj], '.17g')},"
@@ -326,31 +313,20 @@ def scan_surface(
     surface,
     scenario: Scenario,
     *,
-    form: DyfForm = "aggregate",
-    eig_tol: float = 1e-10,
-    theta_floor: float = 1e-14,
     flags: SolverFlags = SolverFlags(),
 ) -> EllipticityReport:
     """Classify the operator derivative at every interior node of a surface.
 
     The surface's finite-difference Hessian uses the same stencils as the
-    PDE scheme (``flags``).  Nodes where either Theta_i <= theta_floor (flat
+    PDE scheme (``flags``).  Nodes where either Theta_i <= THETA_FLOOR (flat
     payoff regions, deep tails) are counted as degenerate and excluded from
-    the eigenvalue statistics rather than misclassified.  ``theta_floor``
-    must be finite and nonnegative (the sensitivities divide by sqrt(Theta))
-    and ``eig_tol`` finite; otherwise :class:`ValidationError` names them.
+    the eigenvalue statistics rather than misclassified.
     """
     u = np.asarray(getattr(surface, "values", surface), dtype=float)
     grid = scenario.grid
     n = grid.nx
     if u.shape != (n + 1, n + 1):
         raise ValidationError("surface", f"expected shape ({n + 1}, {n + 1}), got {u.shape}")
-    if form not in ("aggregate", "exact"):
-        raise ValidationError("form", f"expected 'aggregate' or 'exact', got {form!r}")
-    if not (math.isfinite(theta_floor) and theta_floor >= 0.0):
-        raise ValidationError("theta_floor", f"expected a nonnegative finite number, got {theta_floor}")
-    if not math.isfinite(eig_tol):
-        raise ValidationError("eig_tol", f"expected a finite number, got {eig_tol}")
     market = scenario.market
     sig1, sig2 = market.sigmas
     rho = float(market.rho[0, 1])
@@ -372,7 +348,7 @@ def scan_surface(
     a11 = sig1 * sig1 * s1 * s1
     a12 = sig1 * sig2 * rho * s1 * s2
     a22 = sig2 * sig2 * s2 * s2
-    degenerate = (theta1 <= theta_floor) | (theta2 <= theta_floor)
+    degenerate = (theta1 <= THETA_FLOOR) | (theta2 <= THETA_FLOOR)
 
     # per-asset sensitivities g_i = dG/dTheta_i on non-degenerate nodes
     g1 = np.full(theta1.shape, np.nan)
@@ -385,15 +361,9 @@ def scan_surface(
     ab12 = a11 * b12 + a12 * b22
     ab21 = a12 * b11 + a22 * b12
     ab22 = a12 * b12 + a22 * b22
-    if form == "aggregate":
-        gs = g1 + g2
-        d11 = -a11 / 2.0 + gs * 2.0 * ab11
-        d12 = -a12 / 2.0 + gs * (ab12 + ab21)
-        d22 = -a22 / 2.0 + gs * 2.0 * ab22
-    else:
-        d11 = -a11 / 2.0 + g1 * 2.0 * ab11
-        d12 = -a12 / 2.0 + g1 * ab21 + g2 * ab12
-        d22 = -a22 / 2.0 + g2 * 2.0 * ab22
+    d11 = -a11 / 2.0 + g1 * 2.0 * ab11
+    d12 = -a12 / 2.0 + g1 * ab21 + g2 * ab12
+    d22 = -a22 / 2.0 + g2 * 2.0 * ab22
 
     half_tr = (d11 + d22) / 2.0
     eigmax = half_tr + np.sqrt(((d11 - d22) / 2.0) ** 2 + d12 * d12)
@@ -410,7 +380,7 @@ def scan_surface(
         wi, wj = np.unravel_index(flat_idx, eigmax.shape)
         worst_node = (int(wi) + 1, int(wj) + 1)
         worst_spots = (float(spot_axis[wi]), float(spot_axis[wj]))
-        n_sat = int((good <= eig_tol).sum())
+        n_sat = int((good <= EIG_TOL).sum())
     return EllipticityReport(
         satisfied=n_sat == n_checked,
         max_eigenvalue=max_eig,
@@ -419,9 +389,6 @@ def scan_surface(
         fraction_satisfied=n_sat / n_checked if n_checked else 1.0,
         n_checked=n_checked,
         degenerate_count=n_deg,
-        eig_tol=eig_tol,
-        theta_floor=theta_floor,
-        form=form,
         eigenvalues=eigmax,
         spot_axes=(spot_axis, spot_axis),
     )

@@ -503,8 +503,8 @@ def validate(raw: "Mapping[str, Any] | Scenario") -> Scenario:
         grid = GridSpec(
             a=_numbers(_require(g, "a", "grid.a"), "grid.a"),
             b=_numbers(_require(g, "b", "grid.b"), "grid.b"),
-            nx=_integer(g.get("nx", 100), "grid.nx"),
-            nt=_integer(g.get("nt", 100), "grid.nt"),
+            nx=g.get("nx", 100),
+            nt=g.get("nt", 100),
             coord=coord,
         )
 

@@ -3,10 +3,11 @@
 Nothing here imports from the package at module level, and almost every
 function re-derives its quantity from scratch (dense linear algebra, adaptive
 quadrature, Monte Carlo, mpmath) so agreement with the package is evidence,
-not tautology.  Two sections are different on purpose: the legacy closed form
-is a defective parametrization the package does not implement, kept here so
-the tests can pin its defects; the lagged march composes the package's public
-stage operators to pin the structure of its fixed-point loop.
+not tautology.  Three sections are different on purpose: the legacy closed
+form and the summed-sensitivity operator derivative are defective variants
+the package does not implement, kept here so the tests can pin their
+defects; the lagged march composes the package's public stage operators to
+pin the structure of its fixed-point loop.
 """
 
 from __future__ import annotations
@@ -458,6 +459,27 @@ def cbest_legacy_price(s1, s2, tau: float, scenario, bivariate_cdf) -> float:
     disc = scenario.payoff.K * math.exp(-scenario.market.r * tau)
     p = bivariate_cdf(inter.y, inter.z1, -inter.rho1) + bivariate_cdf(-inter.y, inter.z2, -inter.rho2)
     return float(disc * p)
+
+
+# ---------------------------------------------------------------------------
+# summed-sensitivity operator derivative (not the derivative of F)
+# ---------------------------------------------------------------------------
+
+
+def dyf_aggregate(inputs) -> np.ndarray:
+    """D = -A/2 + (sum_i g_i) (A B + B A) for ``nlbs.DyfInputs``.
+
+    Applies every asset's sensitivity g_i to the whole anticommutator instead
+    of to that asset's row and column; it coincides with the derivative of F
+    for a single asset only.
+    """
+    from nlbs.ellipticity import _sensitivities
+
+    a = inputs.market.diffusion_matrix(inputs.spots)
+    b = inputs.hessian
+    theta = theta_double_sum(b, inputs.spots, inputs.market.sigmas, inputs.market.rho)
+    g = _sensitivities(inputs.cost, inputs.spots, theta, inputs.dt)
+    return -a / 2.0 + g.sum() * (a @ b + b @ a)
 
 
 # ---------------------------------------------------------------------------

@@ -166,8 +166,8 @@ def test_criterion_03_operator_derivative_matches_finite_differences():
             dt,
         )
         scale = np.abs(ref).max()
-        worst_exact = max(worst_exact, np.abs(dyf_matrix(inputs, form="exact") - ref).max() / scale)
-        worst_agg = max(worst_agg, np.abs(dyf_matrix(inputs, form="aggregate") - ref).max() / scale)
+        worst_exact = max(worst_exact, np.abs(dyf_matrix(inputs) - ref).max() / scale)
+        worst_agg = max(worst_agg, np.abs(oracles.dyf_aggregate(inputs) - ref).max() / scale)
 
     # The aggregate variant applies the summed sensitivities to the whole
     # anticommutator; its gap against finite differences is reported here on
@@ -204,7 +204,7 @@ def test_criterion_04_single_asset_sign_matches_leland_classification():
             dt=dt,
             cost=ConstantCost(c0=c0),
         )
-        d = dyf_matrix(inputs, form="exact")[0, 0]
+        d = dyf_matrix(inputs)[0, 0]
         le = leland_number(sigma, 2.0 * c0, dt)
         n_well += le.well_posed
         n_ill += not le.well_posed

@@ -75,6 +75,10 @@ def test_grid_axes_are_computed_once_and_read_only():
         (dict(a=0.0, b=1.0, nt=0), "grid.nt"),
         (dict(a=0.0, b=1.0, coord="spot"), "grid.coord"),
         (dict(a=-1.0, b=1.0, coord="price"), "grid.a"),
+        (dict(a=1.0, b=2.0, nx=10.7, nt=3), "grid.nx"),
+        (dict(a=1.0, b=2.0, nx=10, nt=3.9), "grid.nt"),
+        (dict(a=1.0, b=2.0, nx=np.nan), "grid.nx"),
+        (dict(a=1.0, b=2.0, nt="7"), "grid.nt"),
     ],
 )
 def test_grid_spec_validation(kw, field):

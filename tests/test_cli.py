@@ -155,7 +155,7 @@ def test_leland_scan_report_files(tmp_path, capsys):
     assert "scan:" in capsys.readouterr().out
     report = json.loads((out / "ellipticity.json").read_text())
     assert report["result"]["satisfied"] is True  # zero cost cannot break it
-    assert report["result"]["form"] == "aggregate"
+    assert report["result"]["form"] == "exact"
     lines = (out / "ellipticity_nodes.csv").read_text().splitlines()
     assert lines[0] == "i,j,S1,S2,max_eigenvalue,degenerate,satisfied"
     assert len(lines) == 1 + 9 * 9
@@ -315,6 +315,7 @@ def test_exit_code_2_names_an_unknown_section_key(tmp_path, capsys, flag, field)
         ("leland", 'solver.skip_scan="false"', "solver.skip_scan"),
         ("leland", "solver.skip_scan=1", "solver.skip_scan"),
         ("leland", 'solver.dyf_form="bogus"', "solver.dyf_form"),
+        ("leland", 'solver.dyf_form="aggregate"', "solver.dyf_form"),
         ("price", "output.probes=5", "output.probes"),
         ("converge", "solver.tol=-1", "solver.tol"),
         ("price", "solver.tol=0", "solver.tol"),
@@ -354,6 +355,26 @@ def test_error_band_leaving_no_node_exits_2_before_the_solve(tmp_path, capsys, m
         argv += ["--flag", flag]
     assert main(argv) == 2
     assert "config error: output.error_band: exclusion band leaves no interior nodes" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("skip_scan", [False, True])
+def test_per_node_csv_without_a_written_scan_exits_2_before_the_solve(tmp_path, capsys, monkeypatch, skip_scan):
+    """The per-node CSV comes only from a scan written with --out; a config
+    asking for it otherwise must not be ignored."""
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the solve ran")
+
+    monkeypatch.setattr(cli, "solve_nonlinear", no_solve)
+    out = tmp_path / "o"
+    argv = ["leland", "--config", str(CONFIG_DIR / "testing1.json"), "--flag", "output.per_node_csv=true"]
+    if skip_scan:
+        argv += ["--out", str(out), "--flag", "solver.skip_scan=true"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "config error: output.per_node_csv:" in captured.err
+    assert captured.out == ""
     assert not out.exists()
 
 

@@ -68,9 +68,7 @@ SETTINGS = {
         "first_derivative": "forward",
         "tol": 1e-6,
         "max_iter": 4,
-        "dyf_form": "aggregate",
-        "eig_tol": 1e-10,
-        "theta_floor": 1e-14,
+        "dyf_form": "exact",
         "skip_scan": False,
     },
     "output": {"tau": 1.0, "error_band": 2, "per_node_csv": True, "dt_values": [0.004], "probes": [[30.0, 30.0]]},

@@ -171,9 +171,9 @@ def test_single_asset_derivative_closed_form():
         d = dyf_matrix(single_asset_inputs(sigma, c0, dt, v, s=s))
         le = leland_number(sigma, 2.0 * c0, dt).value
         assert d[0, 0] == pytest.approx(sigma**2 * s**2 * (le - 1.0) / 2.0, rel=1e-12)
-        # the two forms coincide for a single asset
-        d_exact = dyf_matrix(single_asset_inputs(sigma, c0, dt, v, s=s), form="exact")
-        np.testing.assert_allclose(d, d_exact, rtol=1e-14)
+        # the summed-sensitivity variant coincides for a single asset
+        d_aggregate = oracles.dyf_aggregate(single_asset_inputs(sigma, c0, dt, v, s=s))
+        np.testing.assert_allclose(d, d_aggregate, rtol=1e-14)
 
 
 def well_conditioned_state(rng):
@@ -196,7 +196,7 @@ def test_exact_form_matches_finite_differences():
     for _ in range(10):
         market, spots, b, dt, c0 = well_conditioned_state(rng)
         inputs = DyfInputs(hessian=b, spots=spots, market=market, dt=dt, cost=ConstantCost(c0=c0))
-        d = dyf_matrix(inputs, form="exact")
+        d = dyf_matrix(inputs)
         ref = oracles.fd_hessian_derivative(
             b,
             spots,
@@ -227,7 +227,7 @@ def test_exact_form_matches_finite_differences_under_exponential_cost():
             lambda x, c0=c0, k=k: c0 * np.exp(-k * np.asarray(x, dtype=float)),
             dt,
         )
-        worst = max(worst, np.abs(dyf_matrix(inputs, form="exact") - ref).max() / np.abs(ref).max())
+        worst = max(worst, np.abs(dyf_matrix(inputs) - ref).max() / np.abs(ref).max())
     assert worst <= 1e-5
 
 
@@ -238,15 +238,15 @@ def test_scan_surface_exponential_matches_the_quadrature_path(monkeypatch, k):
     Config 1 has k = 1; k = 3000 puts part of the surface past the cutoff."""
     scen = scan_scenario().with_cost(ExponentialCost(c0=0.005, k=k))
     u = analytic_surface(scen)
-    closed = {form: scan_surface(u, scen, form=form) for form in ("aggregate", "exact")}
+    rep = scan_surface(u, scen)
     monkeypatch.setattr(ellipticity, "cost_integrals", oracles.cost_integrals_quad)
-    for form, rep in closed.items():
-        ref = scan_surface(u, scen, form=form)
-        assert rep.n_checked == ref.n_checked > 0
-        np.testing.assert_array_equal(np.isnan(rep.eigenvalues), np.isnan(ref.eigenvalues))
-        np.testing.assert_array_equal(rep.eigenvalues <= rep.eig_tol, ref.eigenvalues <= ref.eig_tol)
-        np.testing.assert_allclose(rep.eigenvalues, ref.eigenvalues, rtol=1e-10)
-        assert (rep.satisfied, rep.worst_node) == (ref.satisfied, ref.worst_node)
+    ref = scan_surface(u, scen)
+    assert rep.n_checked == ref.n_checked > 0
+    np.testing.assert_array_equal(np.isnan(rep.eigenvalues), np.isnan(ref.eigenvalues))
+    tol = ellipticity.EIG_TOL
+    np.testing.assert_array_equal(rep.eigenvalues <= tol, ref.eigenvalues <= tol)
+    np.testing.assert_allclose(rep.eigenvalues, ref.eigenvalues, rtol=1e-10)
+    assert (rep.satisfied, rep.worst_node) == (ref.satisfied, ref.worst_node)
 
 
 def test_aggregate_form_divergence_is_systematic():
@@ -265,8 +265,8 @@ def test_aggregate_form_divergence_is_systematic():
         dt,
     )
     scale = np.abs(ref).max()
-    err_exact = np.abs(dyf_matrix(inputs, form="exact") - ref).max() / scale
-    err_agg = np.abs(dyf_matrix(inputs, form="aggregate") - ref).max() / scale
+    err_exact = np.abs(dyf_matrix(inputs) - ref).max() / scale
+    err_agg = np.abs(oracles.dyf_aggregate(inputs) - ref).max() / scale
     assert err_exact < 1e-5
     assert err_agg > 10.0 * max(err_exact, 1e-9)
 
@@ -279,17 +279,17 @@ def test_aggregate_doubles_the_cost_part_in_symmetric_configurations():
     spots = np.array([20.0, 20.0])
     inputs = DyfInputs(hessian=b, spots=spots, market=market, dt=0.004, cost=ConstantCost(c0=0.01))
     a = market.diffusion_matrix(spots)
-    cost_agg = dyf_matrix(inputs, form="aggregate") + a / 2.0
-    cost_exact = dyf_matrix(inputs, form="exact") + a / 2.0
+    cost_agg = oracles.dyf_aggregate(inputs) + a / 2.0
+    cost_exact = dyf_matrix(inputs) + a / 2.0
     np.testing.assert_allclose(cost_agg, 2.0 * cost_exact, rtol=1e-13)
 
 
 def test_derivative_is_symmetric():
     rng = np.random.default_rng(11)
-    for form in ("aggregate", "exact"):
+    for _ in range(2):
         market, spots, b, dt, c0 = well_conditioned_state(rng)
         inputs = DyfInputs(hessian=b, spots=spots, market=market, dt=dt, cost=ConstantCost(c0=c0))
-        d = dyf_matrix(inputs, form=form)
+        d = dyf_matrix(inputs)
         np.testing.assert_allclose(d, d.T, rtol=1e-12)
 
 
@@ -346,9 +346,11 @@ def test_dyf_inputs_validation():
 
 
 def test_dyf_matrix_rejects_unknown_form():
+    """The exact derivative is the only one, with a fixed Theta floor."""
     inputs = single_asset_inputs(0.3, 0.01, 0.004, 1.0)
-    with pytest.raises(ValidationError, match="form"):
-        dyf_matrix(inputs, form="hybrid")
+    for name, value in [("form", "hybrid"), ("form", "aggregate"), ("theta_floor", 0.0)]:
+        with pytest.raises(TypeError, match=name):
+            dyf_matrix(inputs, **{name: value})
 
 
 def test_is_negative_definite_known_matrices():
@@ -393,7 +395,7 @@ def test_scan_surface_report_structure():
     interior_spots = scen.grid.spot_axis()[1:-1]
     assert report.worst_spots[0] == pytest.approx(interior_spots[wi - 1])
     assert report.worst_spots[1] == pytest.approx(interior_spots[wj - 1])
-    assert report.form == "aggregate"
+    assert report.to_json_dict()["form"] == "exact"
     # the reported maximum is indeed the max over non-degenerate nodes
     finite = report.eigenvalues[~np.isnan(report.eigenvalues)]
     assert report.max_eigenvalue == pytest.approx(finite.max())
@@ -404,34 +406,33 @@ def test_scan_surface_cross_checks_single_point_api():
     eigenvalue with the single-point derivative routine."""
     scen = scan_scenario()
     u = analytic_surface(scen)
-    for form in ("aggregate", "exact"):
-        report = scan_surface(u, scen, form=form)
-        grid = scen.grid
-        dx = grid.dx
-        ax = grid.axis()
-        i = j = grid.nx // 2  # near the strike; variance is healthy there
-        assert not math.isnan(report.eigenvalues[i - 1, j - 1])
-        ux = (u[i + 1, j] - u[i, j]) / dx
-        uy = (u[i, j + 1] - u[i, j]) / dx
-        uxx = (u[i + 1, j] - 2 * u[i, j] + u[i - 1, j]) / dx**2
-        uyy = (u[i, j + 1] - 2 * u[i, j] + u[i, j - 1]) / dx**2
-        uxy = (u[i + 1, j + 1] + u[i - 1, j - 1] - u[i + 1, j - 1] - u[i - 1, j + 1]) / (
-            4 * dx**2
-        )
-        s1, s2 = math.exp(ax[i]), math.exp(ax[j])
-        b = np.array(
-            [
-                [(uxx - ux) / s1**2, uxy / (s1 * s2)],
-                [uxy / (s1 * s2), (uyy - uy) / s2**2],
-            ]
-        )
-        inputs = DyfInputs(
-            hessian=b, spots=np.array([s1, s2]), market=scen.market, dt=scen.dt_tc,
-            cost=scen.cost,
-        )
-        d = dyf_matrix(inputs, form=form)
-        ref = float(np.linalg.eigvalsh(d)[-1])
-        assert report.eigenvalues[i - 1, j - 1] == pytest.approx(ref, rel=1e-10)
+    report = scan_surface(u, scen)
+    grid = scen.grid
+    dx = grid.dx
+    ax = grid.axis()
+    i = j = grid.nx // 2  # near the strike; variance is healthy there
+    assert not math.isnan(report.eigenvalues[i - 1, j - 1])
+    ux = (u[i + 1, j] - u[i, j]) / dx
+    uy = (u[i, j + 1] - u[i, j]) / dx
+    uxx = (u[i + 1, j] - 2 * u[i, j] + u[i - 1, j]) / dx**2
+    uyy = (u[i, j + 1] - 2 * u[i, j] + u[i, j - 1]) / dx**2
+    uxy = (u[i + 1, j + 1] + u[i - 1, j - 1] - u[i + 1, j - 1] - u[i - 1, j + 1]) / (
+        4 * dx**2
+    )
+    s1, s2 = math.exp(ax[i]), math.exp(ax[j])
+    b = np.array(
+        [
+            [(uxx - ux) / s1**2, uxy / (s1 * s2)],
+            [uxy / (s1 * s2), (uyy - uy) / s2**2],
+        ]
+    )
+    inputs = DyfInputs(
+        hessian=b, spots=np.array([s1, s2]), market=scen.market, dt=scen.dt_tc,
+        cost=scen.cost,
+    )
+    d = dyf_matrix(inputs)
+    ref = float(np.linalg.eigvalsh(d)[-1])
+    assert report.eigenvalues[i - 1, j - 1] == pytest.approx(ref, rel=1e-10)
 
 
 def test_scan_surface_zero_cost_always_well_posed():
@@ -465,8 +466,8 @@ def test_scan_surface_shape_validation():
     scen = scan_scenario()
     with pytest.raises(ValidationError, match="surface"):
         scan_surface(np.ones((5, 5)), scen)
-    with pytest.raises(ValidationError, match="form"):
-        scan_surface(analytic_surface(scen), scen, form="hybrid")
+    with pytest.raises(TypeError, match="form"):
+        scan_surface(analytic_surface(scen), scen, form="exact")
 
 
 @pytest.mark.parametrize(
@@ -480,19 +481,11 @@ def test_scan_surface_shape_validation():
     ],
 )
 def test_scan_surface_rejects_a_negative_or_non_finite_threshold(kwargs, field):
-    """A negative floor would let Theta = 0 reach the 1/sqrt(Theta) of the
-    sensitivities (a flat surface is Theta = 0 everywhere); NaN would mark
-    no node degenerate, or every checked node violating."""
+    """The scan has no settings: its thresholds are module constants, so a
+    caller cannot pass one, valid or not, and get a different verdict."""
     scen = benchmark_scenario(1, nx=10, nt=2)
-    with pytest.raises(ValidationError, match=field):
+    with pytest.raises(TypeError, match=field):
         scan_surface(np.ones((11, 11)), scen, **kwargs)
-
-
-def test_scan_surface_accepts_a_zero_theta_floor():
-    scen = scan_scenario()
-    n = scen.grid.nx
-    report = scan_surface(np.ones((n + 1, n + 1)), scen, theta_floor=0.0)
-    assert report.degenerate_count == (n - 1) ** 2
 
 
 def test_scan_report_serialization(tmp_path):
@@ -512,6 +505,7 @@ def test_scan_report_serialization(tmp_path):
         "form",
     }
     assert isinstance(blob["satisfied"], bool)
+    assert (blob["eig_tol"], blob["theta_floor"], blob["form"]) == (1e-10, 1e-14, "exact")
 
     path = tmp_path / "nodes.csv"
     report.write_nodes_csv(path)

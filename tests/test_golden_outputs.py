@@ -114,13 +114,13 @@ GOLDEN = {
     },
     "leland1": {
         "exit": 0,
-        "ellipticity.json": "988687a9d660dc0b6e6871ef4dcaa4f4bba98cbbb665f69f9c552ce7e8e756ed",
-        "ellipticity_nodes.csv": "aca91053ce789f592a03e36230b329784a23835d70b11c59c73d3a30e45baeb8",
+        "ellipticity.json": "5831e1b3e957b0cffe186219a9af8faf4690fa66af0cb4113bf380b664a196bf",
+        "ellipticity_nodes.csv": "415996018de51e50d339937fb307aa86423d960b39f5716405d4f9f454fdef05",
     },
     "leland2": {
         "exit": 0,
-        "ellipticity.json": "529e65c2ef84546598fff81818487f73444a38030ae05bc35f673e57a249a2b2",
-        "ellipticity_nodes.csv": "e68159e591142b2b1fcc23009247e3f0241fc43a38aeccb9097e644848cfea66",
+        "ellipticity.json": "5e6a91c0c1acc56a37ba8ac210ab14db1697658b9f1f19100d0e4bfed3e380dd",
+        "ellipticity_nodes.csv": "b02283cca6e4d7961a56c7fe24169b5411c785170600063fc3158eb94c39131a",
     },
     "leland3_exact": {
         "exit": 0,
