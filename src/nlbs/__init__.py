@@ -14,6 +14,9 @@ rebalancing makes the effective volatility solution-dependent.  It bundles:
 * a JSON-config command line (:mod:`nlbs.cli`).
 """
 
+# set before the submodules load: the command line records it in every run's metadata
+__version__ = "0.1.0"
+
 from .adi_solver import (
     BoundaryData,
     ConvergenceRecord,
@@ -81,8 +84,6 @@ from .market_model import (
     ValidationError,
     validate,
 )
-
-__version__ = "0.1.0"
 
 __all__ = [
     "BestCashOrNothing",

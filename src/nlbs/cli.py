@@ -10,6 +10,7 @@ Subcommands:
                  derivative on the solved surface, whose per-node CSV
                  (``output.per_node_csv``) needs ``--out``.  The scan has
                  no settings; ``solver.dyf_form`` accepts only ``"exact"``.
+                 With ``--out`` it also writes ``metadata.json``.
 * ``converge`` - runs the fixed-point iteration and reports its records.
 * ``sweep``    - re-solves across a range of rebalancing intervals and
                  names the ill-posed ones (Le >= 1).
@@ -18,8 +19,11 @@ All commands read one JSON config (sections ``market``, ``cost``, ``payoff``,
 ``dt_tc``, optional ``grid``, ``solver``, ``output``), accept repeated
 ``--flag dotted.key=value`` overrides (values parsed as JSON, falling back to
 bare strings), and write deterministic artifacts: CSV numbers with repr-exact
-%.17g formatting, LF line endings, and sorted-key metadata JSON.  A key
-that no command reads, at the top level or in any section, and a value of
+%.17g formatting, LF line endings, and sorted-key metadata JSON; every
+``metadata.json`` records the package version, and those of ``price`` and
+``leland`` each asset's Leland number at ``dt_tc``.  A key that the command
+does not read, at the top level or in any section (a ``solver`` or
+``output`` key that only another command reads included), and a value of
 the wrong type are config errors, found before any solve; switches take
 JSON booleans, and a ``solver`` or ``output`` value of null means the key is
 absent.
@@ -48,6 +52,7 @@ from typing import Any
 
 import numpy as np
 
+from . import __version__
 from .adi_solver import GridSpec, SolveResult, solve_nonlinear
 from .analytic_pricing import cbest_price
 from .cost_engine import QuadratureError, assemble_G
@@ -146,25 +151,36 @@ _OUTPUT_PARSERS = {
     "dt_values": lambda value, qualified: _positive(value, qualified, (0, 1)),
     "probes": _probes,
 }
+_SOLVE_KEYS = (*_FLAG_KEYS, "tol", "max_iter")
+# command -> the solver keys and the output keys it reads
+_COMMAND_KEYS = {
+    "price": (_SOLVE_KEYS, ("error_band",)),
+    "analytic": ((), ("tau",)),
+    "leland": ((*_SOLVE_KEYS, "dyf_form", "skip_scan"), ("per_node_csv",)),
+    "converge": (_SOLVE_KEYS, ()),
+    "sweep": (_SOLVE_KEYS, ("dt_values", "probes")),
+}
 _TOP_LEVEL_KEYS = ("market", "cost", "payoff", "dt_tc", "grid", "solver", "output")
 # config key -> keyword of the library call it configures
 _SOLVE_ARGS = {"tol": "tol", "max_iter": "max_iter"}
 _BAND_ARG = {"error_band": "band"}
 
 
-def _parsed_section(cfg: dict, name: str, parsers: dict) -> dict:
+def _parsed_section(cfg: dict, name: str, parsers: dict, keys: tuple[str, ...], command: str) -> dict:
     """The config's optional section ``name`` with every value parsed.
 
-    Rejects a key without a parser and a value of the wrong type; a null
-    value is dropped, so the command uses its default.
+    ``keys`` are the keys of the section that ``command`` reads.  Rejects any
+    other key, even one another command reads, and a value of the wrong
+    type; a null value is dropped, so the command uses its default.
     """
     section = cfg.get(name) or {}
     if not isinstance(section, dict):
         raise ValidationError(name, f"expected a mapping, got {type(section).__name__}")
     parsed = {}
     for key, value in section.items():
-        if key not in parsers:
-            raise ValidationError(f"{name}.{key}", f"unknown key; expected one of {tuple(parsers)}")
+        if key not in keys:
+            reads = ", ".join(keys) or "none"
+            raise ValidationError(f"{name}.{key}", f"unknown key for {command}, which reads: {reads}")
         if value is not None:
             parsed[key] = parsers[key](value, f"{name}.{key}")
     return parsed
@@ -216,6 +232,20 @@ def _write_metadata(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
+def _write_run_metadata(out: Path, command: str, cfg: dict, scenario: Scenario, outputs: list, result: dict) -> None:
+    """``metadata.json``: what the command read, what it wrote and found, and the package version."""
+    _write_metadata(
+        out / "metadata.json",
+        {
+            "command": command,
+            "config": _resolved_config(cfg, scenario),
+            "nlbs_version": __version__,
+            "outputs": outputs,
+            "result": result,
+        },
+    )
+
+
 def _solve_json(result: SolveResult) -> dict:
     records = [{"n": r.n, "d1": r.d1, "d2": r.d2, "dinf": r.dinf} for r in result.records]
     return {"converged": result.converged, "iterations": result.iterations, "records": records}
@@ -240,15 +270,16 @@ def _setup(args) -> tuple[dict, Scenario, SolverFlags, dict, dict]:
     """Load the config, validate the scenario, resolve the solver flags.
 
     Returns the config, the scenario, the flags and the parsed ``solver`` and
-    ``output`` sections.
+    ``output`` sections, which may hold only the keys ``args.command`` reads.
     """
     cfg = _load_config(args.config, args.flag)
     for key in cfg:
         if key not in _TOP_LEVEL_KEYS:
             raise ValidationError(key, f"unknown key; expected one of {_TOP_LEVEL_KEYS}")
     scenario = validate(cfg)
-    solver = _parsed_section(cfg, "solver", _SOLVER_PARSERS)
-    output = _parsed_section(cfg, "output", _OUTPUT_PARSERS)
+    solver_keys, output_keys = _COMMAND_KEYS[args.command]
+    solver = _parsed_section(cfg, "solver", _SOLVER_PARSERS, solver_keys, args.command)
+    output = _parsed_section(cfg, "output", _OUTPUT_PARSERS, output_keys, args.command)
     flags = SolverFlags(**{key: solver[key] for key in _FLAG_KEYS if key in solver})
     return cfg, scenario, flags, solver, output
 
@@ -287,31 +318,32 @@ def _cmd_price(args) -> int:
     g = assemble_G(result.surface.values, scenario, flags=flags)
     err = error_vs_analytic(result.surface.values, scenario, **band)
 
+    lelands = _leland_numbers(scenario, scenario.dt_tc)
     _write_surface_csv(out / "surface.csv", scenario.grid, result.surface.values)
     _write_surface_csv(out / "cost_field.csv", scenario.grid, g, value_name="G")
     _write_convergence_csv(out / "convergence.csv", result.records)
-    _write_metadata(
-        out / "metadata.json",
+    _write_run_metadata(
+        out,
+        "price",
+        cfg,
+        scenario,
+        ["surface.csv", "cost_field.csv", "convergence.csv"],
         {
-            "command": "price",
-            "config": _resolved_config(cfg, scenario),
-            "outputs": ["surface.csv", "cost_field.csv", "convergence.csv"],
-            "result": {
-                **_solve_json(result),
-                "error_vs_analytic": {
-                    "max_rel": err.max_rel,
-                    "mean_abs": err.mean_abs,
-                    "n_included": err.n_included,
-                    "peak_analytic": err.peak_analytic,
-                },
+            **_solve_json(result),
+            "error_vs_analytic": {
+                "max_rel": err.max_rel,
+                "mean_abs": err.mean_abs,
+                "n_included": err.n_included,
+                "peak_analytic": err.peak_analytic,
             },
+            "leland_numbers": [le.value for le in lelands],
         },
     )
     print(
         f"price: {_status(result)}; "
         f"peak-normalized benchmark error {err.max_rel:.3e}; wrote {out}"
     )
-    ill_posed = [i for i, le in enumerate(_leland_numbers(scenario, scenario.dt_tc), start=1) if not le.well_posed]
+    ill_posed = [i for i, le in enumerate(lelands, start=1) if not le.well_posed]
     if ill_posed:
         print(f"price: ILL-POSED (Le >= 1) at dt_tc={scenario.dt_tc:.6g} for asset {', '.join(map(str, ill_posed))}")
     finite = bool(np.isfinite(result.surface.values).all())
@@ -329,23 +361,20 @@ def _cmd_analytic(args) -> int:
     vals = cbest_price(s[:, None], s[None, :], tau, scenario)
     vals = np.broadcast_to(vals, (grid.nx + 1, grid.nx + 1))
     _write_surface_csv(out / "surface.csv", grid, vals)
-    _write_metadata(
-        out / "metadata.json",
-        {
-            "command": "analytic",
-            "config": _resolved_config(cfg, scenario),
-            "outputs": ["surface.csv"],
-            "result": {"tau": tau},
-        },
-    )
+    _write_run_metadata(out, "analytic", cfg, scenario, ["surface.csv"], {"tau": tau})
     print(f"analytic: wrote closed-form surface at tau={tau} to {out}")
     return 0
 
 
 def _cmd_leland(args) -> int:
     cfg, scenario, flags, solver, output = _setup(args)
-    if output.get("per_node_csv", False) and (args.out is None or solver.get("skip_scan", False)):
+    skip_scan = solver.get("skip_scan", False)
+    per_node_csv = output.get("per_node_csv", False)
+    if per_node_csv and (args.out is None or skip_scan):
         raise ValidationError("output.per_node_csv", "the per-node CSV needs a scan and --out")
+    unread = sorted(solver.keys() - {"skip_scan"}) if skip_scan else []
+    if unread:
+        raise ValidationError(f"solver.{unread[0]}", "leland with solver.skip_scan neither solves nor scans")
 
     round_trip = 2.0 * scenario.cost.bounds()[1]
     lelands = _leland_numbers(scenario, scenario.dt_tc)
@@ -357,16 +386,26 @@ def _cmd_leland(args) -> int:
         )
 
     # the classification alone is a trusted result, whatever its verdict
-    if solver.get("skip_scan", False):
-        return 0
+    status, outputs = 0, []
+    if not skip_scan:
+        status, outputs = _leland_scan(args, cfg, scenario, flags, solver, per_node_csv)
+        if not all(le.well_posed for le in lelands):
+            status = 3
+    if args.out is not None:
+        result = {"leland_numbers": [le.value for le in lelands]}
+        _write_run_metadata(_out_dir(args), "leland", cfg, scenario, outputs, result)
+    return status
 
+
+def _leland_scan(args, cfg: dict, scenario: Scenario, flags: SolverFlags, solver: dict, per_node_csv: bool):
+    """Solve and scan for ``leland``: the exit status so far and the files written."""
     result = solve_nonlinear(scenario, flags=flags, **_settings(solver, _SOLVE_ARGS))
     if not result.converged:
         print(f"leland: solve {_status(result)}; surface not scanned")
-        return 3
+        return 3, []
     if not np.isfinite(result.surface.values).all():
         print("leland: the surface is not finite; not scanned")
-        return 3
+        return 3, []
     report = scan_surface(result.surface.values, scenario, flags=flags)
     if report.n_checked:
         verdict = "satisfied" if report.satisfied else "violated"
@@ -377,20 +416,23 @@ def _cmd_leland(args) -> int:
         )
     else:
         print(f"scan: all {report.degenerate_count} interior nodes degenerate")
-    if args.out is not None:
-        out = _out_dir(args)
-        _write_metadata(
-            out / "ellipticity.json",
-            {
-                "command": "leland",
-                "config": _resolved_config(cfg, scenario),
-                "result": report.to_json_dict(),
-            },
-        )
-        if output.get("per_node_csv", False):
-            report.write_nodes_csv(out / "ellipticity_nodes.csv")
-        print(f"leland: wrote scan report to {out}")
-    return 0 if all(le.well_posed for le in lelands) else 3
+    if args.out is None:
+        return 0, []
+    out = _out_dir(args)
+    _write_metadata(
+        out / "ellipticity.json",
+        {
+            "command": "leland",
+            "config": _resolved_config(cfg, scenario),
+            "result": report.to_json_dict(),
+        },
+    )
+    outputs = ["ellipticity.json"]
+    if per_node_csv:
+        report.write_nodes_csv(out / "ellipticity_nodes.csv")
+        outputs.append("ellipticity_nodes.csv")
+    print(f"leland: wrote scan report to {out}")
+    return 0, outputs
 
 
 def _cmd_converge(args) -> int:
@@ -398,15 +440,7 @@ def _cmd_converge(args) -> int:
     out = _out_dir(args)
     result = solve_nonlinear(scenario, flags=flags, **_settings(solver, _SOLVE_ARGS))
     _write_convergence_csv(out / "convergence.csv", result.records)
-    _write_metadata(
-        out / "metadata.json",
-        {
-            "command": "converge",
-            "config": _resolved_config(cfg, scenario),
-            "outputs": ["convergence.csv"],
-            "result": _solve_json(result),
-        },
-    )
+    _write_run_metadata(out, "converge", cfg, scenario, ["convergence.csv"], _solve_json(result))
     print("n    d1            d2            dinf")
     for rec in result.records:
         print(f"{rec.n:<4d} {rec.d1:<13.6e} {rec.d2:<13.6e} {rec.dinf:<13.6e}")
@@ -437,20 +471,19 @@ def _cmd_sweep(args) -> int:
     leland = [_leland_numbers(scenario, row.dt) for row in result.rows]
     ill_posed = [row.dt for row, les in zip(result.rows, leland) if not all(le.well_posed for le in les)]
     non_finite = [row.dt for row in result.rows if not all(map(math.isfinite, row.prices))]
-    _write_metadata(
-        out / "metadata.json",
+    _write_run_metadata(
+        out,
+        "sweep",
+        cfg,
+        scenario,
+        ["sweep.csv"],
         {
-            "command": "sweep",
-            "config": _resolved_config(cfg, scenario),
-            "outputs": ["sweep.csv"],
-            "result": {
-                "probe_nodes": [list(n) for n in result.probe_nodes],
-                "probe_spots": [list(s) for s in result.probe_spots],
-                "n_dt": len(result.rows),
-                "n_converged": sum(r.converged for r in result.rows),
-                "leland_numbers": [[le.value for le in les] for les in leland],
-                "ill_posed_dts": ill_posed,
-            },
+            "probe_nodes": [list(n) for n in result.probe_nodes],
+            "probe_spots": [list(s) for s in result.probe_spots],
+            "n_dt": len(result.rows),
+            "n_converged": sum(r.converged for r in result.rows),
+            "leland_numbers": [[le.value for le in les] for les in leland],
+            "ill_posed_dts": ill_posed,
         },
     )
     print(f"sweep: solved {len(result.rows)} rebalancing intervals; wrote {out}")

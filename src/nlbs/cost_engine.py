@@ -21,7 +21,10 @@ Closed forms for the half-normal expectation:
   J(q) = 1 - sqrt(pi/2) q erfcx(q / sqrt(2)),
   J(0) = 1, strictly decreasing to 0 (erfcx is the scaled complementary error
   function, used for overflow safety).
-* sampled cost curves fall back to adaptive quadrature.
+* sampled cost curves fall back to adaptive quadrature.  ``scipy.integrate``
+  is imported at the first such call, not with the package: it costs about
+  0.3 s, and only sampled cost and the scan's exponential-cost integrals
+  past a = k h = 20 (:mod:`nlbs.ellipticity`) need it.
 
 The package's finite-difference stencils live here: central second
 derivatives, the four-corner mixed difference, and first derivatives chosen
@@ -29,7 +32,9 @@ by :class:`~nlbs.market_model.SolverFlags` (forward by default, or central).
 ``assemble_G``, the ellipticity scan and the edge marches take their
 differences from them, the ADI stage operators their mixed term.  One grid
 routine turns the differences into (Theta_1, Theta_2) for ``assemble_G`` and
-the scan alike.
+the scan alike.  The stencils, Theta and the expected cost write into a few
+arrays allocated once per call; each operation and its operand order is that
+of the plain array expression, so the result is the same to the last bit.
 """
 
 from __future__ import annotations
@@ -37,7 +42,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import erfcx
 
 from .market_model import (
@@ -142,15 +146,21 @@ def theta_log_coords(
 # ---------------------------------------------------------------------------
 
 
-def exponential_decay_factor(q):
+def exponential_decay_factor(q, out=None):
     """J(q) = 1 - sqrt(pi/2) q erfcx(q/sqrt(2)) for q >= 0.
 
     The attenuation of the expected cost under an exponentially decaying cost
     curve relative to the constant-cost case: J(0) = 1, J strictly decreasing
-    to 0 as q -> inf.
+    to 0 as q -> inf.  ``out``, an array of q's shape, receives J; it may be
+    ``q`` itself.
     """
     q = np.asarray(q, dtype=float)
-    return 1.0 - _SQRT_PI_OVER_2 * q * erfcx(q / math.sqrt(2.0))
+    w = erfcx(q / math.sqrt(2.0))
+    # negation is exact, so 1 + (-c q) w equals 1 - c q w to the last bit
+    j = np.multiply(-_SQRT_PI_OVER_2, q, out=out)
+    j *= w
+    j += 1.0
+    return j
 
 
 def _quad_to_inf(integrand, name: str, h: float) -> float:
@@ -159,6 +169,8 @@ def _quad_to_inf(integrand, name: str, h: float) -> float:
     Raises :class:`QuadratureError` naming the integral when the error
     estimate exceeds 1e-8 relative (absolute below magnitude 1).
     """
+    from scipy.integrate import quad  # see the module docstring
+
     val, err = quad(integrand, 0.0, np.inf, epsabs=1e-14, epsrel=1e-10, limit=200)
     if err > 1e-8 * max(abs(val), 1.0):
         raise QuadratureError(f"{name} quadrature reached error {err:.3e} at scale h={h:.6e}")
@@ -186,33 +198,43 @@ def _expected_cost_quad(cost: CostModel, theta: np.ndarray, dt: float) -> np.nda
     return out.reshape(np.shape(theta))
 
 
-def expected_cost(cost: CostModel, theta, dt: float):
+def expected_cost(cost: CostModel, theta, dt: float, *, out=None):
     """E[C(sqrt(dt) |phi|) |phi|] for phi ~ N(0, theta), vectorized over theta.
 
     Constant and exponential cost models use closed forms; sampled models use
     adaptive quadrature (raising :class:`QuadratureError` if the requested
-    tolerance cannot be met).
+    tolerance cannot be met).  ``out``, an array of theta's shape, receives
+    the result; it may be ``theta`` itself.
     """
     dt = float(dt)
     if not math.isfinite(dt) or dt <= 0.0:
         raise ValidationError("dt", f"rebalancing interval must be positive, got {dt}")
     theta_arr = np.asarray(theta, dtype=float)
-    if np.any(theta_arr < -1e-12):
+    if theta_arr.min(initial=0.0) < -1e-12:
         raise ValidationError("theta", "variance must be nonnegative")
-    theta_arr = np.maximum(theta_arr, 0.0)
+    res = np.maximum(theta_arr, 0.0, out=np.empty(theta_arr.shape) if out is None else out)
 
     if isinstance(cost, ConstantCost):
-        out = cost.c0 * np.sqrt(2.0 * theta_arr / math.pi)
+        res *= 2.0
+        res /= math.pi
+        np.sqrt(res, out=res)
+        res *= cost.c0
     elif isinstance(cost, ExponentialCost):
-        q = cost.k * np.sqrt(dt * theta_arr)
-        out = cost.c0 * np.sqrt(theta_arr) * _SQRT_2_OVER_PI * exponential_decay_factor(q)
+        q = np.multiply(dt, res, out=np.empty_like(res))
+        np.sqrt(q, out=q)
+        q *= cost.k
+        exponential_decay_factor(q, out=q)
+        np.sqrt(res, out=res)
+        res *= cost.c0
+        res *= _SQRT_2_OVER_PI
+        res *= q
     elif isinstance(cost, SampledCost):
-        out = _expected_cost_quad(cost, theta_arr, dt)
+        res[...] = _expected_cost_quad(cost, res, dt)
     else:
         raise ValidationError("cost", f"unknown cost model type {type(cost).__name__}")
     if np.ndim(theta) == 0:
-        return float(out)
-    return out
+        return float(res)
+    return res
 
 
 # ---------------------------------------------------------------------------
@@ -220,24 +242,34 @@ def expected_cost(cost: CostModel, theta, dt: float):
 # ---------------------------------------------------------------------------
 
 
-def _axis_differences(u: np.ndarray, dx: float, first: str) -> tuple[np.ndarray, np.ndarray]:
+def _axis_differences(u: np.ndarray, dx: float, first: str, out=(None, None)) -> tuple[np.ndarray, np.ndarray]:
     """First and second differences along axis 0 at interior positions.
 
     ``u`` is one edge vector or a 2-D array whose other axis is kept whole.
     The second difference is central; the first is ``"forward"`` or
-    ``"central"``.
+    ``"central"``.  ``out`` is a pair of arrays to receive them.
     """
+    d1, d2 = out
     if first == "forward":
-        d1 = (u[2:] - u[1:-1]) / dx
+        d1 = np.subtract(u[2:], u[1:-1], out=d1)
+        d1 /= dx
     else:
-        d1 = (u[2:] - u[:-2]) / (2.0 * dx)
-    d2 = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / (dx * dx)
+        d1 = np.subtract(u[2:], u[:-2], out=d1)
+        d1 /= 2.0 * dx
+    d2 = np.multiply(2.0, u[1:-1], out=d2)
+    np.subtract(u[2:], d2, out=d2)
+    d2 += u[:-2]
+    d2 /= dx * dx
     return d1, d2
 
 
-def _mixed_diff(u: np.ndarray, dx: float) -> np.ndarray:
+def _mixed_diff(u: np.ndarray, dx: float, out=None) -> np.ndarray:
     """Four-corner mixed second difference on interior nodes, shape (n-1, n-1)."""
-    return (u[2:, 2:] + u[:-2, :-2] - u[2:, :-2] - u[:-2, 2:]) / (4.0 * dx * dx)
+    out = np.add(u[2:, 2:], u[:-2, :-2], out=out)
+    out -= u[2:, :-2]
+    out -= u[:-2, 2:]
+    out /= 4.0 * dx * dx
+    return out
 
 
 def _grid_derivatives(u: np.ndarray, dx: float, flags: SolverFlags) -> tuple[np.ndarray, ...]:
@@ -245,9 +277,36 @@ def _grid_derivatives(u: np.ndarray, dx: float, flags: SolverFlags) -> tuple[np.
 
     All returned arrays cover interior nodes only, shape (n-1, n-1).
     """
-    ux, uxx = _axis_differences(u[:, 1:-1], dx, flags.first_derivative)
-    uy, uyy = _axis_differences(u[1:-1, :].T, dx, flags.first_derivative)
-    return ux, uy.T, uxx, uyy.T, _mixed_diff(u, dx)
+    n = u.shape[0] - 2
+    # one allocation per array: a single (5, n, n) block crosses the C
+    # allocator's mmap threshold and left a costed price run ~6 MB higher in RSS
+    ux, uy, uxx, uyy, uxy = (np.empty((n, n)) for _ in range(5))
+    _axis_differences(u[:, 1:-1], dx, flags.first_derivative, out=(ux, uxx))
+    _axis_differences(u[1:-1, :].T, dx, flags.first_derivative, out=(uy.T, uyy.T))
+    _mixed_diff(u, dx, out=uxy)
+    return ux, uy, uxx, uyy, uxy
+
+
+def _quadratic_form(p, c, q, uxy, weights, out, work) -> np.ndarray:
+    """(p p w11 + 2 c uxy w12) + q q w22 into ``out``, one operation at a time.
+
+    Each of ``weights`` = (w11, w12, w22) is a chain of factors multiplied
+    in from the left, as in the expression ``p * p * f1 * f2``.
+    """
+    w11, w12, w22 = weights
+    np.multiply(p, p, out=out)
+    for f in w11:
+        out *= f
+    np.multiply(2.0, c, out=work)
+    work *= uxy
+    for f in w12:
+        work *= f
+    out += work
+    np.multiply(q, q, out=work)
+    for f in w22:
+        work *= f
+    out += work
+    return out
 
 
 def _grid_theta(derivatives: tuple[np.ndarray, ...], scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
@@ -255,33 +314,32 @@ def _grid_theta(derivatives: tuple[np.ndarray, ...], scenario: Scenario) -> tupl
 
     Log grids use the chain-rule expansion of :func:`theta_log_coords`,
     price grids the quadratic form (B A B)_ii.  Roundoff below zero is
-    clamped.
+    clamped.  The derivatives are left as they are.
     """
     ux, uy, uxx, uyy, uxy = derivatives
     grid = scenario.grid
     sig1, sig2 = scenario.market.sigmas
     rho = float(scenario.market.rho[0, 1])
     axis = grid.axis()[1:-1]
+    theta1, theta2, c, work = (np.empty(uxy.shape) for _ in range(4))
     if grid.coord == "log":
-        x1 = axis[:, None]
-        x2 = axis[None, :]
-        c1 = uxx - ux
-        c2 = uyy - uy
-        theta1 = np.exp(-2.0 * x1) * (
-            c1 * c1 * sig1 * sig1 + 2.0 * c1 * uxy * sig1 * sig2 * rho + uxy * uxy * sig2 * sig2
-        )
-        theta2 = np.exp(-2.0 * x2) * (
-            uxy * uxy * sig1 * sig1 + 2.0 * c2 * uxy * sig1 * sig2 * rho + c2 * c2 * sig2 * sig2
-        )
+        weights = ((sig1, sig1), (sig1, sig2, rho), (sig2, sig2))
+        np.subtract(uxx, ux, out=c)
+        _quadratic_form(c, c, uxy, uxy, weights, theta1, work)
+        theta1 *= np.exp(-2.0 * axis[:, None])
+        np.subtract(uyy, uy, out=c)
+        _quadratic_form(uxy, c, c, uxy, weights, theta2, work)
+        theta2 *= np.exp(-2.0 * axis[None, :])
     else:
         s1 = axis[:, None]
         s2 = axis[None, :]
-        a11 = sig1 * sig1 * s1 * s1
-        a12 = sig1 * sig2 * rho * s1 * s2
-        a22 = sig2 * sig2 * s2 * s2
-        theta1 = uxx * uxx * a11 + 2.0 * uxx * uxy * a12 + uxy * uxy * a22
-        theta2 = uxy * uxy * a11 + 2.0 * uyy * uxy * a12 + uyy * uyy * a22
-    return np.maximum(theta1, 0.0), np.maximum(theta2, 0.0)
+        a12 = np.multiply(sig1 * sig2 * rho * s1, s2, out=c)
+        weights = ((sig1 * sig1 * s1 * s1,), (a12,), (sig2 * sig2 * s2 * s2,))
+        _quadratic_form(uxx, uxx, uxy, uxy, weights, theta1, work)
+        _quadratic_form(uxy, uyy, uyy, uxy, weights, theta2, work)
+    np.maximum(theta1, 0.0, out=theta1)
+    np.maximum(theta2, 0.0, out=theta2)
+    return theta1, theta2
 
 
 # ---------------------------------------------------------------------------
@@ -309,8 +367,11 @@ def assemble_G(surface, scenario: Scenario, *, flags: SolverFlags = SolverFlags(
     dt = scenario.dt_tc
     theta1, theta2 = _grid_theta(_grid_derivatives(u, grid.dx, flags), scenario)
     spots = grid.spot_axis()[1:-1]
-    e1 = expected_cost(scenario.cost, theta1, dt)
-    e2 = expected_cost(scenario.cost, theta2, dt)
+    e1 = expected_cost(scenario.cost, theta1, dt, out=theta1)
+    e2 = expected_cost(scenario.cost, theta2, dt, out=theta2)
+    e1 *= spots[:, None]
+    e2 *= spots[None, :]
     g = np.zeros_like(u)
-    g[1:-1, 1:-1] = (spots[:, None] * e1 + spots[None, :] * e2) / math.sqrt(dt)
+    inner = np.add(e1, e2, out=g[1:-1, 1:-1])
+    inner /= math.sqrt(dt)
     return g

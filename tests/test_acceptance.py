@@ -16,7 +16,9 @@ rather than loosened:
 Everything here runs on the shipped benchmark configs (configs/testing1..3)
 and the oracle helpers in tests/oracles.py.  Budget a few minutes: the slow
 pieces are three converged solves shared through a session fixture, a
-10^7-sample Monte Carlo check, and a 100-point rebalancing sweep.
+10^7-sample Monte Carlo check, and a 100-point rebalancing sweep.  Every
+test here carries the ``slow`` marker, so ``pytest -m "not slow"`` runs the
+module tests alone.
 """
 
 import math
@@ -51,6 +53,8 @@ from nlbs import (
 
 import oracles
 from conftest import benchmark_scenario
+
+pytestmark = pytest.mark.slow
 
 
 def _report(num: int, ok: bool, detail: str) -> None:

@@ -344,6 +344,84 @@ def test_exit_code_2_names_a_malformed_output_or_solver_value(tmp_path, capsys, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command,flag,field",
+    [
+        ("analytic", "output.per_node_csv=true", "output.per_node_csv"),
+        ("analytic", "solver.skip_scan=true", "solver.skip_scan"),
+        ("analytic", "output.probes=[[30, 30]]", "output.probes"),
+        ("analytic", "solver.max_iter=3", "solver.max_iter"),
+        ("price", "output.probes=[[30, 30]]", "output.probes"),
+        ("price", "output.dt_values=[0.004]", "output.dt_values"),
+        ("price", "solver.skip_scan=false", "solver.skip_scan"),
+        ("price", 'solver.dyf_form="exact"', "solver.dyf_form"),
+        ("sweep", "output.tau=0.5", "output.tau"),
+        ("sweep", "output.error_band=2", "output.error_band"),
+        ("converge", "output.error_band=2", "output.error_band"),
+        ("leland", "output.tau=0.5", "output.tau"),
+    ],
+)
+def test_exit_code_2_names_a_key_the_command_does_not_read(tmp_path, capsys, monkeypatch, command, flag, field):
+    """A key another command reads is not silently ignored: exit 2 before
+    any solve, naming the dotted key and the command."""
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the solve ran")
+
+    monkeypatch.setattr(cli, "solve_nonlinear", no_solve)
+    monkeypatch.setattr(cli, "dt_sensitivity_sweep", no_solve)
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path)
+    out = tmp_path / "o"
+    assert main([command, "--config", str(cfg_path), "--out", str(out), "--flag", flag]) == 2
+    assert f"config error: {field}: unknown key for {command}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["solver.tol=0.001", 'solver.first_derivative="central"', 'solver.dyf_form="exact"'])
+def test_leland_classification_alone_rejects_solve_keys(tmp_path, capsys, flag):
+    """With solver.skip_scan nothing is solved, so a solve key would be ignored."""
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, solver={"skip_scan": True})
+    assert main(["leland", "--config", str(cfg_path), "--flag", flag]) == 2
+    key = flag.partition("=")[0]
+    assert f"config error: {key}: leland with solver.skip_scan neither solves nor scans" in capsys.readouterr().err
+
+
+def test_every_metadata_records_the_version_and_price_and_leland_their_leland_numbers(tmp_path):
+    import nlbs
+    from nlbs import leland_number
+
+    cfg_path = tmp_path / "cfg.json"
+    cfg = write_config(cfg_path, cost={"type": "constant", "C0": 0.001}, output={})
+    runs = {
+        "price": [],
+        "analytic": [],
+        "converge": [],
+        "sweep": ["--flag", "output.dt_values=[0.004]"],
+        "leland": ["--flag", "output.per_node_csv=true"],
+    }
+    expected = [leland_number(sigma, 2.0 * 0.001, cfg["dt_tc"]).value for sigma in cfg["market"]["sigmas"]]
+    for command, flags in runs.items():
+        out = tmp_path / command
+        assert main([command, "--config", str(cfg_path), "--out", str(out)] + flags) == 0
+        meta = json.loads((out / "metadata.json").read_text())
+        assert meta["nlbs_version"] == nlbs.__version__, command
+        assert meta["command"] == command
+        assert all((out / name).exists() for name in meta["outputs"]), command
+        if command in ("price", "leland"):
+            assert meta["result"]["leland_numbers"] == expected, command
+    leland_meta = json.loads((tmp_path / "leland" / "metadata.json").read_text())
+    assert leland_meta["outputs"] == ["ellipticity.json", "ellipticity_nodes.csv"]
+
+    # classification alone still records the Leland numbers, and no scan files
+    out = tmp_path / "classify"
+    assert main(["leland", "--config", str(cfg_path), "--out", str(out), "--flag", "solver.skip_scan=true"]) == 0
+    meta = json.loads((out / "metadata.json").read_text())
+    assert meta["outputs"] == [] and meta["result"]["leland_numbers"] == expected
+    assert sorted(p.name for p in out.iterdir()) == ["metadata.json"]
+
+
 def test_error_band_leaving_no_node_exits_2_before_the_solve(tmp_path, capsys, monkeypatch):
     def no_solve(*args, **kwargs):
         raise AssertionError("the solve ran")
@@ -412,7 +490,7 @@ def test_an_ill_posed_dt_tc_exits_3(tmp_path, capsys, command):
     and its outputs are written, but the result is not to be trusted."""
     out = tmp_path / "o"
     argv = [command, "--config", str(CONFIG_DIR / "testing1.json"), "--out", str(out)]
-    for flag in SMALL_GRID + ("dt_tc=7.6e-5", "output.per_node_csv=true"):
+    for flag in SMALL_GRID + ("dt_tc=7.6e-5",) + (("output.per_node_csv=true",) if command == "leland" else ()):
         argv += ["--flag", flag]
     assert main(argv) == 3
     text = capsys.readouterr().out

@@ -62,20 +62,19 @@ VALUES = st.recursive(
 )
 MUTATIONS = st.lists(st.tuples(st.sampled_from(FIELDS), VALUES), min_size=1, max_size=3)
 
-# every key some command reads in these sections, at a valid value
+# every key the command reads in these sections, at a valid value
+SOLVE = {"first_derivative": "forward", "tol": 1e-6, "max_iter": 4}
 SETTINGS = {
-    "solver": {
-        "first_derivative": "forward",
-        "tol": 1e-6,
-        "max_iter": 4,
-        "dyf_form": "exact",
-        "skip_scan": False,
+    "sweep": {"solver": SOLVE, "output": {"dt_values": [0.004], "probes": [[30.0, 30.0]]}},
+    "leland": {
+        "solver": {**SOLVE, "dyf_form": "exact", "skip_scan": False},
+        "output": {"per_node_csv": True},
     },
-    "output": {"tau": 1.0, "error_band": 2, "per_node_csv": True, "dt_values": [0.004], "probes": [[30.0, 30.0]]},
 }
-SETTING_FIELDS = [(name,) for name in SETTINGS] + [
-    (name, key) for name, section in SETTINGS.items() for key in section
-]
+SETTING_FIELDS = sorted(
+    {(name,) for cfg in SETTINGS.values() for name in cfg}
+    | {(name, key) for cfg in SETTINGS.values() for name, section in cfg.items() for key in section}
+)
 SETTING_MUTATIONS = st.lists(
     st.tuples(st.sampled_from(SETTING_FIELDS), st.one_of(VALUES, NUMBERS)), min_size=1, max_size=3
 )
@@ -136,7 +135,7 @@ def test_malformed_config_exits_0_or_2_never_a_traceback(config, mutations):
 @given(mutations=SETTING_MUTATIONS)
 def test_malformed_solver_or_output_exits_0_2_or_3_never_a_traceback(command, config, mutations):
     cfg = small_config(config)
-    cfg.update(json.loads(json.dumps(SETTINGS)))
+    cfg.update(json.loads(json.dumps(SETTINGS[command])))
     for path, value in mutations:
         mutate(cfg, path, value)
     rc, err = run(command, cfg)

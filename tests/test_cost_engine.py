@@ -1,7 +1,12 @@
 """Cost-term tests: expected rebalancing cost against quadrature, the
 per-asset variance proxy against a loop oracle, grid assembly invariants."""
 
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,9 +24,11 @@ from nlbs import (
     assemble_G,
     expected_cost,
     exponential_decay_factor,
+    solve_nonlinear,
     theta_from_hessian,
     theta_log_coords,
 )
+from nlbs.adi_solver import _edge_cost_term
 
 import oracles
 from conftest import benchmark_scenario
@@ -342,3 +349,75 @@ def test_assemble_g_first_derivative_variants_differ_but_agree_on_symmetric_data
         assemble_G(flat, scen, flags=SolverFlags(first_derivative="forward")),
         assemble_G(flat, scen, flags=SolverFlags(first_derivative="central")),
     )
+
+
+# ---------------------------------------------------------------------------
+# the in-place assembly against the plain expressions
+# ---------------------------------------------------------------------------
+
+ORACLE_COSTS = {
+    "constant": ConstantCost(c0=0.004),
+    "exponential": ExponentialCost(c0=0.005, k=1.0),
+    "sampled": SampledCost(
+        x=np.array([0.0, 0.5, 1.0, 2.0]), c=np.array([0.004, 0.003, 0.002, 0.001]), c_lower=0.0, c_upper=0.004
+    ),
+}
+
+
+@pytest.mark.parametrize("cost", sorted(ORACLE_COSTS))
+@pytest.mark.parametrize("first", ["forward", "central"])
+@pytest.mark.parametrize("coord", ["log", "price"])
+def test_source_assembly_is_bit_identical_to_the_expression_oracle(coord, first, cost):
+    """assemble_G and the edge-pair term equal, bit for bit, the same
+    expressions written with one temporary per operation, on random and on
+    solved surfaces (sampled cost on a coarser grid: one quad call per node)."""
+    scen = small_scenario(nx=6 if cost == "sampled" else 20, coord=coord).with_cost(ORACLE_COSTS[cost])
+    flags = SolverFlags(first_derivative=first)
+    rng = np.random.default_rng(11)
+    surfaces = [bumpy_surface(scen, rng), rng.random((scen.grid.nx + 1,) * 2)]
+    surfaces.append(solve_nonlinear(scen, flags=flags, max_iter=2).surface.values)
+    for u in surfaces:
+        np.testing.assert_array_equal(assemble_G(u, scen, flags=flags), oracles.assemble_G_expression(u, scen, first))
+        for sigma, edges in zip(scen.market.sigmas, (u[:, [0, -1]], u[[0, -1], :].T)):
+            edges = np.ascontiguousarray(edges)
+            np.testing.assert_array_equal(
+                _edge_cost_term(edges, sigma, scen, flags),
+                oracles.edge_cost_term_expression(edges, sigma, scen, first),
+            )
+
+
+def test_expected_cost_out_may_be_theta_itself():
+    theta = np.linspace(0.0, 2.0, 7)
+    for cost in ORACLE_COSTS.values():
+        expected = expected_cost(cost, theta, 0.004)
+        buffer = theta.copy()
+        assert expected_cost(cost, buffer, 0.004, out=buffer) is buffer
+        np.testing.assert_array_equal(buffer, expected)
+        np.testing.assert_array_equal(expected, oracles.expected_cost_expression(cost, theta, 0.004))
+
+
+# ---------------------------------------------------------------------------
+# what the package imports
+# ---------------------------------------------------------------------------
+
+
+def test_quadrature_and_ndimage_load_only_when_used():
+    """Importing the package and its CLI leaves scipy.integrate and
+    scipy.ndimage unloaded; the first sampled-cost expected cost loads the
+    quadrature and matches the in-process value."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    script = (
+        "import sys, json\n"
+        "import nlbs, nlbs.cli\n"
+        "before = sorted(m for m in ('scipy.integrate', 'scipy.ndimage') if m in sys.modules)\n"
+        "cost = nlbs.SampledCost(x=[0.0, 0.5, 1.0, 2.0], c=[0.004, 0.003, 0.002, 0.001], c_lower=0.0, c_upper=0.004)\n"
+        "value = nlbs.expected_cost(cost, 0.7, 0.004)\n"
+        "print(json.dumps([before, 'scipy.integrate' in sys.modules, value.hex()]))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
+    before, loaded, value = json.loads(proc.stdout)
+    assert before == []
+    assert loaded
+    cost = ORACLE_COSTS["sampled"]
+    assert float.fromhex(value) == expected_cost(cost, 0.7, 0.004)
