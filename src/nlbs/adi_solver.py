@@ -445,22 +445,15 @@ def _edge_cost_term(
     dt = scenario.dt_tc
     d1, d2 = _axis_differences(f, grid.dx, flags.first_derivative)
     x = grid.axis()[1:-1, None]
-    # Theta overwrites d1, as the expected cost then overwrites Theta
     if grid.coord == "log":
-        c = np.subtract(d2, d1, out=d2)
-        theta = np.multiply(np.exp(-2.0 * x), c, out=d1)
-        theta *= c
-        theta *= sigma
-        theta *= sigma
+        c = d2 - d1
+        theta = np.exp(-2.0 * x) * c * c * sigma * sigma
         spots = np.exp(x)
     else:
-        theta = np.multiply(sigma * sigma * x * x, d2, out=d1)
-        theta *= d2
+        theta = sigma * sigma * x * x * d2 * d2
         spots = x
-    e = expected_cost(scenario.cost, theta, dt, out=theta)
-    e *= spots
-    e /= math.sqrt(dt)
-    return e
+    e = expected_cost(scenario.cost, np.maximum(theta, 0.0), dt)
+    return spots * e / math.sqrt(dt)
 
 
 def _evolve_edges(scenario: Scenario, flags: SolverFlags, dtau: float) -> list[Edges]:

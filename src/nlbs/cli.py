@@ -136,29 +136,26 @@ def _probes(value: Any, qualified: str) -> np.ndarray:
 
 
 _FLAG_KEYS = tuple(f.name for f in fields(SolverFlags))
-# the parser of every key some command reads; SolverFlags checks its own fields
-_SOLVER_PARSERS = {
+# the parser of every solve key; SolverFlags checks its own fields
+_SOLVE_PARSERS = {
     **dict.fromkeys(_FLAG_KEYS, lambda value, qualified: value),
     "tol": _positive,
     "max_iter": _sweep_count,
-    "dyf_form": _exact,  # names the one operator derivative; nothing to choose
-    "skip_scan": _boolean,
 }
-_OUTPUT_PARSERS = {
-    "tau": _nonnegative,
-    "error_band": _integer,
-    "per_node_csv": _boolean,
-    "dt_values": lambda value, qualified: _positive(value, qualified, (0, 1)),
-    "probes": _probes,
-}
-_SOLVE_KEYS = (*_FLAG_KEYS, "tol", "max_iter")
-# command -> the solver keys and the output keys it reads
-_COMMAND_KEYS = {
-    "price": (_SOLVE_KEYS, ("error_band",)),
-    "analytic": ((), ("tau",)),
-    "leland": ((*_SOLVE_KEYS, "dyf_form", "skip_scan"), ("per_node_csv",)),
-    "converge": (_SOLVE_KEYS, ()),
-    "sweep": (_SOLVE_KEYS, ("dt_values", "probes")),
+# command -> the parsers of the solver keys and of the output keys it reads
+_COMMAND_PARSERS = {
+    "price": (_SOLVE_PARSERS, {"error_band": _integer}),
+    "analytic": ({}, {"tau": _nonnegative}),
+    "leland": (
+        # dyf_form names the one operator derivative; nothing to choose
+        {**_SOLVE_PARSERS, "dyf_form": _exact, "skip_scan": _boolean},
+        {"per_node_csv": _boolean},
+    ),
+    "converge": (_SOLVE_PARSERS, {}),
+    "sweep": (
+        _SOLVE_PARSERS,
+        {"dt_values": lambda value, qualified: _positive(value, qualified, (0, 1)), "probes": _probes},
+    ),
 }
 _TOP_LEVEL_KEYS = ("market", "cost", "payoff", "dt_tc", "grid", "solver", "output")
 # config key -> keyword of the library call it configures
@@ -166,11 +163,11 @@ _SOLVE_ARGS = {"tol": "tol", "max_iter": "max_iter"}
 _BAND_ARG = {"error_band": "band"}
 
 
-def _parsed_section(cfg: dict, name: str, parsers: dict, keys: tuple[str, ...], command: str) -> dict:
+def _parsed_section(cfg: dict, name: str, parsers: dict, command: str) -> dict:
     """The config's optional section ``name`` with every value parsed.
 
-    ``keys`` are the keys of the section that ``command`` reads.  Rejects any
-    other key, even one another command reads, and a value of the wrong
+    ``parsers`` hold the keys of the section that ``command`` reads.  Rejects
+    any other key, even one another command reads, and a value of the wrong
     type; a null value is dropped, so the command uses its default.
     """
     section = cfg.get(name) or {}
@@ -178,8 +175,8 @@ def _parsed_section(cfg: dict, name: str, parsers: dict, keys: tuple[str, ...], 
         raise ValidationError(name, f"expected a mapping, got {type(section).__name__}")
     parsed = {}
     for key, value in section.items():
-        if key not in keys:
-            reads = ", ".join(keys) or "none"
+        if key not in parsers:
+            reads = ", ".join(parsers) or "none"
             raise ValidationError(f"{name}.{key}", f"unknown key for {command}, which reads: {reads}")
         if value is not None:
             parsed[key] = parsers[key](value, f"{name}.{key}")
@@ -277,9 +274,9 @@ def _setup(args) -> tuple[dict, Scenario, SolverFlags, dict, dict]:
         if key not in _TOP_LEVEL_KEYS:
             raise ValidationError(key, f"unknown key; expected one of {_TOP_LEVEL_KEYS}")
     scenario = validate(cfg)
-    solver_keys, output_keys = _COMMAND_KEYS[args.command]
-    solver = _parsed_section(cfg, "solver", _SOLVER_PARSERS, solver_keys, args.command)
-    output = _parsed_section(cfg, "output", _OUTPUT_PARSERS, output_keys, args.command)
+    solver_parsers, output_parsers = _COMMAND_PARSERS[args.command]
+    solver = _parsed_section(cfg, "solver", solver_parsers, args.command)
+    output = _parsed_section(cfg, "output", output_parsers, args.command)
     flags = SolverFlags(**{key: solver[key] for key in _FLAG_KEYS if key in solver})
     return cfg, scenario, flags, solver, output
 

@@ -32,9 +32,7 @@ by :class:`~nlbs.market_model.SolverFlags` (forward by default, or central).
 ``assemble_G``, the ellipticity scan and the edge marches take their
 differences from them, the ADI stage operators their mixed term.  One grid
 routine turns the differences into (Theta_1, Theta_2) for ``assemble_G`` and
-the scan alike.  The stencils, Theta and the expected cost write into a few
-arrays allocated once per call; each operation and its operand order is that
-of the plain array expression, so the result is the same to the last bit.
+the scan alike.
 """
 
 from __future__ import annotations
@@ -146,21 +144,15 @@ def theta_log_coords(
 # ---------------------------------------------------------------------------
 
 
-def exponential_decay_factor(q, out=None):
+def exponential_decay_factor(q):
     """J(q) = 1 - sqrt(pi/2) q erfcx(q/sqrt(2)) for q >= 0.
 
     The attenuation of the expected cost under an exponentially decaying cost
     curve relative to the constant-cost case: J(0) = 1, J strictly decreasing
-    to 0 as q -> inf.  ``out``, an array of q's shape, receives J; it may be
-    ``q`` itself.
+    to 0 as q -> inf.
     """
     q = np.asarray(q, dtype=float)
-    w = erfcx(q / math.sqrt(2.0))
-    # negation is exact, so 1 + (-c q) w equals 1 - c q w to the last bit
-    j = np.multiply(-_SQRT_PI_OVER_2, q, out=out)
-    j *= w
-    j += 1.0
-    return j
+    return 1.0 - _SQRT_PI_OVER_2 * q * erfcx(q / math.sqrt(2.0))
 
 
 def _quad_to_inf(integrand, name: str, h: float) -> float:
@@ -198,43 +190,33 @@ def _expected_cost_quad(cost: CostModel, theta: np.ndarray, dt: float) -> np.nda
     return out.reshape(np.shape(theta))
 
 
-def expected_cost(cost: CostModel, theta, dt: float, *, out=None):
+def expected_cost(cost: CostModel, theta, dt: float):
     """E[C(sqrt(dt) |phi|) |phi|] for phi ~ N(0, theta), vectorized over theta.
 
     Constant and exponential cost models use closed forms; sampled models use
     adaptive quadrature (raising :class:`QuadratureError` if the requested
-    tolerance cannot be met).  ``out``, an array of theta's shape, receives
-    the result; it may be ``theta`` itself.
+    tolerance cannot be met).
     """
     dt = float(dt)
     if not math.isfinite(dt) or dt <= 0.0:
         raise ValidationError("dt", f"rebalancing interval must be positive, got {dt}")
     theta_arr = np.asarray(theta, dtype=float)
-    if theta_arr.min(initial=0.0) < -1e-12:
+    if np.any(theta_arr < -1e-12):
         raise ValidationError("theta", "variance must be nonnegative")
-    res = np.maximum(theta_arr, 0.0, out=np.empty(theta_arr.shape) if out is None else out)
+    theta_arr = np.maximum(theta_arr, 0.0)
 
     if isinstance(cost, ConstantCost):
-        res *= 2.0
-        res /= math.pi
-        np.sqrt(res, out=res)
-        res *= cost.c0
+        out = cost.c0 * np.sqrt(2.0 * theta_arr / math.pi)
     elif isinstance(cost, ExponentialCost):
-        q = np.multiply(dt, res, out=np.empty_like(res))
-        np.sqrt(q, out=q)
-        q *= cost.k
-        exponential_decay_factor(q, out=q)
-        np.sqrt(res, out=res)
-        res *= cost.c0
-        res *= _SQRT_2_OVER_PI
-        res *= q
+        q = cost.k * np.sqrt(dt * theta_arr)
+        out = cost.c0 * np.sqrt(theta_arr) * _SQRT_2_OVER_PI * exponential_decay_factor(q)
     elif isinstance(cost, SampledCost):
-        res[...] = _expected_cost_quad(cost, res, dt)
+        out = _expected_cost_quad(cost, theta_arr, dt)
     else:
         raise ValidationError("cost", f"unknown cost model type {type(cost).__name__}")
     if np.ndim(theta) == 0:
-        return float(res)
-    return res
+        return float(out)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -242,34 +224,24 @@ def expected_cost(cost: CostModel, theta, dt: float, *, out=None):
 # ---------------------------------------------------------------------------
 
 
-def _axis_differences(u: np.ndarray, dx: float, first: str, out=(None, None)) -> tuple[np.ndarray, np.ndarray]:
+def _axis_differences(u: np.ndarray, dx: float, first: str) -> tuple[np.ndarray, np.ndarray]:
     """First and second differences along axis 0 at interior positions.
 
     ``u`` is one edge vector or a 2-D array whose other axis is kept whole.
     The second difference is central; the first is ``"forward"`` or
-    ``"central"``.  ``out`` is a pair of arrays to receive them.
+    ``"central"``.
     """
-    d1, d2 = out
     if first == "forward":
-        d1 = np.subtract(u[2:], u[1:-1], out=d1)
-        d1 /= dx
+        d1 = (u[2:] - u[1:-1]) / dx
     else:
-        d1 = np.subtract(u[2:], u[:-2], out=d1)
-        d1 /= 2.0 * dx
-    d2 = np.multiply(2.0, u[1:-1], out=d2)
-    np.subtract(u[2:], d2, out=d2)
-    d2 += u[:-2]
-    d2 /= dx * dx
+        d1 = (u[2:] - u[:-2]) / (2.0 * dx)
+    d2 = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / (dx * dx)
     return d1, d2
 
 
-def _mixed_diff(u: np.ndarray, dx: float, out=None) -> np.ndarray:
+def _mixed_diff(u: np.ndarray, dx: float) -> np.ndarray:
     """Four-corner mixed second difference on interior nodes, shape (n-1, n-1)."""
-    out = np.add(u[2:, 2:], u[:-2, :-2], out=out)
-    out -= u[2:, :-2]
-    out -= u[:-2, 2:]
-    out /= 4.0 * dx * dx
-    return out
+    return (u[2:, 2:] + u[:-2, :-2] - u[2:, :-2] - u[:-2, 2:]) / (4.0 * dx * dx)
 
 
 def _grid_derivatives(u: np.ndarray, dx: float, flags: SolverFlags) -> tuple[np.ndarray, ...]:
@@ -277,36 +249,9 @@ def _grid_derivatives(u: np.ndarray, dx: float, flags: SolverFlags) -> tuple[np.
 
     All returned arrays cover interior nodes only, shape (n-1, n-1).
     """
-    n = u.shape[0] - 2
-    # one allocation per array: a single (5, n, n) block crosses the C
-    # allocator's mmap threshold and left a costed price run ~6 MB higher in RSS
-    ux, uy, uxx, uyy, uxy = (np.empty((n, n)) for _ in range(5))
-    _axis_differences(u[:, 1:-1], dx, flags.first_derivative, out=(ux, uxx))
-    _axis_differences(u[1:-1, :].T, dx, flags.first_derivative, out=(uy.T, uyy.T))
-    _mixed_diff(u, dx, out=uxy)
-    return ux, uy, uxx, uyy, uxy
-
-
-def _quadratic_form(p, c, q, uxy, weights, out, work) -> np.ndarray:
-    """(p p w11 + 2 c uxy w12) + q q w22 into ``out``, one operation at a time.
-
-    Each of ``weights`` = (w11, w12, w22) is a chain of factors multiplied
-    in from the left, as in the expression ``p * p * f1 * f2``.
-    """
-    w11, w12, w22 = weights
-    np.multiply(p, p, out=out)
-    for f in w11:
-        out *= f
-    np.multiply(2.0, c, out=work)
-    work *= uxy
-    for f in w12:
-        work *= f
-    out += work
-    np.multiply(q, q, out=work)
-    for f in w22:
-        work *= f
-    out += work
-    return out
+    ux, uxx = _axis_differences(u[:, 1:-1], dx, flags.first_derivative)
+    uy, uyy = _axis_differences(u[1:-1, :].T, dx, flags.first_derivative)
+    return ux, uy.T, uxx, uyy.T, _mixed_diff(u, dx)
 
 
 def _grid_theta(derivatives: tuple[np.ndarray, ...], scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
@@ -314,32 +259,33 @@ def _grid_theta(derivatives: tuple[np.ndarray, ...], scenario: Scenario) -> tupl
 
     Log grids use the chain-rule expansion of :func:`theta_log_coords`,
     price grids the quadratic form (B A B)_ii.  Roundoff below zero is
-    clamped.  The derivatives are left as they are.
+    clamped.
     """
     ux, uy, uxx, uyy, uxy = derivatives
     grid = scenario.grid
     sig1, sig2 = scenario.market.sigmas
     rho = float(scenario.market.rho[0, 1])
     axis = grid.axis()[1:-1]
-    theta1, theta2, c, work = (np.empty(uxy.shape) for _ in range(4))
     if grid.coord == "log":
-        weights = ((sig1, sig1), (sig1, sig2, rho), (sig2, sig2))
-        np.subtract(uxx, ux, out=c)
-        _quadratic_form(c, c, uxy, uxy, weights, theta1, work)
-        theta1 *= np.exp(-2.0 * axis[:, None])
-        np.subtract(uyy, uy, out=c)
-        _quadratic_form(uxy, c, c, uxy, weights, theta2, work)
-        theta2 *= np.exp(-2.0 * axis[None, :])
+        x1 = axis[:, None]
+        x2 = axis[None, :]
+        c1 = uxx - ux
+        c2 = uyy - uy
+        theta1 = np.exp(-2.0 * x1) * (
+            c1 * c1 * sig1 * sig1 + 2.0 * c1 * uxy * sig1 * sig2 * rho + uxy * uxy * sig2 * sig2
+        )
+        theta2 = np.exp(-2.0 * x2) * (
+            uxy * uxy * sig1 * sig1 + 2.0 * c2 * uxy * sig1 * sig2 * rho + c2 * c2 * sig2 * sig2
+        )
     else:
         s1 = axis[:, None]
         s2 = axis[None, :]
-        a12 = np.multiply(sig1 * sig2 * rho * s1, s2, out=c)
-        weights = ((sig1 * sig1 * s1 * s1,), (a12,), (sig2 * sig2 * s2 * s2,))
-        _quadratic_form(uxx, uxx, uxy, uxy, weights, theta1, work)
-        _quadratic_form(uxy, uyy, uyy, uxy, weights, theta2, work)
-    np.maximum(theta1, 0.0, out=theta1)
-    np.maximum(theta2, 0.0, out=theta2)
-    return theta1, theta2
+        a11 = sig1 * sig1 * s1 * s1
+        a12 = sig1 * sig2 * rho * s1 * s2
+        a22 = sig2 * sig2 * s2 * s2
+        theta1 = uxx * uxx * a11 + 2.0 * uxx * uxy * a12 + uxy * uxy * a22
+        theta2 = uxy * uxy * a11 + 2.0 * uyy * uxy * a12 + uyy * uyy * a22
+    return np.maximum(theta1, 0.0), np.maximum(theta2, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -367,11 +313,8 @@ def assemble_G(surface, scenario: Scenario, *, flags: SolverFlags = SolverFlags(
     dt = scenario.dt_tc
     theta1, theta2 = _grid_theta(_grid_derivatives(u, grid.dx, flags), scenario)
     spots = grid.spot_axis()[1:-1]
-    e1 = expected_cost(scenario.cost, theta1, dt, out=theta1)
-    e2 = expected_cost(scenario.cost, theta2, dt, out=theta2)
-    e1 *= spots[:, None]
-    e2 *= spots[None, :]
+    e1 = expected_cost(scenario.cost, theta1, dt)
+    e2 = expected_cost(scenario.cost, theta2, dt)
     g = np.zeros_like(u)
-    inner = np.add(e1, e2, out=g[1:-1, 1:-1])
-    inner /= math.sqrt(dt)
+    g[1:-1, 1:-1] = (spots[:, None] * e1 + spots[None, :] * e2) / math.sqrt(dt)
     return g

@@ -3,13 +3,11 @@
 Nothing here imports from the package at module level, and almost every
 function re-derives its quantity from scratch (dense linear algebra, adaptive
 quadrature, Monte Carlo, mpmath) so agreement with the package is evidence,
-not tautology.  Four sections are different on purpose: the legacy closed
+not tautology.  Three sections are different on purpose: the legacy closed
 form and the summed-sensitivity operator derivative are defective variants
 the package does not implement, kept here so the tests can pin their
 defects; the lagged march composes the package's public stage operators to
-pin the structure of its fixed-point loop; the source-term expressions are
-the package's own arithmetic with one temporary per operation, so its
-in-place assembly can be pinned to them bit for bit.
+pin the structure of its fixed-point loop.
 """
 
 from __future__ import annotations
@@ -507,107 +505,3 @@ def lagged_march(scenario, flags) -> np.ndarray:
         half = lx_stage(u, scenario, boundary.ring(2 * m + 1), flags=flags, dtau=dtau)
         u = ly_stage(half, scenario, boundary.ring(2 * m + 2), g=g, flags=flags, dtau=dtau)
     return u
-
-
-# ---------------------------------------------------------------------------
-# the source term, one temporary per operation
-# ---------------------------------------------------------------------------
-#
-# The package assembles the cost source in a few reused buffers.  These are
-# the same expressions written out with a fresh array per operation; the
-# assembly must reproduce them bit for bit.
-
-
-def expected_cost_expression(cost, theta: np.ndarray, dt: float) -> np.ndarray:
-    """E[C(sqrt(dt)|phi|) |phi|] for an array of variances, closed forms or quad."""
-    from scipy.special import erfcx
-
-    from nlbs.market_model import ConstantCost, ExponentialCost
-
-    theta = np.maximum(np.asarray(theta, dtype=float), 0.0)
-    sqrt_2_over_pi = math.sqrt(2.0 / math.pi)
-    if isinstance(cost, ConstantCost):
-        return cost.c0 * np.sqrt(2.0 * theta / math.pi)
-    if isinstance(cost, ExponentialCost):
-        q = cost.k * np.sqrt(dt * theta)
-        decay = 1.0 - math.sqrt(math.pi / 2.0) * q * erfcx(q / math.sqrt(2.0))
-        return cost.c0 * np.sqrt(theta) * sqrt_2_over_pi * decay
-    flat = theta.ravel()
-    out = np.empty(flat.shape)
-    for idx, th in enumerate(flat):
-        if th == 0.0:
-            out[idx] = 0.0
-            continue
-        h = math.sqrt(2.0 * dt * th)
-        i1, _ = quad(
-            lambda y: float(cost.value(h * y)) * y * math.exp(-y * y), 0.0, np.inf, epsabs=1e-14, epsrel=1e-10, limit=200
-        )
-        out[idx] = 2.0 * sqrt_2_over_pi * math.sqrt(th) * i1
-    return out.reshape(theta.shape)
-
-
-def axis_differences_expression(u: np.ndarray, dx: float, first: str) -> tuple[np.ndarray, np.ndarray]:
-    """First (forward or central) and central second differences along axis 0."""
-    if first == "forward":
-        d1 = (u[2:] - u[1:-1]) / dx
-    else:
-        d1 = (u[2:] - u[:-2]) / (2.0 * dx)
-    d2 = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / (dx * dx)
-    return d1, d2
-
-
-def assemble_G_expression(u: np.ndarray, scenario, first: str) -> np.ndarray:
-    """The source term on interior nodes (zero ring) of surface ``u``."""
-    grid = scenario.grid
-    dx = grid.dx
-    ux, uxx = axis_differences_expression(u[:, 1:-1], dx, first)
-    uy, uyy = axis_differences_expression(u[1:-1, :].T, dx, first)
-    uy, uyy = uy.T, uyy.T
-    uxy = (u[2:, 2:] + u[:-2, :-2] - u[2:, :-2] - u[:-2, 2:]) / (4.0 * dx * dx)
-    sig1, sig2 = scenario.market.sigmas
-    rho = float(scenario.market.rho[0, 1])
-    axis = grid.axis()[1:-1]
-    if grid.coord == "log":
-        x1 = axis[:, None]
-        x2 = axis[None, :]
-        c1 = uxx - ux
-        c2 = uyy - uy
-        theta1 = np.exp(-2.0 * x1) * (
-            c1 * c1 * sig1 * sig1 + 2.0 * c1 * uxy * sig1 * sig2 * rho + uxy * uxy * sig2 * sig2
-        )
-        theta2 = np.exp(-2.0 * x2) * (
-            uxy * uxy * sig1 * sig1 + 2.0 * c2 * uxy * sig1 * sig2 * rho + c2 * c2 * sig2 * sig2
-        )
-    else:
-        s1 = axis[:, None]
-        s2 = axis[None, :]
-        a11 = sig1 * sig1 * s1 * s1
-        a12 = sig1 * sig2 * rho * s1 * s2
-        a22 = sig2 * sig2 * s2 * s2
-        theta1 = uxx * uxx * a11 + 2.0 * uxx * uxy * a12 + uxy * uxy * a22
-        theta2 = uxy * uxy * a11 + 2.0 * uyy * uxy * a12 + uyy * uyy * a22
-    theta1, theta2 = np.maximum(theta1, 0.0), np.maximum(theta2, 0.0)
-    dt = scenario.dt_tc
-    spots = grid.spot_axis()[1:-1]
-    e1 = expected_cost_expression(scenario.cost, theta1, dt)
-    e2 = expected_cost_expression(scenario.cost, theta2, dt)
-    g = np.zeros_like(u)
-    g[1:-1, 1:-1] = (spots[:, None] * e1 + spots[None, :] * e2) / math.sqrt(dt)
-    return g
-
-
-def edge_cost_term_expression(f: np.ndarray, sigma: float, scenario, first: str) -> np.ndarray:
-    """One-asset source term on the interior of a pair of edges (columns of ``f``)."""
-    grid = scenario.grid
-    dt = scenario.dt_tc
-    d1, d2 = axis_differences_expression(f, grid.dx, first)
-    x = grid.axis()[1:-1, None]
-    if grid.coord == "log":
-        c = d2 - d1
-        theta = np.exp(-2.0 * x) * c * c * sigma * sigma
-        spots = np.exp(x)
-    else:
-        theta = sigma * sigma * x * x * d2 * d2
-        spots = x
-    e = expected_cost_expression(scenario.cost, np.maximum(theta, 0.0), dt)
-    return spots * e / math.sqrt(dt)

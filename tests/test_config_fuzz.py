@@ -4,9 +4,10 @@ Each example takes a shipped config (on a small grid), replaces one to three
 fields by values of the wrong type or out of range (strings, booleans,
 nulls, non-finite numbers, lists, mappings) and runs a command on it.
 Mutated scenario fields go to ``nlbs analytic``, which must exit 0, or 2
-with a config error.  Mutated ``solver`` and ``output`` fields go to ``nlbs
-sweep`` and ``nlbs leland``, which solve and may also exit 3 (no
-convergence, an ill-posed interval or a failed quadrature).  Any exception
+with a config error.  Mutated ``solver`` and ``output`` fields go to a command
+that reads them (``analytic``, ``price``, ``sweep`` or ``leland``); all but
+``analytic`` solve and may also exit 3 (no convergence, an ill-posed
+interval or a failed quadrature).  Any exception
 fails a test.
 """
 
@@ -65,20 +66,27 @@ MUTATIONS = st.lists(st.tuples(st.sampled_from(FIELDS), VALUES), min_size=1, max
 # every key the command reads in these sections, at a valid value
 SOLVE = {"first_derivative": "forward", "tol": 1e-6, "max_iter": 4}
 SETTINGS = {
+    "analytic": {"output": {"tau": 1.0}},
+    "price": {"solver": SOLVE, "output": {"error_band": 2}},
     "sweep": {"solver": SOLVE, "output": {"dt_values": [0.004], "probes": [[30.0, 30.0]]}},
     "leland": {
         "solver": {**SOLVE, "dyf_form": "exact", "skip_scan": False},
         "output": {"per_node_csv": True},
     },
 }
-SETTING_FIELDS = sorted(
-    {(name,) for cfg in SETTINGS.values() for name in cfg}
-    | {(name, key) for cfg in SETTINGS.values() for name, section in cfg.items() for key in section}
-)
-SETTING_MUTATIONS = st.lists(
-    st.tuples(st.sampled_from(SETTING_FIELDS), st.one_of(VALUES, NUMBERS)), min_size=1, max_size=3
-)
-
+# per command, only fields it reads: a key another command reads would exit 2
+# as unknown before reaching its parser
+SETTING_MUTATIONS = {
+    command: st.lists(
+        st.tuples(
+            st.sampled_from([(name,) for name in cfg] + [(name, key) for name, section in cfg.items() for key in section]),
+            st.one_of(VALUES, NUMBERS),
+        ),
+        min_size=1,
+        max_size=3,
+    )
+    for command, cfg in SETTINGS.items()
+}
 
 def small_config(n: int) -> dict:
     """Config n on a 9 x 9 grid around ln(X), so one ``analytic`` run is cheap."""
@@ -129,14 +137,14 @@ def test_malformed_config_exits_0_or_2_never_a_traceback(config, mutations):
         assert err.startswith("config error: ")
 
 
-@pytest.mark.parametrize("command", ["sweep", "leland"])
+@pytest.mark.parametrize("command", ["sweep", "leland", "analytic", "price"])
 @pytest.mark.parametrize("config", [1, 2, 3])
 @settings(max_examples=25, deadline=None, derandomize=True)
-@given(mutations=SETTING_MUTATIONS)
-def test_malformed_solver_or_output_exits_0_2_or_3_never_a_traceback(command, config, mutations):
+@given(data=st.data())
+def test_malformed_solver_or_output_exits_0_2_or_3_never_a_traceback(command, config, data):
     cfg = small_config(config)
     cfg.update(json.loads(json.dumps(SETTINGS[command])))
-    for path, value in mutations:
+    for path, value in data.draw(SETTING_MUTATIONS[command], label="mutations"):
         mutate(cfg, path, value)
     rc, err = run(command, cfg)
     assert rc in (0, 2, 3)

@@ -24,11 +24,9 @@ from nlbs import (
     assemble_G,
     expected_cost,
     exponential_decay_factor,
-    solve_nonlinear,
     theta_from_hessian,
     theta_log_coords,
 )
-from nlbs.adi_solver import _edge_cost_term
 
 import oracles
 from conftest import benchmark_scenario
@@ -124,6 +122,8 @@ def test_expected_cost_vectorization_and_edge_cases():
     assert expected_cost(cost, -1e-13, 0.004) == 0.0
     with pytest.raises(ValidationError, match="theta"):
         expected_cost(cost, -1e-6, 0.004)
+    with pytest.raises(ValidationError, match="theta"):  # a NaN hides no negative entry
+        expected_cost(cost, [math.nan, -1.0], 0.004)
     with pytest.raises(ValidationError, match="dt"):
         expected_cost(cost, 1.0, 0.0)
 
@@ -352,51 +352,6 @@ def test_assemble_g_first_derivative_variants_differ_but_agree_on_symmetric_data
 
 
 # ---------------------------------------------------------------------------
-# the in-place assembly against the plain expressions
-# ---------------------------------------------------------------------------
-
-ORACLE_COSTS = {
-    "constant": ConstantCost(c0=0.004),
-    "exponential": ExponentialCost(c0=0.005, k=1.0),
-    "sampled": SampledCost(
-        x=np.array([0.0, 0.5, 1.0, 2.0]), c=np.array([0.004, 0.003, 0.002, 0.001]), c_lower=0.0, c_upper=0.004
-    ),
-}
-
-
-@pytest.mark.parametrize("cost", sorted(ORACLE_COSTS))
-@pytest.mark.parametrize("first", ["forward", "central"])
-@pytest.mark.parametrize("coord", ["log", "price"])
-def test_source_assembly_is_bit_identical_to_the_expression_oracle(coord, first, cost):
-    """assemble_G and the edge-pair term equal, bit for bit, the same
-    expressions written with one temporary per operation, on random and on
-    solved surfaces (sampled cost on a coarser grid: one quad call per node)."""
-    scen = small_scenario(nx=6 if cost == "sampled" else 20, coord=coord).with_cost(ORACLE_COSTS[cost])
-    flags = SolverFlags(first_derivative=first)
-    rng = np.random.default_rng(11)
-    surfaces = [bumpy_surface(scen, rng), rng.random((scen.grid.nx + 1,) * 2)]
-    surfaces.append(solve_nonlinear(scen, flags=flags, max_iter=2).surface.values)
-    for u in surfaces:
-        np.testing.assert_array_equal(assemble_G(u, scen, flags=flags), oracles.assemble_G_expression(u, scen, first))
-        for sigma, edges in zip(scen.market.sigmas, (u[:, [0, -1]], u[[0, -1], :].T)):
-            edges = np.ascontiguousarray(edges)
-            np.testing.assert_array_equal(
-                _edge_cost_term(edges, sigma, scen, flags),
-                oracles.edge_cost_term_expression(edges, sigma, scen, first),
-            )
-
-
-def test_expected_cost_out_may_be_theta_itself():
-    theta = np.linspace(0.0, 2.0, 7)
-    for cost in ORACLE_COSTS.values():
-        expected = expected_cost(cost, theta, 0.004)
-        buffer = theta.copy()
-        assert expected_cost(cost, buffer, 0.004, out=buffer) is buffer
-        np.testing.assert_array_equal(buffer, expected)
-        np.testing.assert_array_equal(expected, oracles.expected_cost_expression(cost, theta, 0.004))
-
-
-# ---------------------------------------------------------------------------
 # what the package imports
 # ---------------------------------------------------------------------------
 
@@ -419,5 +374,5 @@ def test_quadrature_and_ndimage_load_only_when_used():
     before, loaded, value = json.loads(proc.stdout)
     assert before == []
     assert loaded
-    cost = ORACLE_COSTS["sampled"]
+    cost = SampledCost(x=[0.0, 0.5, 1.0, 2.0], c=[0.004, 0.003, 0.002, 0.001], c_lower=0.0, c_upper=0.004)
     assert float.fromhex(value) == expected_cost(cost, 0.7, 0.004)
