@@ -59,7 +59,7 @@ from typing import Callable, Literal
 import numpy as np
 from scipy.linalg.lapack import dgttrs
 
-from .cost_engine import _axis_differences, _mixed_diff, assemble_G, expected_cost
+from .cost_engine import _hedge_row, _mixed_diff, _theta, _variance_weight, assemble_G, expected_cost
 from .market_model import (
     BestCashOrNothing,
     MarketParams,
@@ -186,6 +186,16 @@ class ConvergenceRecord:
     d1: float
     d2: float
     dinf: float
+
+
+def _spectral_norm(d: np.ndarray) -> float:
+    """Largest singular value of a 2-D array (nan if not finite), from the top
+    eigenvalue of its smaller Gram matrix: many times cheaper than the SVD of
+    ``np.linalg.norm(d, 2)``."""
+    gram = d.T @ d if d.shape[0] >= d.shape[1] else d @ d.T
+    if not np.isfinite(gram).all():
+        return math.nan
+    return math.sqrt(max(np.linalg.eigvalsh(gram)[-1], 0.0)) if gram.size else 0.0
 
 
 @dataclass
@@ -438,22 +448,14 @@ def _edge_cost_term(
 
     ``f`` holds two edges that run along the same asset as its columns.  On
     an edge the surface is treated as flat in the transverse coordinate, so
-    only the edge's own asset carries hedging volume.  Stencils and
-    normalization match :func:`nlbs.cost_engine.assemble_G`.
+    only the edge's own asset carries hedging volume (the one-asset Theta).
+    Stencils and normalization match :func:`nlbs.cost_engine.assemble_G`.
     """
     grid = scenario.grid
-    dt = scenario.dt_tc
-    d1, d2 = _axis_differences(f, grid.dx, flags.first_derivative)
-    x = grid.axis()[1:-1, None]
-    if grid.coord == "log":
-        c = d2 - d1
-        theta = np.exp(-2.0 * x) * c * c * sigma * sigma
-        spots = np.exp(x)
-    else:
-        theta = sigma * sigma * x * x * d2 * d2
-        spots = x
-    e = expected_cost(scenario.cost, np.maximum(theta, 0.0), dt)
-    return spots * e / math.sqrt(dt)
+    p = _hedge_row(f, grid, flags.first_derivative)
+    theta = _theta(p, _variance_weight(grid, sigma)[:, None], p)
+    rate = grid.spot_axis()[1:-1, None] / math.sqrt(scenario.dt_tc)
+    return rate * expected_cost(scenario.cost, theta, scenario.dt_tc)
 
 
 def _evolve_edges(scenario: Scenario, flags: SolverFlags, dtau: float) -> list[Edges]:
@@ -696,7 +698,7 @@ def solve_nonlinear(
                 ConvergenceRecord(
                     n=sweeps - 1,
                     d1=float(np.linalg.norm(diff, 1)),
-                    d2=float(np.linalg.norm(diff, 2)),
+                    d2=_spectral_norm(diff),
                     dinf=float(np.linalg.norm(diff, np.inf)),
                 )
             )

@@ -204,16 +204,12 @@ def _resolved_config(cfg: dict, scenario: Scenario) -> dict:
 
 
 def _write_surface_csv(path: Path, grid: GridSpec, values: np.ndarray, value_name: str = "value") -> None:
-    axis = grid.axis()
-    spots = grid.spot_axis()
+    axis = [_fmt(x) for x in grid.axis()]
+    spots = [_fmt(s) for s in grid.spot_axis()]
     with open(path, "w", newline="") as fh:
         fh.write(f"x1,x2,S1,S2,{value_name}\n")
-        for i in range(grid.nx + 1):
-            for j in range(grid.nx + 1):
-                fh.write(
-                    f"{_fmt(axis[i])},{_fmt(axis[j])},{_fmt(spots[i])},{_fmt(spots[j])},"
-                    f"{_fmt(values[i, j])}\n"
-                )
+        for i, row in enumerate(values.tolist()):
+            fh.writelines([f"{axis[i]},{axis[j]},{spots[i]},{spots[j]},{_fmt(v)}\n" for j, v in enumerate(row)])
 
 
 def _write_convergence_csv(path: Path, records) -> None:

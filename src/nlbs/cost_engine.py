@@ -20,19 +20,21 @@ Closed forms for the half-normal expectation:
   q = k sqrt(dt Theta), with the decay factor
   J(q) = 1 - sqrt(pi/2) q erfcx(q / sqrt(2)),
   J(0) = 1, strictly decreasing to 0 (erfcx is the scaled complementary error
-  function, used for overflow safety).
+  function, used for overflow safety), as c0 sqrt(2/pi) s (1 - sqrt(pi) z erfcx(z)), z = q/sqrt(2), s = sqrt(Theta).
 * sampled cost curves fall back to adaptive quadrature.  ``scipy.integrate``
   is imported at the first such call, not with the package: it costs about
   0.3 s, and only sampled cost and the scan's exponential-cost integrals
   past a = k h = 20 (:mod:`nlbs.ellipticity`) need it.
 
-The package's finite-difference stencils live here: central second
-derivatives, the four-corner mixed difference, and first derivatives chosen
-by :class:`~nlbs.market_model.SolverFlags` (forward by default, or central).
-``assemble_G``, the ellipticity scan and the edge marches take their
-differences from them, the ADI stage operators their mixed term.  One grid
-routine turns the differences into (Theta_1, Theta_2) for ``assemble_G`` and
-the scan alike.
+The package's finite-difference stencils live here: the four-corner mixed
+difference (also the ADI stage operators' mixed term) and the hedge rows
+dx^2 (u_xx - u_x) (dx^2 s u_xx on a price grid), with the first derivative
+chosen by :class:`~nlbs.market_model.SolverFlags`.  One grid routine writes
+Theta_1 = w_1 [(sigma_1 p_1 + rho sigma_2 q)^2 + (1 - rho^2) sigma_2^2 q^2]
+(p_1 the hedge row, q the mixed difference, Theta_2 likewise), a sum of
+squares and so >= 0 with no clamp, for ``assemble_G`` (one
+:func:`expected_cost` call for both assets) and the ellipticity scan; the
+edge marches use its one-asset case, q = 0.
 """
 
 from __future__ import annotations
@@ -203,20 +205,24 @@ def expected_cost(cost: CostModel, theta, dt: float):
     theta_arr = np.asarray(theta, dtype=float)
     if np.any(theta_arr < -1e-12):
         raise ValidationError("theta", "variance must be nonnegative")
-    theta_arr = np.maximum(theta_arr, 0.0)
+    theta_arr = np.asarray(np.maximum(theta_arr, 0.0))  # a fresh array, also for scalar theta
 
     if isinstance(cost, ConstantCost):
         out = cost.c0 * np.sqrt(2.0 * theta_arr / math.pi)
     elif isinstance(cost, ExponentialCost):
-        q = cost.k * np.sqrt(dt * theta_arr)
-        out = cost.c0 * np.sqrt(theta_arr) * _SQRT_2_OVER_PI * exponential_decay_factor(q)
+        kappa = cost.k * math.sqrt(dt / 2.0)  # z = kappa s; in place, as Theta stacks can be large
+        s = np.sqrt(theta_arr, out=theta_arr)
+        out = erfcx(s * kappa)
+        out *= s
+        out *= -math.sqrt(math.pi) * kappa
+        out += 1.0
+        out *= s
+        out *= cost.c0 * _SQRT_2_OVER_PI
     elif isinstance(cost, SampledCost):
         out = _expected_cost_quad(cost, theta_arr, dt)
     else:
         raise ValidationError("cost", f"unknown cost model type {type(cost).__name__}")
-    if np.ndim(theta) == 0:
-        return float(out)
-    return out
+    return float(out) if np.ndim(theta) == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -224,68 +230,70 @@ def expected_cost(cost: CostModel, theta, dt: float):
 # ---------------------------------------------------------------------------
 
 
-def _axis_differences(u: np.ndarray, dx: float, first: str) -> tuple[np.ndarray, np.ndarray]:
-    """First and second differences along axis 0 at interior positions.
-
-    ``u`` is one edge vector or a 2-D array whose other axis is kept whole.
-    The second difference is central; the first is ``"forward"`` or
-    ``"central"``.
-    """
-    if first == "forward":
-        d1 = (u[2:] - u[1:-1]) / dx
-    else:
-        d1 = (u[2:] - u[:-2]) / (2.0 * dx)
-    d2 = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / (dx * dx)
-    return d1, d2
+def _corner_sum(u: np.ndarray) -> np.ndarray:
+    """Four-corner sum on interior nodes, shape (n-1, n-1): 4 dx^2 times the mixed difference."""
+    return u[2:, 2:] + u[:-2, :-2] - u[2:, :-2] - u[:-2, 2:]
 
 
 def _mixed_diff(u: np.ndarray, dx: float) -> np.ndarray:
     """Four-corner mixed second difference on interior nodes, shape (n-1, n-1)."""
-    return (u[2:, 2:] + u[:-2, :-2] - u[2:, :-2] - u[:-2, 2:]) / (4.0 * dx * dx)
+    return _corner_sum(u) / (4.0 * dx * dx)
 
 
-def _grid_derivatives(u: np.ndarray, dx: float, flags: SolverFlags) -> tuple[np.ndarray, ...]:
-    """Interior finite differences (first both axes, second both axes, mixed).
+def _hedge_row(u: np.ndarray, grid, first: str) -> np.ndarray:
+    """dx^2 (u_xx - u_x) along axis 0 at interior positions; dx^2 s u_xx on a price grid.
 
-    All returned arrays cover interior nodes only, shape (n-1, n-1).
+    ``u`` is a pair of edge vectors or a 2-D array, s the spot of the row and
+    u_x the ``first`` difference ("forward" or "central").  Both are weights
+    on the two one-sided differences, so the row is exactly 0 where u is flat.
     """
-    ux, uxx = _axis_differences(u[:, 1:-1], dx, flags.first_derivative)
-    uy, uyy = _axis_differences(u[1:-1, :].T, dx, flags.first_derivative)
-    return ux, uy.T, uxx, uyy.T, _mixed_diff(u, dx)
+    row, back = u[2:] - u[1:-1], u[1:-1] - u[:-2]
+    if grid.coord == "price":
+        return (row - back) * grid.spot_axis()[1:-1, None]
+    if first == "forward":
+        return (1.0 - grid.dx) * row - back
+    return (1.0 - grid.dx / 2.0) * row - (1.0 + grid.dx / 2.0) * back
 
 
-def _grid_theta(derivatives: tuple[np.ndarray, ...], scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
-    """(Theta_1, Theta_2) on interior nodes from :func:`_grid_derivatives`.
+def _variance_weight(grid, sigma: float) -> np.ndarray:
+    """sigma^2 e^{-2x}/dx^4 per interior row (sigma^2/dx^4 on a price grid): squared hedge rows to Theta."""
+    x = grid.axis()[1:-1]
+    return (sigma / grid.dx**2) ** 2 * (np.exp(-2.0 * x) if grid.coord == "log" else np.ones_like(x))
 
-    Log grids use the chain-rule expansion of :func:`theta_log_coords`,
-    price grids the quadratic form (B A B)_ii.  Roundoff below zero is
-    clamped.
-    """
-    ux, uy, uxx, uyy, uxy = derivatives
+
+def _theta(p, w, out, q=None, ratio: float = 0.0, rho: float = 0.0) -> np.ndarray:
+    """Theta = w [(p + rho ratio q/4)^2 + (1 - rho^2) (ratio q/4)^2] >= 0 into ``out``; w p^2 without ``q``.
+
+    p: :func:`_hedge_row`; w: :func:`_variance_weight`; q: four-corner sum (times
+    the other spot on a price grid); ratio: other volatility over this one."""
+    if q is None:  # one asset, as on a domain edge
+        np.multiply(p, p, out=out)
+    else:
+        np.multiply(q, rho * ratio / 4.0, out=out)
+        out += p
+        out *= out
+        out += q * q * (max(1.0 - rho * rho, 0.0) * ratio * ratio / 16.0)  # |rho| may exceed 1 by roundoff
+    out *= w
+    return out
+
+
+def _grid_theta(u: np.ndarray, scenario: Scenario, first: str) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """(Theta_1, Theta_2) on interior nodes as one (2, n-1, n-1) array, and the
+    hedge rows p_1, p_2 and four-corner sum m they come from (for the scan)."""
     grid = scenario.grid
     sig1, sig2 = scenario.market.sigmas
     rho = float(scenario.market.rho[0, 1])
-    axis = grid.axis()[1:-1]
-    if grid.coord == "log":
-        x1 = axis[:, None]
-        x2 = axis[None, :]
-        c1 = uxx - ux
-        c2 = uyy - uy
-        theta1 = np.exp(-2.0 * x1) * (
-            c1 * c1 * sig1 * sig1 + 2.0 * c1 * uxy * sig1 * sig2 * rho + uxy * uxy * sig2 * sig2
-        )
-        theta2 = np.exp(-2.0 * x2) * (
-            uxy * uxy * sig1 * sig1 + 2.0 * c2 * uxy * sig1 * sig2 * rho + c2 * c2 * sig2 * sig2
-        )
-    else:
-        s1 = axis[:, None]
-        s2 = axis[None, :]
-        a11 = sig1 * sig1 * s1 * s1
-        a12 = sig1 * sig2 * rho * s1 * s2
-        a22 = sig2 * sig2 * s2 * s2
-        theta1 = uxx * uxx * a11 + 2.0 * uxx * uxy * a12 + uxy * uxy * a22
-        theta2 = uxy * uxy * a11 + 2.0 * uyy * uxy * a12 + uyy * uyy * a22
-    return np.maximum(theta1, 0.0), np.maximum(theta2, 0.0)
+    # whole rows are contiguous and cheaper to difference than the interior block
+    p1 = _hedge_row(u, grid, first)[:, 1:-1]
+    p2 = _hedge_row(u.T, grid, first)[:, 1:-1].T
+    q1 = q2 = m = _corner_sum(u)
+    if grid.coord == "price":
+        s = grid.spot_axis()[1:-1]
+        q1, q2 = m * s[None, :], m * s[:, None]
+    theta = np.empty((2,) + m.shape)
+    _theta(p1, _variance_weight(grid, sig1)[:, None], theta[0], q1, sig2 / sig1, rho)
+    _theta(p2, _variance_weight(grid, sig2)[None, :], theta[1], q2, sig1 / sig2, rho)
+    return theta, (p1, p2, m)
 
 
 # ---------------------------------------------------------------------------
@@ -310,11 +318,8 @@ def assemble_G(surface, scenario: Scenario, *, flags: SolverFlags = SolverFlags(
     n = grid.nx
     if u.shape != (n + 1, n + 1):
         raise ValidationError("surface", f"expected shape ({n + 1}, {n + 1}), got {u.shape}")
-    dt = scenario.dt_tc
-    theta1, theta2 = _grid_theta(_grid_derivatives(u, grid.dx, flags), scenario)
-    spots = grid.spot_axis()[1:-1]
-    e1 = expected_cost(scenario.cost, theta1, dt)
-    e2 = expected_cost(scenario.cost, theta2, dt)
+    e = expected_cost(scenario.cost, _grid_theta(u, scenario, flags.first_derivative)[0], scenario.dt_tc)
+    rate = grid.spot_axis()[1:-1] / math.sqrt(scenario.dt_tc)
     g = np.zeros_like(u)
-    g[1:-1, 1:-1] = (spots[:, None] * e1 + spots[None, :] * e2) / math.sqrt(dt)
+    g[1:-1, 1:-1] = e[0] * rate[:, None] + e[1] * rate[None, :]
     return g

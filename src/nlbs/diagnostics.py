@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adi_solver import SolveResult, solve_nonlinear
+from .adi_solver import SolveResult, _spectral_norm, solve_nonlinear
 from .analytic_pricing import cbest_price
 from .cost_engine import assemble_G
 from .market_model import Scenario, SolverFlags, ValidationError
@@ -66,8 +66,9 @@ def pnorm_distance(u: np.ndarray, v: np.ndarray, p="inf", entrywise: bool = Fals
         if key == "2":
             return float(np.linalg.norm(d, "fro"))
         return float(np.abs(d).max()) if d.size else 0.0
-    ord_map = {"1": 1, "2": 2, "inf": np.inf}
-    return float(np.linalg.norm(d, ord_map[key]))
+    if key == "2":
+        return _spectral_norm(d)
+    return float(np.linalg.norm(d, 1 if key == "1" else np.inf))
 
 
 # ---------------------------------------------------------------------------

@@ -49,7 +49,6 @@ from scipy.special import erfcx
 
 from .cost_engine import (
     _cost_integral_i1,
-    _grid_derivatives,
     _grid_theta,
     _quad_to_inf,
     exponential_decay_factor,
@@ -332,18 +331,15 @@ def scan_surface(
     rho = float(market.rho[0, 1])
     dt = scenario.dt_tc
 
-    derivatives = _grid_derivatives(u, grid.dx, flags)
-    theta1, theta2 = _grid_theta(derivatives, scenario)
-    ux, uy, uxx, uyy, uxy = derivatives
+    (theta1, theta2), (p1, p2, m) = _grid_theta(u, scenario, flags.first_derivative)
     spot_axis = grid.spot_axis()[1:-1]
     s1 = spot_axis[:, None]
     s2 = spot_axis[None, :]
-    if grid.coord == "log":
-        b11 = (uxx - ux) / (s1 * s1)
-        b12 = uxy / (s1 * s2)
-        b22 = (uyy - uy) / (s2 * s2)
-    else:
-        b11, b12, b22 = uxx, uxy, uyy
+    h = grid.dx * grid.dx  # hedge rows dx^2 (u_ii - u_i), dx^2 s_i u_ii on a price grid; m = 4 dx^2 u_xy
+    k1, k2 = (s1, s2) if grid.coord == "log" else (1.0, 1.0)
+    b11 = p1 / (h * s1 * k1)
+    b12 = m / (4.0 * h * k1 * k2)
+    b22 = p2 / (h * s2 * k2)
 
     a11 = sig1 * sig1 * s1 * s1
     a12 = sig1 * sig2 * rho * s1 * s2

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import mpmath
 import numpy as np
 from scipy.integrate import dblquad, quad
+from scipy.special import erfcx
 
 
 # ---------------------------------------------------------------------------
@@ -203,6 +204,52 @@ def expected_cost_mc(cost_fn, theta: float, dt: float, draws: np.ndarray) -> flo
     """Monte Carlo E[C(sqrt(dt)|phi|) |phi|] from standard half-normal draws."""
     phi = math.sqrt(theta) * draws
     return float(np.mean(cost_fn(math.sqrt(dt) * phi) * phi))
+
+
+# ---------------------------------------------------------------------------
+# the cost source as expanded quadratic forms
+# ---------------------------------------------------------------------------
+
+
+def assemble_g_expanded(u: np.ndarray, scenario, first: str = "forward") -> np.ndarray:
+    """Exponential-cost G on a grid from five derivative arrays and the expanded forms.
+
+    Theta_1 = e^{-2x_1} (c1^2 s1^2 + 2 c1 uxy s1 s2 rho + uxy^2 s2^2) with
+    c1 = uxx - ux on a log grid, (B A B)_11 on a price grid (Theta_2 alike),
+    clamped at zero; E = c0 sqrt(Theta) sqrt(2/pi) J(k sqrt(dt Theta)).
+    """
+    grid, dx, dt = scenario.grid, scenario.grid.dx, scenario.dt_tc
+    (s1, s2), rho = scenario.market.sigmas, float(scenario.market.rho[0, 1])
+
+    def along0(v):  # first and second differences along axis 0, interior rows
+        d1 = (v[2:] - v[1:-1]) / dx if first == "forward" else (v[2:] - v[:-2]) / (2.0 * dx)
+        return d1, (v[2:] - 2.0 * v[1:-1] + v[:-2]) / (dx * dx)
+
+    ux, uxx = along0(u[:, 1:-1])
+    uy, uyy = (d.T for d in along0(u[1:-1, :].T))
+    uxy = (u[2:, 2:] + u[:-2, :-2] - u[2:, :-2] - u[:-2, 2:]) / (4.0 * dx * dx)
+    x = grid.axis()[1:-1]
+    if grid.coord == "log":
+        c1, c2, w1, w2 = uxx - ux, uyy - uy, np.exp(-2.0 * x)[:, None], np.exp(-2.0 * x)[None, :]
+        t1 = w1 * (c1 * c1 * s1 * s1 + 2.0 * c1 * uxy * s1 * s2 * rho + uxy * uxy * s2 * s2)
+        t2 = w2 * (uxy * uxy * s1 * s1 + 2.0 * c2 * uxy * s1 * s2 * rho + c2 * c2 * s2 * s2)
+    else:
+        a11, a22 = (s1 * x[:, None]) ** 2, (s2 * x[None, :]) ** 2
+        a12 = s1 * s2 * rho * x[:, None] * x[None, :]
+        t1 = uxx * uxx * a11 + 2.0 * uxx * uxy * a12 + uxy * uxy * a22
+        t2 = uxy * uxy * a11 + 2.0 * uyy * uxy * a12 + uyy * uyy * a22
+    c0, k = scenario.cost.c0, scenario.cost.k
+
+    def cost(theta):
+        theta = np.maximum(theta, 0.0)
+        q = k * np.sqrt(dt * theta)
+        decay = 1.0 - math.sqrt(math.pi / 2.0) * q * erfcx(q / math.sqrt(2.0))
+        return c0 * np.sqrt(theta) * math.sqrt(2.0 / math.pi) * decay
+
+    spots = grid.spot_axis()[1:-1]
+    g = np.zeros_like(u)
+    g[1:-1, 1:-1] = (spots[:, None] * cost(t1) + spots[None, :] * cost(t2)) / math.sqrt(dt)
+    return g
 
 
 # ---------------------------------------------------------------------------

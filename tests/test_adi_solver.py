@@ -304,9 +304,10 @@ def test_boundary_rings_are_cached():
 
 
 # sha256 of the 2 nt + 1 dense rings of config 1 at nx = nt = 8, stacked;
-# recorded when BoundaryData still cached one dense ring per half level
+# restated when the edge cost term took Theta as a sum of squares (max abs
+# change 3.5e-18 against the rings BoundaryData cached as dense rings)
 RING_SHA256 = {
-    "edges_1d": "1e9ea32a3864b45bb7cd9225b7520af3cb04b9ef56357b07edef5457ab52af83",
+    "edges_1d": "096d7f45c5fd2da2ea061a9c28af662dae03e626586c3507b0ad7068387d9964",
 }
 
 
@@ -353,12 +354,13 @@ def test_boundary_data_keeps_only_the_edge_vectors():
 
 
 # sha256 of the space-time block of one costed sweep at nx = nt = 20: the
-# source of step m is assembled on level m of the linear sweep.  Recorded
-# with the row-loop Thomas substitution and the dense boundary rings.
+# source of step m is assembled on level m of the linear sweep.  Restated
+# when Theta became a sum of squares; max abs change against the blocks of
+# the expanded quadratic forms: 3.6e-15, 1.1e-16, 4.4e-16 (configs 1, 2, 3).
 COSTED_BLOCK_SHA256 = {
-    1: "8724426f406b118043e06f3400d84b7a17fb42c6595a62094b4bad080e963256",
-    2: "f85304ea126b9628dacd65b1e17ad9b2da238166e0cced74a1997d82cfcbd245",
-    3: "a0de48f4905aea8db130a929fdfc7539e6289fa6114a602b25eb18a76fb6c124",
+    1: "63e0cbb8b10aca616aee675870da8a9807a0bd8351d959d81d50b8bd47bf3fc3",
+    2: "bd99af59a25a214bb91bc1cc01ae00cc9f03d660cbfcedd3883896a1d02b4768",
+    3: "1e8f0128589aab5d9361e2d6e976152fb192dba894de0e04d8984c825ae14f5d",
 }
 
 

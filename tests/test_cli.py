@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from nlbs import SolverFlags, cbest_price, solve_nonlinear, validate
+from nlbs import GridSpec, SolverFlags, cbest_price, solve_nonlinear, validate
 from nlbs import cli
 from nlbs.cli import main
 
@@ -73,6 +73,23 @@ def test_price_writes_exact_artifacts(tmp_path, capsys):
     assert meta["config"]["grid"]["nx"] == 10
     # deterministic formatting: sorted keys, two-space indent, trailing newline
     assert meta_text == json.dumps(meta, indent=2, sort_keys=True) + "\n"
+
+
+def test_surface_csv_fields_read_back_exactly(tmp_path):
+    rng = np.random.default_rng(34)
+    for coord in ("log", "price"):
+        grid = GridSpec(a=1.5, b=5.3, nx=9, nt=2, coord=coord)
+        values = rng.normal(size=(10, 10)) * 10.0 ** rng.integers(-300, 300, size=(10, 10))
+        values[0, :3] = [0.0, 5e-324, -1.7976931348623157e308]
+        path = tmp_path / f"{coord}.csv"
+        cli._write_surface_csv(path, grid, values, value_name="G")
+        header, rows = read_csv(path)
+        assert header == "x1,x2,S1,S2,G"
+        assert len(rows) == 100
+        for k, row in enumerate(rows):
+            i, j = divmod(k, 10)
+            fields = (grid.axis()[i], grid.axis()[j], grid.spot_axis()[i], grid.spot_axis()[j], values[i, j])
+            assert [float(f) for f in row] == list(fields)
 
 
 def test_price_reports_nonconvergence_with_exit_3(tmp_path, capsys):

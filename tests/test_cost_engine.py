@@ -1,6 +1,7 @@
 """Cost-term tests: expected rebalancing cost against quadrature, the
 per-asset variance proxy against a loop oracle, grid assembly invariants."""
 
+import dataclasses
 import json
 import math
 import os
@@ -15,6 +16,7 @@ from nlbs import (
     ConstantCost,
     ExponentialCost,
     GridSpec,
+    MarketParams,
     QuadratureError,
     SampledCost,
     Scenario,
@@ -27,6 +29,7 @@ from nlbs import (
     theta_from_hessian,
     theta_log_coords,
 )
+from nlbs.cost_engine import _grid_theta
 
 import oracles
 from conftest import benchmark_scenario
@@ -349,6 +352,100 @@ def test_assemble_g_first_derivative_variants_differ_but_agree_on_symmetric_data
         assemble_G(flat, scen, flags=SolverFlags(first_derivative="forward")),
         assemble_G(flat, scen, flags=SolverFlags(first_derivative="central")),
     )
+
+
+# ---------------------------------------------------------------------------
+# Theta as a sum of squares, one expected-cost pass per assembly
+# ---------------------------------------------------------------------------
+
+
+def with_rho(scen, rho):
+    m = scen.market
+    return dataclasses.replace(scen, market=MarketParams(sigmas=m.sigmas, rho=rho, r=m.r, T=m.T))
+
+
+@pytest.mark.parametrize("coord", ["log", "price"])
+@pytest.mark.parametrize("first", ["forward", "central"])
+@pytest.mark.parametrize("rho", [-1.0, -0.3, 0.0, 0.7, 1.0])
+def test_grid_theta_matches_the_per_node_routes(coord, first, rho):
+    """The grid's sum of squares against theta_log_coords (log grid) and
+    theta_from_hessian (price grid) at random interior nodes."""
+    scen = with_rho(small_scenario(nx=10, coord=coord), rho)
+    rng = np.random.default_rng(31)
+    u = bumpy_surface(scen, rng)
+    theta, _ = _grid_theta(u, scen, first)
+    ax, dx = scen.grid.axis(), scen.grid.dx
+    scale = np.abs(theta).max()
+    for i, j in rng.integers(1, 10, size=(12, 2)):
+        uxx = (u[i + 1, j] - 2 * u[i, j] + u[i - 1, j]) / dx**2
+        uyy = (u[i, j + 1] - 2 * u[i, j] + u[i, j - 1]) / dx**2
+        uxy = (u[i + 1, j + 1] + u[i - 1, j - 1] - u[i + 1, j - 1] - u[i - 1, j + 1]) / (4 * dx**2)
+        second = np.array([[uxx, uxy], [uxy, uyy]])
+        if coord == "log":
+            if first == "forward":
+                grad = np.array([u[i + 1, j] - u[i, j], u[i, j + 1] - u[i, j]]) / dx
+            else:
+                grad = np.array([u[i + 1, j] - u[i - 1, j], u[i, j + 1] - u[i, j - 1]]) / (2 * dx)
+            ref = theta_log_coords(second, grad, np.array([ax[i], ax[j]]), scen.market)
+        else:
+            ref = theta_from_hessian(second, np.array([ax[i], ax[j]]), scen.market)
+        np.testing.assert_allclose(theta[:, i - 1, j - 1], ref, rtol=1e-10, atol=1e-13 * scale)
+
+
+@pytest.mark.parametrize("rho", [-1.0, 1.0, 1.0 + 1e-13])
+def test_grid_theta_stays_nonnegative_where_the_expanded_form_cancels_below_zero(rho):
+    """Theta >= 0 with no clamp: u = a S1^2 - 2 a rho (sigma_1/sigma_2) S1 S2
+    makes Theta_1 vanish on the diagonal S1 = S2 of a price grid, where the
+    expanded form B11^2 A11 + 2 B11 B12 A12 + B12^2 A22 rounds below zero
+    (and |rho| may exceed 1 by the roundoff MarketParams accepts)."""
+    scen = with_rho(small_scenario(nx=12, coord="price"), rho)
+    sig1, sig2 = scen.market.sigmas
+    s = scen.grid.axis()
+    s1, s2 = np.meshgrid(s, s, indexing="ij")
+    expanded_negative = 0
+    for a in np.linspace(0.1, 3.0, 30):
+        u = a * s1**2 - 2.0 * a * rho * sig1 / sig2 * s1 * s2
+        theta, _ = _grid_theta(u, scen, "forward")
+        assert theta.min() >= 0.0
+        dx = scen.grid.dx
+        uxx = (u[2:, 1:-1] - 2.0 * u[1:-1, 1:-1] + u[:-2, 1:-1]) / dx**2
+        uxy = (u[2:, 2:] + u[:-2, :-2] - u[2:, :-2] - u[:-2, 2:]) / (4.0 * dx * dx)
+        i, j = s1[1:-1, 1:-1], s2[1:-1, 1:-1]
+        a11, a12, a22 = (sig1 * i) ** 2, sig1 * sig2 * rho * i * j, (sig2 * j) ** 2
+        expanded_negative += int((uxx * uxx * a11 + 2.0 * uxx * uxy * a12 + uxy * uxy * a22 < 0.0).sum())
+    assert expanded_negative > 0
+
+
+@pytest.mark.parametrize("config", [1, 2, 3])
+def test_assemble_g_matches_the_expanded_forms_on_picard_blocks(config):
+    """Every level of a converged fixed-point block, both stencils, within
+    rtol 1e-12 of the five-array expanded quadratic forms."""
+    from nlbs import solve_nonlinear
+
+    scen = benchmark_scenario(config, nx=24, nt=16)
+    block = solve_nonlinear(scen).block
+    for first in ("forward", "central"):
+        for level in block:
+            np.testing.assert_allclose(
+                assemble_G(level, scen, flags=SolverFlags(first_derivative=first)),
+                oracles.assemble_g_expanded(level, scen, first),
+                rtol=1e-12,
+                atol=0.0,
+            )
+
+
+def test_exponential_expected_cost_matches_quadrature_for_q_up_to_20():
+    """q = k sqrt(dt Theta) over [0, 20], where 1 - sqrt(pi) z erfcx(z) cancels most."""
+    dt = 0.004
+    for c0, k in ((0.005, 1.0), (0.001, 0.5), (0.02, 4.0)):
+        cost = ExponentialCost(c0=c0, k=k)
+        qs = np.linspace(0.0, 20.0, 41)
+        thetas = (qs / k) ** 2 / dt
+        stacked = expected_cost(cost, np.stack([thetas, thetas[::-1]]), dt)
+        for q, theta, value in zip(qs, thetas, stacked[0]):
+            ref = oracles.expected_cost_quad(cost.value, theta, dt)
+            assert value == pytest.approx(ref, rel=1e-9, abs=0.0), q
+        np.testing.assert_array_equal(stacked[1], stacked[0][::-1])
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from nlbs import (
     pnorm_distance,
 )
 
+from nlbs.adi_solver import _spectral_norm
 from nlbs.diagnostics import _dilate
 
 import oracles
@@ -41,6 +42,25 @@ def test_pnorm_distance_induced_matches_oracle():
             assert pnorm_distance(u, v, p=p) == pytest.approx(
                 oracles.induced_norm(u - v, key), rel=1e-12
             )
+
+
+def test_spectral_norm_matches_the_svd_on_random_and_rank_deficient_matrices():
+    """The eigenvalue route behind pnorm_distance(p=2) and the convergence
+    records, against np.linalg.norm(., 2) (an SVD)."""
+    rng = np.random.default_rng(33)
+    mats = [rng.normal(size=shape) for shape in [(101, 101), (40, 25), (25, 40), (1, 7)]]
+    for rank in (1, 2, 5):
+        mats.append(rng.normal(size=(60, rank)) @ rng.normal(size=(rank, 60)))
+    with_zero_rows = rng.normal(size=(30, 30))
+    with_zero_rows[::3] = 0.0
+    mats += [with_zero_rows, 1e-9 * mats[0], np.outer(np.ones(20), np.arange(20.0))]
+    for d in mats:
+        ref = np.linalg.norm(d, 2)
+        assert abs(_spectral_norm(d) - ref) <= 1e-13 * ref
+        assert abs(pnorm_distance(d, np.zeros_like(d), p=2) - ref) <= 1e-13 * ref
+    assert _spectral_norm(np.zeros((101, 101))) == 0.0
+    assert pnorm_distance(np.ones((5, 5)), np.ones((5, 5)), p=2) == 0.0
+    assert math.isnan(_spectral_norm(np.full((3, 3), np.inf)))
 
 
 def test_pnorm_distance_entrywise():

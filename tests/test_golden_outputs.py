@@ -72,69 +72,69 @@ CASES = {
 GOLDEN = {
     "price1": {
         "exit": 0,
-        "surface.csv": "def2bbe97cc1f05196c9bb22dcedbd14b5d046d16f469b095f8608975b137478",
-        "cost_field.csv": "9fe335e9647cba2c2f7490e328d1a28216b5214eb2768c28ca115f8183bce35f",
-        "convergence.csv": "25998433e8fe22c153844fc65a2048f3a5a65cd300b576442ebeec408aecfb28",
+        "surface.csv": "f8fe04078f1c3da2155bb641aba1a8a518cd7db9798e63a77612871bcb5684c9",
+        "cost_field.csv": "2344b96864d6451506f45577ecc1c57723b9a63f0546d073e87f30903c699e85",
+        "convergence.csv": "055e1e662992367bcb571aa4ff8da84012d0051df92c72bae75ebac98554c281",
     },
     "price1_uncapped": {
         "exit": 0,
-        "surface.csv": "02bf55b63bfa43a943087db4831d5ed25c0ff843968df4654c81c8e4545ebe9b",
-        "cost_field.csv": "82cd524745411d59801961a4998cf4048513a14875af9097e1a31a295180ff90",
-        "convergence.csv": "80a3823930758779d9260ae1858bf79c45a8244cc0c89e19ac10a11587eeb002",
+        "surface.csv": "616a68cb369acd6a27a99462dab085fa673bd0fc0f7c3927b600d878f7bd6e0f",
+        "cost_field.csv": "2a1d36d4e2bfc4421117b2b39d4eac0e54bf33bb210edd5aadedaacb3cfdc012",
+        "convergence.csv": "d1db043a7916a20aa92dfbbc7bb4d635fe12b919fd1bdef036bb110ae0f3a9ad",
     },
     "price2": {
         "exit": 0,
-        "surface.csv": "f7c5c79ddc952287a6f584f2e955773e5d97f6a5651e66c0ff614f6eac57405d",
-        "cost_field.csv": "6b7c3b2bb3a1bb4ecd91ae8feb1f900214232d2dedc9432c60496c4e8a463827",
-        "convergence.csv": "dc56be55167343646853db4f160b3f25886e38f4dbf84bcddb9f6f6fe0f1d84f",
+        "surface.csv": "efbae7fcc51006c5cec3776e3e6fd21f8f9f52a6fd5acadcafaad2877de577c2",
+        "cost_field.csv": "2569521e7440d24d94c5beddf6de0cb7a08fce43e4bf42e968c604d73bd39c62",
+        "convergence.csv": "72cfa701d0af34ca8ae0c9e2ba25d095db078634ed95d3286621c0ffe47f0aaa",
     },
     "price3": {
         "exit": 0,
-        "surface.csv": "138dd5f31f86639c3a90b456b56b5107af42ca25aa994322cea5d921618a5fd2",
-        "cost_field.csv": "64f5047e22686f5cdb674c23f95ad589f6d5d0095e3b20d54adfb252f0fb66b9",
-        "convergence.csv": "01d35e7f9bd337bed4d6b809662857f09a9656af0e40e8f279a7b7418ed187eb",
+        "surface.csv": "5055f1ce93d2c0abf36cbf94fa25dac3e1d96285cf1809cc94482d7f0e18bf13",
+        "cost_field.csv": "c49f730c32af71f4530975a76cf7555d1ca97d873e237080ac1a42f37b8c6ec1",
+        "convergence.csv": "ec4c9a364a6dc2d690a3b0527e747f80f38e9cf5fa7c8222fe36508b3bad6827",
     },
     "price1_central": {
         "exit": 0,
-        "surface.csv": "a837a6b116a95bc91fbfd0617effe3e9bfa9c66b33cb16f6f7eeff40d01c31a2",
-        "cost_field.csv": "48c3f21184bfee899c1bda8b6568416971b2b9b3eb40bb9db130a38d5e884535",
-        "convergence.csv": "aed7381149eb5108ef84df6093de1c4c91074dc360eb7e74f15573f4b7583d87",
+        "surface.csv": "340c5431805a9ce3bbd47d6e17282c01e267715e7f8b8c7e5d9f516cc54babcd",
+        "cost_field.csv": "0593b157bdedff3134f944775255608b85b47c50fe607917ff3955623ac971ad",
+        "convergence.csv": "9b86d80323c7178bc197ff9bb8f2019248903f11a4522e13b7849e63b766f9d4",
     },
     "price2_price_grid": {
         "exit": 0,
-        "surface.csv": "459453f096941cc117e5e4efa41a317b0373d4fcf8e40518b15c9523aa40576c",
-        "cost_field.csv": "1ec7a086070859be3269a4ccffabc9c1169d8061986b56a723f8555590755dc8",
-        "convergence.csv": "1dddc9359ba769edc70c6337265c56cc7a36717d35e17a9aa7bd364b1d0e194f",
+        "surface.csv": "f06c16407b580dbef0fbb2e6c40f641ba8ef93bdc88da541d01e0cbeafc2b055",
+        "cost_field.csv": "2575260114cc37c1eed5bf0d861762c53c468f40780ad45686a97d6ab8afe9ae",
+        "convergence.csv": "fa45b9d2d8350d3fe7ebfdc7f7b1d4f47ec4fa0a37d9c735668192c76abeeaf3",
     },
     "price3_sampled": {
         "exit": 0,
         "surface.csv": "f689138f05d9d7e67f408f71a8e2e1c04e2379658ea12855dd7b96079a62ad1e",
-        "cost_field.csv": "d7bd9f07a950973f53ed43440a1077e5c1d1eb2ac1d044cd8e750720a6f3e60e",
-        "convergence.csv": "ba96b4a3a5689516fe4b0abe0a044757934cd392c4757d1b95e36289b8900467",
+        "cost_field.csv": "d4192239f69cc7ebc42d07ef92a7967d7af03b37cc15da0ee5aba37dbb77b348",
+        "convergence.csv": "3d8bf862c4003f6103c45367321cbdb6904da021e4bff6153c55eef1be8b44c8",
     },
     "leland1": {
         "exit": 0,
-        "ellipticity.json": "5831e1b3e957b0cffe186219a9af8faf4690fa66af0cb4113bf380b664a196bf",
-        "ellipticity_nodes.csv": "415996018de51e50d339937fb307aa86423d960b39f5716405d4f9f454fdef05",
+        "ellipticity.json": "bcacaaf09f70dd2ff17597b88ea7e7f8ada7542ce4edbad47be5a3a887837d3d",
+        "ellipticity_nodes.csv": "ee55e25f78250f009c5e996abd94d2a1c9f331dc3a337452761f42ef1c69eb96",
     },
     "leland2": {
         "exit": 0,
-        "ellipticity.json": "5e6a91c0c1acc56a37ba8ac210ab14db1697658b9f1f19100d0e4bfed3e380dd",
-        "ellipticity_nodes.csv": "b02283cca6e4d7961a56c7fe24169b5411c785170600063fc3158eb94c39131a",
+        "ellipticity.json": "f760772d71c60e431076fae8742382243ddea72d4a366649d2b0def2a0f9a889",
+        "ellipticity_nodes.csv": "1f54b7c08d8cfde25e955102ee8e97b78085ceeeeb3fbe12f29a82ebd732e940",
     },
     "leland3_exact": {
         "exit": 0,
         "ellipticity.json": "25d384d719371c823b6aa2cb854522f26bce1c73245184e19c50ce02ba0c2041",
-        "ellipticity_nodes.csv": "204ad269630ee9ec10078e86087bdeeca6b06784953a7ce2a6591bfb146db246",
+        "ellipticity_nodes.csv": "b06efafa3028317bc779e3b15532cb505eb9d1401944004f14cb40c9c5b53fbd",
     },
     "leland3_sampled_exact": {
         "exit": 0,
-        "ellipticity.json": "7da16daa4ad6a51add9296f93fdbe6b143174796f84ba5099aafa56ceb83c799",
-        "ellipticity_nodes.csv": "a40aa0e96db67ccc283d11e1cdb5eaba03e7c6b1eee5fcb2613886c0b5ea36a8",
+        "ellipticity.json": "b43d2030ef5704aa8e8a5924e1b0b5b9ee6a931aaf4c752ae7236fa7b25736fe",
+        "ellipticity_nodes.csv": "9edc8ef48f0fa6c1f2b5c9c79cfe3359356d9013ad445cb3c3f3382408ad9394",
     },
     "sweep1": {
         "exit": 3,
-        "sweep.csv": "36489de279a508115ac248aaba1097be7ce11e7a16faa6f7a30dc5304f828ef9",
+        "sweep.csv": "9bf537d8e21ff47973410cd842b8d5818b3277c0f1d89cab9dddfb2f4f77aa47",
     },
     "sweep2": {
         "exit": 0,
@@ -142,7 +142,7 @@ GOLDEN = {
     },
     "sweep3": {
         "exit": 0,
-        "sweep.csv": "f5fd648161d7ea0ea4a1e94c2e8436fc087e744a9a3eee4104985c04e81dcb76",
+        "sweep.csv": "ce0910c3908e51191eb9bd277bfac93deeebef51f87be487d52e174a4a55e872",
     },
 }
 
