@@ -20,12 +20,10 @@ __version__ = "0.1.0"
 from .adi_solver import (
     BoundaryData,
     ConvergenceRecord,
-    GridSpec,
     SolveResult,
     Surface,
     TridiagonalSystem,
     ZeroPivotError,
-    default_grid,
     initial_condition,
     lx_stage,
     ly_stage,
@@ -77,11 +75,13 @@ from .market_model import (
     CostDerivativeError,
     CostModel,
     ExponentialCost,
+    GridSpec,
     MarketParams,
     SampledCost,
     Scenario,
     SolverFlags,
     ValidationError,
+    default_grid,
     validate,
 )
 

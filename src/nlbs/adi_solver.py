@@ -1,7 +1,8 @@
 """Two-stage alternating-direction implicit solver with a fixed-point wrapper.
 
 The pricing problem is posed in time-to-maturity tau on a square grid (log
-prices by default).  Each time step splits the spatial operator into two
+prices by default; :class:`~nlbs.market_model.GridSpec`, which the scenario
+carries).  Each time step splits the spatial operator into two
 half-operators; each half-operator treats one axis implicitly (tridiagonal
 solve) and the other axis plus the mixed derivative explicitly:
 
@@ -50,28 +51,18 @@ bit-identical to the row-by-row Thomas loop.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Literal
+from typing import Callable
 
 import numpy as np
 from scipy.linalg.lapack import dgttrs
 
 from .cost_engine import _hedge_row, _mixed_diff, _theta, _variance_weight, assemble_G, expected_cost
-from .market_model import (
-    BestCashOrNothing,
-    MarketParams,
-    Scenario,
-    SolverFlags,
-    ValidationError,
-    _integer,
-)
+from .market_model import BestCashOrNothing, GridSpec, Scenario, SolverFlags, ValidationError
 
 __all__ = [
-    "GridSpec",
-    "default_grid",
     "Surface",
     "ConvergenceRecord",
     "SolveResult",
@@ -85,79 +76,6 @@ __all__ = [
     "sweep",
     "solve_nonlinear",
 ]
-
-Coord = Literal["log", "price"]
-
-
-# ---------------------------------------------------------------------------
-# grid
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    """Square spatial grid [a, b]^2 with nx cells per axis and nt time steps.
-
-    ``coord="log"`` means the axis holds log prices (spots are exp(axis));
-    ``coord="price"`` uses prices directly and then requires a > 0.
-    """
-
-    a: float
-    b: float
-    nx: int = 100
-    nt: int = 100
-    coord: Coord = "log"
-
-    def __post_init__(self) -> None:
-        a, b = float(self.a), float(self.b)
-        if not (math.isfinite(a) and math.isfinite(b)) or b <= a:
-            raise ValidationError("grid.b", f"need finite bounds with b > a, got ({a}, {b})")
-        nx, nt = _integer(self.nx, "grid.nx"), _integer(self.nt, "grid.nt")
-        if nx < 4:
-            raise ValidationError("grid.nx", f"need at least 4 cells per axis, got {nx}")
-        if nt < 1:
-            raise ValidationError("grid.nt", f"need at least one time step, got {nt}")
-        if self.coord not in ("log", "price"):
-            raise ValidationError("grid.coord", f"expected 'log' or 'price', got {self.coord!r}")
-        if self.coord == "price" and a <= 0.0:
-            raise ValidationError("grid.a", f"price-coordinate grids need a > 0, got {a}")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "nx", nx)
-        object.__setattr__(self, "nt", nt)
-
-    @property
-    def dx(self) -> float:
-        return (self.b - self.a) / self.nx
-
-    def axis(self) -> np.ndarray:
-        """The nx+1 node coordinates, computed once per grid; read-only."""
-        return self._nodes
-
-    def spot_axis(self) -> np.ndarray:
-        """The node spots (exp of the axis on a log grid), computed once; read-only."""
-        return self._spots
-
-    @functools.cached_property
-    def _nodes(self) -> np.ndarray:
-        return _read_only(np.linspace(self.a, self.b, self.nx + 1))
-
-    @functools.cached_property
-    def _spots(self) -> np.ndarray:
-        return _read_only(np.exp(self._nodes)) if self.coord == "log" else self._nodes
-
-
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
-
-
-def default_grid(market: MarketParams, payoff: BestCashOrNothing, nx: int = 100, nt: int = 100) -> GridSpec:
-    """Log-price grid centered on ln(X), reaching 3 sigma_max sqrt(T) + 1 out."""
-    half = 3.0 * max(market.sigmas) * math.sqrt(market.T) + 1.0
-    center = math.log(payoff.X)
-    return GridSpec(a=center - half, b=center + half, nx=nx, nt=nt, coord="log")
-
 
 # ---------------------------------------------------------------------------
 # result containers

@@ -9,7 +9,8 @@ Subcommands:
                  ``solver.skip_scan``, a node-by-node scan of the operator
                  derivative on the solved surface, whose per-node CSV
                  (``output.per_node_csv``) needs ``--out``.  The scan has
-                 no settings; ``solver.dyf_form`` accepts only ``"exact"``.
+                 no settings; ``solver.dyf_form`` accepts only ``"exact"``,
+                 and a sampled cost needs ``dc``, checked before the solve.
                  With ``--out`` it also writes ``metadata.json``.
 * ``converge`` - runs the fixed-point iteration and reports its records.
 * ``sweep``    - re-solves across a range of rebalancing intervals and
@@ -53,12 +54,12 @@ from typing import Any
 import numpy as np
 
 from . import __version__
-from .adi_solver import GridSpec, SolveResult, solve_nonlinear
+from .adi_solver import SolveResult, solve_nonlinear
 from .analytic_pricing import cbest_price
 from .cost_engine import QuadratureError, assemble_G
 from .diagnostics import compared_nodes, dt_sensitivity_sweep, error_vs_analytic
 from .ellipticity import LelandNumber, leland_number, scan_surface
-from .market_model import Scenario, SolverFlags, ValidationError, _integer, _numbers, validate
+from .market_model import GridSpec, Scenario, SolverFlags, ValidationError, _integer, _numbers, validate
 
 __all__ = ["main"]
 
@@ -368,6 +369,8 @@ def _cmd_leland(args) -> int:
     unread = sorted(solver.keys() - {"skip_scan"}) if skip_scan else []
     if unread:
         raise ValidationError(f"solver.{unread[0]}", "leland with solver.skip_scan neither solves nor scans")
+    if not skip_scan:
+        scenario.cost.derivative(0.0)  # the scan needs C'; a sampled cost without dc raises here, not after the solve
 
     round_trip = 2.0 * scenario.cost.bounds()[1]
     lelands = _leland_numbers(scenario, scenario.dt_tc)

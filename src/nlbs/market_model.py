@@ -1,10 +1,15 @@
-"""Market parameters, transaction-cost models, payoffs, and scenarios.
+"""Market parameters, transaction-cost models, payoffs, grids, and scenarios.
 
 Everything downstream (closed-form pricing, the cost term, the Jacobian
 classifier, the ADI solver, the CLI) consumes the validated containers defined
-here.  Validation happens eagerly in ``__post_init__`` and every error names
-the offending field, so a bad config fails loudly at construction time instead
-of producing NaNs three modules later.
+here.  Validation happens eagerly in ``__post_init__``: each container parses
+its own numeric fields (numbers, or lists of numbers where the field is a
+list; strings, booleans and nulls are rejected) and checks their ranges, and
+every error names the offending field by its config key (``market.sigmas``,
+``cost.C0``, ``grid.a``, ``dt_tc``), so a bad config fails loudly at
+construction time instead of producing NaNs three modules later.
+:func:`validate` only checks which keys each config section holds and
+builds the containers from them.
 
 All containers are frozen dataclasses; array-valued fields are stored as
 read-only ``numpy`` arrays.
@@ -12,14 +17,12 @@ read-only ``numpy`` arrays.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Any, Literal, Mapping, Union, get_args, get_type_hints
+from typing import Any, Literal, Mapping, Union, get_args, get_type_hints
 
 import numpy as np
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, annotation only
-    from .adi_solver import GridSpec
 
 __all__ = [
     "ValidationError",
@@ -30,6 +33,8 @@ __all__ = [
     "SampledCost",
     "CostModel",
     "BestCashOrNothing",
+    "GridSpec",
+    "default_grid",
     "Scenario",
     "SolverFlags",
     "validate",
@@ -46,6 +51,37 @@ class ValidationError(ValueError):
 
 class CostDerivativeError(ValidationError):
     """A cost model without derivative data was asked for its derivative."""
+
+
+def _holds_bool(value: Any) -> bool:
+    if isinstance(value, (list, tuple)):
+        return any(map(_holds_bool, value))
+    return isinstance(value, (bool, np.bool_))
+
+
+def _numbers(value: Any, qualified: str, ndims: tuple[int, ...] = (0,)) -> Any:
+    """``value`` as floats: a number (ndim 0) or nested lists of numbers.
+
+    Strings, booleans (also inside a list), nulls and ragged lists are
+    rejected, as is an array whose number of dimensions is not in ``ndims``.
+    """
+    try:
+        arr = np.asarray(value)
+    except ValueError:
+        arr = np.asarray(None)
+    if arr.dtype.kind not in "iuf" or _holds_bool(value):
+        raise ValidationError(qualified, f"expected numbers, got {value!r}")
+    if arr.ndim not in ndims:
+        want = " or ".join({0: "a number", 1: "a list of numbers", 2: "a matrix of numbers"}[d] for d in ndims)
+        raise ValidationError(qualified, f"expected {want}, got {value!r}")
+    return float(arr) if arr.ndim == 0 else arr.astype(float)
+
+
+def _integer(value: Any, qualified: str) -> int:
+    x = _numbers(value, qualified)
+    if not x.is_integer():
+        raise ValidationError(qualified, f"expected an integer, got {value!r}")
+    return int(x)
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -83,44 +119,41 @@ class MarketParams:
     T: float
 
     def __post_init__(self) -> None:
-        sigmas = tuple(float(s) for s in np.atleast_1d(self.sigmas))
+        sigmas = tuple(_numbers(self.sigmas, "market.sigmas", (1,)).tolist())
+        rho = _numbers(self.rho, "market.rho", (0, 2))
+        r, T = _numbers(self.r, "market.r"), _numbers(self.T, "market.T")
         if len(sigmas) == 0:
-            raise ValidationError("sigmas", "at least one asset is required")
+            raise ValidationError("market.sigmas", "at least one asset is required")
         for i, s in enumerate(sigmas):
             if not math.isfinite(s) or s <= 0.0:
-                raise ValidationError("sigmas", f"volatility must be positive, got sigmas[{i}]={s}")
+                raise ValidationError("market.sigmas", f"volatility must be positive, got sigmas[{i}]={s}")
         object.__setattr__(self, "sigmas", sigmas)
 
         n = len(sigmas)
-        rho = self.rho
         if np.ndim(rho) == 0:
-            rho_val = float(rho)
             if n != 2:
-                raise ValidationError("rho", f"scalar correlation only valid for 2 assets, got {n}")
-            rho = np.array([[1.0, rho_val], [rho_val, 1.0]])
-        rho = np.asarray(rho, dtype=float)
+                raise ValidationError("market.rho", f"scalar correlation only valid for 2 assets, got {n}")
+            rho = np.array([[1.0, rho], [rho, 1.0]])
         if rho.shape != (n, n):
-            raise ValidationError("rho", f"expected shape ({n}, {n}), got {rho.shape}")
+            raise ValidationError("market.rho", f"expected shape ({n}, {n}), got {rho.shape}")
         if not np.all(np.isfinite(rho)):
-            raise ValidationError("rho", "correlation entries must be finite")
+            raise ValidationError("market.rho", "correlation entries must be finite")
         if not np.allclose(rho, rho.T, atol=1e-12):
-            raise ValidationError("rho", "correlation matrix must be symmetric")
+            raise ValidationError("market.rho", "correlation matrix must be symmetric")
         if not np.allclose(np.diag(rho), 1.0, atol=1e-12):
-            raise ValidationError("rho", "correlation matrix must have unit diagonal")
+            raise ValidationError("market.rho", "correlation matrix must have unit diagonal")
         if np.any(np.abs(rho) > 1.0 + 1e-12):
-            raise ValidationError("rho", "correlation entries must lie in [-1, 1]")
+            raise ValidationError("market.rho", "correlation entries must lie in [-1, 1]")
         if np.linalg.eigvalsh(rho).min() < -1e-10:
-            raise ValidationError("rho", "correlation matrix not positive semidefinite")
+            raise ValidationError("market.rho", "correlation matrix not positive semidefinite")
         object.__setattr__(self, "rho", _readonly(rho))
 
-        r = float(self.r)
         if not math.isfinite(r) or r < 0.0:
-            raise ValidationError("r", f"risk-free rate must be nonnegative, got r={r}")
+            raise ValidationError("market.r", f"risk-free rate must be nonnegative, got r={r}")
         object.__setattr__(self, "r", r)
 
-        T = float(self.T)
         if not math.isfinite(T) or T <= 0.0:
-            raise ValidationError("T", f"maturity must be positive, got T={T}")
+            raise ValidationError("market.T", f"maturity must be positive, got T={T}")
         object.__setattr__(self, "T", T)
 
     @property
@@ -152,7 +185,7 @@ class ConstantCost:
     c0: float
 
     def __post_init__(self) -> None:
-        c0 = float(self.c0)
+        c0 = _numbers(self.c0, "cost.C0")
         if not math.isfinite(c0) or c0 < 0.0:
             raise ValidationError("cost.C0", f"cost level must be nonnegative, got {c0}")
         object.__setattr__(self, "c0", c0)
@@ -176,10 +209,9 @@ class ExponentialCost:
     k: float
 
     def __post_init__(self) -> None:
-        c0 = float(self.c0)
+        c0, k = _numbers(self.c0, "cost.C0"), _numbers(self.k, "cost.k")
         if not math.isfinite(c0) or c0 < 0.0:
             raise ValidationError("cost.C0", f"cost level must be nonnegative, got {c0}")
-        k = float(self.k)
         if not math.isfinite(k) or k < 0.0:
             raise ValidationError("cost.k", f"decay rate must be nonnegative, got {k}")
         object.__setattr__(self, "c0", c0)
@@ -221,22 +253,20 @@ class SampledCost:
     dc: Any = None
 
     def __post_init__(self) -> None:
-        x = np.asarray(self.x, dtype=float)
-        c = np.asarray(self.c, dtype=float)
-        if x.ndim != 1 or x.size < 2:
+        x, c = _numbers(self.x, "cost.x", (1,)), _numbers(self.c, "cost.c", (1,))
+        lo, hi = _numbers(self.c_lower, "cost.c_lower"), _numbers(self.c_upper, "cost.c_upper")
+        dc = None if self.dc is None else _numbers(self.dc, "cost.dc", (1,))
+        if x.size < 2:
             raise ValidationError("cost.x", "need at least two sample volumes")
         if np.any(~np.isfinite(x)) or x[0] < 0.0 or np.any(np.diff(x) <= 0.0):
             raise ValidationError("cost.x", "sample volumes must be finite, nonnegative, strictly increasing")
         if c.shape != x.shape:
             raise ValidationError("cost.c", f"expected shape {x.shape}, got {c.shape}")
-        lo, hi = float(self.c_lower), float(self.c_upper)
         if not (math.isfinite(lo) and math.isfinite(hi)) or not (0.0 <= lo <= hi):
             raise ValidationError("cost.c_lower", f"bounds must satisfy 0 <= c_lower <= c_upper, got ({lo}, {hi})")
         if np.any(c < lo - 1e-15) or np.any(c > hi + 1e-15):
             raise ValidationError("cost.c", "sampled values must lie within [c_lower, c_upper]")
-        dc = self.dc
         if dc is not None:
-            dc = np.asarray(dc, dtype=float)
             if dc.shape != x.shape:
                 raise ValidationError("cost.dc", f"expected shape {x.shape}, got {dc.shape}")
             if np.any(~np.isfinite(dc)):
@@ -276,10 +306,9 @@ class BestCashOrNothing:
     X: float
 
     def __post_init__(self) -> None:
-        K = float(self.K)
+        K, X = _numbers(self.K, "payoff.K"), _numbers(self.X, "payoff.X")
         if not math.isfinite(K) or K <= 0.0:
             raise ValidationError("payoff.K", f"cash amount must be positive, got K={K}")
-        X = float(self.X)
         if not math.isfinite(X) or X <= 0.0:
             raise ValidationError("payoff.X", f"threshold must be positive, got X={X}")
         object.__setattr__(self, "K", K)
@@ -289,6 +318,71 @@ class BestCashOrNothing:
         s1 = np.asarray(s1, dtype=float)
         s2 = np.asarray(s2, dtype=float)
         return np.where(np.maximum(s1, s2) >= self.X, self.K, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# grid
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class GridSpec:
+    """Square spatial grid [a, b]^2 with nx cells per axis and nt time steps.
+
+    ``coord="log"`` means the axis holds log prices (spots are exp(axis));
+    ``coord="price"`` uses prices directly and then requires a > 0.
+    """
+
+    a: float
+    b: float
+    nx: int = 100
+    nt: int = 100
+    coord: Literal["log", "price"] = "log"
+
+    def __post_init__(self) -> None:
+        a, b = _numbers(self.a, "grid.a"), _numbers(self.b, "grid.b")
+        if not (math.isfinite(a) and math.isfinite(b)) or b <= a:
+            raise ValidationError("grid.b", f"need finite bounds with b > a, got ({a}, {b})")
+        nx, nt = _integer(self.nx, "grid.nx"), _integer(self.nt, "grid.nt")
+        if nx < 4:
+            raise ValidationError("grid.nx", f"need at least 4 cells per axis, got {nx}")
+        if nt < 1:
+            raise ValidationError("grid.nt", f"need at least one time step, got {nt}")
+        if self.coord not in ("log", "price"):
+            raise ValidationError("grid.coord", f"expected 'log' or 'price', got {self.coord!r}")
+        if self.coord == "price" and a <= 0.0:
+            raise ValidationError("grid.a", f"price-coordinate grids need a > 0, got {a}")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "nx", nx)
+        object.__setattr__(self, "nt", nt)
+
+    @property
+    def dx(self) -> float:
+        return (self.b - self.a) / self.nx
+
+    def axis(self) -> np.ndarray:
+        """The nx+1 node coordinates, computed once per grid; read-only."""
+        return self._nodes
+
+    def spot_axis(self) -> np.ndarray:
+        """The node spots (exp of the axis on a log grid), computed once; read-only."""
+        return self._spots
+
+    @functools.cached_property
+    def _nodes(self) -> np.ndarray:
+        return _readonly(np.linspace(self.a, self.b, self.nx + 1))
+
+    @functools.cached_property
+    def _spots(self) -> np.ndarray:
+        return _readonly(np.exp(self._nodes)) if self.coord == "log" else self._nodes
+
+
+def default_grid(market: MarketParams, payoff: BestCashOrNothing, nx: int = 100, nt: int = 100) -> GridSpec:
+    """Log-price grid centered on ln(X), reaching 3 sigma_max sqrt(T) + 1 out."""
+    half = 3.0 * max(market.sigmas) * math.sqrt(market.T) + 1.0
+    center = math.log(payoff.X)
+    return GridSpec(a=center - half, b=center + half, nx=nx, nt=nt, coord="log")
 
 
 # ---------------------------------------------------------------------------
@@ -310,9 +404,10 @@ class Scenario:
     cost: CostModel
     payoff: BestCashOrNothing
     dt_tc: float
-    grid: "GridSpec | None" = None
+    grid: GridSpec | None = None
 
     def __post_init__(self) -> None:
+        dt = _numbers(self.dt_tc, "dt_tc")
         if not isinstance(self.market, MarketParams):
             raise ValidationError("market", f"expected MarketParams, got {type(self.market).__name__}")
         if not isinstance(self.cost, (ConstantCost, ExponentialCost, SampledCost)):
@@ -321,12 +416,9 @@ class Scenario:
             raise ValidationError("payoff", f"expected BestCashOrNothing, got {type(self.payoff).__name__}")
         if self.market.n_assets != 2:
             raise ValidationError("market.sigmas", "the pricing engine is two-asset; provide exactly 2 volatilities")
-        dt = float(self.dt_tc)
         if not math.isfinite(dt) or dt <= 0.0:
             raise ValidationError("dt_tc", f"rebalancing interval must be positive, got {dt}")
         object.__setattr__(self, "dt_tc", dt)
-
-        from .adi_solver import GridSpec, default_grid  # deferred: avoids import cycle
 
         grid = self.grid
         if grid is None:
@@ -342,7 +434,7 @@ class Scenario:
     def with_cost(self, cost: CostModel) -> "Scenario":
         return replace(self, cost=cost)
 
-    def with_grid(self, grid: "GridSpec") -> "Scenario":
+    def with_grid(self, grid: GridSpec) -> "Scenario":
         return replace(self, grid=grid)
 
 
@@ -395,53 +487,25 @@ def _known_keys(section: Mapping[str, Any], name: str, known: tuple[str, ...]) -
             raise ValidationError(f"{name}.{key}", f"unknown key; expected one of {known}")
 
 
-def _numbers(value: Any, qualified: str, ndims: tuple[int, ...] = (0,)) -> Any:
-    """``value`` as floats: a number (ndim 0) or nested lists of numbers.
-
-    Strings, booleans, nulls and ragged lists are rejected, as is an array
-    whose number of dimensions is not in ``ndims``.
-    """
-    try:
-        arr = np.asarray(value)
-    except ValueError:
-        arr = np.asarray(None)
-    if arr.dtype.kind not in "iuf":
-        raise ValidationError(qualified, f"expected numbers, got {value!r}")
-    if arr.ndim not in ndims:
-        want = " or ".join({0: "a number", 1: "a list of numbers", 2: "a matrix of numbers"}[d] for d in ndims)
-        raise ValidationError(qualified, f"expected {want}, got {value!r}")
-    return float(arr) if arr.ndim == 0 else arr.astype(float)
-
-
-def _integer(value: Any, qualified: str) -> int:
-    x = _numbers(value, qualified)
-    if not x.is_integer():
-        raise ValidationError(qualified, f"expected an integer, got {value!r}")
-    return int(x)
-
-
 def _build_cost(section: Mapping[str, Any]) -> CostModel:
     kind = str(section.get("type", "")).lower()
     if kind not in _COST_KEYS:
         raise ValidationError("cost.type", f"expected one of {sorted(_COST_KEYS)}, got {kind!r}")
     _known_keys(section, "cost", ("type",) + _COST_KEYS[kind])
-
-    def number(key: str, ndims: tuple[int, ...] = (0,)) -> Any:
-        return _numbers(_require(section, key, f"cost.{key}"), f"cost.{key}", ndims)
-
     if kind == "sampled":
-        dc = section.get("dc")
         return SampledCost(
-            x=number("x", (1,)),
-            c=number("c", (1,)),
-            c_lower=_numbers(section.get("c_lower", 0.0), "cost.c_lower"),
-            c_upper=number("c_upper"),
-            dc=None if dc is None else _numbers(dc, "cost.dc", (1,)),
+            x=_require(section, "x", "cost.x"),
+            c=_require(section, "c", "cost.c"),
+            c_lower=section.get("c_lower", 0.0),
+            c_upper=_require(section, "c_upper", "cost.c_upper"),
+            dc=section.get("dc"),
         )
-    c0 = _numbers(_require(section, "C0" if "C0" in section else "c0", "cost.C0"), "cost.C0")
+    if "C0" in section and "c0" in section:
+        raise ValidationError("cost.c0", "the cost level is already given as cost.C0; give one of the two")
+    c0 = _require(section, "C0" if "C0" in section else "c0", "cost.C0")
     if kind == "constant":
         return ConstantCost(c0=c0)
-    return ExponentialCost(c0=c0, k=number("k"))
+    return ExponentialCost(c0=c0, k=_require(section, "k", "cost.k"))
 
 
 def validate(raw: "Mapping[str, Any] | Scenario") -> Scenario:
@@ -449,9 +513,9 @@ def validate(raw: "Mapping[str, Any] | Scenario") -> Scenario:
 
     Accepts either a mapping with sections ``market``, ``cost``, ``payoff``,
     ``dt_tc`` and optional ``grid`` (the JSON config layout used by the CLI)
-    or an already-built :class:`Scenario`.  Every field is type-checked, and
-    a key that a section does not define is rejected, naming
-    ``section.key``.  Idempotent:
+    or an already-built :class:`Scenario`.  A key that a section does not
+    define, or a required key left out, is rejected, naming ``section.key``;
+    the containers check every value.  Idempotent:
     ``validate(validate(x)) == validate(x)``.
     """
     if isinstance(raw, Scenario):
@@ -469,14 +533,7 @@ def validate(raw: "Mapping[str, Any] | Scenario") -> Scenario:
 
     m = raw["market"]
     _known_keys(m, "market", _MARKET_KEYS)
-    sigmas, rho, r, T = (
-        _numbers(_require(m, key, f"market.{key}"), f"market.{key}", ndims)
-        for key, ndims in (("sigmas", (1,)), ("rho", (0, 2)), ("r", (0,)), ("T", (0,)))
-    )
-    try:
-        market = MarketParams(sigmas=tuple(sigmas), rho=rho, r=r, T=T)
-    except ValidationError as exc:
-        raise ValidationError(f"market.{exc.field}", str(exc).removeprefix(f"{exc.field}: ")) from None
+    market = MarketParams(**{key: _require(m, key, f"market.{key}") for key in _MARKET_KEYS})
     cost = _build_cost(raw["cost"])
 
     p = raw["payoff"]
@@ -484,29 +541,13 @@ def validate(raw: "Mapping[str, Any] | Scenario") -> Scenario:
     kind = str(p.get("type", "best_cash_or_nothing")).lower()
     if kind not in ("best_cash_or_nothing", "best-cash-or-nothing"):
         raise ValidationError("payoff.type", f"unsupported payoff type {kind!r}")
-    payoff = BestCashOrNothing(
-        K=_numbers(_require(p, "K", "payoff.K"), "payoff.K"),
-        X=_numbers(_require(p, "X", "payoff.X"), "payoff.X"),
-    )
+    payoff = BestCashOrNothing(K=_require(p, "K", "payoff.K"), X=_require(p, "X", "payoff.X"))
 
     grid = None
     if raw.get("grid") is not None:
-        from .adi_solver import GridSpec
-
         g = raw["grid"]
         if not isinstance(g, Mapping):
             raise ValidationError("grid", f"expected a mapping, got {type(g).__name__}")
         _known_keys(g, "grid", _GRID_KEYS)
-        coord = g.get("coord", "log")
-        if not isinstance(coord, str):
-            raise ValidationError("grid.coord", f"expected 'log' or 'price', got {coord!r}")
-        grid = GridSpec(
-            a=_numbers(_require(g, "a", "grid.a"), "grid.a"),
-            b=_numbers(_require(g, "b", "grid.b"), "grid.b"),
-            nx=g.get("nx", 100),
-            nt=g.get("nt", 100),
-            coord=coord,
-        )
-
-    dt_tc = _numbers(raw["dt_tc"], "dt_tc")
-    return Scenario(market=market, cost=cost, payoff=payoff, dt_tc=dt_tc, grid=grid)
+        grid = GridSpec(**{**g, "a": _require(g, "a", "grid.a"), "b": _require(g, "b", "grid.b")})
+    return Scenario(market=market, cost=cost, payoff=payoff, dt_tc=raw["dt_tc"], grid=grid)

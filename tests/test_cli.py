@@ -269,12 +269,18 @@ def test_exit_code_2_names_an_unknown_solver_key(tmp_path, capsys, command, key)
         (['cost={"type":"sampled","x":[0,1],"c":[1,1],"c_upper":2,"dc":"x"}'], "cost.dc"),
         (['cost={"type":"sampled","x":[0,1],"c":[1,1],"c_upper":2,"c_lower":null}'], "cost.c_lower"),
         (['cost={"type":"constant","c0":[0.1]}'], "cost.C0"),
+        (["market.sigmas=[true,0.2]"], "market.sigmas"),
+        (['cost={"type":"sampled","x":[0,true],"c":[1,1],"c_upper":2}'], "cost.x"),
+        (["cost.c0=0.5"], "cost.c0"),
+        (['cost={"type":"constant","C0":0.01,"c0":0.5}'], "cost.c0"),
     ],
 )
 def test_exit_code_2_names_a_malformed_grid_or_market_field(tmp_path, capsys, flags, field):
     """Malformed values on a shipped config exit 2 naming the field, no traceback.
 
-    The cases cover every scenario section: grid, market, payoff, dt_tc and cost.
+    The cases cover every scenario section: grid, market, payoff, dt_tc and
+    cost, a boolean inside a list of numbers, and a cost level given both as
+    ``C0`` and as ``c0``.
     """
     out = tmp_path / "o"
     argv = ["analytic", "--config", str(CONFIG_DIR / "testing1.json"), "--out", str(out)]
@@ -343,6 +349,8 @@ def test_exit_code_2_names_an_unknown_section_key(tmp_path, capsys, flag, field)
         ("sweep", "output.dt_values=0", "output.dt_values"),
         ("sweep", "output.dt_values=[0.002, NaN]", "output.dt_values"),
         ("sweep", "output.dt_values=[]", "output.dt_values"),
+        ("sweep", "output.dt_values=[true, 0.004]", "output.dt_values"),
+        ("sweep", "output.probes=[[30, true]]", "output.probes"),
         ("price", "output.error_band=-1", "output.error_band"),
         ("price", "output.error_band=1000000", "output.error_band"),
         ("leland", "solver.theta_floor=-1", "solver.theta_floor"),
@@ -451,6 +459,23 @@ def test_error_band_leaving_no_node_exits_2_before_the_solve(tmp_path, capsys, m
     assert main(argv) == 2
     assert "config error: output.error_band: exclusion band leaves no interior nodes" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_leland_scan_without_a_cost_derivative_exits_2_before_the_solve(tmp_path, capsys, monkeypatch):
+    """The scan needs C'; a sampled cost without ``dc`` is a config error
+    found before the solve, and the classification alone does not need it."""
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the solve ran")
+
+    monkeypatch.setattr(cli, "solve_nonlinear", no_solve)
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, cost={"type": "sampled", "x": [0.0, 1.0], "c": [0.002, 0.001], "c_upper": 0.002})
+    assert main(["leland", "--config", str(cfg_path)]) == 2
+    captured = capsys.readouterr()
+    assert "config error: cost.dc: cost derivative required" in captured.err
+    assert captured.out == ""
+    assert main(["leland", "--config", str(cfg_path), "--flag", "solver.skip_scan=true"]) == 0
 
 
 @pytest.mark.parametrize("skip_scan", [False, True])

@@ -1,0 +1,27 @@
+"""Module layout: every import sits at the top of its module."""
+
+import ast
+from pathlib import Path
+
+import nlbs
+from nlbs import market_model
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "nlbs"
+# scipy.integrate loads at the first quadrature, not with the package (see cost_engine's docstring)
+ALLOWED = {("cost_engine.py", "_quad_to_inf")}
+
+
+def test_no_import_inside_a_function_body():
+    """A call-time import hides a dependency, and with it an import cycle."""
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text())):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if any(isinstance(node, (ast.Import, ast.ImportFrom)) for node in ast.walk(func)):
+                    found.add((path.name, func.name))
+    assert found == ALLOWED
+
+
+def test_the_grid_lives_with_the_other_scenario_containers():
+    assert nlbs.GridSpec is market_model.GridSpec
+    assert nlbs.default_grid is market_model.default_grid

@@ -65,9 +65,10 @@ def test_rho_matrix_is_readonly():
     ],
 )
 def test_market_validation_errors(kw, field):
+    """MarketParams names the failing field by its config key, market.<field>."""
     with pytest.raises(ValidationError) as exc:
         make_market(**kw)
-    assert exc.value.field == field
+    assert exc.value.field == f"market.{field}"
 
 
 def test_scalar_rho_needs_two_assets():
@@ -359,6 +360,8 @@ def test_validate_sampled_cost_section():
         (lambda c: c["payoff"].pop("X"), "payoff.X"),
         (lambda c: c.update(market=7), "market"),
         (lambda c: c.update(grid="fine"), "grid"),
+        (lambda c: c["cost"].update(c0=0.5), "cost.c0"),
+        (lambda c: c.update(cost={"type": "constant", "C0": 0.01, "c0": 0.5}), "cost.c0"),
     ],
 )
 def test_validate_reports_the_failing_field(mutate, field):
@@ -366,6 +369,58 @@ def test_validate_reports_the_failing_field(mutate, field):
     mutate(cfg)
     with pytest.raises(ValidationError) as exc:
         validate(cfg)
+    assert exc.value.field == field
+
+
+# valid keywords for each container, then each numeric field with the config key it is named by
+_VALID = {
+    MarketParams: dict(sigmas=(0.3, 0.15), rho=0.5, r=0.08, T=1.0),
+    ConstantCost: dict(c0=0.005),
+    ExponentialCost: dict(c0=0.005, k=1.0),
+    SampledCost: dict(x=[0.0, 1.0], c=[0.01, 0.005], c_lower=0.0, c_upper=0.01, dc=[-0.005, -0.005]),
+    BestCashOrNothing: dict(K=5.0, X=30.0),
+    GridSpec: dict(a=1.5, b=5.3, nx=10, nt=4),
+    Scenario: dict(
+        market=make_market(), cost=ConstantCost(c0=0.0), payoff=BestCashOrNothing(K=5.0, X=30.0), dt_tc=0.01
+    ),
+}
+_NUMERIC_FIELDS = [
+    (MarketParams, "sigmas", "market.sigmas"),
+    (MarketParams, "rho", "market.rho"),
+    (MarketParams, "r", "market.r"),
+    (MarketParams, "T", "market.T"),
+    (ConstantCost, "c0", "cost.C0"),
+    (ExponentialCost, "c0", "cost.C0"),
+    (ExponentialCost, "k", "cost.k"),
+    (SampledCost, "x", "cost.x"),
+    (SampledCost, "c", "cost.c"),
+    (SampledCost, "c_lower", "cost.c_lower"),
+    (SampledCost, "c_upper", "cost.c_upper"),
+    (SampledCost, "dc", "cost.dc"),
+    (BestCashOrNothing, "K", "payoff.K"),
+    (BestCashOrNothing, "X", "payoff.X"),
+    (GridSpec, "a", "grid.a"),
+    (GridSpec, "b", "grid.b"),
+    (GridSpec, "nx", "grid.nx"),
+    (GridSpec, "nt", "grid.nt"),
+    (Scenario, "dt_tc", "dt_tc"),
+]
+
+
+@pytest.mark.parametrize(
+    "bad", [True, "5", None, "x", [True, 1.0]], ids=["bool", "numeric_string", "null", "string", "bool_in_list"]
+)
+@pytest.mark.parametrize(
+    "container,name,field", _NUMERIC_FIELDS, ids=[f"{c.__name__}.{name}" for c, name, _ in _NUMERIC_FIELDS]
+)
+def test_every_numeric_field_rejects_a_non_number(container, name, field, bad):
+    """Each container parses its own numeric fields, naming the config key;
+    a null ``dc`` is the one null that means something (no derivative)."""
+    if (name, bad) == ("dc", None):
+        assert container(**{**_VALID[container], name: bad}).dc is None
+        return
+    with pytest.raises(ValidationError) as exc:
+        container(**{**_VALID[container], name: bad})
     assert exc.value.field == field
 
 
