@@ -31,14 +31,7 @@ from .adi_solver import (
     sweep,
     thomas_solve,
 )
-from .analytic_pricing import (
-    CbestIntermediates,
-    bivariate_cdf,
-    cbest_intermediates,
-    cbest_price,
-    payoff,
-    univariate_cdf,
-)
+from .analytic_pricing import bivariate_cdf, cbest_price, univariate_cdf
 from .cost_engine import (
     QuadratureError,
     assemble_G,
@@ -88,7 +81,6 @@ from .market_model import (
 __all__ = [
     "BestCashOrNothing",
     "BoundaryData",
-    "CbestIntermediates",
     "ConstantCost",
     "ConvergenceRecord",
     "CostDerivativeError",
@@ -117,7 +109,6 @@ __all__ = [
     "__version__",
     "assemble_G",
     "bivariate_cdf",
-    "cbest_intermediates",
     "cbest_price",
     "cost_integrals",
     "default_grid",
@@ -131,7 +122,6 @@ __all__ = [
     "leland_number",
     "lx_stage",
     "ly_stage",
-    "payoff",
     "perron_bound",
     "pnorm_distance",
     "scan_surface",

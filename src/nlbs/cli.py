@@ -59,7 +59,17 @@ from .analytic_pricing import cbest_price
 from .cost_engine import QuadratureError, assemble_G
 from .diagnostics import compared_nodes, dt_sensitivity_sweep, error_vs_analytic
 from .ellipticity import LelandNumber, leland_number, scan_surface
-from .market_model import GridSpec, Scenario, SolverFlags, ValidationError, _integer, _numbers, validate
+from .market_model import (
+    ExponentialCost,
+    GridSpec,
+    SampledCost,
+    Scenario,
+    SolverFlags,
+    ValidationError,
+    _integer,
+    _numbers,
+    validate,
+)
 
 __all__ = ["main"]
 
@@ -184,6 +194,24 @@ def _parsed_section(cfg: dict, name: str, parsers: dict, command: str) -> dict:
     return parsed
 
 
+def _resolved_cost(cost) -> dict:
+    """The built cost model under its config keys, defaults filled in."""
+    if isinstance(cost, SampledCost):
+        out = {
+            "type": "sampled",
+            "x": cost.x.tolist(),
+            "c": cost.c.tolist(),
+            "c_lower": cost.c_lower,
+            "c_upper": cost.c_upper,
+        }
+        if cost.dc is not None:
+            out["dc"] = cost.dc.tolist()
+        return out
+    if isinstance(cost, ExponentialCost):
+        return {"type": "exponential", "C0": cost.c0, "k": cost.k}
+    return {"type": "constant", "C0": cost.c0}
+
+
 def _resolved_config(cfg: dict, scenario: Scenario) -> dict:
     grid = scenario.grid
     out = {
@@ -193,7 +221,7 @@ def _resolved_config(cfg: dict, scenario: Scenario) -> dict:
             "r": scenario.market.r,
             "T": scenario.market.T,
         },
-        "cost": dict(cfg.get("cost", {})),
+        "cost": _resolved_cost(scenario.cost),
         "payoff": {"type": "best_cash_or_nothing", "K": scenario.payoff.K, "X": scenario.payoff.X},
         "dt_tc": scenario.dt_tc,
         "grid": {"a": grid.a, "b": grid.b, "nx": grid.nx, "nt": grid.nt, "coord": grid.coord},

@@ -132,7 +132,7 @@ class MarketParams:
         n = len(sigmas)
         if np.ndim(rho) == 0:
             if n != 2:
-                raise ValidationError("market.rho", f"scalar correlation only valid for 2 assets, got {n}")
+                raise ValidationError("market.sigmas", f"a scalar correlation needs exactly 2 volatilities, got {n}")
             rho = np.array([[1.0, rho], [rho, 1.0]])
         if rho.shape != (n, n):
             raise ValidationError("market.rho", f"expected shape ({n}, {n}), got {rho.shape}")

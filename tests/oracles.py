@@ -94,6 +94,24 @@ def phi_mp(x: float) -> float:
         return float(mpmath.ncdf(x))
 
 
+def bvn_mp(h: float, k: float, rho: float) -> float:
+    """P(Z1 <= h, Z2 <= k) at 30 decimal digits by mpmath quadrature of
+
+    Phi(h) Phi(k) + 1/(2 pi) int_0^{asin rho} exp(-(h^2 - 2hk sin t + k^2)/(2 cos^2 t)) dt,
+
+    the density integrated along the correlation path in the variable
+    r = sin t, whose integrand stays bounded as |rho| -> 1.
+    """
+    with mpmath.workdps(30):
+        h, k = mpmath.mpf(h), mpmath.mpf(k)
+
+        def integrand(t):
+            return mpmath.exp(-(h * h - 2 * h * k * mpmath.sin(t) + k * k) / (2 * mpmath.cos(t) ** 2))
+
+        path = mpmath.quad(integrand, [0, mpmath.asin(rho)])
+        return float(mpmath.ncdf(h) * mpmath.ncdf(k) + path / (2 * mpmath.pi))
+
+
 def bvn_dblquad(h: float, k: float, rho: float) -> float:
     """P(Z1 <= h, Z2 <= k) by 2-D quadrature of the bivariate density."""
     det = 1.0 - rho * rho
@@ -127,9 +145,9 @@ def phi_fast(x: float) -> float:
 
 
 def bvn_upper_two_temporaries(h, k, r: float):
-    """P(X > h, Y > k) by the Drezner-Wesolowsky branch (|r| < 0.925) as the
-    package evaluated it before its integrand was built in one buffer: one
-    expression, with two (N, 20) temporaries alive at once."""
+    """P(X > h, Y > k) by the Drezner-Wesolowsky (1990) arcsine
+    substitution, for |r| < 0.925: a 20-node Gauss-Legendre sum over the
+    correlation path plus the independent product term."""
     from scipy.special import ndtr
 
     gl_x, gl_w = np.polynomial.legendre.leggauss(20)
@@ -460,12 +478,19 @@ def cbest_mc(
 
 
 # ---------------------------------------------------------------------------
-# legacy closed-form parametrization (not risk-neutral)
+# two-term closed form of the best-of digital
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class LegacyIntermediates:
+class Intermediates:
+    """Deviates and correlations of a two-term closed form.
+
+    ``sigma_comb`` is the volatility of ln(S1/S2); ``y`` the deviate of the
+    event {S1(T) >= S2(T)}; ``z1``/``z2`` the deviates of {S_i(T) >= X};
+    ``rho1``/``rho2`` the correlations of the two bivariate-CDF terms.
+    """
+
     sigma_comb: float
     y: np.ndarray
     z1: np.ndarray
@@ -474,7 +499,57 @@ class LegacyIntermediates:
     rho2: float
 
 
-def cbest_legacy_intermediates(s1, s2, tau: float, market, payoff) -> LegacyIntermediates:
+def cbest_intermediates(s1, s2, tau: float, market, payoff) -> Intermediates:
+    """Risk-neutral deviates of the two-term form, for sigma_comb > 0.
+
+    ``z_i = (ln(S_i/X) + (r - sigma_i^2/2) tau)/(sigma_i sqrt(tau))``,
+    ``y = (ln(S1/S2) + (sigma_2^2 - sigma_1^2) tau/2)/(sigma_comb sqrt(tau))``,
+    ``rho1 = (sigma_1 - rho sigma_2)/sigma_comb`` and ``rho2`` likewise.
+    """
+    s1 = np.asarray(s1, dtype=float)
+    s2 = np.asarray(s2, dtype=float)
+    sig1, sig2 = market.sigmas
+    rho = float(market.rho[0, 1])
+    x = payoff.X
+    rt = math.sqrt(tau)
+    sigma_comb = math.sqrt(sig1 * sig1 + sig2 * sig2 - 2.0 * rho * sig1 * sig2)
+    z1 = (np.log(s1 / x) + (market.r - sig1 * sig1 / 2.0) * tau) / (sig1 * rt)
+    z2 = (np.log(s2 / x) + (market.r - sig2 * sig2 / 2.0) * tau) / (sig2 * rt)
+    y = (np.log(s1 / s2) + (sig2 * sig2 - sig1 * sig1) * tau / 2.0) / (sigma_comb * rt)
+    rho1 = (sig1 - rho * sig2) / sigma_comb
+    rho2 = (sig2 - rho * sig1) / sigma_comb
+    return Intermediates(sigma_comb=sigma_comb, y=y, z1=z1, z2=z2, rho1=rho1, rho2=rho2)
+
+
+def bvn_reference(h: float, k: float, rho: float) -> float:
+    """P(X <= h, Y <= k): the Drezner-Wesolowsky sum for |rho| < 0.925, the
+    conditional quadrature above that."""
+    if abs(rho) < 0.925:
+        return float(bvn_upper_two_temporaries(np.array(-h), np.array(-k), rho))
+    return bvn_conditional(h, k, rho)
+
+
+def cbest_two_term_price(s1: float, s2: float, tau: float, scenario) -> float:
+    """Best-of digital price at scalar spots, tau > 0, as two terms:
+
+    K e^{-r tau} [M(z1, y; rho1) + M(z2, -y; rho2)],
+
+    the probabilities that asset 1 finishes above X and above asset 2, and
+    that asset 2 finishes above X and above asset 1.
+    """
+    inter = cbest_intermediates(s1, s2, tau, scenario.market, scenario.payoff)
+    disc = scenario.payoff.K * math.exp(-scenario.market.r * tau)
+    y = float(inter.y)
+    p = bvn_reference(float(inter.z1), y, inter.rho1) + bvn_reference(float(inter.z2), -y, inter.rho2)
+    return disc * p
+
+
+# ---------------------------------------------------------------------------
+# legacy closed-form parametrization (not risk-neutral)
+# ---------------------------------------------------------------------------
+
+
+def cbest_legacy_intermediates(s1, s2, tau: float, market, payoff) -> Intermediates:
     """Deviates of the legacy formula: no risk-free drift, +sigma^2 tau/2 in
     the ratio deviate, correlations (sigma_i - rho)/sigma_comb."""
     s1 = np.asarray(s1, dtype=float)
@@ -493,7 +568,7 @@ def cbest_legacy_intermediates(s1, s2, tau: float, market, payoff) -> LegacyInte
     else:
         y = np.where(s1 >= s2, np.inf, -np.inf)
         rho1 = rho2 = 0.0
-    return LegacyIntermediates(sigma_comb=sigma_comb, y=y, z1=z1, z2=z2, rho1=rho1, rho2=rho2)
+    return Intermediates(sigma_comb=sigma_comb, y=y, z1=z1, z2=z2, rho1=rho1, rho2=rho2)
 
 
 def cbest_legacy_price(s1, s2, tau: float, scenario, bivariate_cdf) -> float:

@@ -1,18 +1,22 @@
 """Closed-form pricing tests: normal CDFs against independent oracles, the
-two-asset digital against inclusion-exclusion and Monte Carlo."""
+two-asset digital against the two-term route, Monte Carlo and the closed
+forms at perfect correlation."""
+
+import itertools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import multivariate_normal
 
 from nlbs import (
     ValidationError,
     bivariate_cdf,
-    cbest_intermediates,
     cbest_price,
     univariate_cdf,
 )
-from nlbs.analytic_pricing import _bvn_upper
 
 import oracles
 from conftest import benchmark_scenario
@@ -43,22 +47,31 @@ def test_univariate_cdf_vectorized():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("case", [1, 2, 3])
-def test_bvn_upper_matches_the_two_temporary_expression(case):
-    """The one-buffer integrand repeats the old expression's operations in
-    the same order, so every value is the same float.  Configs 1-3 give the
-    closed form |rho1|, |rho2| in {0, 0.632, 0.643, 0.866, 0.924}, all on the
-    Drezner-Wesolowsky branch."""
-    scen = benchmark_scenario(case)
-    inter = cbest_intermediates(scen.payoff.X, scen.payoff.X, scen.market.T, scen.market, scen.payoff)
-    rng = np.random.default_rng(case)
-    h, k = rng.normal(0.0, 2.5, size=(2, 100_000))
-    grid = np.linspace(-6.0, 6.0, 41)
-    h2, k2 = np.meshgrid(grid, grid, indexing="ij")
-    for corr in (inter.rho1, -inter.rho1, inter.rho2, -inter.rho2):
-        assert abs(corr) < 0.925
-        np.testing.assert_array_equal(_bvn_upper(h, k, corr), oracles.bvn_upper_two_temporaries(h, k, corr))
-        np.testing.assert_array_equal(_bvn_upper(h2, k2, corr), oracles.bvn_upper_two_temporaries(h2, k2, corr))
+@pytest.mark.parametrize("corr", [0.0, 0.5, -0.5, 0.9, -0.95, 0.999, -0.999, 0.999999, -0.999999])
+def test_bivariate_cdf_against_mpmath(corr):
+    """Against 30-digit quadrature, to 1e-15 abs: zero arguments (h = 0,
+    k = 0, h = k = 0) take the limits of the ratio k/h, a tiny argument's
+    product with another underflows to zero but keeps its sign, and the
+    correlations reach 1 - 1e-6."""
+    args = (0.0, -1e-200, 0.4, -1.9, 3.5, -5.0)
+    for h, k in itertools.product(args, args):
+        assert abs(bivariate_cdf(h, k, corr) - oracles.bvn_mp(h, k, corr)) <= 1e-15, (h, k)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(
+    a=st.floats(-40.0, 40.0),
+    b=st.floats(-40.0, 40.0),
+    corr=st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True),
+)
+def test_bivariate_cdf_within_the_frechet_bounds(a, b, corr):
+    """max(0, Phi(a) + Phi(b) - 1) <= M <= min(Phi(a), Phi(b)).  The upper
+    bound and zero hold exactly; the sum Phi(a) + Phi(b) is rounded once, so
+    the lower bound holds to one ulp of 1."""
+    m = bivariate_cdf(a, b, corr)
+    pa, pb = univariate_cdf(a), univariate_cdf(b)
+    assert 0.0 <= m <= min(pa, pb)
+    assert m >= pa + pb - 1.0 - math.ulp(1.0)
 
 
 def test_bivariate_cdf_against_quadrature_oracle():
@@ -74,7 +87,7 @@ def test_bivariate_cdf_against_quadrature_oracle():
 
 
 def test_bivariate_cdf_against_conditional_oracle_high_correlation():
-    """The near-singular branch (|corr| >= 0.925), against the 1-D reduction."""
+    """Correlations near +-1 (|corr| >= 0.925), against the 1-D reduction."""
     rng = np.random.default_rng(99)
     for _ in range(200):
         a = rng.uniform(-4.0, 4.0)
@@ -143,13 +156,13 @@ def test_bivariate_cdf_scalar_in_scalar_out():
 
 
 # ---------------------------------------------------------------------------
-# closed-form intermediates (pinned values)
+# two-term intermediates (pinned values; tests/oracles.py)
 # ---------------------------------------------------------------------------
 
 
 def test_intermediates_pinned_benchmark1():
     scen = benchmark_scenario(1)
-    inter = cbest_intermediates(30.0, 30.0, 1.0, scen.market, scen.payoff)
+    inter = oracles.cbest_intermediates(30.0, 30.0, 1.0, scen.market, scen.payoff)
     assert inter.sigma_comb == pytest.approx(0.25980762113533157, abs=1e-16)
     assert inter.rho1 == pytest.approx(0.8660254037844386, abs=1e-15)
     assert inter.rho2 == pytest.approx(0.0, abs=1e-15)
@@ -160,36 +173,16 @@ def test_intermediates_pinned_benchmark1():
 
 def test_intermediates_pinned_benchmark2_and_3():
     scen2 = benchmark_scenario(2)
-    i2 = cbest_intermediates(40.0, 40.0, 1.0, scen2.market, scen2.payoff)
+    i2 = oracles.cbest_intermediates(40.0, 40.0, 1.0, scen2.market, scen2.payoff)
     assert i2.sigma_comb == pytest.approx(0.12449899597988734, abs=1e-16)
     assert i2.rho1 == pytest.approx(0.642575463121999, abs=1e-15)
     assert i2.rho2 == pytest.approx(0.9237022282378736, abs=1e-15)
 
     scen3 = benchmark_scenario(3)
-    i3 = cbest_intermediates(15.0, 15.0, 1.0, scen3.market, scen3.payoff)
+    i3 = oracles.cbest_intermediates(15.0, 15.0, 1.0, scen3.market, scen3.payoff)
     assert i3.sigma_comb == pytest.approx(0.2529822128134704, abs=1e-16)
     assert i3.rho1 == pytest.approx(0.6324555320336758, abs=1e-15)
     assert i3.rho2 == i3.rho1  # equal vols
-
-
-def test_intermediates_validation():
-    scen = benchmark_scenario(1)
-    with pytest.raises(ValidationError, match="tau"):
-        cbest_intermediates(30.0, 30.0, 0.0, scen.market, scen.payoff)
-    with pytest.raises(ValidationError, match="s1"):
-        cbest_intermediates(-1.0, 30.0, 1.0, scen.market, scen.payoff)
-
-
-def test_intermediates_identical_dynamics_degenerate_ratio():
-    """sigma_comb = 0 freezes the performance ratio at its spot ordering."""
-    scen = benchmark_scenario(1)
-    market = type(scen.market)(sigmas=(0.2, 0.2), rho=1.0, r=0.05, T=1.0)
-    inter = cbest_intermediates(31.0, 30.0, 1.0, market, scen.payoff)
-    assert inter.sigma_comb == 0.0
-    assert np.isposinf(inter.y)
-    assert inter.rho1 == 0.0 and inter.rho2 == 0.0
-    flipped = cbest_intermediates(29.0, 30.0, 1.0, market, scen.payoff)
-    assert np.isneginf(flipped.y)
 
 
 # ---------------------------------------------------------------------------
@@ -198,33 +191,44 @@ def test_intermediates_identical_dynamics_degenerate_ratio():
 
 
 def test_price_matches_inclusion_exclusion():
-    """Independent derivation: P(max >= X) = P1 + P2 - P12 on standardized
-    log-returns, joint CDF with the asset correlation."""
+    """The package's inclusion-exclusion price, Phi(z1) + Phi(z2) - M(z1, z2;
+    rho), against the two-term route of tests/oracles.py: P(S1 >= X, S1 >=
+    S2) + P(S2 >= X, S2 > S1), with the ratio deviate and its own
+    correlations rho1, rho2 and bivariate CDFs."""
     rng = np.random.default_rng(777)
     for case in (1, 2, 3):
         scen = benchmark_scenario(case)
-        sig1, sig2 = scen.market.sigmas
-        rho = float(scen.market.rho[0, 1])
-        r = scen.market.r
         x = scen.payoff.X
         for _ in range(40):
             s1 = x * rng.uniform(0.4, 2.5)
             s2 = x * rng.uniform(0.4, 2.5)
             tau = rng.uniform(0.05, 2.0)
-            rt = np.sqrt(tau)
-            d1 = (np.log(s1 / x) + (r - sig1**2 / 2) * tau) / (sig1 * rt)
-            d2 = (np.log(s2 / x) + (r - sig2**2 / 2) * tau) / (sig2 * rt)
-            ref = (
-                scen.payoff.K
-                * np.exp(-r * tau)
-                * (
-                    univariate_cdf(d1)
-                    + univariate_cdf(d2)
-                    - bivariate_cdf(d1, d2, rho)
-                )
-            )
+            ref = oracles.cbest_two_term_price(s1, s2, tau, scen)
             ours = cbest_price(s1, s2, tau, scen)
             assert ours == pytest.approx(ref, abs=1e-11 * scen.payoff.K)
+
+
+@pytest.mark.parametrize("sigmas", [(0.2, 0.2), (0.3, 0.15)], ids=["equal-vols", "unequal-vols"])
+@pytest.mark.parametrize("rho", [1.0, -1.0])
+def test_price_at_perfect_correlation(sigmas, rho):
+    """One standard normal Z moves both assets, S1 through Z and S2 through
+    rho Z.  At rho = 1 the best of the two finishes above X iff
+    Z >= min(-z1, -z2), so the price is K e^{-r tau} Phi(max(z1, z2)); at
+    rho = -1 the events {Z >= -z1} and {Z <= z2} are tails on opposite
+    sides, so it is K e^{-r tau} min(1, Phi(z1) + Phi(z2)).  Equal
+    volatilities at rho = 1 freeze the ratio S1/S2."""
+    base = benchmark_scenario(1)
+    market = type(base.market)(sigmas=sigmas, rho=rho, r=0.05, T=1.0)
+    scen = type(base)(market=market, cost=base.cost, payoff=base.payoff, dt_tc=base.dt_tc)
+    k, x = scen.payoff.K, scen.payoff.X
+    for s1, s2, tau in [(31.0, 30.0, 1.0), (29.0, 30.0, 1.0), (24.0, 36.0, 0.5), (30.0, 30.0, 0.01), (18.0, 21.0, 2.0)]:
+        z1, z2 = (
+            (math.log(s / x) + (0.05 - sig * sig / 2.0) * tau) / (sig * math.sqrt(tau))
+            for s, sig in ((s1, sigmas[0]), (s2, sigmas[1]))
+        )
+        p1, p2 = oracles.phi_mp(z1), oracles.phi_mp(z2)
+        prob = max(p1, p2) if rho > 0.0 else min(1.0, p1 + p2)
+        assert cbest_price(s1, s2, tau, scen) == pytest.approx(k * math.exp(-0.05 * tau) * prob, abs=1e-14)
 
 
 def test_price_pinned_at_the_money():
@@ -301,6 +305,19 @@ def test_price_rejects_negative_tau():
     scen = benchmark_scenario(1)
     with pytest.raises(ValidationError, match="tau"):
         cbest_price(30.0, 30.0, -0.5, scen)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.inf, np.nan])
+@pytest.mark.parametrize("field", ["s1", "s2"])
+def test_price_rejects_a_non_positive_or_non_finite_spot(field, bad):
+    """Before and at expiry, as a scalar and inside an array."""
+    scen = benchmark_scenario(1)
+    for spot in (bad, np.array([30.0, bad])):
+        spots = {"s1": 30.0, "s2": 30.0, field: spot}
+        for tau in (1.0, 0.0):
+            with pytest.raises(ValidationError) as exc:
+                cbest_price(spots["s1"], spots["s2"], tau, scen)
+            assert exc.value.field == field
 
 
 # ---------------------------------------------------------------------------

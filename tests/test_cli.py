@@ -273,14 +273,18 @@ def test_exit_code_2_names_an_unknown_solver_key(tmp_path, capsys, command, key)
         (['cost={"type":"sampled","x":[0,true],"c":[1,1],"c_upper":2}'], "cost.x"),
         (["cost.c0=0.5"], "cost.c0"),
         (['cost={"type":"constant","C0":0.01,"c0":0.5}'], "cost.c0"),
+        (["market.sigmas=[0.3]"], "market.sigmas"),
+        (["market.sigmas=[1.0]"], "market.sigmas"),
+        (["market.sigmas=[0.3,0.15,0.2]"], "market.sigmas"),
     ],
 )
 def test_exit_code_2_names_a_malformed_grid_or_market_field(tmp_path, capsys, flags, field):
     """Malformed values on a shipped config exit 2 naming the field, no traceback.
 
     The cases cover every scenario section: grid, market, payoff, dt_tc and
-    cost, a boolean inside a list of numbers, and a cost level given both as
-    ``C0`` and as ``c0``.
+    cost, a boolean inside a list of numbers, a cost level given both as
+    ``C0`` and as ``c0``, and a volatility count other than two beside the
+    config's scalar correlation.
     """
     out = tmp_path / "o"
     argv = ["analytic", "--config", str(CONFIG_DIR / "testing1.json"), "--out", str(out)]
@@ -580,6 +584,43 @@ def test_exit_code_4_when_output_dir_cannot_be_created(tmp_path, capsys):
     rc = main(["analytic", "--config", str(cfg_path), "--out", str(blocker / "sub")])
     assert rc == 4
     assert "i/o error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "cost,recorded",
+    [
+        ({"type": "constant", "c0": 1}, {"type": "constant", "C0": 1.0}),
+        ({"type": "Exponential", "c0": 0.01, "k": 2}, {"type": "exponential", "C0": 0.01, "k": 2.0}),
+        (
+            {"type": "sampled", "x": [0, 1], "c": [0.002, 0.001], "c_upper": 0.003},
+            {"type": "sampled", "x": [0.0, 1.0], "c": [0.002, 0.001], "c_lower": 0.0, "c_upper": 0.003},
+        ),
+        (
+            {"type": "sampled", "x": [0, 1], "c": [0.002, 0.001], "c_lower": 0.001, "c_upper": 0.003, "dc": [-1e-3, 0]},
+            {
+                "type": "sampled",
+                "x": [0.0, 1.0],
+                "c": [0.002, 0.001],
+                "c_lower": 0.001,
+                "c_upper": 0.003,
+                "dc": [-1e-3, 0.0],
+            },
+        ),
+    ],
+    ids=["constant", "exponential", "sampled", "sampled-with-dc"],
+)
+def test_metadata_records_the_built_cost_model(tmp_path, cost, recorded):
+    """The cost section is written as resolved, like the market and grid:
+    ``C0`` for a level given as ``c0``, the type lower-cased, numbers as
+    floats, a sampled cost's default ``c_lower``, and ``dc`` only when given."""
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, cost=cost)
+    out = tmp_path / "ana"
+    assert main(["analytic", "--config", str(cfg_path), "--out", str(out)]) == 0
+    meta = json.loads((out / "metadata.json").read_text())
+    assert meta["config"]["cost"] == recorded
+    numbers = [v for v in meta["config"]["cost"].values() if not isinstance(v, str)]
+    assert all(type(x) is float for v in numbers for x in (v if isinstance(v, list) else [v]))
 
 
 def test_flag_overrides_reach_nested_sections(tmp_path):

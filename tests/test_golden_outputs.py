@@ -129,7 +129,7 @@ GOLDEN = {
     },
     "leland3_sampled_exact": {
         "exit": 0,
-        "ellipticity.json": "b43d2030ef5704aa8e8a5924e1b0b5b9ee6a931aaf4c752ae7236fa7b25736fe",
+        "ellipticity.json": "f8759a85173f329c39437056b6874ce97696d2f707800ad797f915928216fa0f",
         "ellipticity_nodes.csv": "9edc8ef48f0fa6c1f2b5c9c79cfe3359356d9013ad445cb3c3f3382408ad9394",
     },
     "sweep1": {
