@@ -22,23 +22,18 @@ from .adi_solver import (
     ConvergenceRecord,
     SolveResult,
     Surface,
-    TridiagonalSystem,
     ZeroPivotError,
     initial_condition,
-    lx_stage,
-    ly_stage,
     solve_nonlinear,
     sweep,
-    thomas_solve,
 )
-from .analytic_pricing import bivariate_cdf, cbest_price, univariate_cdf
+from .analytic_pricing import bivariate_cdf, cbest_price
 from .cost_engine import (
     QuadratureError,
     assemble_G,
     expected_cost,
     exponential_decay_factor,
     theta_from_hessian,
-    theta_log_coords,
 )
 from .diagnostics import (
     DtSweepResult,
@@ -48,7 +43,6 @@ from .diagnostics import (
     dt_sensitivity_sweep,
     error_vs_analytic,
     perron_bound,
-    pnorm_distance,
 )
 from .ellipticity import (
     DegenerateThetaError,
@@ -103,7 +97,6 @@ __all__ = [
     "SolveResult",
     "SolverFlags",
     "Surface",
-    "TridiagonalSystem",
     "ValidationError",
     "ZeroPivotError",
     "__version__",
@@ -120,16 +113,10 @@ __all__ = [
     "initial_condition",
     "is_negative_definite",
     "leland_number",
-    "lx_stage",
-    "ly_stage",
     "perron_bound",
-    "pnorm_distance",
     "scan_surface",
     "solve_nonlinear",
     "sweep",
-    "thomas_solve",
     "theta_from_hessian",
-    "theta_log_coords",
-    "univariate_cdf",
     "validate",
 ]

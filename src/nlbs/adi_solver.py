@@ -66,13 +66,9 @@ __all__ = [
     "Surface",
     "ConvergenceRecord",
     "SolveResult",
-    "TridiagonalSystem",
     "ZeroPivotError",
-    "thomas_solve",
     "initial_condition",
     "BoundaryData",
-    "lx_stage",
-    "ly_stage",
     "sweep",
     "solve_nonlinear",
 ]
@@ -142,31 +138,6 @@ class ZeroPivotError(ValueError):
     """Forward elimination hit a (numerically) zero pivot."""
 
 
-@dataclass
-class TridiagonalSystem:
-    """Tridiagonal system: diag (n,), lower/upper (n-1,), rhs (n,) or (n, m)."""
-
-    lower: np.ndarray
-    diag: np.ndarray
-    upper: np.ndarray
-    rhs: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.lower = np.asarray(self.lower, dtype=float)
-        self.diag = np.asarray(self.diag, dtype=float)
-        self.upper = np.asarray(self.upper, dtype=float)
-        self.rhs = np.asarray(self.rhs, dtype=float)
-        n = self.diag.shape[0] if self.diag.ndim == 1 else -1
-        if n < 1:
-            raise ValidationError("diag", "diagonal must be a nonempty 1-D array")
-        if self.lower.shape != (max(n - 1, 0),):
-            raise ValidationError("lower", f"expected shape ({n - 1},), got {self.lower.shape}")
-        if self.upper.shape != (max(n - 1, 0),):
-            raise ValidationError("upper", f"expected shape ({n - 1},), got {self.upper.shape}")
-        if self.rhs.shape[0] != n or self.rhs.ndim not in (1, 2):
-            raise ValidationError("rhs", f"expected shape ({n},) or ({n}, m), got {self.rhs.shape}")
-
-
 def _thomas_factor(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray):
     """Forward-elimination multipliers and pivots; O(n), done once per matrix."""
     n = diag.shape[0]
@@ -210,15 +181,6 @@ def _thomas_apply(
     return x if rhs.ndim == 2 else x[:, 0]
 
 
-def thomas_solve(system: TridiagonalSystem) -> np.ndarray:
-    """Solve a tridiagonal system by the Thomas algorithm (no pivoting).
-
-    Raises :class:`ZeroPivotError` naming the row if elimination breaks down.
-    """
-    w, piv = _thomas_factor(system.lower, system.diag, system.upper)
-    return _thomas_apply(w, piv, system.upper, system.rhs)
-
-
 # ---------------------------------------------------------------------------
 # initial condition and boundary data
 # ---------------------------------------------------------------------------
@@ -256,16 +218,6 @@ def initial_condition(grid: GridSpec, payoff: BestCashOrNothing) -> np.ndarray:
 Edges = tuple[np.ndarray, np.ndarray]
 
 
-def _ring_edges(a: np.ndarray) -> Edges:
-    """The edges of a square array as two (nx+1, 2) column pairs.
-
-    The first pair holds the bottom and top edges, the columns j = 0 and
-    j = nx (running along asset 1); the second the left and right edges, the
-    rows i = 0 and i = nx (running along asset 2).
-    """
-    return a[:, [0, -1]], a[[0, -1], :].T
-
-
 def _write_edges(out: np.ndarray, edges: Edges) -> None:
     """Write edges into ``out``, bottom and top before left and right.
 
@@ -284,9 +236,7 @@ class BoundaryData:
     j = 0 and j = nx, along asset 1), then left and right (the rows i = 0 and
     i = nx, along asset 2); stage operators write them into their output.
     Every level is marched at construction, one pair per direction, and only
-    these pairs are kept, 4 (2 nt + 1) (nx + 1) floats in all.  ``ring(h)``
-    assembles them into a dense (nx+1, nx+1) array with a zero interior, the
-    form :func:`lx_stage` and :func:`ly_stage` take; it is not cached.
+    these pairs are kept, 4 (2 nt + 1) (nx + 1) floats in all.
     """
 
     def __init__(self, scenario: Scenario, flags: SolverFlags, dtau: float) -> None:
@@ -294,13 +244,6 @@ class BoundaryData:
 
     def edges(self, h: int) -> Edges:
         return self._levels[h]
-
-    def ring(self, h: int) -> np.ndarray:
-        edges = self.edges(h)
-        n = edges[0].shape[0] - 1
-        vals = np.zeros((n + 1, n + 1))
-        _write_edges(vals, edges)
-        return vals
 
 
 # ---------------------------------------------------------------------------
@@ -483,39 +426,6 @@ class _StageOperator:
         ends = edges[1 - self.axis]
         orient(out)[1:-1, 1:-1] = self._implicit.solve(rhs, ends[1:-1, 0], ends[1:-1, 1])
         return out
-
-
-def lx_stage(
-    u: np.ndarray,
-    scenario: Scenario,
-    boundary_ring: np.ndarray,
-    g: np.ndarray | None = None,
-    flags: SolverFlags = SolverFlags(),
-    dtau: float | None = None,
-) -> np.ndarray:
-    """Single x-implicit half-step from level values ``u``.
-
-    ``boundary_ring`` supplies the Dirichlet values of the *output* level on
-    its boundary ring (interior entries ignored).  ``dtau`` defaults to
-    T / nt.  Convenience wrapper over the cached operator used by
-    :func:`sweep`; building it anew per call, it is meant for tests and
-    one-off applications.
-    """
-    dtau = scenario.market.T / scenario.grid.nt if dtau is None else float(dtau)
-    return _StageOperator(scenario, flags, dtau, axis=0).apply(u, _ring_edges(boundary_ring), g)
-
-
-def ly_stage(
-    u: np.ndarray,
-    scenario: Scenario,
-    boundary_ring: np.ndarray,
-    g: np.ndarray | None = None,
-    flags: SolverFlags = SolverFlags(),
-    dtau: float | None = None,
-) -> np.ndarray:
-    """Single y-implicit half-step (mirror of :func:`lx_stage`)."""
-    dtau = scenario.market.T / scenario.grid.nt if dtau is None else float(dtau)
-    return _StageOperator(scenario, flags, dtau, axis=1).apply(u, _ring_edges(boundary_ring), g)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,8 @@
 """Closed-form pricing for the two-asset cash-or-nothing best-of option.
 
-Provides the univariate and bivariate normal CDFs and the closed-form price
-of a digital option that pays ``K`` at maturity when ``max(S1, S2) >= X``.
-The closed form is the risk-neutral benchmark the PDE engine is validated
-against.  Under the joint lognormal law of the two assets the option pays
+Provides the bivariate normal CDF and the closed-form price of a digital
+option that pays ``K`` at maturity when ``max(S1, S2) >= X``.  The closed
+form is the risk-neutral benchmark the PDE engine is validated against.  Under the joint lognormal law of the two assets the option pays
 unless both finish below X, so by inclusion-exclusion
 
     price = K e^{-r tau} [ Phi(z1) + Phi(z2) - M(z1, z2; rho) ]
@@ -41,15 +40,9 @@ from scipy.special import ndtr, owens_t
 from .market_model import Scenario, ValidationError
 
 __all__ = [
-    "univariate_cdf",
     "bivariate_cdf",
     "cbest_price",
 ]
-
-
-def univariate_cdf(x):
-    """Standard normal CDF, vectorized (scipy.special.ndtr)."""
-    return ndtr(x)
 
 
 # ---------------------------------------------------------------------------

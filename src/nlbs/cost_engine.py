@@ -58,7 +58,6 @@ from .market_model import (
 __all__ = [
     "QuadratureError",
     "theta_from_hessian",
-    "theta_log_coords",
     "exponential_decay_factor",
     "expected_cost",
     "assemble_G",
@@ -91,53 +90,6 @@ def theta_from_hessian(hessian: np.ndarray, spots: np.ndarray, market: MarketPar
         raise ValidationError("hessian", "Hessian must be symmetric")
     a = market.diffusion_matrix(np.asarray(spots, dtype=float))
     theta = np.einsum("ij,jk,ki->i", b, a, b)
-    return np.maximum(theta, 0.0)
-
-
-def theta_log_coords(
-    second: np.ndarray, grad: np.ndarray, x: np.ndarray, market: MarketParams
-) -> np.ndarray:
-    """Theta_i from log-coordinate derivatives of the value surface.
-
-    ``second`` is the log-coordinate second-derivative matrix U_{x_i x_j},
-    ``grad`` the gradient U_{x_i}, ``x`` the log-price point.  Uses the
-    chain-rule expansion
-
-        Theta_i = e^{-2 x_i} [ sum_{j!=i} sum_{k!=i} U_{x_i x_j} U_{x_i x_k}
-                                 sigma_j sigma_k rho_jk
-                   + 2 sum_{j!=i} U_{x_i x_j} (U_{x_i x_i} - U_{x_i})
-                                 sigma_i sigma_j rho_ij
-                   + (U_{x_i x_i} - U_{x_i})^2 sigma_i^2 ],
-
-    which is an independent route from :func:`theta_from_hessian` (the test
-    suite asserts they agree after converting derivatives).
-    """
-    u2 = np.asarray(second, dtype=float)
-    g = np.asarray(grad, dtype=float)
-    x = np.asarray(x, dtype=float)
-    n = market.n_assets
-    if u2.shape != (n, n):
-        raise ValidationError("second", f"expected shape ({n}, {n}), got {u2.shape}")
-    if g.shape != (n,):
-        raise ValidationError("grad", f"expected shape ({n},), got {g.shape}")
-    if x.shape != (n,):
-        raise ValidationError("x", f"expected shape ({n},), got {x.shape}")
-    sig = np.asarray(market.sigmas)
-    rho = market.rho
-    theta = np.empty(n)
-    for i in range(n):
-        ci = u2[i, i] - g[i]
-        cross = 0.0
-        corr = 0.0
-        for j in range(n):
-            if j == i:
-                continue
-            corr += 2.0 * u2[i, j] * ci * sig[i] * sig[j] * rho[i, j]
-            for k in range(n):
-                if k == i:
-                    continue
-                cross += u2[i, j] * u2[i, k] * sig[j] * sig[k] * rho[j, k]
-        theta[i] = math.exp(-2.0 * x[i]) * (cross + corr + ci * ci * sig[i] * sig[i])
     return np.maximum(theta, 0.0)
 
 

@@ -1,7 +1,5 @@
-"""Solution-quality diagnostics: norms, analytic-benchmark error, sensitivity.
+"""Solution-quality diagnostics: benchmark error, sensitivity, source bound.
 
-* :func:`pnorm_distance` - induced (or entrywise) matrix norms between two
-  surfaces, the metric used by the fixed-point convergence records.
 * :func:`error_vs_analytic` - compares a terminal PDE surface with the
   closed-form benchmark.  The headline number is peak-normalized:
   ``max|num - ana| / max(ana)`` over included nodes.  Pointwise relative
@@ -28,13 +26,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adi_solver import SolveResult, _spectral_norm, solve_nonlinear
+from .adi_solver import SolveResult, solve_nonlinear
 from .analytic_pricing import cbest_price
 from .cost_engine import assemble_G
 from .market_model import Scenario, SolverFlags, ValidationError
 
 __all__ = [
-    "pnorm_distance",
     "ErrorReport",
     "compared_nodes",
     "error_vs_analytic",
@@ -44,31 +41,6 @@ __all__ = [
     "PerronBound",
     "perron_bound",
 ]
-
-
-def pnorm_distance(u: np.ndarray, v: np.ndarray, p="inf", entrywise: bool = False) -> float:
-    """Distance between two surfaces in an induced (default) or entrywise norm.
-
-    ``p`` is 1, 2 or "inf".  Induced norms: max column sum, spectral norm,
-    max row sum.  Entrywise: sum of |.|, Frobenius, max of |.|.
-    """
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if u.shape != v.shape or u.ndim != 2:
-        raise ValidationError("u", f"need two equal-shape 2-D arrays, got {u.shape} and {v.shape}")
-    key = str(p)
-    if key not in ("1", "2", "inf"):
-        raise ValidationError("p", f"expected 1, 2 or 'inf', got {p!r}")
-    d = u - v
-    if entrywise:
-        if key == "1":
-            return float(np.abs(d).sum())
-        if key == "2":
-            return float(np.linalg.norm(d, "fro"))
-        return float(np.abs(d).max()) if d.size else 0.0
-    if key == "2":
-        return _spectral_norm(d)
-    return float(np.linalg.norm(d, 1 if key == "1" else np.inf))
 
 
 # ---------------------------------------------------------------------------

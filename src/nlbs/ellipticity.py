@@ -70,6 +70,7 @@ __all__ = [
     "cost_integrals",
     "dyf_matrix",
     "is_negative_definite",
+    "NegativeDefiniteness",
     "LelandNumber",
     "leland_number",
     "EllipticityReport",

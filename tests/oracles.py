@@ -6,8 +6,8 @@ quadrature, Monte Carlo, mpmath) so agreement with the package is evidence,
 not tautology.  Three sections are different on purpose: the legacy closed
 form and the summed-sensitivity operator derivative are defective variants
 the package does not implement, kept here so the tests can pin their
-defects; the lagged march composes the package's public stage operators to
-pin the structure of its fixed-point loop.
+defects; the lagged march composes the package's stage operators to pin
+the structure of its fixed-point loop.
 """
 
 from __future__ import annotations
@@ -271,7 +271,7 @@ def assemble_g_expanded(u: np.ndarray, scenario, first: str = "forward") -> np.n
 
 
 # ---------------------------------------------------------------------------
-# hedging-volume variance (double-sum route)
+# hedging-volume variance (double-sum and log-coordinate routes)
 # ---------------------------------------------------------------------------
 
 
@@ -291,6 +291,49 @@ def theta_double_sum(hessian: np.ndarray, spots: np.ndarray, sigmas, rho: np.nda
             for k in range(n):
                 theta[i] += b[i, j] * a[j, k] * b[k, i]
     return theta
+
+
+def theta_log_coords(second: np.ndarray, grad: np.ndarray, x: np.ndarray, market) -> np.ndarray:
+    """Theta_i from log-coordinate derivatives of the value surface.
+
+    ``second`` is the log-coordinate second-derivative matrix U_{x_i x_j},
+    ``grad`` the gradient U_{x_i}, ``x`` the log-price point and ``market``
+    an ``nlbs.MarketParams``.  Uses the chain-rule expansion
+
+        Theta_i = e^{-2 x_i} [ sum_{j!=i} sum_{k!=i} U_{x_i x_j} U_{x_i x_k}
+                                 sigma_j sigma_k rho_jk
+                   + 2 sum_{j!=i} U_{x_i x_j} (U_{x_i x_i} - U_{x_i})
+                                 sigma_i sigma_j rho_ij
+                   + (U_{x_i x_i} - U_{x_i})^2 sigma_i^2 ],
+
+    a route independent of ``nlbs.theta_from_hessian`` and of the package's
+    grid sum of squares.  A wrongly shaped argument raises the package's
+    ``ValidationError`` naming it.
+    """
+    from nlbs import ValidationError
+
+    u2, g, x = (np.asarray(a, dtype=float) for a in (second, grad, x))
+    n = market.n_assets
+    for name, arr, shape in (("second", u2, (n, n)), ("grad", g, (n,)), ("x", x, (n,))):
+        if arr.shape != shape:
+            raise ValidationError(name, f"expected shape {shape}, got {arr.shape}")
+    sig = np.asarray(market.sigmas)
+    rho = market.rho
+    theta = np.empty(n)
+    for i in range(n):
+        ci = u2[i, i] - g[i]
+        cross = 0.0
+        corr = 0.0
+        for j in range(n):
+            if j == i:
+                continue
+            corr += 2.0 * u2[i, j] * ci * sig[i] * sig[j] * rho[i, j]
+            for k in range(n):
+                if k == i:
+                    continue
+                cross += u2[i, j] * u2[i, k] * sig[j] * sig[k] * rho[j, k]
+        theta[i] = math.exp(-2.0 * x[i]) * (cross + corr + ci * ci * sig[i] * sig[i])
+    return np.maximum(theta, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -613,17 +656,19 @@ def lagged_march(scenario, flags) -> np.ndarray:
     """Terminal surface of one march whose step m -> m+1 takes its source
     term from level m of the same march, level 0 included.
 
-    Built from the package's public pieces (initial data, boundary rings,
-    the two stage operators, the source assembly), one level at a time.
+    Built from the package's pieces (initial data, boundary edges, the two
+    stage operators of ``sweep``, the source assembly), one level at a time.
     """
-    from nlbs import BoundaryData, assemble_G, initial_condition, lx_stage, ly_stage
+    from nlbs import BoundaryData, assemble_G, initial_condition
+    from nlbs.adi_solver import _StageOperator
 
     grid = scenario.grid
     dtau = scenario.market.T / grid.nt
     boundary = BoundaryData(scenario, flags, dtau)
+    op_x, op_y = (_StageOperator(scenario, flags, dtau, axis) for axis in (0, 1))
     u = initial_condition(grid, scenario.payoff)
     for m in range(grid.nt):
         g = assemble_G(u, scenario, flags=flags)
-        half = lx_stage(u, scenario, boundary.ring(2 * m + 1), flags=flags, dtau=dtau)
-        u = ly_stage(half, scenario, boundary.ring(2 * m + 2), g=g, flags=flags, dtau=dtau)
+        half = op_x.apply(u, boundary.edges(2 * m + 1))
+        u = op_y.apply(half, boundary.edges(2 * m + 2), g)
     return u

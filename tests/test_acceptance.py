@@ -36,7 +36,6 @@ from nlbs import (
     MarketParams,
     Scenario,
     SolverFlags,
-    TridiagonalSystem,
     assemble_G,
     bivariate_cdf,
     dt_sensitivity_sweep,
@@ -44,12 +43,10 @@ from nlbs import (
     error_vs_analytic,
     expected_cost,
     leland_number,
-    lx_stage,
-    ly_stage,
     perron_bound,
     solve_nonlinear,
-    thomas_solve,
 )
+from nlbs.adi_solver import _StageOperator, _thomas_apply, _thomas_factor
 
 import oracles
 from conftest import benchmark_scenario
@@ -316,7 +313,7 @@ def test_criterion_08_linear_algebra_oracles():
         upper = rng.normal(size=n - 1)
         diag = np.abs(rng.normal(size=n)) + np.abs(np.r_[0.0, lower]) + np.abs(np.r_[upper, 0.0]) + 1.0
         rhs = rng.normal(size=n)
-        x = thomas_solve(TridiagonalSystem(lower=lower, diag=diag, upper=upper, rhs=rhs))
+        x = _thomas_apply(*_thomas_factor(lower, diag, upper), upper, rhs)
         ref = oracles.dense_tridiagonal_solve(lower, diag, upper, rhs)
         worst_tri = max(worst_tri, np.abs(x - ref).max())
 
@@ -330,13 +327,14 @@ def test_criterion_08_linear_algebra_oracles():
     grid = scen.grid
     dtau = scen.market.T / grid.nt
     worst_stage = 0.0
-    for axis, stage in [(0, lx_stage), (1, ly_stage)]:
+    for axis in (0, 1):
+        op = _StageOperator(scen, SolverFlags(), dtau, axis)
         for _ in range(5):
             u = rng.normal(size=(21, 21))
             ring = rng.normal(size=(21, 21))
             g = np.zeros((21, 21))
             g[1:-1, 1:-1] = rng.normal(size=(19, 19))
-            ours = stage(u, scen, ring, g=g, flags=SolverFlags(), dtau=dtau)
+            ours = op.apply(u, (ring[:, [0, -1]], ring[[0, -1], :].T), g)
             ref = oracles.dense_half_step(
                 u, ring, axis, scen.market.sigmas, float(scen.market.rho[0, 1]),
                 scen.market.r, grid.a, grid.b, "log", dtau, g=g,

@@ -9,6 +9,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from nlbs import (
     BoundaryData,
@@ -16,20 +17,15 @@ from nlbs import (
     ConvergenceRecord,
     GridSpec,
     SolverFlags,
-    TridiagonalSystem,
     ValidationError,
     ZeroPivotError,
     assemble_G,
     default_grid,
     initial_condition,
-    lx_stage,
-    ly_stage,
     solve_nonlinear,
     sweep,
-    thomas_solve,
-    univariate_cdf,
 )
-from nlbs.adi_solver import _thomas_apply, _thomas_factor
+from nlbs.adi_solver import _StageOperator, _thomas_apply, _thomas_factor, _write_edges
 
 import oracles
 from conftest import benchmark_scenario
@@ -119,7 +115,7 @@ def test_thomas_solve_against_dense_oracle():
         # make it strictly diagonally dominant
         diag += np.sign(diag) * (3.0 + np.abs(np.r_[lower, 0.0]) + np.abs(np.r_[0.0, upper]))
         rhs = rng.normal(size=n)
-        ours = thomas_solve(TridiagonalSystem(lower=lower, diag=diag, upper=upper, rhs=rhs))
+        ours = _thomas_apply(*_thomas_factor(lower, diag, upper), upper, rhs)
         ref = oracles.dense_tridiagonal_solve(lower, diag, upper, rhs)
         np.testing.assert_allclose(ours, ref, atol=1e-11)
 
@@ -131,7 +127,7 @@ def test_thomas_solve_matrix_rhs():
     upper = rng.normal(size=n - 1)
     diag = 4.0 + np.abs(rng.normal(size=n))
     rhs = rng.normal(size=(n, m))
-    out = thomas_solve(TridiagonalSystem(lower=lower, diag=diag, upper=upper, rhs=rhs))
+    out = _thomas_apply(*_thomas_factor(lower, diag, upper), upper, rhs)
     assert out.shape == (n, m)
     for col in range(m):
         np.testing.assert_allclose(
@@ -142,14 +138,10 @@ def test_thomas_solve_matrix_rhs():
 
 def test_thomas_solve_zero_pivot():
     with pytest.raises(ZeroPivotError, match="row 0"):
-        thomas_solve(
-            TridiagonalSystem(lower=np.r_[1.0], diag=np.r_[0.0, 1.0], upper=np.r_[1.0], rhs=np.r_[1.0, 1.0])
-        )
+        _thomas_factor(np.r_[1.0], np.r_[0.0, 1.0], np.r_[1.0])
     # elimination can also break down later
     with pytest.raises(ZeroPivotError, match="row 1"):
-        thomas_solve(
-            TridiagonalSystem(lower=np.r_[1.0], diag=np.r_[1.0, 1.0], upper=np.r_[1.0], rhs=np.r_[1.0, 1.0])
-        )
+        _thomas_factor(np.r_[1.0], np.r_[1.0, 1.0], np.r_[1.0])
 
 
 @pytest.mark.parametrize("layout", ["1d", "C", "F"])
@@ -169,17 +161,6 @@ def test_thomas_apply_is_bit_identical_to_the_row_loop(layout):
         assert np.array_equal(_thomas_apply(w, piv, upper, rhs), expected)
         assert np.array_equal(rhs, kept)  # rhs is left alone unless overwrite is asked for
         assert np.array_equal(_thomas_apply(w, piv, upper, rhs, overwrite=True), expected)
-
-
-def test_tridiagonal_system_validation():
-    with pytest.raises(ValidationError, match="lower"):
-        TridiagonalSystem(lower=np.r_[1.0, 2.0], diag=np.r_[1.0, 1.0], upper=np.r_[1.0], rhs=np.r_[1.0, 1.0])
-    with pytest.raises(ValidationError, match="upper"):
-        TridiagonalSystem(lower=np.r_[1.0], diag=np.r_[1.0, 1.0], upper=np.r_[1.0, 2.0], rhs=np.r_[1.0, 1.0])
-    with pytest.raises(ValidationError, match="rhs"):
-        TridiagonalSystem(lower=np.r_[1.0], diag=np.r_[1.0, 1.0], upper=np.r_[1.0], rhs=np.r_[1.0])
-    with pytest.raises(ValidationError, match="diag"):
-        TridiagonalSystem(lower=np.zeros(0), diag=np.zeros(0), upper=np.zeros(0), rhs=np.zeros(0))
 
 
 # ---------------------------------------------------------------------------
@@ -214,6 +195,11 @@ def test_initial_condition_cell_average_counts_subcells():
 # ---------------------------------------------------------------------------
 
 
+def ring_edges(ring):
+    """The edges of a dense (nx+1, nx+1) ring, as the stage operators take them."""
+    return ring[:, [0, -1]], ring[[0, -1], :].T
+
+
 def test_stage_discounts_a_constant_surface_exactly():
     """Flat input: all space derivatives vanish, each half-step is a pure
     division by 1 + r dtau / 2."""
@@ -223,8 +209,8 @@ def test_stage_discounts_a_constant_surface_exactly():
     scale = 1.0 / (1.0 + scen.market.r * dtau / 2.0)
     u = np.full((9, 9), c)
     ring = np.full((9, 9), c * scale)
-    for stage in (lx_stage, ly_stage):
-        out = stage(u, scen, ring)
+    for axis in (0, 1):
+        out = _StageOperator(scen, SolverFlags(), dtau, axis).apply(u, ring_edges(ring))
         np.testing.assert_allclose(out, c * scale, rtol=1e-14)
 
 
@@ -241,8 +227,7 @@ def test_stage_matches_dense_oracle_log_grid(axis, first, mixed):
     g = np.zeros((9, 9))
     g[1:-1, 1:-1] = rng.normal(size=(7, 7))
     flags = SolverFlags(first_derivative=first)
-    stage = lx_stage if axis == 0 else ly_stage
-    ours = stage(u, scen, ring, g=g, flags=flags, dtau=dtau)
+    ours = _StageOperator(scen, flags, dtau, axis).apply(u, ring_edges(ring), g)
     ref = oracles.dense_half_step(
         u, ring, axis, scen.market.sigmas, float(scen.market.rho[0, 1]), scen.market.r,
         grid.a, grid.b, "log", dtau, g=g, first_derivative=first,
@@ -258,8 +243,8 @@ def test_stage_matches_dense_oracle_price_grid():
     rng = np.random.default_rng(77)
     u = rng.normal(size=(9, 9))
     ring = rng.normal(size=(9, 9))
-    for axis, stage in [(0, lx_stage), (1, ly_stage)]:
-        ours = stage(u, scen, ring, dtau=dtau)
+    for axis in (0, 1):
+        ours = _StageOperator(scen, SolverFlags(), dtau, axis).apply(u, ring_edges(ring))
         ref = oracles.dense_half_step(
             u, ring, axis, scen.market.sigmas, float(scen.market.rho[0, 1]),
             scen.market.r, 5.0, 60.0, "price", dtau,
@@ -272,7 +257,7 @@ def test_stage_output_keeps_the_ring():
     rng = np.random.default_rng(3)
     u = rng.normal(size=(9, 9))
     ring = rng.normal(size=(9, 9))
-    out = lx_stage(u, scen, ring)
+    out = _StageOperator(scen, SolverFlags(), scen.market.T / 4, 0).apply(u, ring_edges(ring))
     np.testing.assert_array_equal(out[0, :], ring[0, :])
     np.testing.assert_array_equal(out[-1, :], ring[-1, :])
     np.testing.assert_array_equal(out[1:-1, 0], ring[1:-1, 0])
@@ -282,12 +267,22 @@ def test_stage_output_keeps_the_ring():
 def test_stage_rejects_wrong_shape():
     scen = benchmark_scenario(1, nx=8, nt=4)
     with pytest.raises(ValidationError, match="surface"):
-        lx_stage(np.zeros((5, 5)), scen, np.zeros((5, 5)))
+        _StageOperator(scen, SolverFlags(), scen.market.T / 4, 0).apply(
+            np.zeros((5, 5)), ring_edges(np.zeros((5, 5)))
+        )
 
 
 # ---------------------------------------------------------------------------
 # boundary data
 # ---------------------------------------------------------------------------
+
+
+def dense_ring(bd, h):
+    """The edges of half level h on a dense (nx+1, nx+1) array with a zero interior."""
+    n = bd.edges(h)[0].shape[0]
+    ring = np.zeros((n, n))
+    _write_edges(ring, bd.edges(h))
+    return ring
 
 
 def payoff_ring(scen):
@@ -315,7 +310,7 @@ RING_SHA256 = {
 def test_boundary_rings_match_the_recorded_dense_rings(policy):
     scen = benchmark_scenario(1, nx=8, nt=8)
     bd = BoundaryData(scen, SolverFlags(), scen.market.T / 8)
-    rings = np.stack([bd.ring(h) for h in range(17)])
+    rings = np.stack([dense_ring(bd, h) for h in range(17)])
     assert hashlib.sha256(rings.tobytes()).hexdigest() == RING_SHA256[policy]
 
 
@@ -350,7 +345,7 @@ def test_boundary_data_keeps_only_the_edge_vectors():
         dense = np.zeros((nx + 1, nx + 1))
         dense[:, 0], dense[:, -1] = bottom_top.T
         dense[0, :], dense[-1, :] = left_right.T
-        assert np.array_equal(bd.ring(h), dense)
+        assert np.array_equal(dense_ring(bd, h), dense)
 
 
 # sha256 of the space-time block of one costed sweep at nx = nt = 20: the
@@ -376,7 +371,7 @@ def test_edges_1d_level_zero_is_the_smoothed_edge_payoff():
     scen = benchmark_scenario(1, nx=12, nt=4)
     dtau = scen.market.T / scen.grid.nt
     # interior edge nodes carry the 1-D five-point average
-    ring0 = BoundaryData(scen, SolverFlags(), dtau).ring(0)
+    ring0 = dense_ring(BoundaryData(scen, SolverFlags(), dtau), 0)
     ax = scen.grid.axis()
     offs = (np.arange(5) - 2.0) / 5.0 * scen.grid.dx
     s_min = math.exp(ax[0])
@@ -402,7 +397,7 @@ def test_edges_1d_constant_payoff_reduces_to_scheme_discount():
     bd = BoundaryData(scen, SolverFlags(), dtau)
     for h in [0, 1, 2, 5, 10]:
         ref = payoff_ring(scen) * (1.0 + scen.market.r * dtau / 2.0) ** (-h)
-        np.testing.assert_allclose(bd.ring(h), ref, rtol=1e-12, atol=1e-13)
+        np.testing.assert_allclose(dense_ring(bd, h), ref, rtol=1e-12, atol=1e-13)
 
 
 def test_edges_1d_corners_decay_by_half_step_discount():
@@ -412,7 +407,7 @@ def test_edges_1d_corners_decay_by_half_step_discount():
     scale = 1.0 / (1.0 + scen.market.r * dtau / 2.0)
     k = scen.payoff.K
     for h in [1, 4, 10]:
-        ring = bd.ring(h)
+        ring = dense_ring(bd, h)
         assert ring[0, 0] == pytest.approx(0.0, abs=1e-15)  # both spots far below X
         assert ring[-1, -1] == pytest.approx(k * scale**h, rel=1e-14)
         assert ring[-1, 0] == pytest.approx(k * scale**h, rel=1e-14)
@@ -426,7 +421,7 @@ def test_edges_1d_zero_cost_edge_approaches_single_asset_digital():
     market = scen.market
     dtau = market.T / scen.grid.nt
     bd = BoundaryData(scen, SolverFlags(), dtau)
-    ring = bd.ring(2 * scen.grid.nt)
+    ring = dense_ring(bd, 2 * scen.grid.nt)
     s = scen.grid.spot_axis()
     k, x = scen.payoff.K, scen.payoff.X
 
@@ -434,7 +429,7 @@ def test_edges_1d_zero_cost_edge_approaches_single_asset_digital():
         d2 = (np.log(s / x) + (market.r - sigma**2 / 2.0) * market.T) / (
             sigma * math.sqrt(market.T)
         )
-        ref = k * math.exp(-market.r * market.T) * univariate_cdf(d2)
+        ref = k * math.exp(-market.r * market.T) * ndtr(d2)
         keep = np.abs(np.log(s / x)) > 2.5 * scen.grid.dx  # skip the payoff kink
         keep[[0, -1]] = False  # corners are pinned, not marched
         err = np.abs(edge_vals - ref)[keep].max() / k
@@ -456,7 +451,7 @@ def test_sweep_block_layout():
     )
     bd = BoundaryData(scen, flags, scen.market.T / 6)
     for m in [1, 3, 6]:
-        ring = bd.ring(2 * m)
+        ring = dense_ring(bd, 2 * m)
         np.testing.assert_allclose(block[m][:, 0], ring[:, 0], rtol=1e-12)
         np.testing.assert_allclose(block[m][0, :], ring[0, :], rtol=1e-12)
 

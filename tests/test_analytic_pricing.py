@@ -1,6 +1,6 @@
-"""Closed-form pricing tests: normal CDFs against independent oracles, the
-two-asset digital against the two-term route, Monte Carlo and the closed
-forms at perfect correlation."""
+"""Closed-form pricing tests: the bivariate normal CDF against independent
+oracles, the two-asset digital against the two-term route, Monte Carlo and
+the closed forms at perfect correlation."""
 
 import itertools
 import math
@@ -9,37 +9,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtr
 from scipy.stats import multivariate_normal
 
 from nlbs import (
     ValidationError,
     bivariate_cdf,
     cbest_price,
-    univariate_cdf,
 )
 
 import oracles
 from conftest import benchmark_scenario
-
-
-# ---------------------------------------------------------------------------
-# univariate CDF
-# ---------------------------------------------------------------------------
-
-
-def test_univariate_cdf_against_mpmath():
-    rng = np.random.default_rng(314)
-    xs = np.concatenate([rng.normal(0.0, 3.0, size=40), [-8.0, 0.0, 8.0, 37.0, -37.0]])
-    for x in xs:
-        assert univariate_cdf(x) == pytest.approx(oracles.phi_mp(float(x)), abs=1e-15)
-
-
-def test_univariate_cdf_vectorized():
-    x = np.array([-1.0, 0.0, 1.0])
-    v = univariate_cdf(x)
-    assert v.shape == (3,)
-    assert v[1] == pytest.approx(0.5)
-    np.testing.assert_allclose(v + univariate_cdf(-x), 1.0, atol=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -69,7 +49,7 @@ def test_bivariate_cdf_within_the_frechet_bounds(a, b, corr):
     bound and zero hold exactly; the sum Phi(a) + Phi(b) is rounded once, so
     the lower bound holds to one ulp of 1."""
     m = bivariate_cdf(a, b, corr)
-    pa, pb = univariate_cdf(a), univariate_cdf(b)
+    pa, pb = ndtr(a), ndtr(b)
     assert 0.0 <= m <= min(pa, pb)
     assert m >= pa + pb - 1.0 - math.ulp(1.0)
 
@@ -116,26 +96,26 @@ def test_bivariate_cdf_identities():
         # symmetry in the arguments
         assert m == pytest.approx(bivariate_cdf(b, a, corr), abs=1e-14)
         # marginals: one argument at its limit
-        assert bivariate_cdf(a, 40.0, corr) == pytest.approx(univariate_cdf(a), abs=1e-14)
+        assert bivariate_cdf(a, 40.0, corr) == pytest.approx(ndtr(a), abs=1e-14)
         # independence
         assert bivariate_cdf(a, b, 0.0) == pytest.approx(
-            univariate_cdf(a) * univariate_cdf(b), abs=1e-14
+            ndtr(a) * ndtr(b), abs=1e-14
         )
         # inclusion-exclusion with the survival box
-        surv = 1.0 - univariate_cdf(a) - univariate_cdf(b) + m
+        surv = 1.0 - ndtr(a) - ndtr(b) + m
         assert surv == pytest.approx(bivariate_cdf(-a, -b, corr), abs=1e-14)
         assert 0.0 <= m <= 1.0
 
 
 def test_bivariate_cdf_infinity_sentinels():
-    assert bivariate_cdf(np.inf, 0.7, 0.5) == pytest.approx(univariate_cdf(0.7), abs=1e-15)
-    assert bivariate_cdf(-0.3, np.inf, -0.2) == pytest.approx(univariate_cdf(-0.3), abs=1e-15)
+    assert bivariate_cdf(np.inf, 0.7, 0.5) == pytest.approx(ndtr(0.7), abs=1e-15)
+    assert bivariate_cdf(-0.3, np.inf, -0.2) == pytest.approx(ndtr(-0.3), abs=1e-15)
     assert bivariate_cdf(np.inf, np.inf, 0.5) == 1.0
     assert bivariate_cdf(-np.inf, 2.0, 0.5) == 0.0
     assert bivariate_cdf(np.inf, -np.inf, 0.5) == 0.0
     mixed = bivariate_cdf(np.array([np.inf, -np.inf, 0.0]), np.array([1.0, 1.0, 1.0]), 0.3)
     assert mixed.shape == (3,)
-    assert mixed[0] == pytest.approx(univariate_cdf(1.0))
+    assert mixed[0] == pytest.approx(ndtr(1.0))
     assert mixed[1] == 0.0
 
 

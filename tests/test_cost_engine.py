@@ -27,7 +27,6 @@ from nlbs import (
     expected_cost,
     exponential_decay_factor,
     theta_from_hessian,
-    theta_log_coords,
 )
 from nlbs.cost_engine import _grid_theta
 
@@ -187,7 +186,7 @@ def test_theta_log_coords_agrees_with_hessian_route():
             for j in range(2):
                 val = u2[i, j] - (grad[i] if i == j else 0.0)
                 b[i, j] = val / (spots[i] * spots[j])
-        ours = theta_log_coords(u2, grad, x, market)
+        ours = oracles.theta_log_coords(u2, grad, x, market)
         ref = theta_from_hessian(b, spots, market)
         np.testing.assert_allclose(ours, ref, rtol=1e-10, atol=1e-18)
 
@@ -196,11 +195,11 @@ def test_theta_log_coords_validation():
     scen = benchmark_scenario(1)
     ok2 = np.zeros((2, 2))
     with pytest.raises(ValidationError, match="second"):
-        theta_log_coords(np.zeros(2), np.zeros(2), np.zeros(2), scen.market)
+        oracles.theta_log_coords(np.zeros(2), np.zeros(2), np.zeros(2), scen.market)
     with pytest.raises(ValidationError, match="grad"):
-        theta_log_coords(ok2, np.zeros(3), np.zeros(2), scen.market)
+        oracles.theta_log_coords(ok2, np.zeros(3), np.zeros(2), scen.market)
     with pytest.raises(ValidationError, match="x"):
-        theta_log_coords(ok2, np.zeros(2), np.zeros(3), scen.market)
+        oracles.theta_log_coords(ok2, np.zeros(2), np.zeros(3), scen.market)
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +281,7 @@ def test_assemble_g_log_grid_against_manual_node_composition():
         uxy = (u[i + 1, j + 1] + u[i - 1, j - 1] - u[i + 1, j - 1] - u[i - 1, j + 1]) / (
             4 * dx**2
         )
-        theta = theta_log_coords(
+        theta = oracles.theta_log_coords(
             np.array([[uxx, uxy], [uxy, uyy]]),
             np.array([ux, uy]),
             np.array([ax[i], ax[j]]),
@@ -368,7 +367,7 @@ def with_rho(scen, rho):
 @pytest.mark.parametrize("first", ["forward", "central"])
 @pytest.mark.parametrize("rho", [-1.0, -0.3, 0.0, 0.7, 1.0])
 def test_grid_theta_matches_the_per_node_routes(coord, first, rho):
-    """The grid's sum of squares against theta_log_coords (log grid) and
+    """The grid's sum of squares against oracles.theta_log_coords (log grid) and
     theta_from_hessian (price grid) at random interior nodes."""
     scen = with_rho(small_scenario(nx=10, coord=coord), rho)
     rng = np.random.default_rng(31)
@@ -386,7 +385,7 @@ def test_grid_theta_matches_the_per_node_routes(coord, first, rho):
                 grad = np.array([u[i + 1, j] - u[i, j], u[i, j + 1] - u[i, j]]) / dx
             else:
                 grad = np.array([u[i + 1, j] - u[i - 1, j], u[i, j + 1] - u[i, j - 1]]) / (2 * dx)
-            ref = theta_log_coords(second, grad, np.array([ax[i], ax[j]]), scen.market)
+            ref = oracles.theta_log_coords(second, grad, np.array([ax[i], ax[j]]), scen.market)
         else:
             ref = theta_from_hessian(second, np.array([ax[i], ax[j]]), scen.market)
         np.testing.assert_allclose(theta[:, i - 1, j - 1], ref, rtol=1e-10, atol=1e-13 * scale)

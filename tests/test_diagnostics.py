@@ -1,4 +1,4 @@
-"""Diagnostics tests: norm helpers, benchmark-error reports, rebalancing
+"""Diagnostics tests: the spectral norm, benchmark-error reports, rebalancing
 sweeps, and the source-term bound on the closed-form surface."""
 
 import math
@@ -17,7 +17,6 @@ from nlbs import (
     dt_sensitivity_sweep,
     error_vs_analytic,
     perron_bound,
-    pnorm_distance,
 )
 
 from nlbs.adi_solver import _spectral_norm
@@ -32,21 +31,9 @@ from conftest import benchmark_scenario
 # ---------------------------------------------------------------------------
 
 
-def test_pnorm_distance_induced_matches_oracle():
-    rng = np.random.default_rng(31)
-    for _ in range(40):
-        n = rng.integers(2, 15)
-        u = rng.normal(size=(n, n))
-        v = rng.normal(size=(n, n))
-        for p, key in [(1, 1), (2, 2), ("inf", np.inf)]:
-            assert pnorm_distance(u, v, p=p) == pytest.approx(
-                oracles.induced_norm(u - v, key), rel=1e-12
-            )
-
-
 def test_spectral_norm_matches_the_svd_on_random_and_rank_deficient_matrices():
-    """The eigenvalue route behind pnorm_distance(p=2) and the convergence
-    records, against np.linalg.norm(., 2) (an SVD)."""
+    """The eigenvalue route behind the convergence records' spectral norm,
+    against np.linalg.norm(., 2) (an SVD)."""
     rng = np.random.default_rng(33)
     mats = [rng.normal(size=shape) for shape in [(101, 101), (40, 25), (25, 40), (1, 7)]]
     for rank in (1, 2, 5):
@@ -57,29 +44,8 @@ def test_spectral_norm_matches_the_svd_on_random_and_rank_deficient_matrices():
     for d in mats:
         ref = np.linalg.norm(d, 2)
         assert abs(_spectral_norm(d) - ref) <= 1e-13 * ref
-        assert abs(pnorm_distance(d, np.zeros_like(d), p=2) - ref) <= 1e-13 * ref
     assert _spectral_norm(np.zeros((101, 101))) == 0.0
-    assert pnorm_distance(np.ones((5, 5)), np.ones((5, 5)), p=2) == 0.0
     assert math.isnan(_spectral_norm(np.full((3, 3), np.inf)))
-
-
-def test_pnorm_distance_entrywise():
-    u = np.array([[1.0, -2.0], [3.0, 0.0]])
-    v = np.zeros((2, 2))
-    assert pnorm_distance(u, v, p=1, entrywise=True) == 6.0
-    assert pnorm_distance(u, v, p=2, entrywise=True) == pytest.approx(math.sqrt(14.0))
-    assert pnorm_distance(u, v, p="inf", entrywise=True) == 3.0
-    # entrywise and induced differ in general
-    assert pnorm_distance(u, v, p=1) != pnorm_distance(u, v, p=1, entrywise=True)
-
-
-def test_pnorm_distance_validation():
-    with pytest.raises(ValidationError, match="u"):
-        pnorm_distance(np.zeros((2, 2)), np.zeros((3, 3)))
-    with pytest.raises(ValidationError, match="u"):
-        pnorm_distance(np.zeros(4), np.zeros(4))
-    with pytest.raises(ValidationError, match="p"):
-        pnorm_distance(np.zeros((2, 2)), np.zeros((2, 2)), p="fro")
 
 
 # ---------------------------------------------------------------------------
