@@ -29,8 +29,8 @@ from .adi_solver import (
 )
 from .analytic_pricing import bivariate_cdf, cbest_price
 from .cost_engine import (
-    QuadratureError,
     assemble_G,
+    cost_integrals,
     expected_cost,
     exponential_decay_factor,
     theta_from_hessian,
@@ -50,7 +50,6 @@ from .ellipticity import (
     EllipticityReport,
     LelandNumber,
     NegativeDefiniteness,
-    cost_integrals,
     dyf_matrix,
     is_negative_definite,
     leland_number,
@@ -91,7 +90,6 @@ __all__ = [
     "MarketParams",
     "NegativeDefiniteness",
     "PerronBound",
-    "QuadratureError",
     "SampledCost",
     "Scenario",
     "SolveResult",

@@ -56,7 +56,7 @@ import numpy as np
 from . import __version__
 from .adi_solver import SolveResult, solve_nonlinear
 from .analytic_pricing import cbest_price
-from .cost_engine import QuadratureError, assemble_G
+from .cost_engine import assemble_G
 from .diagnostics import compared_nodes, dt_sensitivity_sweep, error_vs_analytic
 from .ellipticity import LelandNumber, leland_number, scan_surface
 from .market_model import (
@@ -566,9 +566,6 @@ def main(argv=None) -> int:
     except json.JSONDecodeError as exc:
         print(f"config error: invalid JSON: {exc}", file=sys.stderr)
         return 2
-    except QuadratureError as exc:
-        print(f"numerical error: {exc}", file=sys.stderr)
-        return 3
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 4

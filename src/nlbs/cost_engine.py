@@ -21,10 +21,15 @@ Closed forms for the half-normal expectation:
   J(q) = 1 - sqrt(pi/2) q erfcx(q / sqrt(2)),
   J(0) = 1, strictly decreasing to 0 (erfcx is the scaled complementary error
   function, used for overflow safety), as c0 sqrt(2/pi) s (1 - sqrt(pi) z erfcx(z)), z = q/sqrt(2), s = sqrt(Theta).
-* sampled cost curves fall back to adaptive quadrature.  ``scipy.integrate``
-  is imported at the first such call, not with the package: it costs about
-  0.3 s, and only sampled cost and the scan's exponential-cost integrals
-  past a = k h = 20 (:mod:`nlbs.ellipticity`) need it.
+* sampled C (linear between its samples, flat outside them):
+  E = 2 sqrt(2/pi) sqrt(Theta) I1, I1 = int_0^inf C(h y) y e^{-y^2} dy,
+  h = sqrt(2 dt Theta).  On each piece C(h y) = alpha + beta y, so I1 is a
+  sum of one ramp integral per sample in erf and erfc (:func:`_sampled_integral`).
+
+:func:`cost_integrals` gives I1 and I2 = int_0^inf C'(h y) y^2 e^{-y^2} dy,
+the two integrals in the ellipticity scan's sensitivity dG/dTheta, for every
+cost model, in closed form too (the exponential ones past a = k h = 20 by an
+asymptotic series).  No cost model integrates numerically.
 
 The package's finite-difference stencils live here: the four-corner mixed
 difference (also the ADI stage operators' mixed term) and the hedge rows
@@ -42,7 +47,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import erfcx
+from scipy.special import erf, erfc, erfcx
 
 from .market_model import (
     ConstantCost,
@@ -56,19 +61,23 @@ from .market_model import (
 )
 
 __all__ = [
-    "QuadratureError",
     "theta_from_hessian",
     "exponential_decay_factor",
     "expected_cost",
+    "cost_integrals",
     "assemble_G",
 ]
 
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 _SQRT_PI_OVER_2 = math.sqrt(math.pi / 2.0)
-
-
-class QuadratureError(RuntimeError):
-    """Adaptive quadrature failed to reach the requested tolerance."""
+_QUARTER_SQRT_PI = math.sqrt(math.pi) / 4.0
+# Largest a = k h at which cost_integrals uses the exponential closed forms.
+# They cancel as a grows: against 30-digit quadrature, I2 is off by 3.7e-12
+# relative at a = 20, 1.6e-9 at a = 100 and 1.3e-5 at a = 1000.  Past it the
+# asymptotic series takes over; for a >= 20 its terms fall until m ~ a^2/4,
+# and the 20th is below 1e-20 of the first.
+_EXPONENTIAL_CLOSED_FORM_MAX_A = 20.0
+_SERIES_ORDERS = np.arange(1.0, 21.0)
 
 
 # ---------------------------------------------------------------------------
@@ -109,47 +118,46 @@ def exponential_decay_factor(q):
     return 1.0 - _SQRT_PI_OVER_2 * q * erfcx(q / math.sqrt(2.0))
 
 
-def _quad_to_inf(integrand, name: str, h: float) -> float:
-    """int_0^inf integrand(y) dy by adaptive quadrature.
+def _sampled_integral(x: np.ndarray, v: np.ndarray, h, n: int) -> np.ndarray:
+    """int_0^inf L(h y) y^n e^{-y^2} dy for n = 1 or 2, vectorized over scales h >= 0.
 
-    Raises :class:`QuadratureError` naming the integral when the error
-    estimate exceeds 1e-8 relative (absolute below magnitude 1).
+    L interpolates the samples ``v`` at the knots ``x`` linearly and is flat
+    outside them, so L(x) = v_0 + sum_j d_j (x - x_j)_+ with d_j the change of
+    slope at knot j.  With y_j = x_j / h, each ramp integrates in closed form:
+
+        n = 1:  int_0^inf L(h y) y e^{-y^2} dy = v_0/2 + h sum_j d_j K1(y_j),
+                K1(y) = (sqrt(pi)/4) erfc(y);
+        n = 2:  int_0^inf L(h y) y^2 e^{-y^2} dy = (sqrt(pi)/4) v_0 + h sum_j d_j K2(y_j),
+                K2(y) = e^{-y^2}/2 - (sqrt(pi)/4) y erfc(y).
+
+    The d_j sum to zero, so at knots below h (y_j < 1) the kernel is written
+    less K(0), as -(sqrt(pi)/4) erf(y) and expm1(-y^2)/2 - (sqrt(pi)/4) y erfc(y),
+    and K(0) times the slope at h is added back: no term grows with h, and
+    none cancels where the result is tiny.  At h = 0 the integral is the
+    sample v_0 times the weight's integral.
     """
-    from scipy.integrate import quad  # see the module docstring
-
-    val, err = quad(integrand, 0.0, np.inf, epsabs=1e-14, epsrel=1e-10, limit=200)
-    if err > 1e-8 * max(abs(val), 1.0):
-        raise QuadratureError(f"{name} quadrature reached error {err:.3e} at scale h={h:.6e}")
-    return val
-
-
-def _cost_integral_i1(cost: CostModel, h: float) -> float:
-    """I1 = int_0^inf C(h y) y e^{-y^2} dy for cost argument scale h = sqrt(2 dt Theta).
-
-    E[C(sqrt(dt)|phi|) |phi|] = 2 sqrt(2/pi) sqrt(Theta) I1, and I1 also
-    enters the sensitivity dG/dTheta (:mod:`nlbs.ellipticity`).
-    """
-    return _quad_to_inf(lambda y: float(cost.value(h * y)) * y * math.exp(-y * y), "I1", h)
-
-
-def _expected_cost_quad(cost: CostModel, theta: np.ndarray, dt: float) -> np.ndarray:
-    """E[C(sqrt(dt)|phi|) |phi|] by adaptive quadrature (sampled cost curves)."""
-    flat = np.atleast_1d(theta).ravel()
-    out = np.empty(flat.shape)
-    for idx, th in enumerate(flat):
-        if th == 0.0:
-            out[idx] = 0.0
-            continue
-        out[idx] = 2.0 * _SQRT_2_OVER_PI * math.sqrt(th) * _cost_integral_i1(cost, math.sqrt(2.0 * dt * th))
-    return out.reshape(np.shape(theta))
+    slopes = np.concatenate(([0.0], np.diff(v) / np.diff(x), [0.0]))
+    weight, k0 = (0.5, _QUARTER_SQRT_PI) if n == 1 else (_QUARTER_SQRT_PI, 0.5)
+    flat = np.ravel(h)
+    tail = np.empty(flat.shape)
+    rows = max(1, 2**17 // x.size)  # (scales, knots) blocks of 1 MiB, also for long tables on full grids
+    for start in range(0, flat.size, rows):
+        hb = flat[start : start + rows, None]
+        below = x < hb
+        y = np.minimum(x / np.where(hb > 0.0, hb, 1.0), 64.0)  # every kernel is 0 past y = 27; y^2 stays finite
+        if n == 1:
+            ramps = np.where(below, -erf(y), erfc(y)) * _QUARTER_SQRT_PI
+        else:
+            ramps = np.where(below, np.expm1(-y * y), np.exp(-y * y)) / 2.0 - _QUARTER_SQRT_PI * y * erfc(y)
+        slope_at_h = slopes[np.searchsorted(x, hb[:, 0])]  # slopes[i]: the piece after i knots
+        tail[start : start + rows] = slope_at_h * k0 + np.einsum("ij,j->i", ramps, np.diff(slopes))
+    return (v[0] * weight + flat * tail).reshape(np.shape(h))
 
 
 def expected_cost(cost: CostModel, theta, dt: float):
     """E[C(sqrt(dt) |phi|) |phi|] for phi ~ N(0, theta), vectorized over theta.
 
-    Constant and exponential cost models use closed forms; sampled models use
-    adaptive quadrature (raising :class:`QuadratureError` if the requested
-    tolerance cannot be met).
+    Every cost model has a closed form (see the module docstring).
     """
     dt = float(dt)
     if not math.isfinite(dt) or dt <= 0.0:
@@ -170,11 +178,50 @@ def expected_cost(cost: CostModel, theta, dt: float):
         out += 1.0
         out *= s
         out *= cost.c0 * _SQRT_2_OVER_PI
-    elif isinstance(cost, SampledCost):
-        out = _expected_cost_quad(cost, theta_arr, dt)
+    elif isinstance(cost, SampledCost):  # E = 2 sqrt(2/pi) sqrt(Theta) I1(sqrt(2 dt Theta))
+        s = np.sqrt(theta_arr)
+        out = 2.0 * _SQRT_2_OVER_PI * s * _sampled_integral(cost.x, cost.c, math.sqrt(2.0 * dt) * s, 1)
     else:
         raise ValidationError("cost", f"unknown cost model type {type(cost).__name__}")
     return float(out) if np.ndim(theta) == 0 else out
+
+
+def cost_integrals(cost: CostModel, h: float) -> tuple[float, float]:
+    """(I1, I2) sensitivity integrals for cost argument scale h = sqrt(2 dt Theta).
+
+    I1 = int_0^inf C(h y) y exp(-y^2) dy,
+    I2 = int_0^inf C'(h y) y^2 exp(-y^2) dy.
+
+    Constant cost has the closed form (c0/2, 0), and a sampled cost sums
+    ramp integrals (:func:`_sampled_integral`; it must carry derivative
+    samples).  Exponential cost C(x) = c0 e^{-kx} has, with a = k h and
+    M0 = (sqrt(pi)/2) erfcx(a/2),
+
+        I1 = (c0/2) J(a/sqrt(2)),    J = :func:`exponential_decay_factor`,
+        I2 = -k c0 [ ((2 + a^2)/4) M0 - a/4 ],
+
+    used up to a = 20.  Past it, with the asymptotic series of erfcx
+    (Abramowitz & Stegun 7.1.23), s_m = (-1)^m (2m-1)!! (2/a^2)^m:
+
+        I1 = -(c0/2) sum_{m>=1} s_m,    I2 = (k c0/a) sum_{m>=1} m s_m.
+    """
+    h = float(h)
+    if not math.isfinite(h) or h < 0.0:
+        raise ValidationError("h", f"argument scale must be nonnegative, got {h}")
+    if isinstance(cost, ConstantCost):
+        return cost.c0 / 2.0, 0.0
+    if isinstance(cost, SampledCost):
+        dc = cost.derivative(cost.x)  # the dc samples; raises without them
+        return float(_sampled_integral(cost.x, cost.c, h, 1)), float(_sampled_integral(cost.x, dc, h, 2))
+    if not isinstance(cost, ExponentialCost):
+        raise ValidationError("cost", f"unknown cost model type {type(cost).__name__}")
+    a = cost.k * h
+    if a <= _EXPONENTIAL_CLOSED_FORM_MAX_A:
+        m0 = 2.0 * _QUARTER_SQRT_PI * float(erfcx(a / 2.0))
+        i1 = 0.5 * cost.c0 * float(exponential_decay_factor(a / math.sqrt(2.0)))
+        return i1, -cost.k * cost.c0 * ((2.0 + a * a) / 4.0 * m0 - a / 4.0)
+    s = np.cumprod((1.0 - 2.0 * _SERIES_ORDERS) * (2.0 / (a * a)))
+    return -0.5 * cost.c0 * float(s.sum()), cost.k * cost.c0 / a * float(_SERIES_ORDERS @ s)
 
 
 # ---------------------------------------------------------------------------

@@ -22,15 +22,13 @@ The scalar sensitivity is
     I2_i = int_0^inf C'(h_i y) y^2 e^{-y^2} dy,    h_i = sqrt(2 dt Theta_i),
 
 with the closed form g_i = sqrt(2/pi) S_i c0 / (2 sqrt(dt Theta_i)) for
-constant cost (I1 = c0/2, I2 = 0).  Exponential cost C(x) = c0 e^{-kx}
-has erfcx closed forms of both integrals (see :func:`cost_integrals`); I1 is
-the decay factor J that the PDE source term uses.  Sampled cost curves, and
-exponential cost past a = k h = 20 where the closed forms lose digits, use
-adaptive quadrature.  One routine computes g_i for both the single-state
-derivative and the surface scan; the scan takes its Hessian and Theta_i
-from the same finite-difference and Theta routines as the cost term
-(:mod:`nlbs.cost_engine`).  Theta_i -> 0 makes g_i blow up; such nodes are
-reported as degenerate rather than classified.
+constant cost (I1 = c0/2, I2 = 0).  Every cost model has closed forms of
+both integrals (:func:`~nlbs.cost_engine.cost_integrals`; the scan looks it
+up in this module, where tests swap in quadrature).  One routine computes g_i
+for both the single-state derivative and the surface scan; the scan takes
+its Hessian and Theta_i from the same finite-difference and Theta routines
+as the cost term (:mod:`nlbs.cost_engine`).  Theta_i -> 0 makes g_i blow up;
+such nodes are reported as degenerate rather than classified.
 
 For a single asset under constant cost the sign of D reduces to the classical
 Leland condition: D < 0 (for positive Hessian) iff the Leland number
@@ -45,19 +43,11 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import erfcx
 
-from .cost_engine import (
-    _cost_integral_i1,
-    _grid_theta,
-    _quad_to_inf,
-    exponential_decay_factor,
-    theta_from_hessian,
-)
+from .cost_engine import _grid_theta, cost_integrals, theta_from_hessian
 from .market_model import (
     ConstantCost,
     CostModel,
-    ExponentialCost,
     MarketParams,
     Scenario,
     SolverFlags,
@@ -67,7 +57,6 @@ from .market_model import (
 __all__ = [
     "DegenerateThetaError",
     "DyfInputs",
-    "cost_integrals",
     "dyf_matrix",
     "is_negative_definite",
     "NegativeDefiniteness",
@@ -78,11 +67,6 @@ __all__ = [
 ]
 
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
-_HALF_SQRT_PI = math.sqrt(math.pi) / 2.0
-# Largest a = k h at which cost_integrals uses the exponential closed forms.
-# They cancel as a grows: against 30-digit quadrature, I2 is off by 3.7e-12
-# relative at a = 20, 1.6e-9 at a = 100 and 1.3e-5 at a = 1000.
-_EXPONENTIAL_CLOSED_FORM_MAX_A = 20.0
 # Largest eigenvalue of D that counts as negative definite, and the Theta_i at
 # or below which g_i is treated as singular.
 EIG_TOL = 1e-10
@@ -133,43 +117,6 @@ def leland_number(sigma: float, c0: float, dt: float) -> LelandNumber:
 
 
 # ---------------------------------------------------------------------------
-# sensitivity integrals
-# ---------------------------------------------------------------------------
-
-
-def cost_integrals(cost: CostModel, h: float) -> tuple[float, float]:
-    """(I1, I2) sensitivity integrals for cost argument scale h = sqrt(2 dt Theta).
-
-    I1 = int_0^inf C(h y) y exp(-y^2) dy,
-    I2 = int_0^inf C'(h y) y^2 exp(-y^2) dy.
-
-    Constant cost has the closed form (c0/2, 0).  Exponential cost
-    C(x) = c0 e^{-kx} has, with a = k h and M0 = (sqrt(pi)/2) erfcx(a/2),
-
-        I1 = (c0/2) J(a/sqrt(2)),    J = :func:`exponential_decay_factor`,
-        I2 = -k c0 [ ((2 + a^2)/4) M0 - a/4 ],
-
-    used up to a = 20.  Larger a, and sampled cost models, use adaptive
-    quadrature to relative tolerance 1e-8 (raising :class:`QuadratureError`
-    on failure).  Sampled cost models must carry derivative samples.
-    """
-    h = float(h)
-    if not math.isfinite(h) or h < 0.0:
-        raise ValidationError("h", f"argument scale must be nonnegative, got {h}")
-    if isinstance(cost, ConstantCost):
-        return cost.c0 / 2.0, 0.0
-    if isinstance(cost, ExponentialCost) and cost.k * h <= _EXPONENTIAL_CLOSED_FORM_MAX_A:
-        a = cost.k * h
-        m0 = _HALF_SQRT_PI * float(erfcx(a / 2.0))
-        i1 = 0.5 * cost.c0 * float(exponential_decay_factor(a / math.sqrt(2.0)))
-        return i1, -cost.k * cost.c0 * ((2.0 + a * a) / 4.0 * m0 - a / 4.0)
-
-    i1 = _cost_integral_i1(cost, h)
-    i2 = _quad_to_inf(lambda y: float(cost.derivative(h * y)) * y * y * math.exp(-y * y), "I2", h)
-    return i1, i2
-
-
-# ---------------------------------------------------------------------------
 # the matrix derivative at a single state
 # ---------------------------------------------------------------------------
 
@@ -213,8 +160,7 @@ def _sensitivities(cost: CostModel, spots: np.ndarray, theta: np.ndarray, dt: fl
     """g = dG/dTheta for matching 1-D arrays of spots and positive Theta values.
 
     Constant cost uses the closed form of g itself; other models make one
-    :func:`cost_integrals` call per entry (closed forms under exponential
-    cost, see there).
+    :func:`cost_integrals` call per entry.
     """
     if isinstance(cost, ConstantCost):
         return _SQRT_2_OVER_PI / (2.0 * math.sqrt(dt)) * spots * cost.c0 / np.sqrt(theta)

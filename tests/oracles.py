@@ -218,6 +218,33 @@ def cost_integrals_mp(c0: float, k: float, h: float, dps: int = 30) -> tuple[flo
         return float(i1), float(i2)
 
 
+def sampled_integral_mp(x, v, h: float, n: int, dps: int = 30) -> float:
+    """int_0^inf L(h y) y^n e^{-y^2} dy by mpmath quadrature at ``dps`` digits,
+    L the linear interpolant of samples ``v`` at knots ``x``, flat outside them.
+
+    The integration interval is split at every knot below y = 40 (where the
+    weight is e^{-1600}) and at y = 1, 2, 4, 8.
+    """
+    with mpmath.workdps(dps):
+        xs = [mpmath.mpf(float(t)) for t in x]
+        vs = [mpmath.mpf(float(t)) for t in v]
+        h = mpmath.mpf(h)
+
+        def interp(t):
+            if t <= xs[0]:
+                return vs[0]
+            for j in range(len(xs) - 1):
+                if t <= xs[j + 1]:
+                    return vs[j] + (vs[j + 1] - vs[j]) * (t - xs[j]) / (xs[j + 1] - xs[j])
+            return vs[-1]
+
+        splits = {mpmath.mpf(0), mpmath.mpf(1), mpmath.mpf(2), mpmath.mpf(4), mpmath.mpf(8)}
+        if h > 0:
+            splits |= {t / h for t in xs if t / h < 40}
+        nodes = sorted(splits) + [mpmath.inf]
+        return float(mpmath.quad(lambda y: interp(h * y) * y**n * mpmath.exp(-y * y), nodes))
+
+
 def expected_cost_mc(cost_fn, theta: float, dt: float, draws: np.ndarray) -> float:
     """Monte Carlo E[C(sqrt(dt)|phi|) |phi|] from standard half-normal draws."""
     phi = math.sqrt(theta) * draws

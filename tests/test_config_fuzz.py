@@ -7,8 +7,7 @@ Mutated scenario fields go to ``nlbs analytic``, which must exit 0, or 2
 with a config error.  Mutated ``solver`` and ``output`` fields go to a command
 that reads them (``analytic``, ``price``, ``sweep`` or ``leland``); all but
 ``analytic`` solve and may also exit 3 (no convergence, an ill-posed
-interval or a failed quadrature).  Any exception
-fails a test.
+interval or a non-finite result).  Any exception fails a test.
 """
 
 import contextlib

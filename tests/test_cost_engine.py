@@ -1,5 +1,6 @@
-"""Cost-term tests: expected rebalancing cost against quadrature, the
-per-asset variance proxy against a loop oracle, grid assembly invariants."""
+"""Cost-term tests: expected rebalancing cost and the sensitivity integrals
+against quadrature, the per-asset variance proxy against a loop oracle, grid
+assembly invariants."""
 
 import dataclasses
 import json
@@ -17,13 +18,13 @@ from nlbs import (
     ExponentialCost,
     GridSpec,
     MarketParams,
-    QuadratureError,
     SampledCost,
     Scenario,
     SolverFlags,
     Surface,
     ValidationError,
     assemble_G,
+    cost_integrals,
     expected_cost,
     exponential_decay_factor,
     theta_from_hessian,
@@ -94,8 +95,6 @@ def test_decay_factor_limits_and_pinned_value():
     assert 0.0 < j[-1] < 0.02
 
 
-@pytest.mark.filterwarnings("ignore::UserWarning")
-@pytest.mark.filterwarnings("ignore:The occurrence of roundoff error")
 def test_sampled_cost_matches_tabulated_closed_forms():
     # a flat table reproduces the constant-cost closed form ...
     flat = SampledCost(x=[0.0, 50.0], c=[0.01, 0.01], c_lower=0.01, c_upper=0.01)
@@ -130,8 +129,57 @@ def test_expected_cost_vectorization_and_edge_cases():
         expected_cost(cost, 1.0, 0.0)
 
 
-def test_quadrature_error_is_a_runtime_error():
-    assert issubclass(QuadratureError, RuntimeError)
+GOLDEN_TABLE = ([0.0, 0.5, 1.0, 2.0], [0.004, 0.003, 0.002, 0.001], [-0.002, -0.002, -0.0015, -0.001])
+SAMPLED_TABLES = {
+    "golden": GOLDEN_TABLE,
+    "first-sample-above-zero": ([0.3, 0.8, 1.5, 4.0], [0.006, 0.005, 0.0045, 0.002], [-0.003, -0.001, -0.0008, -0.0002]),
+    "one-segment": ([0.2, 1.7], [0.01, 0.002], [-0.004, -0.001]),
+}
+# 19.3069... is where adaptive quadrature of the golden table missed its 1e-8 target
+SAMPLED_SCALES = [1e-3, 0.1, 0.7, 3.0, 19.306977288832496, 50.0, 1e3]
+
+
+@pytest.mark.parametrize("table", sorted(SAMPLED_TABLES))
+def test_sampled_cost_integrals_match_30_digit_quadrature(table):
+    """I1, I2 and the expected cost of a sampled cost, within 1e-14 relative
+    of mpmath quadrature split at the samples."""
+    x, c, dc = SAMPLED_TABLES[table]
+    cost = SampledCost(x=x, c=c, c_lower=0.0, c_upper=max(c), dc=dc)
+    dt = 0.004
+    for h in SAMPLED_SCALES:
+        i1, i2 = cost_integrals(cost, h)
+        ref1, ref2 = oracles.sampled_integral_mp(x, c, h, 1), oracles.sampled_integral_mp(x, dc, h, 2)
+        assert i1 == pytest.approx(ref1, rel=1e-14, abs=0.0), h
+        assert i2 == pytest.approx(ref2, rel=1e-14, abs=0.0), h
+        theta = h * h / (2.0 * dt)
+        ref = 2.0 * math.sqrt(2.0 / math.pi) * math.sqrt(theta) * ref1
+        assert expected_cost(cost, theta, dt) == pytest.approx(ref, rel=1e-14, abs=0.0), h
+    stacked = expected_cost(cost, np.array(SAMPLED_SCALES) ** 2 / (2.0 * dt), dt)
+    np.testing.assert_array_equal(stacked, [expected_cost(cost, h * h / (2.0 * dt), dt) for h in SAMPLED_SCALES])
+
+
+@pytest.mark.parametrize("table", sorted(SAMPLED_TABLES))
+def test_sampled_cost_integrals_at_zero_scale(table):
+    """h = 0: I1 = C(0)/2 and I2 = C'(0) sqrt(pi)/4, also at h = 1e-160, where
+    (x_j/h)^2 would overflow; Theta = 0 costs exactly nothing, with no 0/0 on
+    the way (a RuntimeWarning fails the test)."""
+    x, c, dc = SAMPLED_TABLES[table]
+    cost = SampledCost(x=x, c=c, c_lower=0.0, c_upper=max(c), dc=dc)
+    for h in (0.0, 1e-160):
+        i1, i2 = cost_integrals(cost, h)
+        assert i1 == c[0] / 2.0
+        assert i2 == pytest.approx(dc[0] * math.sqrt(math.pi) / 4.0, rel=1e-15)
+    assert expected_cost(cost, 0.0, 0.004) == 0.0
+    np.testing.assert_array_equal(expected_cost(cost, np.zeros((2, 3)), 0.004), np.zeros((2, 3)))
+
+
+def test_sampled_cost_far_tail_keeps_its_digits():
+    """A table that is zero up to x1 = 1: I1 is (sqrt(pi)/4) beta h [erfc(1/h)
+    - erfc(2/h)], down to 1e-178 at h = 0.05, and keeps its relative digits."""
+    cost = SampledCost(x=[0.0, 1.0, 2.0], c=[0.0, 0.0, 0.01], c_lower=0.0, c_upper=0.01, dc=[0.0, 0.0, 0.0])
+    for h in (0.05, 0.1, 0.3):
+        ref = math.sqrt(math.pi) / 4.0 * 0.01 * h * (math.erfc(1.0 / h) - math.erfc(2.0 / h))
+        assert cost_integrals(cost, h)[0] == pytest.approx(ref, rel=1e-14, abs=0.0), h
 
 
 # ---------------------------------------------------------------------------
@@ -453,22 +501,23 @@ def test_exponential_expected_cost_matches_quadrature_for_q_up_to_20():
 
 
 def test_quadrature_and_ndimage_load_only_when_used():
-    """Importing the package and its CLI leaves scipy.integrate and
-    scipy.ndimage unloaded; the first sampled-cost expected cost loads the
-    quadrature and matches the in-process value."""
+    """Neither scipy.integrate nor scipy.ndimage loads, with the package and
+    its CLI, or after a sampled-cost expected cost and sensitivity integrals:
+    every cost model has closed forms.  The values match the in-process ones
+    bit for bit."""
     src = Path(__file__).resolve().parents[1] / "src"
+    x, c, dc = GOLDEN_TABLE
     script = (
         "import sys, json\n"
         "import nlbs, nlbs.cli\n"
-        "before = sorted(m for m in ('scipy.integrate', 'scipy.ndimage') if m in sys.modules)\n"
-        "cost = nlbs.SampledCost(x=[0.0, 0.5, 1.0, 2.0], c=[0.004, 0.003, 0.002, 0.001], c_lower=0.0, c_upper=0.004)\n"
-        "value = nlbs.expected_cost(cost, 0.7, 0.004)\n"
-        "print(json.dumps([before, 'scipy.integrate' in sys.modules, value.hex()]))\n"
+        f"cost = nlbs.SampledCost(x={x}, c={c}, c_lower=0.0, c_upper=0.004, dc={dc})\n"
+        "values = [nlbs.expected_cost(cost, 0.7, 0.004), *nlbs.cost_integrals(cost, 0.7)]\n"
+        "loaded = sorted(m for m in ('scipy.integrate', 'scipy.ndimage') if m in sys.modules)\n"
+        "print(json.dumps([loaded, [v.hex() for v in values]]))\n"
     )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
-    before, loaded, value = json.loads(proc.stdout)
-    assert before == []
-    assert loaded
-    cost = SampledCost(x=[0.0, 0.5, 1.0, 2.0], c=[0.004, 0.003, 0.002, 0.001], c_lower=0.0, c_upper=0.004)
-    assert float.fromhex(value) == expected_cost(cost, 0.7, 0.004)
+    loaded, values = json.loads(proc.stdout)
+    assert loaded == []
+    cost = SampledCost(x=x, c=c, c_lower=0.0, c_upper=0.004, dc=dc)
+    assert [float.fromhex(v) for v in values] == [expected_cost(cost, 0.7, 0.004), *cost_integrals(cost, 0.7)]

@@ -25,7 +25,7 @@ from nlbs import (
     scan_surface,
 )
 from nlbs import ellipticity
-from nlbs.ellipticity import _EXPONENTIAL_CLOSED_FORM_MAX_A as CLOSED_FORM_MAX_A
+from nlbs.cost_engine import _EXPONENTIAL_CLOSED_FORM_MAX_A as CLOSED_FORM_MAX_A
 
 import oracles
 from conftest import benchmark_scenario
@@ -97,16 +97,17 @@ def test_cost_integrals_exponential_closed_form():
         check_exponential_integrals(float(a), rel=1e-11)
 
 
-def test_cost_integrals_exponential_quadrature_past_the_cutoff():
-    for a in [CLOSED_FORM_MAX_A * (1.0 + 1e-9), 25.0, 100.0, 1e3]:
-        check_exponential_integrals(a, rel=1e-9)
+def test_cost_integrals_exponential_series_past_the_cutoff():
+    """The asymptotic series against 30-digit quadrature, log-spaced over a in [20, 1e5]."""
+    for a in np.geomspace(math.nextafter(CLOSED_FORM_MAX_A, math.inf), 1e5, 25):
+        check_exponential_integrals(float(a), rel=1e-14)
 
 
 def test_cost_integrals_exponential_branches_agree_at_the_cutoff():
     cost = ExponentialCost(c0=0.005, k=1.0)
     closed = cost_integrals(cost, CLOSED_FORM_MAX_A)
-    quadrature = cost_integrals(cost, math.nextafter(CLOSED_FORM_MAX_A, math.inf))
-    np.testing.assert_allclose(closed, quadrature, rtol=1e-11)
+    series = cost_integrals(cost, math.nextafter(CLOSED_FORM_MAX_A, math.inf))
+    np.testing.assert_allclose(closed, series, rtol=1e-11)
 
 
 def test_cost_integrals_sampled_requires_derivative_samples():

@@ -1,8 +1,9 @@
 """Golden outputs: the sha256 of every CLI artifact on a small run matrix.
 
 Each case runs one command in process on a shipped config with a 16 x 16
-grid (the sampled-cost cases on 6 x 2) and compares the sha256 of each
-artifact with the pinned digest.  Artifacts are written with repr-exact
+grid and compares the sha256 of each artifact with the pinned digest.  The
+sampled-cost cases run on 16 x 16 as well, and once more on the 6 x 2 grid
+they used while sampled cost was integrated by adaptive quadrature.  Artifacts are written with repr-exact
 %.17g numbers, so a digest moves with any change of a single output bit.
 A refactor that claims unchanged outputs must keep every digest; a change
 that moves outputs must restate the digests it moves and say why.
@@ -48,6 +49,7 @@ CASES = {
     "price1_central": ("price", 1, (16, 16, "log"), {"solver": {"first_derivative": "central"}}, PRICE_FILES),
     "price2_price_grid": ("price", 2, (16, 16, "price"), {}, PRICE_FILES),
     "price3_sampled": ("price", 3, (6, 2, "log"), {"cost": SAMPLED_COST}, PRICE_FILES),
+    "price3_sampled_16": ("price", 3, (16, 16, "log"), {"cost": SAMPLED_COST}, PRICE_FILES),
     "leland1": ("leland", 1, (16, 16, "log"), {"output": {"per_node_csv": True}}, SCAN_FILES),
     "leland2": ("leland", 2, (16, 16, "log"), {"output": {"per_node_csv": True}}, SCAN_FILES),
     "leland3_exact": (
@@ -62,6 +64,13 @@ CASES = {
         3,
         (6, 2, "log"),
         {"cost": SAMPLED_COST, "solver": {"dyf_form": "exact"}, "output": {"per_node_csv": True}},
+        SCAN_FILES,
+    ),
+    "leland3_sampled_16": (
+        "leland",
+        3,
+        (16, 16, "log"),
+        {"cost": SAMPLED_COST, "output": {"per_node_csv": True}},
         SCAN_FILES,
     ),
     "sweep1": ("sweep", 1, (16, 16, "log"), {"output": {"dt_values": [0.002, 0.004]}}, ("sweep.csv",)),
@@ -109,8 +118,14 @@ GOLDEN = {
     "price3_sampled": {
         "exit": 0,
         "surface.csv": "f689138f05d9d7e67f408f71a8e2e1c04e2379658ea12855dd7b96079a62ad1e",
-        "cost_field.csv": "d4192239f69cc7ebc42d07ef92a7967d7af03b37cc15da0ee5aba37dbb77b348",
+        "cost_field.csv": "b7daa8d8797d56bc4c023dab96d570a7261df7d5c08e8f9c8df3b43a34b9e721",
         "convergence.csv": "3d8bf862c4003f6103c45367321cbdb6904da021e4bff6153c55eef1be8b44c8",
+    },
+    "price3_sampled_16": {
+        "exit": 0,
+        "surface.csv": "254f606fd5192eb01d01376e341df070038d26f9bda66333293966e7eb9d36aa",
+        "cost_field.csv": "19f307554e6a9f9a8aa03a0235aaf8d3f1d445b5f1171883bab39c194afd605c",
+        "convergence.csv": "652ff5e1ea214bd188722fca70f87d94fdefb2a996e3e3ee773670eb9f42bb76",
     },
     "leland1": {
         "exit": 0,
@@ -130,7 +145,12 @@ GOLDEN = {
     "leland3_sampled_exact": {
         "exit": 0,
         "ellipticity.json": "f8759a85173f329c39437056b6874ce97696d2f707800ad797f915928216fa0f",
-        "ellipticity_nodes.csv": "9edc8ef48f0fa6c1f2b5c9c79cfe3359356d9013ad445cb3c3f3382408ad9394",
+        "ellipticity_nodes.csv": "64bb5877704e373975e0f116ece2b7e830cf724e9684fa2bfff928c007e827c5",
+    },
+    "leland3_sampled_16": {
+        "exit": 0,
+        "ellipticity.json": "539e0b9c0e733493b1884f9cde2d22ab6784c5d836e30a4adeab44faf0fb732d",
+        "ellipticity_nodes.csv": "f3cd8e1202914869b4fd620e90244838871af822732540ec60253d2956233f5c",
     },
     "sweep1": {
         "exit": 3,
