@@ -33,7 +33,6 @@ from .cost_engine import (
     cost_integrals,
     expected_cost,
     exponential_decay_factor,
-    theta_from_hessian,
 )
 from .diagnostics import (
     DtSweepResult,
@@ -49,9 +48,7 @@ from .ellipticity import (
     DyfInputs,
     EllipticityReport,
     LelandNumber,
-    NegativeDefiniteness,
     dyf_matrix,
-    is_negative_definite,
     leland_number,
     scan_surface,
 )
@@ -88,7 +85,6 @@ __all__ = [
     "GridSpec",
     "LelandNumber",
     "MarketParams",
-    "NegativeDefiniteness",
     "PerronBound",
     "SampledCost",
     "Scenario",
@@ -109,12 +105,10 @@ __all__ = [
     "expected_cost",
     "exponential_decay_factor",
     "initial_condition",
-    "is_negative_definite",
     "leland_number",
     "perron_bound",
     "scan_surface",
     "solve_nonlinear",
     "sweep",
-    "theta_from_hessian",
     "validate",
 ]

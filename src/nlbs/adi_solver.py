@@ -154,31 +154,21 @@ def _thomas_factor(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray):
     return w, piv
 
 
-def _thomas_apply(
-    w: np.ndarray, piv: np.ndarray, upper: np.ndarray, rhs: np.ndarray, overwrite: bool = False
-) -> np.ndarray:
+def _thomas_apply(w: np.ndarray, piv: np.ndarray, upper: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Forward/back substitution with the factor of :func:`_thomas_factor`.
 
-    rhs may be (n,) or (n, m) for m systems.  One LAPACK ``dgttrs`` call does
-    the work: fed the factor as an LU without row interchanges (identity
-    ``ipiv``, zero second superdiagonal), it runs the same operations in the
-    same order as the textbook loop, so the result is bit-identical to it.
-    With ``overwrite`` a Fortran-ordered rhs is solved in place.
+    ``rhs`` is (n, m) for m systems of n >= 3 rows (every grid line has at
+    least 3 interior nodes); a Fortran-ordered rhs is solved in place, any
+    other is copied.  One LAPACK ``dgttrs`` call does the work: fed the
+    factor as an LU without row interchanges (identity ``ipiv``, zero second
+    superdiagonal), it runs the same operations in the same order as the
+    textbook loop, so the result is bit-identical to it.
     """
     n = piv.shape[0]
-    if n <= 2:  # scipy's dgttrs wrapper rejects n = 2; production lines have n >= 3
-        y = np.array(rhs, dtype=float)
-        if n == 1:
-            return y / piv[0]
-        y[1] = (y[1] - w[0] * y[0]) / piv[1]
-        y[0] = (y[0] - upper[0] * y[1]) / piv[0]
-        return y
-    b = rhs if rhs.ndim == 2 else rhs[:, None]
-    if not (overwrite and b.flags.f_contiguous):
-        b = np.array(b, dtype=float, order="F")  # numpy transposes faster than the f2py wrapper
+    # numpy transposes faster than the f2py wrapper
+    b = rhs if rhs.flags.f_contiguous else np.array(rhs, dtype=float, order="F")
     ipiv = np.arange(1, n + 1, dtype=np.int32)
-    x, _ = dgttrs(w, piv, upper, np.zeros(n - 2), ipiv, b, overwrite_b=True)
-    return x if rhs.ndim == 2 else x[:, 0]
+    return dgttrs(w, piv, upper, np.zeros(n - 2), ipiv, b, overwrite_b=True)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +289,7 @@ class _Axis:
         """
         rhs[0] -= self._lift[0] * first
         rhs[-1] -= self._lift[1] * last
-        return _thomas_apply(self._w, self._piv, self._upper, rhs, overwrite=True)
+        return _thomas_apply(self._w, self._piv, self._upper, rhs)
 
 
 def _edge_cost_term(

@@ -53,7 +53,6 @@ from .market_model import (
     ConstantCost,
     CostModel,
     ExponentialCost,
-    MarketParams,
     SampledCost,
     Scenario,
     SolverFlags,
@@ -61,7 +60,6 @@ from .market_model import (
 )
 
 __all__ = [
-    "theta_from_hessian",
     "exponential_decay_factor",
     "expected_cost",
     "cost_integrals",
@@ -78,28 +76,6 @@ _QUARTER_SQRT_PI = math.sqrt(math.pi) / 4.0
 # and the 20th is below 1e-20 of the first.
 _EXPONENTIAL_CLOSED_FORM_MAX_A = 20.0
 _SERIES_ORDERS = np.arange(1.0, 21.0)
-
-
-# ---------------------------------------------------------------------------
-# Theta: variance of the hedge-position increment
-# ---------------------------------------------------------------------------
-
-
-def theta_from_hessian(hessian: np.ndarray, spots: np.ndarray, market: MarketParams) -> np.ndarray:
-    """Per-asset Theta_i = (B A B)_ii from the price-coordinate Hessian.
-
-    Tiny negative values from roundoff are clamped to zero; Theta is a PSD
-    quadratic form and cannot be genuinely negative.
-    """
-    b = np.asarray(hessian, dtype=float)
-    n = market.n_assets
-    if b.shape != (n, n):
-        raise ValidationError("hessian", f"expected shape ({n}, {n}), got {b.shape}")
-    if not np.allclose(b, b.T, atol=1e-8 * (1.0 + np.abs(b).max())):
-        raise ValidationError("hessian", "Hessian must be symmetric")
-    a = market.diffusion_matrix(np.asarray(spots, dtype=float))
-    theta = np.einsum("ij,jk,ki->i", b, a, b)
-    return np.maximum(theta, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -300,19 +276,18 @@ def _grid_theta(u: np.ndarray, scenario: Scenario, first: str) -> tuple[np.ndarr
 # ---------------------------------------------------------------------------
 
 
-def assemble_G(surface, scenario: Scenario, *, flags: SolverFlags = SolverFlags()) -> np.ndarray:
+def assemble_G(surface: np.ndarray, scenario: Scenario, *, flags: SolverFlags = SolverFlags()) -> np.ndarray:
     """Evaluate the transaction-cost term on every interior grid node.
 
-    ``surface`` is a value array of shape (nx+1, nx+1) on ``scenario.grid``
-    (or any object with a ``values`` attribute holding one).  Returns an array
-    of the same shape; the boundary ring is zero (the PDE never reads the
-    source term on Dirichlet nodes, and one-sided second differences there
-    would be meaningless).
+    ``surface`` is a value array of shape (nx+1, nx+1) on ``scenario.grid``.
+    Returns an array of the same shape; the boundary ring is zero (the PDE
+    never reads the source term on Dirichlet nodes, and one-sided second
+    differences there would be meaningless).
 
     The per-interval expected cost becomes a per-unit-time term by division
     by sqrt(dt), consistent with the classical discrete-rebalancing limit.
     """
-    u = np.asarray(getattr(surface, "values", surface), dtype=float)
+    u = np.asarray(surface, dtype=float)
     grid = scenario.grid
     n = grid.nx
     if u.shape != (n + 1, n + 1):

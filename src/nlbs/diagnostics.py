@@ -114,17 +114,17 @@ class ErrorReport:
 
 
 def error_vs_analytic(
-    surface,
+    surface: np.ndarray,
     scenario: Scenario,
     *,
     band: int = 2,
     tau: float | None = None,
 ) -> ErrorReport:
-    """Benchmark error of a surface at time-to-maturity tau (default T).
+    """Benchmark error of a value array of shape (nx+1, nx+1) at time-to-maturity tau (default T).
 
     The statistics cover the nodes of :func:`compared_nodes`.
     """
-    u = np.asarray(getattr(surface, "values", surface), dtype=float)
+    u = np.asarray(surface, dtype=float)
     n = scenario.grid.nx
     if u.shape != (n + 1, n + 1):
         raise ValidationError("surface", f"expected shape ({n + 1}, {n + 1}), got {u.shape}")

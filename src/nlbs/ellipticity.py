@@ -3,15 +3,19 @@
 The nonlinear operator F(B) = -tr(A B)/2 + G(B) (B the price Hessian, A the
 diffusion matrix, G the transaction-cost term) stays parabolic only while its
 matrix derivative D = dF/dB is negative definite.  This module evaluates that
-derivative, classifies it, and scans whole solution surfaces node by node.
+derivative at a single state and scans whole solution surfaces node by node.
 
 D is the literal entrywise derivative.  Because
 dTheta_i/dB_lm = delta_il (A B)_mi + delta_im (B A)_il, each asset
 contributes a rank-two matrix R_i supported on row/column i, and
-D = -A/2 + sum_i g_i R_i with g_i = dG/dTheta_i; central finite differences
-of F converge to it.  Summing the g_i first and applying them to the whole
-anticommutator A B + B A = sum_i R_i is not this derivative: it doubles the
-cost part even in the fully symmetric two-asset case.
+D = -A/2 + sum_i g_i R_i with g_i = dG/dTheta_i, that is
+
+    D_lm = -A_lm/2 + g_l (B A)_lm + g_m (A B)_lm;
+
+central finite differences of F converge to it.  Summing the g_i first and
+applying them to the whole anticommutator A B + B A = sum_i R_i is not this
+derivative: it doubles the cost part even in the fully symmetric two-asset
+case.
 
 The scalar sensitivity is
 
@@ -25,10 +29,11 @@ with the closed form g_i = sqrt(2/pi) S_i c0 / (2 sqrt(dt Theta_i)) for
 constant cost (I1 = c0/2, I2 = 0).  Every cost model has closed forms of
 both integrals (:func:`~nlbs.cost_engine.cost_integrals`; the scan looks it
 up in this module, where tests swap in quadrature).  One routine computes g_i
-for both the single-state derivative and the surface scan; the scan takes
-its Hessian and Theta_i from the same finite-difference and Theta routines
-as the cost term (:mod:`nlbs.cost_engine`).  Theta_i -> 0 makes g_i blow up;
-such nodes are reported as degenerate rather than classified.
+and one builds D, over stacks of states, for both the single-state
+derivative and the surface scan; the scan takes its Hessian and Theta_i from
+the same finite-difference and Theta routines as the cost term
+(:mod:`nlbs.cost_engine`).  Theta_i -> 0 makes g_i blow up; such nodes
+are reported as degenerate rather than classified.
 
 For a single asset under constant cost the sign of D reduces to the classical
 Leland condition: D < 0 (for positive Hessian) iff the Leland number
@@ -44,7 +49,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cost_engine import _grid_theta, cost_integrals, theta_from_hessian
+from .cost_engine import _grid_theta, cost_integrals
 from .market_model import (
     ConstantCost,
     CostModel,
@@ -58,8 +63,6 @@ __all__ = [
     "DegenerateThetaError",
     "DyfInputs",
     "dyf_matrix",
-    "is_negative_definite",
-    "NegativeDefiniteness",
     "LelandNumber",
     "leland_number",
     "EllipticityReport",
@@ -77,24 +80,9 @@ class DegenerateThetaError(ValueError):
     """The hedge-increment variance vanished; the sensitivity g_i is singular."""
 
 
-class NegativeDefiniteness(NamedTuple):
-    satisfied: bool
-    max_eigenvalue: float
-
-
 class LelandNumber(NamedTuple):
     value: float
     well_posed: bool
-
-
-def is_negative_definite(mat: np.ndarray, tol: float = EIG_TOL) -> NegativeDefiniteness:
-    """Check max eigenvalue <= tol for a (symmetrized) real matrix."""
-    m = np.asarray(mat, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValidationError("mat", f"expected a square matrix, got shape {m.shape}")
-    sym = (m + m.T) / 2.0
-    max_eig = float(np.linalg.eigvalsh(sym)[-1])
-    return NegativeDefiniteness(satisfied=max_eig <= tol, max_eigenvalue=max_eig)
 
 
 def leland_number(sigma: float, c0: float, dt: float) -> LelandNumber:
@@ -175,29 +163,24 @@ def _sensitivities(cost: CostModel, spots: np.ndarray, theta: np.ndarray, dt: fl
     return g
 
 
+def _derivative(a: np.ndarray, b: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """D_lm = -A_lm/2 + g_l (B A)_lm + g_m (A B)_lm over stacked (..., n, n) A, B and (..., n) g."""
+    return -a / 2.0 + g[..., :, None] * (b @ a) + g[..., None, :] * (a @ b)
+
+
 def dyf_matrix(inputs: DyfInputs) -> np.ndarray:
     """Matrix derivative D of the nonlinear operator at the given state.
 
     See the module docstring.  Raises :class:`DegenerateThetaError` when any
-    Theta_i <= THETA_FLOOR.
+    Theta_i = (B A B)_ii <= THETA_FLOOR.
     """
     a = inputs.market.diffusion_matrix(inputs.spots)
     b = inputs.hessian
-    theta = theta_from_hessian(b, inputs.spots, inputs.market)
+    theta = np.diag(b @ a @ b)
     for i, th in enumerate(theta):
         if th <= THETA_FLOOR:
             raise DegenerateThetaError(f"theta singular at asset {i}: theta={th:.3e}")
-    g = _sensitivities(inputs.cost, inputs.spots, theta, inputs.dt)
-    ab = a @ b
-    ba = b @ a
-    d = -a / 2.0
-    n = inputs.market.n_assets
-    for i in range(n):
-        r = np.zeros((n, n))
-        r[i, :] = ab[:, i]
-        r[:, i] += ba[i, :]
-        d = d + g[i] * r
-    return d
+    return _derivative(a, b, _sensitivities(inputs.cost, inputs.spots, theta, inputs.dt))
 
 
 # ---------------------------------------------------------------------------
@@ -256,61 +239,49 @@ class EllipticityReport:
 
 
 def scan_surface(
-    surface,
+    surface: np.ndarray,
     scenario: Scenario,
     *,
     flags: SolverFlags = SolverFlags(),
 ) -> EllipticityReport:
     """Classify the operator derivative at every interior node of a surface.
 
-    The surface's finite-difference Hessian uses the same stencils as the
-    PDE scheme (``flags``).  Nodes where either Theta_i <= THETA_FLOOR (flat
+    ``surface`` is a value array of shape (nx+1, nx+1) on ``scenario.grid``.
+    Its finite-difference Hessian uses the same stencils as the PDE scheme
+    (``flags``).  Nodes where either Theta_i <= THETA_FLOOR (flat
     payoff regions, deep tails) are counted as degenerate and excluded from
     the eigenvalue statistics rather than misclassified.
     """
-    u = np.asarray(getattr(surface, "values", surface), dtype=float)
+    u = np.asarray(surface, dtype=float)
     grid = scenario.grid
     n = grid.nx
     if u.shape != (n + 1, n + 1):
         raise ValidationError("surface", f"expected shape ({n + 1}, {n + 1}), got {u.shape}")
-    market = scenario.market
-    sig1, sig2 = market.sigmas
-    rho = float(market.rho[0, 1])
     dt = scenario.dt_tc
 
-    (theta1, theta2), (p1, p2, m) = _grid_theta(u, scenario, flags.first_derivative)
+    theta, (p1, p2, m) = _grid_theta(u, scenario, flags.first_derivative)
+    theta = np.moveaxis(theta, 0, -1)  # (n-1, n-1, 2): one state per node
     spot_axis = grid.spot_axis()[1:-1]
     s1 = spot_axis[:, None]
     s2 = spot_axis[None, :]
     h = grid.dx * grid.dx  # hedge rows dx^2 (u_ii - u_i), dx^2 s_i u_ii on a price grid; m = 4 dx^2 u_xy
     k1, k2 = (s1, s2) if grid.coord == "log" else (1.0, 1.0)
-    b11 = p1 / (h * s1 * k1)
-    b12 = m / (4.0 * h * k1 * k2)
-    b22 = p2 / (h * s2 * k2)
+    b = np.empty(theta.shape + (2,))
+    b[..., 0, 0] = p1 / (h * s1 * k1)
+    b[..., 0, 1] = b[..., 1, 0] = m / (4.0 * h * k1 * k2)
+    b[..., 1, 1] = p2 / (h * s2 * k2)
+    spots = np.stack(np.broadcast_arrays(s1, s2), axis=-1)
+    a = scenario.market.diffusion_matrix(spots)
 
-    a11 = sig1 * sig1 * s1 * s1
-    a12 = sig1 * sig2 * rho * s1 * s2
-    a22 = sig2 * sig2 * s2 * s2
-    degenerate = (theta1 <= THETA_FLOOR) | (theta2 <= THETA_FLOOR)
-
-    # per-asset sensitivities g_i = dG/dTheta_i on non-degenerate nodes
-    g1 = np.full(theta1.shape, np.nan)
-    g2 = np.full(theta1.shape, np.nan)
+    # per-asset sensitivities g_i = dG/dTheta_i on non-degenerate nodes; NaN, and so D, elsewhere
+    degenerate = (theta <= THETA_FLOOR).any(axis=-1)
     ok = ~degenerate
-    g1[ok] = _sensitivities(scenario.cost, np.broadcast_to(s1, ok.shape)[ok], theta1[ok], dt)
-    g2[ok] = _sensitivities(scenario.cost, np.broadcast_to(s2, ok.shape)[ok], theta2[ok], dt)
+    g = np.full(theta.shape, np.nan)
+    g[ok] = _sensitivities(scenario.cost, spots[ok].ravel(), theta[ok].ravel(), dt).reshape(-1, 2)
 
-    ab11 = a11 * b11 + a12 * b12
-    ab12 = a11 * b12 + a12 * b22
-    ab21 = a12 * b11 + a22 * b12
-    ab22 = a12 * b12 + a22 * b22
-    d11 = -a11 / 2.0 + g1 * 2.0 * ab11
-    d12 = -a12 / 2.0 + g1 * ab21 + g2 * ab12
-    d22 = -a22 / 2.0 + g2 * 2.0 * ab22
-
-    half_tr = (d11 + d22) / 2.0
-    eigmax = half_tr + np.sqrt(((d11 - d22) / 2.0) ** 2 + d12 * d12)
-    eigmax = np.where(degenerate, np.nan, eigmax)
+    d = _derivative(a, b, g)
+    d11, d12, d22 = d[..., 0, 0], d[..., 0, 1], d[..., 1, 1]
+    eigmax = (d11 + d22) / 2.0 + np.sqrt(((d11 - d22) / 2.0) ** 2 + d12 * d12)
 
     n_deg = int(degenerate.sum())
     n_checked = int(ok.sum())

@@ -161,12 +161,15 @@ class MarketParams:
         return len(self.sigmas)
 
     def diffusion_matrix(self, spots: np.ndarray) -> np.ndarray:
-        """Diffusion coefficient matrix A with A[i, j] = sigma_i sigma_j rho_ij S_i S_j."""
+        """Diffusion coefficient matrix A with A[i, j] = sigma_i sigma_j rho_ij S_i S_j.
+
+        ``spots`` of shape (..., n) gives a stack of matrices of shape (..., n, n).
+        """
         spots = np.asarray(spots, dtype=float)
-        if spots.shape != (self.n_assets,):
-            raise ValidationError("spots", f"expected shape ({self.n_assets},), got {spots.shape}")
+        if spots.shape[-1:] != (self.n_assets,):
+            raise ValidationError("spots", f"expected shape (..., {self.n_assets}), got {spots.shape}")
         v = np.asarray(self.sigmas) * spots
-        return np.outer(v, v) * self.rho
+        return v[..., :, None] * v[..., None, :] * self.rho
 
 
 # ---------------------------------------------------------------------------

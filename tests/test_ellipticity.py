@@ -20,12 +20,12 @@ from nlbs import (
     cbest_price,
     cost_integrals,
     dyf_matrix,
-    is_negative_definite,
     leland_number,
     scan_surface,
 )
 from nlbs import ellipticity
 from nlbs.cost_engine import _EXPONENTIAL_CLOSED_FORM_MAX_A as CLOSED_FORM_MAX_A
+from nlbs.cost_engine import _grid_theta
 
 import oracles
 from conftest import benchmark_scenario
@@ -323,8 +323,7 @@ def test_zero_cost_reduces_to_pure_diffusion():
     inputs = DyfInputs(hessian=b, spots=spots, market=market, dt=dt, cost=ConstantCost(c0=0.0))
     a = market.diffusion_matrix(spots)
     np.testing.assert_allclose(dyf_matrix(inputs), -a / 2.0, atol=1e-14)
-    nd = is_negative_definite(dyf_matrix(inputs))
-    assert nd.satisfied and nd.max_eigenvalue < 0.0
+    assert np.linalg.eigvalsh(dyf_matrix(inputs))[-1] < 0.0
 
 
 def test_dyf_inputs_validation():
@@ -352,18 +351,6 @@ def test_dyf_matrix_rejects_unknown_form():
     for name, value in [("form", "hybrid"), ("form", "aggregate"), ("theta_floor", 0.0)]:
         with pytest.raises(TypeError, match=name):
             dyf_matrix(inputs, **{name: value})
-
-
-def test_is_negative_definite_known_matrices():
-    nd = is_negative_definite(np.diag([-1.0, -2.0]))
-    assert nd.satisfied and nd.max_eigenvalue == pytest.approx(-1.0)
-    assert is_negative_definite(np.zeros((2, 2))).satisfied  # 0 <= tol
-    assert not is_negative_definite(np.diag([-1.0, 1e-9])).satisfied
-    # antisymmetric part is discarded
-    skew = np.array([[-2.0, 1.0], [-1.0, -2.0]])
-    assert is_negative_definite(skew).max_eigenvalue == pytest.approx(-2.0)
-    with pytest.raises(ValidationError, match="mat"):
-        is_negative_definite(np.zeros((2, 3)))
 
 
 # ---------------------------------------------------------------------------
@@ -402,38 +389,53 @@ def test_scan_surface_report_structure():
     assert report.max_eigenvalue == pytest.approx(finite.max())
 
 
-def test_scan_surface_cross_checks_single_point_api():
-    """Rebuild the Hessian at one node by hand and compare the scanned
-    eigenvalue with the single-point derivative routine."""
-    scen = scan_scenario()
+# the smaller Theta above which a node is cross-checked: 100 x THETA_FLOOR, so
+# dyf_matrix's own Theta = diag(B A B), a different rounding, stays off the floor
+CROSS_CHECK_THETA_CUT = 1e-12
+SCAN_COSTS = {
+    "constant": ConstantCost(c0=0.005),
+    "exponential": ExponentialCost(c0=0.005, k=1.0),  # config 1's cost
+    "sampled": SampledCost(
+        x=[0.0, 0.5, 1.0, 2.0], c=[0.004, 0.003, 0.002, 0.001], c_lower=0.0, c_upper=0.004,
+        dc=[-0.002, -0.002, -0.0015, -0.001],
+    ),
+}
+
+
+@pytest.mark.parametrize("cost", sorted(SCAN_COSTS))
+def test_scan_surface_cross_checks_single_point_api(cost):
+    """Rebuild the Hessian by hand at every checked node whose smaller Theta
+    is above the cut and compare the scanned eigenvalue with the top
+    eigenvalue of the single-point derivative (110 of 130 nodes per cost)."""
+    scen = scan_scenario().with_cost(SCAN_COSTS[cost])
     u = analytic_surface(scen)
     report = scan_surface(u, scen)
     grid = scen.grid
     dx = grid.dx
     ax = grid.axis()
-    i = j = grid.nx // 2  # near the strike; variance is healthy there
-    assert not math.isnan(report.eigenvalues[i - 1, j - 1])
-    ux = (u[i + 1, j] - u[i, j]) / dx
-    uy = (u[i, j + 1] - u[i, j]) / dx
-    uxx = (u[i + 1, j] - 2 * u[i, j] + u[i - 1, j]) / dx**2
-    uyy = (u[i, j + 1] - 2 * u[i, j] + u[i, j - 1]) / dx**2
-    uxy = (u[i + 1, j + 1] + u[i - 1, j - 1] - u[i + 1, j - 1] - u[i - 1, j + 1]) / (
-        4 * dx**2
-    )
-    s1, s2 = math.exp(ax[i]), math.exp(ax[j])
-    b = np.array(
-        [
-            [(uxx - ux) / s1**2, uxy / (s1 * s2)],
-            [uxy / (s1 * s2), (uyy - uy) / s2**2],
-        ]
-    )
-    inputs = DyfInputs(
-        hessian=b, spots=np.array([s1, s2]), market=scen.market, dt=scen.dt_tc,
-        cost=scen.cost,
-    )
-    d = dyf_matrix(inputs)
-    ref = float(np.linalg.eigvalsh(d)[-1])
-    assert report.eigenvalues[i - 1, j - 1] == pytest.approx(ref, rel=1e-10)
+    kept = _grid_theta(u, scen, "forward")[0].min(axis=0) > CROSS_CHECK_THETA_CUT
+    assert kept.sum() == 110 and report.n_checked == 130
+    for i, j in np.argwhere(kept) + 1:
+        ux = (u[i + 1, j] - u[i, j]) / dx
+        uy = (u[i, j + 1] - u[i, j]) / dx
+        uxx = (u[i + 1, j] - 2 * u[i, j] + u[i - 1, j]) / dx**2
+        uyy = (u[i, j + 1] - 2 * u[i, j] + u[i, j - 1]) / dx**2
+        uxy = (u[i + 1, j + 1] + u[i - 1, j - 1] - u[i + 1, j - 1] - u[i - 1, j + 1]) / (
+            4 * dx**2
+        )
+        s1, s2 = math.exp(ax[i]), math.exp(ax[j])
+        b = np.array(
+            [
+                [(uxx - ux) / s1**2, uxy / (s1 * s2)],
+                [uxy / (s1 * s2), (uyy - uy) / s2**2],
+            ]
+        )
+        inputs = DyfInputs(
+            hessian=b, spots=np.array([s1, s2]), market=scen.market, dt=scen.dt_tc,
+            cost=scen.cost,
+        )
+        ref = float(np.linalg.eigvalsh(dyf_matrix(inputs))[-1])
+        assert report.eigenvalues[i - 1, j - 1] == pytest.approx(ref, rel=1e-10), (i, j)
 
 
 def test_scan_surface_zero_cost_always_well_posed():

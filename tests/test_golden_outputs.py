@@ -130,27 +130,27 @@ GOLDEN = {
     "leland1": {
         "exit": 0,
         "ellipticity.json": "bcacaaf09f70dd2ff17597b88ea7e7f8ada7542ce4edbad47be5a3a887837d3d",
-        "ellipticity_nodes.csv": "ee55e25f78250f009c5e996abd94d2a1c9f331dc3a337452761f42ef1c69eb96",
+        "ellipticity_nodes.csv": "49e3e301f85eeb37a6f53936023f0a13be28ce68043b979775400c01b741a48a",
     },
     "leland2": {
         "exit": 0,
         "ellipticity.json": "f760772d71c60e431076fae8742382243ddea72d4a366649d2b0def2a0f9a889",
-        "ellipticity_nodes.csv": "1f54b7c08d8cfde25e955102ee8e97b78085ceeeeb3fbe12f29a82ebd732e940",
+        "ellipticity_nodes.csv": "463d0860205e8e245bff326e65a7d7d009073a375d69ff39d8fb6f59eb748887",
     },
     "leland3_exact": {
         "exit": 0,
-        "ellipticity.json": "25d384d719371c823b6aa2cb854522f26bce1c73245184e19c50ce02ba0c2041",
-        "ellipticity_nodes.csv": "b06efafa3028317bc779e3b15532cb505eb9d1401944004f14cb40c9c5b53fbd",
+        "ellipticity.json": "9f446317f2e44713cf57becdf441d812cc741e3823066cfbd89b104bdcf72525",
+        "ellipticity_nodes.csv": "a0394d45f7adc2ea92519df188b63267bddecdf100927212b56904ca156256be",
     },
     "leland3_sampled_exact": {
         "exit": 0,
-        "ellipticity.json": "f8759a85173f329c39437056b6874ce97696d2f707800ad797f915928216fa0f",
-        "ellipticity_nodes.csv": "64bb5877704e373975e0f116ece2b7e830cf724e9684fa2bfff928c007e827c5",
+        "ellipticity.json": "399ee7d4c652e1f3a01dbdb1c437213418511c193fd5fa4a75f59d472f2e156c",
+        "ellipticity_nodes.csv": "51a33d58a789398ea88d1e41b7d4f6550920a333ec7bbe1874d390c0de075915",
     },
     "leland3_sampled_16": {
         "exit": 0,
         "ellipticity.json": "539e0b9c0e733493b1884f9cde2d22ab6784c5d836e30a4adeab44faf0fb732d",
-        "ellipticity_nodes.csv": "f3cd8e1202914869b4fd620e90244838871af822732540ec60253d2956233f5c",
+        "ellipticity_nodes.csv": "9b5a8b3ee6c8d945bb87c6aa64eab0535700f58a6709d5e23a13c427898b8e4f",
     },
     "sweep1": {
         "exit": 3,

@@ -36,5 +36,6 @@ def test_every_package_export_is_a_module_export():
     for name in (
         "thomas_solve", "TridiagonalSystem", "lx_stage", "ly_stage",
         "pnorm_distance", "univariate_cdf", "theta_log_coords", "QuadratureError",
+        "theta_from_hessian", "is_negative_definite", "NegativeDefiniteness",
     ):
         assert not hasattr(nlbs, name), name

@@ -100,6 +100,12 @@ def test_diffusion_matrix_against_explicit_loop():
         # symmetric, positive diagonal
         assert a[0, 1] == a[1, 0]
         assert a[0, 0] > 0 and a[1, 1] > 0
+    # a (..., n) stack of spots gives the stack of matrices, each as from its own call
+    stack = rng.uniform(1.0, 80.0, size=(3, 4, 2))
+    a = m.diffusion_matrix(stack)
+    assert a.shape == (3, 4, 2, 2)
+    for idx in np.ndindex(3, 4):
+        np.testing.assert_array_equal(a[idx], m.diffusion_matrix(stack[idx]))
 
 
 def test_diffusion_matrix_rejects_wrong_spot_count():
