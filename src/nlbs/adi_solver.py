@@ -25,10 +25,11 @@ record n is the distance between sweeps n+1 and n at tau = T in the induced
 matrix 1-, 2- and infinity-norms, and the iteration stops on the last.
 The source lags one time level, so level m is final after m + 1 sweeps: the
 iteration always stops, at distance 0, by sweep nt + 2 (the default cap).
-A costed sweep keeps its whole space-time block, (nt+1)(nx+1)^2 floats,
-because the next sweep evaluates the source on it level by level.  A
-zero-cost solve converges after its one linear sweep, which streams: it
-holds only the current level and its half level and keeps the terminal one.
+Each sweep takes the previous sweep's block as its source.  A costed sweep
+keeps its whole space-time block, (nt+1)(nx+1)^2 floats, for the next sweep
+to read level by level.  A zero-cost solve converges after its one linear
+sweep, which streams: it holds only the current level and its half level
+and keeps the terminal one.
 
 Dirichlet boundary values on all four edges come from marching each edge
 with the one-dimensional limit of the two-stage scheme itself (the exact
@@ -39,14 +40,15 @@ enters, so the edges stay consistent with the interior discretization for
 any cost level.
 
 Each coordinate direction's half of the operator is one object (``_Axis``):
-its Thomas factor, Dirichlet lift and explicit weights serve the interior
+its LU factor, Dirichlet lift and explicit weights serve the interior
 stage operators and the edge marches alike.  The edges march in pairs, bottom
 with top along asset 1 and left with right along asset 2, as the two columns
 of one array; only these pairs are stored for each half level, O(nt nx)
 floats, and the stage operators write them straight into their output level.
-Each half-step's tridiagonal line solves run as one LAPACK ``dgttrs`` call on
-the Thomas factor (factored once per direction, no pivoting), which is
-bit-identical to the row-by-row Thomas loop.
+LAPACK's ``dgttrf`` factors each direction's matrix once, and each
+half-step's tridiagonal line solves run as one ``dgttrs`` call on that
+factor.  On the scheme's matrices ``dgttrf`` interchanges no rows, so the
+result is bit-identical to the row-by-row Thomas loop.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.linalg.lapack import dgttrs
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .cost_engine import _hedge_row, _mixed_diff, _theta, _variance_weight, assemble_G, expected_cost
 from .market_model import BestCashOrNothing, GridSpec, Scenario, SolverFlags, ValidationError
@@ -80,11 +82,9 @@ __all__ = [
 
 @dataclass
 class Surface:
-    """A value surface at one time level of one fixed-point iterate."""
+    """The value surface at tau = T of the last fixed-point iterate."""
 
     values: np.ndarray
-    time_index: int
-    iterate_index: int
 
 
 @dataclass(frozen=True)
@@ -116,10 +116,8 @@ def _spectral_norm(d: np.ndarray) -> float:
 class SolveResult:
     """Outcome of :func:`solve_nonlinear`.
 
-    ``block`` holds the levels the last sweep kept: all nt+1 levels of a
-    costed solve (shape (nt+1, nx+1, nx+1)), only the terminal level of a
-    zero-cost solve (shape (1, nx+1, nx+1)).  ``block[-1]`` is the surface
-    at tau = T either way.
+    ``block`` is the last sweep's result (see :func:`sweep`): every level of
+    a costed solve, the terminal one alone of a zero-cost solve.
     """
 
     surface: Surface
@@ -135,40 +133,31 @@ class SolveResult:
 
 
 class ZeroPivotError(ValueError):
-    """Forward elimination hit a (numerically) zero pivot."""
+    """A tridiagonal matrix is singular: LAPACK's ``dgttrf`` met a zero pivot."""
 
 
-def _thomas_factor(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray):
-    """Forward-elimination multipliers and pivots; O(n), done once per matrix."""
-    n = diag.shape[0]
-    piv = np.empty(n)
-    w = np.empty(max(n - 1, 0))
-    piv[0] = diag[0]
-    if abs(piv[0]) < 1e-300:
-        raise ZeroPivotError("zero pivot at row 0")
-    for k in range(1, n):
-        w[k - 1] = lower[k - 1] / piv[k - 1]
-        piv[k] = diag[k] - w[k - 1] * upper[k - 1]
-        if abs(piv[k]) < 1e-300:
-            raise ZeroPivotError(f"zero pivot at row {k}")
-    return w, piv
+def _tridiag_factor(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray) -> tuple:
+    """LU factor (dl, d, du, du2, ipiv) of a tridiagonal matrix by LAPACK ``dgttrf``.
 
-
-def _thomas_apply(w: np.ndarray, piv: np.ndarray, upper: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Forward/back substitution with the factor of :func:`_thomas_factor`.
-
-    ``rhs`` is (n, m) for m systems of n >= 3 rows (every grid line has at
-    least 3 interior nodes); a Fortran-ordered rhs is solved in place, any
-    other is copied.  One LAPACK ``dgttrs`` call does the work: fed the
-    factor as an LU without row interchanges (identity ``ipiv``, zero second
-    superdiagonal), it runs the same operations in the same order as the
-    textbook loop, so the result is bit-identical to it.
+    Where ``dgttrf`` interchanges no rows (``ipiv`` the identity, as on every
+    scheme matrix the tests cover) dl and d are the Thomas loop's multipliers
+    and pivots, bit for bit.
     """
-    n = piv.shape[0]
+    *lu, info = dgttrf(lower, diag, upper)
+    if info > 0:
+        raise ZeroPivotError(f"singular matrix: zero pivot at row {info - 1}")
+    return tuple(lu)
+
+
+def _tridiag_solve(lu: tuple, rhs: np.ndarray) -> np.ndarray:
+    """Solve with the factor of :func:`_tridiag_factor` by one LAPACK ``dgttrs`` call.
+
+    ``rhs`` is (n, m) for m systems of n rows; a Fortran-ordered rhs is
+    solved in place, any other is copied.
+    """
     # numpy transposes faster than the f2py wrapper
     b = rhs if rhs.flags.f_contiguous else np.array(rhs, dtype=float, order="F")
-    ipiv = np.arange(1, n + 1, dtype=np.int32)
-    return dgttrs(w, piv, upper, np.zeros(n - 2), ipiv, b, overwrite_b=True)[0]
+    return dgttrs(*lu, b, overwrite_b=True)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +236,7 @@ class _Axis:
     Holds half of the direction's one-dimensional convection-diffusion-
     discount operator, dtau included, in the two forms a stage needs:
     :meth:`solve` treats the direction implicitly (one tridiagonal solve per
-    line, on the Thomas factor computed here), :meth:`explicit` applies it on
+    line, on the LU factor computed here), :meth:`explicit` applies it on
     the right-hand side of the other direction's stage.  The interior stage
     operators and the edge marches share this object, so both use identical
     coefficients.  Both methods run along axis 0 and broadcast over axis 1.
@@ -274,8 +263,7 @@ class _Axis:
             weights = (dtau * (diff + drift / (2.0 * dx)), -dtau * 2.0 * diff, dtau * (diff - drift / (2.0 * dx)))
         self._up, self._mid, self._dn = (c[:, None] for c in weights)
         self._lift = lower[0], upper[-1]
-        self._upper = upper[:-1]
-        self._w, self._piv = _thomas_factor(lower[1:], diag, upper[:-1])
+        self._lu = _tridiag_factor(lower[1:], diag, upper[:-1])
 
     def explicit(self, f: np.ndarray) -> np.ndarray:
         """``f`` on interior rows plus this direction's explicit increment."""
@@ -289,7 +277,7 @@ class _Axis:
         """
         rhs[0] -= self._lift[0] * first
         rhs[-1] -= self._lift[1] * last
-        return _thomas_apply(self._w, self._piv, self._upper, rhs)
+        return _tridiag_solve(self._lu, rhs)
 
 
 def _edge_cost_term(
@@ -425,41 +413,36 @@ class _StageOperator:
 
 def sweep(
     scenario: Scenario,
+    source: np.ndarray | None = None,
     *,
-    g_provider: Callable[[int], np.ndarray] | None = None,
-    flags: SolverFlags = SolverFlags(),
-    boundary: BoundaryData | None = None,
-    keep_block: bool = True,
+    flags: SolverFlags,
+    boundary: BoundaryData,
 ) -> np.ndarray:
     """March the scheme from the payoff to tau = T.
 
-    Returns the full space-time block, shape (nt+1, nx+1, nx+1); level m is
-    the surface at tau = m dtau.  With ``keep_block=False`` the march holds
-    only the current level (and its half level) and returns the terminal
-    level alone, shape (1, nx+1, nx+1), with the same values as the last
-    level of the block.  ``g_provider(m)`` must return the source field used
-    for the step m -> m+1 (full-shape array); None means zero source (the
-    linear problem).
+    Step m -> m+1 takes the source ``assemble_G(source[m])``, from level m
+    of an earlier sweep's block; without ``source`` the source is zero (the
+    linear problem).  ``boundary`` holds the edges for ``flags`` at
+    dtau = T / nt.  A costed scenario returns the full space-time block,
+    shape (nt+1, nx+1, nx+1), level m being the surface at tau = m dtau, for
+    the next sweep's source to read.  A zero-cost one streams: it holds only
+    the current level and its half level and returns the terminal level
+    alone, shape (1, nx+1, nx+1).
     """
     grid = scenario.grid
-    nt = grid.nt
-    dtau = scenario.market.T / nt
-    if boundary is None:
-        boundary = BoundaryData(scenario, flags, dtau)
-    op_x = _StageOperator(scenario, flags, dtau, axis=0)
-    op_y = _StageOperator(scenario, flags, dtau, axis=1)
-    n = grid.nx
-    block = np.empty((nt + 1, n + 1, n + 1)) if keep_block else None
+    dtau = scenario.market.T / grid.nt
+    op_x, op_y = (_StageOperator(scenario, flags, dtau, axis) for axis in (0, 1))
+    block = np.empty((grid.nt + 1, grid.nx + 1, grid.nx + 1)) if scenario.cost.bounds()[1] > 0.0 else None
     level = initial_condition(grid, scenario.payoff)
-    for m in range(nt):
+    for m in range(grid.nt):
         if block is not None:
             block[m] = level
-        g = g_provider(m) if g_provider is not None else None
-        half = op_x.apply(level, boundary.edges(2 * m + 1), g=None)
-        level = op_y.apply(half, boundary.edges(2 * m + 2), g=g)
+        g = None if source is None else assemble_G(source[m], scenario, flags=flags)
+        half = op_x.apply(level, boundary.edges(2 * m + 1))
+        level = op_y.apply(half, boundary.edges(2 * m + 2), g)
     if block is None:
         return level[None]
-    block[nt] = level
+    block[-1] = level
     return block
 
 
@@ -492,24 +475,13 @@ def solve_nonlinear(
     if max_iter < 1:
         raise ValidationError("max_iter", f"need at least one sweep, got {max_iter}")
 
-    dtau = scenario.market.T / grid.nt
-    boundary = BoundaryData(scenario, flags, dtau)
-
-    def make_provider(block: np.ndarray) -> Callable[[int], np.ndarray]:
-        def provider(m: int) -> np.ndarray:
-            return assemble_G(block[m], scenario, flags=flags)
-
-        return provider
-
-    zero_cost = scenario.cost.bounds()[1] == 0.0
+    boundary = BoundaryData(scenario, flags, scenario.market.T / grid.nt)
     records: list[ConvergenceRecord] = []
     prev: np.ndarray | None = None
     for sweeps in range(1, max_iter + 1):
-        provider = None if prev is None else make_provider(prev)
-        # a costed sweep keeps its block: the next sweep's source reads it
-        cur = sweep(scenario, g_provider=provider, flags=flags, boundary=boundary, keep_block=not zero_cost)
+        cur = sweep(scenario, prev, flags=flags, boundary=boundary)
         if prev is None:
-            converged = zero_cost
+            converged = scenario.cost.bounds()[1] == 0.0
         else:
             diff = cur[-1] - prev[-1]
             records.append(
@@ -524,9 +496,8 @@ def solve_nonlinear(
         prev = cur
         if converged:
             break
-    assert prev is not None
     return SolveResult(
-        surface=Surface(values=prev[-1], time_index=grid.nt, iterate_index=sweeps),
+        surface=Surface(values=prev[-1]),
         records=records,
         converged=converged,
         iterations=sweeps,

@@ -47,7 +47,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import fields
 from pathlib import Path
 from typing import Any
 
@@ -57,7 +56,7 @@ from . import __version__
 from .adi_solver import SolveResult, solve_nonlinear
 from .analytic_pricing import cbest_price
 from .cost_engine import assemble_G
-from .diagnostics import compared_nodes, dt_sensitivity_sweep, error_vs_analytic
+from .diagnostics import compared_nodes, dt_sensitivity_sweep, error_vs_analytic, probe_nodes
 from .ellipticity import LelandNumber, leland_number, scan_surface
 from .market_model import (
     ExponentialCost,
@@ -146,10 +145,9 @@ def _probes(value: Any, qualified: str) -> np.ndarray:
     return probes
 
 
-_FLAG_KEYS = tuple(f.name for f in fields(SolverFlags))
-# the parser of every solve key; SolverFlags checks its own fields
+# the parser of every solve key; SolverFlags checks first_derivative itself
 _SOLVE_PARSERS = {
-    **dict.fromkeys(_FLAG_KEYS, lambda value, qualified: value),
+    "first_derivative": lambda value, qualified: value,
     "tol": _positive,
     "max_iter": _sweep_count,
 }
@@ -170,6 +168,7 @@ _COMMAND_PARSERS = {
 }
 _TOP_LEVEL_KEYS = ("market", "cost", "payoff", "dt_tc", "grid", "solver", "output")
 # config key -> keyword of the library call it configures
+_FLAG_ARGS = {"first_derivative": "first_derivative"}
 _SOLVE_ARGS = {"tol": "tol", "max_iter": "max_iter"}
 _BAND_ARG = {"error_band": "band"}
 
@@ -302,13 +301,21 @@ def _setup(args) -> tuple[dict, Scenario, SolverFlags, dict, dict]:
     solver_parsers, output_parsers = _COMMAND_PARSERS[args.command]
     solver = _parsed_section(cfg, "solver", solver_parsers, args.command)
     output = _parsed_section(cfg, "output", output_parsers, args.command)
-    flags = SolverFlags(**{key: solver[key] for key in _FLAG_KEYS if key in solver})
+    flags = SolverFlags(**_settings(solver, _FLAG_ARGS))
     return cfg, scenario, flags, solver, output
 
 
 def _settings(section: dict, args: dict[str, str]) -> dict:
     """Keyword arguments for the keys of ``args`` that ``section`` sets; the rest keep the library's defaults."""
     return {arg: section[key] for key, arg in args.items() if key in section}
+
+
+def _checked(key: str, check, *args, **kwargs):
+    """``check(*args, **kwargs)``, with a :class:`ValidationError` it raises renamed to the config key ``key``."""
+    try:
+        return check(*args, **kwargs)
+    except ValidationError as exc:
+        raise ValidationError(key, str(exc).removeprefix(f"{exc.field}: ")) from None
 
 
 def _leland_numbers(scenario: Scenario, dt: float) -> list[LelandNumber]:
@@ -330,10 +337,7 @@ def _status(result: SolveResult) -> str:
 def _cmd_price(args) -> int:
     cfg, scenario, flags, solver, output = _setup(args)
     band = _settings(output, _BAND_ARG)
-    try:
-        compared_nodes(scenario, **band)
-    except ValidationError as exc:
-        raise ValidationError("output.error_band", str(exc).removeprefix(f"{exc.field}: ")) from None
+    _checked("output.error_band", compared_nodes, scenario, **band)
     out = _out_dir(args)
 
     result = solve_nonlinear(scenario, flags=flags, **_settings(solver, _SOLVE_ARGS))
@@ -474,12 +478,13 @@ def _cmd_converge(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg, scenario, flags, solver, output = _setup(args)
+    probes = output.get("probes")
+    _checked("output.probes", probe_nodes, scenario, probes)
     out = _out_dir(args)
 
     dt_values = output.get("dt_values")
     if dt_values is None:
         dt_values = np.logspace(math.log10(7.6e-5), math.log10(7e-3), 20).tolist()
-    probes = output.get("probes")
     result = dt_sensitivity_sweep(scenario, dt_values, probes, flags=flags, **_settings(solver, _SOLVE_ARGS))
     n_probe = len(result.probe_nodes)
     with open(out / "sweep.csv", "w", newline="") as fh:

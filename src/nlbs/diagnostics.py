@@ -11,7 +11,7 @@
   scaled by the benchmark's peak.
 * :func:`dt_sensitivity_sweep` - re-solves the nonlinear problem across a
   range of rebalancing intervals and samples price and source term at probe
-  spots.
+  spots, each snapped to an interior node (:func:`probe_nodes`).
 * :func:`perron_bound` - the largest magnitude the cost term attains on the
   analytic benchmark surface: a supremum-type bound on the source term that
   drives comparison-principle estimates.  Evaluated at a fixed time to
@@ -37,6 +37,7 @@ __all__ = [
     "error_vs_analytic",
     "DtSweepRow",
     "DtSweepResult",
+    "probe_nodes",
     "dt_sensitivity_sweep",
     "PerronBound",
     "perron_bound",
@@ -118,9 +119,8 @@ def error_vs_analytic(
     scenario: Scenario,
     *,
     band: int = 2,
-    tau: float | None = None,
 ) -> ErrorReport:
-    """Benchmark error of a value array of shape (nx+1, nx+1) at time-to-maturity tau (default T).
+    """Benchmark error of a value array of shape (nx+1, nx+1) at time-to-maturity T.
 
     The statistics cover the nodes of :func:`compared_nodes`.
     """
@@ -129,10 +129,9 @@ def error_vs_analytic(
     if u.shape != (n + 1, n + 1):
         raise ValidationError("surface", f"expected shape ({n + 1}, {n + 1}), got {u.shape}")
     include = compared_nodes(scenario, band)
-    tau = scenario.market.T if tau is None else float(tau)
 
     s = scenario.grid.spot_axis()
-    ana = np.broadcast_to(cbest_price(s[:, None], s[None, :], tau, scenario), u.shape)
+    ana = np.broadcast_to(cbest_price(s[:, None], s[None, :], scenario.market.T, scenario), u.shape)
     diff = np.abs(u - ana)[include]
     peak = float(ana[include].max())
     max_abs = float(diff.max())
@@ -171,6 +170,29 @@ class DtSweepResult:
     probe_spots: tuple[tuple[float, float], ...]
 
 
+def probe_nodes(scenario: Scenario, probes=None) -> list[tuple[int, int]]:
+    """The grid nodes nearest the (S1, S2) ``probes``, default the single probe (X, X).
+
+    A probe that is not positive and finite, or whose nearest node lies on
+    the Dirichlet ring, where the source is never evaluated, raises
+    :class:`ValidationError` naming ``probes``; like :func:`compared_nodes`,
+    this needs no solve.
+    """
+    grid = scenario.grid
+    nodes = []
+    for s1, s2 in [(scenario.payoff.X, scenario.payoff.X)] if probes is None else probes:
+        s1, s2 = float(s1), float(s2)
+        if not (0.0 < s1 < math.inf and 0.0 < s2 < math.inf):
+            raise ValidationError("probes", f"probe spots must be positive and finite, got ({s1}, {s2})")
+        c1, c2 = (math.log(s1), math.log(s2)) if grid.coord == "log" else (s1, s2)
+        # clamped before rounding, so a coordinate far off the grid cannot overflow
+        i, j = (round(min(max((c - grid.a) / grid.dx, -1.0), grid.nx + 1.0)) for c in (c1, c2))
+        if not (0 < i < grid.nx and 0 < j < grid.nx):
+            raise ValidationError("probes", f"probe ({s1}, {s2}) snaps to the Dirichlet ring, where G is not evaluated")
+        nodes.append((i, j))
+    return nodes
+
+
 def dt_sensitivity_sweep(
     scenario: Scenario,
     dt_values,
@@ -181,8 +203,8 @@ def dt_sensitivity_sweep(
 ) -> DtSweepResult:
     """Solve the nonlinear problem for each rebalancing interval in dt_values.
 
-    ``probes`` is a sequence of (S1, S2) spot pairs (default: the single
-    at-the-threshold probe (X, X)); each is snapped to the nearest grid node.
+    ``probes`` is a sequence of (S1, S2) spot pairs, each snapped to the
+    nearest grid node, which must be interior (see :func:`probe_nodes`).
     ``settings`` (``tol``, ``max_iter``) go to :func:`solve_nonlinear`, whose
     defaults hold for those not given; with the default ``max_iter`` of
     nt + 2 every solve converges.  A solve stopped short by an explicit
@@ -194,23 +216,7 @@ def dt_sensitivity_sweep(
     for d in dts:
         if not math.isfinite(d) or d <= 0.0:
             raise ValidationError("dt_values", f"rebalancing intervals must be positive, got {d}")
-    if probes is None:
-        probes = [(scenario.payoff.X, scenario.payoff.X)]
-
-    grid = scenario.grid
-    axis = grid.axis()
-    nodes: list[tuple[int, int]] = []
-    spots: list[tuple[float, float]] = []
-    spot_axis = grid.spot_axis()
-    for s1, s2 in probes:
-        s1, s2 = float(s1), float(s2)
-        if not (0.0 < s1 < math.inf and 0.0 < s2 < math.inf):
-            raise ValidationError("probes", f"probe spots must be positive and finite, got ({s1}, {s2})")
-        c1, c2 = (math.log(s1), math.log(s2)) if grid.coord == "log" else (s1, s2)
-        i = int(np.clip(round((c1 - grid.a) / grid.dx), 0, grid.nx))
-        j = int(np.clip(round((c2 - grid.a) / grid.dx), 0, grid.nx))
-        nodes.append((i, j))
-        spots.append((float(spot_axis[i]), float(spot_axis[j])))
+    nodes = probe_nodes(scenario, probes)
 
     rows: list[DtSweepRow] = []
     for d in dts:
@@ -226,7 +232,9 @@ def dt_sensitivity_sweep(
                 g_values=tuple(float(g[i, j]) for i, j in nodes),
             )
         )
-    return DtSweepResult(rows=tuple(rows), probe_nodes=tuple(nodes), probe_spots=tuple(spots))
+    spot = scenario.grid.spot_axis()
+    spots = tuple((float(spot[i]), float(spot[j])) for i, j in nodes)
+    return DtSweepResult(rows=tuple(rows), probe_nodes=tuple(nodes), probe_spots=spots)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, replace
-from typing import Any, Literal, Mapping, Union, get_args, get_type_hints
+from typing import Any, Literal, Mapping, Union
 
 import numpy as np
 
@@ -447,18 +447,16 @@ class SolverFlags:
 
     The only choice is the first-derivative stencil of the drift and
     hedge-variance terms: one-sided ``"forward"`` differences (default) or
-    ``"central"`` ones.  Each field takes one of the values of its
-    ``Literal`` annotation; the config's ``solver`` section sets the fields
-    by name.
+    ``"central"`` ones, set by the config key ``solver.first_derivative``.
     """
 
     first_derivative: Literal["forward", "central"] = "forward"
 
     def __post_init__(self) -> None:
-        for name, hint in get_type_hints(SolverFlags).items():
-            allowed = get_args(hint)
-            if getattr(self, name) not in allowed:
-                raise ValidationError(f"solver.{name}", f"expected one of {allowed}, got {getattr(self, name)!r}")
+        allowed = ("forward", "central")
+        if self.first_derivative not in allowed:
+            message = f"expected one of {allowed}, got {self.first_derivative!r}"
+            raise ValidationError("solver.first_derivative", message)
 
 
 # ---------------------------------------------------------------------------
@@ -511,20 +509,16 @@ def _build_cost(section: Mapping[str, Any]) -> CostModel:
     return ExponentialCost(c0=c0, k=_require(section, "k", "cost.k"))
 
 
-def validate(raw: "Mapping[str, Any] | Scenario") -> Scenario:
+def validate(raw: Mapping[str, Any]) -> Scenario:
     """Build a validated :class:`Scenario` from raw config fields.
 
-    Accepts either a mapping with sections ``market``, ``cost``, ``payoff``,
-    ``dt_tc`` and optional ``grid`` (the JSON config layout used by the CLI)
-    or an already-built :class:`Scenario`.  A key that a section does not
-    define, or a required key left out, is rejected, naming ``section.key``;
-    the containers check every value.  Idempotent:
-    ``validate(validate(x)) == validate(x)``.
+    ``raw`` is a mapping with sections ``market``, ``cost``, ``payoff``,
+    ``dt_tc`` and optional ``grid`` (the JSON config layout used by the
+    CLI).  A key that a section does not define, or a required key left out,
+    is rejected, naming ``section.key``; the containers check every value.
     """
-    if isinstance(raw, Scenario):
-        return Scenario(market=raw.market, cost=raw.cost, payoff=raw.payoff, dt_tc=raw.dt_tc, grid=raw.grid)
     if not isinstance(raw, Mapping):
-        raise ValidationError("scenario", f"expected a mapping or Scenario, got {type(raw).__name__}")
+        raise ValidationError("scenario", f"expected a mapping, got {type(raw).__name__}")
 
     for section in ("market", "cost", "payoff"):
         if section not in raw:

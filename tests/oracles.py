@@ -36,12 +36,26 @@ def dense_tridiagonal_solve(lower, diag, upper, rhs):
     return np.linalg.solve(m, rhs)
 
 
+def thomas_factor_loop(lower, diag, upper):
+    """Thomas forward elimination as the textbook row loop: the multipliers
+    ``w`` and pivots ``piv``.  The package's LAPACK factor must reproduce
+    them bit for bit on the scheme's matrices."""
+    n = diag.shape[0]
+    piv = np.empty(n)
+    w = np.empty(n - 1)
+    piv[0] = diag[0]
+    for k in range(1, n):
+        w[k - 1] = lower[k - 1] / piv[k - 1]
+        piv[k] = diag[k] - w[k - 1] * upper[k - 1]
+    return w, piv
+
+
 def thomas_apply_loop(w, piv, upper, rhs):
     """Thomas substitution as the textbook row loop, given the factor.
 
-    ``w`` holds the elimination multipliers and ``piv`` the pivots; rhs is
-    (n,) or (n, m).  The package's compiled substitution must reproduce
-    this loop bit for bit.
+    ``w`` holds the elimination multipliers and ``piv`` the pivots of
+    :func:`thomas_factor_loop`; rhs is (n,) or (n, m).  The package's LAPACK
+    substitution must reproduce this loop bit for bit.
     """
     n = piv.shape[0]
     y = np.array(rhs, dtype=float)

@@ -46,7 +46,7 @@ from nlbs import (
     perron_bound,
     solve_nonlinear,
 )
-from nlbs.adi_solver import _StageOperator, _thomas_apply, _thomas_factor
+from nlbs.adi_solver import _StageOperator, _tridiag_factor, _tridiag_solve
 
 import oracles
 from conftest import benchmark_scenario
@@ -314,7 +314,7 @@ def test_criterion_08_linear_algebra_oracles():
         diag = np.abs(rng.normal(size=n)) + np.abs(np.r_[0.0, lower]) + np.abs(np.r_[upper, 0.0]) + 1.0
         rhs = rng.normal(size=(n, 1))
         ref = oracles.dense_tridiagonal_solve(lower, diag, upper, rhs)  # before rhs is solved in place
-        x = _thomas_apply(*_thomas_factor(lower, diag, upper), upper, rhs)
+        x = _tridiag_solve(_tridiag_factor(lower, diag, upper), rhs)
         worst_tri = max(worst_tri, np.abs(x - ref).max())
 
     worst_bvn = 0.0

@@ -2,6 +2,7 @@
 oracles, the boundary edge march, the time march, the fixed-point wrapper."""
 
 import hashlib
+import itertools
 import math
 import tracemalloc
 import warnings
@@ -19,13 +20,12 @@ from nlbs import (
     SolverFlags,
     ValidationError,
     ZeroPivotError,
-    assemble_G,
     default_grid,
     initial_condition,
     solve_nonlinear,
     sweep,
 )
-from nlbs.adi_solver import _StageOperator, _thomas_apply, _thomas_factor, _write_edges
+from nlbs.adi_solver import _Axis, _StageOperator, _tridiag_factor, _tridiag_solve, _write_edges
 
 import oracles
 from conftest import benchmark_scenario
@@ -116,7 +116,7 @@ def test_thomas_solve_against_dense_oracle():
         diag += np.sign(diag) * (3.0 + np.abs(np.r_[lower, 0.0]) + np.abs(np.r_[0.0, upper]))
         rhs = rng.normal(size=(n, 1))
         ref = oracles.dense_tridiagonal_solve(lower, diag, upper, rhs)  # before rhs is solved in place
-        ours = _thomas_apply(*_thomas_factor(lower, diag, upper), upper, rhs)
+        ours = _tridiag_solve(_tridiag_factor(lower, diag, upper), rhs)
         np.testing.assert_allclose(ours, ref, atol=1e-11)
 
 
@@ -127,7 +127,7 @@ def test_thomas_solve_matrix_rhs():
     upper = rng.normal(size=n - 1)
     diag = 4.0 + np.abs(rng.normal(size=n))
     rhs = rng.normal(size=(n, m))
-    out = _thomas_apply(*_thomas_factor(lower, diag, upper), upper, rhs)
+    out = _tridiag_solve(_tridiag_factor(lower, diag, upper), rhs)
     assert out.shape == (n, m)
     for col in range(m):
         np.testing.assert_allclose(
@@ -137,33 +137,70 @@ def test_thomas_solve_matrix_rhs():
 
 
 def test_thomas_solve_zero_pivot():
+    """Only a singular matrix stops the factor; ``dgttrf`` pivots past a zero diagonal."""
     with pytest.raises(ZeroPivotError, match="row 0"):
-        _thomas_factor(np.r_[1.0], np.r_[0.0, 1.0], np.r_[1.0])
-    # elimination can also break down later
+        _tridiag_factor(np.r_[0.0, 0.0], np.r_[0.0, 1.0, 1.0], np.r_[1.0, 1.0])  # zero first column
+    # elimination can also break down later: rows 0 and 1 are equal
     with pytest.raises(ZeroPivotError, match="row 1"):
-        _thomas_factor(np.r_[1.0], np.r_[1.0, 1.0], np.r_[1.0])
+        _tridiag_factor(np.r_[1.0, 0.0], np.r_[1.0, 1.0, 1.0], np.r_[1.0, 0.0])
+    _tridiag_factor(np.r_[1.0, 1.0], np.r_[0.0, 1.0, 1.0], np.r_[1.0, 1.0])  # nonsingular: rows swap
+
+
+def assert_thomas_factor(lower, diag, upper, lu):
+    """``lu`` interchanges no rows and holds the Thomas loop's factor, bit for bit."""
+    dl, d, du, du2, ipiv = lu
+    w, piv = oracles.thomas_factor_loop(lower, diag, upper)
+    assert np.array_equal(ipiv, np.arange(1, diag.size + 1)) and not du2.any()
+    assert np.array_equal(dl, w) and np.array_equal(d, piv) and np.array_equal(du, upper)
 
 
 @pytest.mark.parametrize("layout", ["C", "F"])
 def test_thomas_apply_is_bit_identical_to_the_row_loop(layout):
-    """The compiled substitution repeats the loop's operations in its order;
-    a Fortran-ordered rhs is solved in place, any other is left alone."""
+    """Without row interchanges LAPACK's factor and substitution repeat the
+    loop's operations in its order; a Fortran-ordered rhs is solved in
+    place, any other is left alone."""
     rng = np.random.default_rng(2718)
     for n in range(3, 61):
         lower = rng.normal(size=n - 1)
         upper = rng.normal(size=n - 1)
         diag = rng.normal(size=n)
         diag += np.sign(diag) * (3.0 + np.abs(np.r_[lower, 0.0]) + np.abs(np.r_[0.0, upper]))
-        w, piv = _thomas_factor(lower, diag, upper)
+        lu = _tridiag_factor(lower, diag, upper)
+        assert_thomas_factor(lower, diag, upper, lu)
         rhs = np.asarray(rng.normal(size=(n, 7)), order=layout)
         kept = rhs.copy()
-        expected = oracles.thomas_apply_loop(w, piv, upper, rhs)
-        out = _thomas_apply(w, piv, upper, rhs)
+        expected = oracles.thomas_apply_loop(*oracles.thomas_factor_loop(lower, diag, upper), upper, rhs)
+        out = _tridiag_solve(lu, rhs)
         assert np.array_equal(out, expected)
         if layout == "F":
             assert np.shares_memory(out, rhs)
         else:
             assert np.array_equal(rhs, kept)
+
+
+def test_scheme_matrices_factor_without_row_interchanges(monkeypatch):
+    """On every direction's matrix over configs 1-3, both stencils, log and
+    price grids, nx in {8, 16, 40, 100, 400} and nt in {1, 16, 100, 400},
+    ``dgttrf``'s ``ipiv`` is the identity and its factor the Thomas loop's."""
+    factored = []
+
+    def recorded(lower, diag, upper):
+        lu = _tridiag_factor(lower, diag, upper)
+        factored.append((lower, diag, upper, lu))
+        return lu
+
+    monkeypatch.setattr("nlbs.adi_solver._tridiag_factor", recorded)
+    for config in (1, 2, 3):
+        scen = benchmark_scenario(config)
+        g, market = scen.grid, scen.market
+        for nx, nt, coord in itertools.product((8, 16, 40, 100, 400), (1, 16, 100, 400), ("log", "price")):
+            a, b = (g.a, g.b) if coord == "log" else (math.exp(g.a), math.exp(g.b))
+            grid = GridSpec(a=a, b=b, nx=nx, nt=nt, coord=coord)
+            for sigma, first in itertools.product(market.sigmas, ("forward", "central")):
+                _Axis(grid, market.r, sigma, market.T / nt, first)
+    assert len(factored) == 480
+    for lower, diag, upper, lu in factored:
+        assert_thomas_factor(lower, diag, upper, lu)
 
 
 # ---------------------------------------------------------------------------
@@ -295,6 +332,11 @@ def payoff_ring(scen):
     return pay
 
 
+def march(scen, source=None, flags=SolverFlags()):
+    """One sweep on its own boundary data."""
+    return sweep(scen, source, flags=flags, boundary=BoundaryData(scen, flags, scen.market.T / scen.grid.nt))
+
+
 def test_boundary_rings_are_cached():
     scen = benchmark_scenario(1, nx=8, nt=4)
     bd = BoundaryData(scen, SolverFlags(), scen.market.T / 4)
@@ -340,7 +382,7 @@ def test_boundary_data_keeps_only_the_edge_vectors():
     nx = nt = 40
     scen = benchmark_scenario(1, nx=nx, nt=nt)
     bd = BoundaryData(scen, SolverFlags(), scen.market.T / nt)
-    sweep(scen, boundary=bd)
+    sweep(scen, flags=SolverFlags(), boundary=bd)
     assert 0 < _array_bytes(vars(bd)) <= 4 * (2 * nt + 1) * (nx + 1) * 8
     for h in (0, 1, 2, nt, 2 * nt):
         bottom_top, left_right = bd.edges(h)
@@ -365,8 +407,7 @@ COSTED_BLOCK_SHA256 = {
 @pytest.mark.parametrize("config", [1, 2, 3])
 def test_costed_sweep_block_is_bit_identical_to_the_recorded_one(config):
     scen = benchmark_scenario(config, nx=20, nt=20)
-    linear = sweep(scen)
-    block = sweep(scen, g_provider=lambda m: assemble_G(linear[m], scen))
+    block = march(scen, march(scen))
     assert hashlib.sha256(block.tobytes()).hexdigest() == COSTED_BLOCK_SHA256[config]
 
 
@@ -447,37 +488,43 @@ def test_edges_1d_zero_cost_edge_approaches_single_asset_digital():
 def test_sweep_block_layout():
     scen = benchmark_scenario(1, nx=10, nt=6)
     flags = SolverFlags()
-    block = sweep(scen, flags=flags)
+    bd = BoundaryData(scen, flags, scen.market.T / 6)
+    block = sweep(scen, flags=flags, boundary=bd)
     assert block.shape == (7, 11, 11)
     np.testing.assert_array_equal(
         block[0], initial_condition(scen.grid, scen.payoff)
     )
-    bd = BoundaryData(scen, flags, scen.market.T / 6)
     for m in [1, 3, 6]:
         ring = dense_ring(bd, 2 * m)
         np.testing.assert_allclose(block[m][:, 0], ring[:, 0], rtol=1e-12)
         np.testing.assert_allclose(block[m][0, :], ring[0, :], rtol=1e-12)
 
 
-def test_sweep_calls_the_source_provider_per_step():
+def test_sweep_assembles_the_source_once_per_step(monkeypatch):
+    """Step m -> m+1 assembles its source once, on level m of the source block."""
     scen = benchmark_scenario(1, nx=8, nt=5)
-    calls = []
+    linear = march(scen)
+    seen = []
 
-    def provider(m):
-        calls.append(m)
-        return np.zeros((9, 9))
+    def zero_source(u, scenario, flags):
+        seen.append(u.copy())
+        return np.zeros_like(u)
 
-    with_source = sweep(scen, g_provider=provider)
-    assert calls == list(range(5))
-    np.testing.assert_array_equal(with_source, sweep(scen))  # zero source = no source
+    monkeypatch.setattr("nlbs.adi_solver.assemble_G", zero_source)
+    with_source = march(scen, linear)
+    assert len(seen) == 5
+    for m, u in enumerate(seen):
+        np.testing.assert_array_equal(u, linear[m])
+    np.testing.assert_array_equal(with_source, linear)  # zero source = no source
 
 
-def test_sweep_positive_source_lowers_the_price():
+def test_sweep_positive_source_lowers_the_price(monkeypatch):
     scen = benchmark_scenario(1, nx=10, nt=5)
     g = np.zeros((11, 11))
     g[1:-1, 1:-1] = 0.5
-    base = sweep(scen)
-    damped = sweep(scen, g_provider=lambda m: g)
+    base = march(scen)
+    monkeypatch.setattr("nlbs.adi_solver.assemble_G", lambda u, scenario, flags: g)
+    damped = march(scen, base)
     diff = base[-1][1:-1, 1:-1] - damped[-1][1:-1, 1:-1]
     assert np.all(diff > 0.0)
 
@@ -493,21 +540,17 @@ def test_solve_zero_cost_returns_linear_solution_immediately():
     assert res.converged and res.iterations == 1
     assert res.records == []
     np.testing.assert_array_equal(res.surface.values, res.block[-1])
-    assert res.surface.time_index == 5
-    np.testing.assert_array_equal(res.block[-1], sweep(scen)[-1])
+    np.testing.assert_array_equal(res.block[-1], march(scen)[-1])
 
 
 @pytest.mark.parametrize("nx,nt", [(200, 200), (120, 70)])
 def test_zero_cost_solve_streams_the_march(nx, nt):
-    """A zero-cost solve keeps the terminal level alone, bit-identical to the
-    last level of the full block."""
+    """A zero-cost solve keeps the terminal level alone, bit-identical to
+    the march built level by level from the package's pieces."""
     scen = benchmark_scenario(1, nx=nx, nt=nt).with_cost(ConstantCost(c0=0.0))
     res = solve_nonlinear(scen)
     assert res.block.shape == (1, nx + 1, nx + 1)
-    full = sweep(scen)
-    assert full.shape == (nt + 1, nx + 1, nx + 1)
-    np.testing.assert_array_equal(res.surface.values, full[-1])
-    np.testing.assert_array_equal(res.block[-1], full[-1])
+    np.testing.assert_array_equal(res.surface.values, oracles.lagged_march(scen, SolverFlags()))
 
 
 def test_zero_cost_solve_memory_is_a_few_levels():
@@ -522,14 +565,15 @@ def test_zero_cost_solve_memory_is_a_few_levels():
     assert peak < block_bytes / 8
 
 
-def test_sweep_without_the_block_keeps_the_terminal_level():
+def test_sweep_keeps_its_block_only_when_costed():
+    """A costed sweep keeps every level; a zero-cost one streams to the
+    terminal level of the march built level by level."""
     scen = benchmark_scenario(2, nx=14, nt=9)
-    g = assemble_G(initial_condition(scen.grid, scen.payoff), scen)
-    for provider in (None, lambda m: g * (m + 1)):
-        full = sweep(scen, g_provider=provider)
-        last = sweep(scen, g_provider=provider, keep_block=False)
-        assert last.shape == (1, 15, 15)
-        np.testing.assert_array_equal(last[0], full[-1])
+    assert march(scen).shape == march(scen, march(scen)).shape == (10, 15, 15)
+    zero = scen.with_cost(ConstantCost(c0=0.0))
+    last = march(zero)
+    assert last.shape == (1, 15, 15)
+    np.testing.assert_array_equal(last[0], oracles.lagged_march(zero, SolverFlags()))
 
 
 def test_costed_solve_keeps_the_full_block():

@@ -465,6 +465,23 @@ def test_error_band_leaving_no_node_exits_2_before_the_solve(tmp_path, capsys, m
     assert not out.exists()
 
 
+@pytest.mark.parametrize("probe", ["[[1e6, 30]]", "[[30, 1e6]]", "[[30, 30], [198, 30]]"])
+def test_sweep_probe_on_the_dirichlet_ring_exits_2_before_the_solve(tmp_path, capsys, monkeypatch, probe):
+    """Spots beyond the grid, or within half a cell of S_max = 30 e^1.9 (about
+    200.6), snap to the ring, where the source is never evaluated."""
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the solve ran")
+
+    monkeypatch.setattr(cli, "dt_sensitivity_sweep", no_solve)
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path)
+    out = tmp_path / "o"
+    assert main(["sweep", "--config", str(cfg_path), "--out", str(out), "--flag", f"output.probes={probe}"]) == 2
+    assert "config error: output.probes: probe (" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_leland_scan_without_a_cost_derivative_exits_2_before_the_solve(tmp_path, capsys, monkeypatch):
     """The scan needs C'; a sampled cost without ``dc`` is a config error
     found before the solve, and the classification alone does not need it."""

@@ -19,7 +19,8 @@ from nlbs import (
 )
 
 from nlbs.adi_solver import _spectral_norm
-from nlbs.diagnostics import _dilate
+from nlbs import diagnostics
+from nlbs.diagnostics import _dilate, probe_nodes
 
 import oracles
 from conftest import benchmark_scenario
@@ -118,13 +119,6 @@ def test_error_report_ignores_errors_inside_the_excluded_band():
     assert rep2.max_rel >= 1.0 / rep2.peak_analytic * 0.99
 
 
-def test_error_report_respects_tau_argument():
-    scen = benchmark_scenario(1, nx=30, nt=4)
-    u_half = analytic_surface(scen, 0.5)
-    assert error_vs_analytic(u_half, scen, tau=0.5).max_rel <= 1e-14
-    assert error_vs_analytic(u_half, scen).max_rel > 1e-3  # wrong level
-
-
 def test_error_report_checks_shape():
     scen = benchmark_scenario(1, nx=20, nt=4)
     u = analytic_surface(scen, 1.0)
@@ -189,6 +183,24 @@ def test_dt_sweep_validation():
         dt_sensitivity_sweep(scen, [0.01], probes=[(0.0, 30.0)])
     with pytest.raises(ValidationError, match="probes"):
         dt_sensitivity_sweep(scen, [0.01], probes=[(30.0, math.nan)])
+
+
+@pytest.mark.parametrize("probe", [(1e6, 30.0), "below S_max"])
+def test_dt_sweep_rejects_a_probe_on_the_dirichlet_ring(monkeypatch, probe):
+    """The source is never evaluated on the ring, so a probe that snaps there
+    is an error, found before any solve."""
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the solve ran")
+
+    monkeypatch.setattr(diagnostics, "solve_nonlinear", no_solve)
+    scen = benchmark_scenario(1, nx=20, nt=4)
+    if probe == "below S_max":
+        probe = (0.99 * scen.grid.spot_axis()[-1], 30.0)
+    with pytest.raises(ValidationError, match="probes: .* snaps to the Dirichlet ring"):
+        dt_sensitivity_sweep(scen, [0.01], probes=[(30.0, 30.0), probe])
+    # the nearest interior nodes are accepted
+    assert probe_nodes(scen, [(scen.grid.spot_axis()[19], 30.0)]) == [(19, 10)]
 
 
 # ---------------------------------------------------------------------------

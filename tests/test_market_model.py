@@ -303,14 +303,6 @@ def test_validate_roundtrip_from_shipped_config():
     assert scen.dt_tc == pytest.approx(1.0 / 261.0)
 
 
-def test_validate_is_idempotent():
-    scen = validate(load_config(2))
-    again = validate(scen)
-    assert again.market.sigmas == scen.market.sigmas
-    assert again.dt_tc == scen.dt_tc
-    assert again.grid.a == scen.grid.a and again.grid.nx == scen.grid.nx
-
-
 def test_validate_c0_alias():
     cfg = load_config(1)
     cfg["cost"] = {"type": "constant", "c0": 0.01}
