@@ -13,9 +13,9 @@ where each of Lx, Ly carries half of the corresponding one-dimensional
 convection-diffusion-discount operator, Lxy half the mixed diffusion term,
 and G the (frozen) transaction-cost source.  First derivatives are one-sided
 forward differences by default ("central" available); the mixed term uses
-the four-corner stencil.  The initial data is the payoff averaged over each
-node's grid cell, which places the digital's jump to second order (the
-initial-data averaging of Pooley, Vetzal & Forsyth, 2003).
+the four-corner stencil.  The initial data is the payoff's exact average over
+each node's cell (Pooley, Vetzal & Forsyth, 2003): forward differences stay
+first order in space, and central ones are second order.
 
 The nonlinear problem is solved by fixed-point iteration on the source term:
 iterate 0 is identically zero, so the first sweep is the pure linear problem;
@@ -53,10 +53,8 @@ result is bit-identical to the row-by-row Thomas loop.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 from scipy.linalg.lapack import dgttrf, dgttrs
@@ -165,33 +163,21 @@ def _tridiag_solve(lu: tuple, rhs: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _sampled_payoff(grid: GridSpec, value: Callable, ndim: int) -> np.ndarray:
-    """``value`` averaged over the subcells around each grid node.
-
-    ``value`` takes one spot array per dimension.  It is evaluated at the 5
-    subcell points per axis (coordinate offsets (k - 2) dx / 5, k = 0..4)
-    around each node, and the mean over all 5^ndim combinations is returned.
-    """
-    points = []
-    for offset in (np.arange(5) - 2.0) / 5.0 * grid.dx:
-        c = grid.axis() + offset
-        points.append(np.exp(c) if grid.coord == "log" else np.maximum(c, 1e-300))
-    acc = 0.0
-    for spots in itertools.product(points, repeat=ndim):
-        acc = acc + value(*spots)
-    return acc / float(len(points)) ** ndim
+def _below_shares(grid: GridSpec, X: float) -> np.ndarray:
+    """Share of each node's cell [x - dx/2, x + dx/2] below X, in the grid's
+    own coordinate (ln X on a log grid)."""
+    c = math.log(X) if grid.coord == "log" else X
+    return np.clip((c - grid.axis()) / grid.dx + 0.5, 0.0, 1.0)
 
 
 def initial_condition(grid: GridSpec, payoff: BestCashOrNothing) -> np.ndarray:
-    """Payoff averaged over 5x5 subcells around each grid node.
+    """The payoff's exact average over each node's grid cell.
 
-    Sampling the payoff at the nodes would alias its discontinuity onto the
-    nearest node, displacing the jump by up to half a cell and leaving a
-    first-order error plateau near the strike.  Cell averaging replaces each
-    node value with the mean of the payoff over the surrounding grid cell,
-    restoring the jump location to second order.
+    Sampling the payoff at the nodes would alias its jump onto the nearest
+    node, displacing it by up to half a cell: a first-order error near X.
     """
-    return _sampled_payoff(grid, lambda s1, s2: payoff.value(s1[:, None], s2[None, :]), 2)
+    below = _below_shares(grid, payoff.X)
+    return payoff.cell_average(below[:, None], below[None, :])
 
 
 Edges = tuple[np.ndarray, np.ndarray]
@@ -315,19 +301,16 @@ def _evolve_edges(scenario: Scenario, flags: SolverFlags, dtau: float) -> list[E
     """
     grid = scenario.grid
     market = scenario.market
-    payoff = scenario.payoff
     sig1, sig2 = market.sigmas
     scale = 1.0 / (1.0 + dtau * market.r / 2.0)
     zero_cost = scenario.cost.bounds()[1] == 0.0
     axis1, axis2 = (_Axis(grid, market.r, sigma, dtau, flags.first_derivative) for sigma in market.sigmas)
 
-    ends = grid.spot_axis()[[0, -1]]
-    bottom_top = _sampled_payoff(grid, lambda own: payoff.value(own[:, None], ends[None, :]), 1)
-    left_right = _sampled_payoff(grid, lambda own: payoff.value(ends[None, :], own[:, None]), 1)
-    # pin shared corners to pointwise payoff values so adjacent edges agree
-    corners = payoff.value(ends[:, None], ends[None, :])
-    bottom_top[[0, -1]] = corners
-    left_right[[0, -1]] = corners.T
+    # each edge's own asset is averaged over its cell, the other sits at a domain end
+    below = _below_shares(grid, scenario.payoff.X)[:, None]
+    ends_below = grid.spot_axis()[None, [0, -1]] < scenario.payoff.X
+    bottom_top = scenario.payoff.cell_average(below, ends_below)
+    left_right = scenario.payoff.cell_average(ends_below, below)
 
     def implicit(axis: _Axis, f: np.ndarray, g: np.ndarray | None = None) -> np.ndarray:
         out = f * scale

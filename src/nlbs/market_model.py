@@ -318,9 +318,12 @@ class BestCashOrNothing:
         object.__setattr__(self, "X", X)
 
     def value(self, s1: np.ndarray, s2: np.ndarray) -> np.ndarray:
-        s1 = np.asarray(s1, dtype=float)
-        s2 = np.asarray(s2, dtype=float)
-        return np.where(np.maximum(s1, s2) >= self.X, self.K, 0.0)
+        return self.cell_average(np.asarray(s1, dtype=float) < self.X, np.asarray(s2, dtype=float) < self.X)
+
+    def cell_average(self, below1: np.ndarray, below2: np.ndarray) -> np.ndarray:
+        """Mean payoff over a cell with shares below1, below2 of assets 1, 2 below
+        X (0 or 1 pointwise): K unless both spots are below X."""
+        return self.K * (1.0 - below1 * below2)
 
 
 # ---------------------------------------------------------------------------

@@ -63,7 +63,7 @@ def _report(num: int, ok: bool, detail: str) -> None:
 def converged_runs():
     """Fully converged solves of the three benchmark configs (default grids).
 
-    Benchmark 1 needs 31 fixed-point sweeps at tol 1e-6, within the default
+    Benchmark 1 needs 32 fixed-point sweeps at tol 1e-6, within the default
     cap of nt + 2 = 102; the records themselves are what criteria 5 and 7
     inspect.
     """

@@ -13,6 +13,7 @@ import pytest
 from scipy.special import ndtr
 
 from nlbs import (
+    BestCashOrNothing,
     BoundaryData,
     ConstantCost,
     ConvergenceRecord,
@@ -208,26 +209,43 @@ def test_scheme_matrices_factor_without_row_interchanges(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-def test_initial_condition_cell_average_counts_subcells():
-    """Each node should carry K * (fraction of the 5x5 subcell samples that
-    land in the paying region)."""
-    scen = benchmark_scenario(1, nx=12, nt=4)
-    grid, payoff = scen.grid, scen.payoff
+def cell_lattice(grid, m):
+    """Spots of an m-point midpoint lattice of each node's cell [x - dx/2, x + dx/2],
+    uniform in the grid's coordinate, shape (nx+1, m)."""
+    pts = grid.axis()[:, None] + ((np.arange(m) + 0.5) / m - 0.5) * grid.dx
+    return np.exp(pts) if grid.coord == "log" else pts
+
+
+# (coord, a, b, nx, X): ln X on a node, ln X inside a node's cell 0.35 dx
+# off the node, and a price grid with X inside a node's cell
+CELL_GRIDS = {
+    "log_node": ("log", math.log(30.0) - 1.5, math.log(30.0) + 1.5, 12, 30.0),
+    "log_off_node": ("log", math.log(30.0) - 1.5875, math.log(30.0) + 1.4125, 12, 30.0),
+    "price": ("price", 5.0, 60.0, 12, 30.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CELL_GRIDS))
+def test_initial_condition_is_the_exact_cell_average(case):
+    """Each node carries the payoff's mean over its cell; a midpoint lattice
+    with m points per axis places each axis's jump to within 1/(2m) of the
+    cell, so it agrees within K/m."""
+    coord, a, b, nx, x = CELL_GRIDS[case]
+    grid = GridSpec(a=a, b=b, nx=nx, nt=1, coord=coord)
+    payoff = BestCashOrNothing(K=5.0, X=x)
     u0 = initial_condition(grid, payoff)
-    ax = grid.axis()
-    offs = (np.arange(5) - 2.0) / 5.0 * grid.dx
-    for i in [0, 3, 6, 9, 12]:
-        for j in [0, 5, 12]:
-            hits = 0
-            for ox in offs:
-                for oy in offs:
-                    if max(math.exp(ax[i] + ox), math.exp(ax[j] + oy)) >= payoff.X:
-                        hits += 1
-            assert u0[i, j] == pytest.approx(payoff.K * hits / 25.0)
-    # averaging only acts near the payoff jump
-    assert np.all((0.0 <= u0) & (u0 <= payoff.K))
+    m = 100
+    spots = cell_lattice(grid, m)
+    means = payoff.value(spots[:, None, :, None], spots[None, :, None, :]).mean(axis=(2, 3))
+    np.testing.assert_allclose(u0, means, rtol=0, atol=payoff.K / m)
+    # a cell wholly on one side of X carries the payoff exactly
+    c = math.log(x) if coord == "log" else x
+    lo, hi = grid.axis() - grid.dx / 2, grid.axis() + grid.dx / 2
+    assert np.all(u0[np.ix_(hi <= c, hi <= c)] == 0.0)
+    assert np.all(u0[lo >= c, :] == payoff.K) and np.all(u0[:, lo >= c] == payoff.K)
+    # only the row and column of the one cell that X cuts are fractional
     frac = (u0 > 0) & (u0 < payoff.K)
-    assert 0 < frac.sum() < u0.size / 4
+    assert frac.sum() == 2 * int((lo < c).sum()) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -344,10 +362,10 @@ def test_boundary_rings_are_cached():
 
 
 # sha256 of the 2 nt + 1 dense rings of config 1 at nx = nt = 8, stacked;
-# restated when the edge cost term took Theta as a sum of squares (max abs
-# change 3.5e-18 against the rings BoundaryData cached as dense rings)
+# restated when the edge payoffs became exact cell averages (max abs change
+# 0.5 = K/10 against the five-point subcell averages, at the edge node on ln X)
 RING_SHA256 = {
-    "edges_1d": "096d7f45c5fd2da2ea061a9c28af662dae03e626586c3507b0ad7068387d9964",
+    "edges_1d": "7918067a6e8408cf444a35c57f2a4f3a7690416c5c6393eb4868e3468d05772c",
 }
 
 
@@ -395,12 +413,13 @@ def test_boundary_data_keeps_only_the_edge_vectors():
 
 # sha256 of the space-time block of one costed sweep at nx = nt = 20: the
 # source of step m is assembled on level m of the linear sweep.  Restated
-# when Theta became a sum of squares; max abs change against the blocks of
-# the expanded quadratic forms: 3.6e-15, 1.1e-16, 4.4e-16 (configs 1, 2, 3).
+# when the initial and edge data became exact cell averages; max abs change
+# against the five-point subcell averages: 0.5, 0.8, 0.6 (configs 1, 2, 3),
+# K/10 each, at level 0 on the edge node at ln X.
 COSTED_BLOCK_SHA256 = {
-    1: "63e0cbb8b10aca616aee675870da8a9807a0bd8351d959d81d50b8bd47bf3fc3",
-    2: "bd99af59a25a214bb91bc1cc01ae00cc9f03d660cbfcedd3883896a1d02b4768",
-    3: "1e8f0128589aab5d9361e2d6e976152fb192dba894de0e04d8984c825ae14f5d",
+    1: "51abfa6eb50fba719c621f2a77a675f0e50dbe69ebff9823539dfc8e57fbcc60",
+    2: "a1b0c4535b2c8b52cfa71dcf54ea3a86bafb9d7fcd36ce5227c094c6b25a00df",
+    3: "e5877236d897495cb4082a675ba9494b379c58d67ed0889837bf4e82f0081630",
 }
 
 
@@ -412,21 +431,22 @@ def test_costed_sweep_block_is_bit_identical_to_the_recorded_one(config):
 
 
 def test_edges_1d_level_zero_is_the_smoothed_edge_payoff():
+    """Each edge carries the payoff's mean over its own asset's cell, the
+    other asset at a domain end; an m-point midpoint lattice agrees within
+    K/(2m)."""
     scen = benchmark_scenario(1, nx=12, nt=4)
-    dtau = scen.market.T / scen.grid.nt
-    # interior edge nodes carry the 1-D five-point average
-    ring0 = dense_ring(BoundaryData(scen, SolverFlags(), dtau), 0)
-    ax = scen.grid.axis()
-    offs = (np.arange(5) - 2.0) / 5.0 * scen.grid.dx
-    s_min = math.exp(ax[0])
-    for i in [1, 5, 6, 11]:
-        hits = sum(
-            1 for o in offs if max(math.exp(ax[i] + o), s_min) >= scen.payoff.X
-        )
-        assert ring0[i, 0] == pytest.approx(scen.payoff.K * hits / 5.0)
-    # corners are pinned to the pointwise payoff so adjacent edges agree
-    assert ring0[0, 0] == scen.payoff.value(s_min, s_min)
-    assert ring0[-1, -1] == scen.payoff.K
+    grid, payoff = scen.grid, scen.payoff
+    bottom_top, left_right = BoundaryData(scen, SolverFlags(), scen.market.T / grid.nt).edges(0)
+    m = 100
+    own, ends = cell_lattice(grid, m)[:, None, :], grid.spot_axis()[[0, -1]]
+    tol = payoff.K / (2 * m)
+    np.testing.assert_allclose(bottom_top, payoff.value(own, ends[:, None]).mean(axis=2), rtol=0, atol=tol)
+    np.testing.assert_allclose(left_right, payoff.value(ends[:, None], own).mean(axis=2), rtol=0, atol=tol)
+    assert ((bottom_top > 0) & (bottom_top < payoff.K)).sum() == 1  # ln X is a node
+    # the pairs agree at the shared corners, and there equal the pointwise payoff
+    corners = payoff.value(ends[:, None], ends[None, :])
+    np.testing.assert_array_equal(bottom_top[[0, -1]], corners)
+    np.testing.assert_array_equal(left_right[[0, -1]], corners.T)
 
 
 def test_edges_1d_constant_payoff_reduces_to_scheme_discount():
@@ -475,7 +495,7 @@ def test_edges_1d_zero_cost_edge_approaches_single_asset_digital():
         )
         ref = k * math.exp(-market.r * market.T) * ndtr(d2)
         keep = np.abs(np.log(s / x)) > 2.5 * scen.grid.dx  # skip the payoff kink
-        keep[[0, -1]] = False  # corners are pinned, not marched
+        keep[[0, -1]] = False  # corners only decay by the discount, they are not marched
         err = np.abs(edge_vals - ref)[keep].max() / k
         assert err < 0.02
 

@@ -81,88 +81,88 @@ CASES = {
 GOLDEN = {
     "price1": {
         "exit": 0,
-        "surface.csv": "f8fe04078f1c3da2155bb641aba1a8a518cd7db9798e63a77612871bcb5684c9",
-        "cost_field.csv": "2344b96864d6451506f45577ecc1c57723b9a63f0546d073e87f30903c699e85",
-        "convergence.csv": "055e1e662992367bcb571aa4ff8da84012d0051df92c72bae75ebac98554c281",
+        "surface.csv": "791c85277d4777ff9c6871df887ca5cdbebd2ff8f92c349b57a90a81479d51be",
+        "cost_field.csv": "c0a5e65ffc3a1fcc817dbc44dc71d17cf6208bbfaccc5d0a7259c9ea69bb04e7",
+        "convergence.csv": "ac2650a067609621b1abdc8413f736289452c49b1fb40924cc4162f793b9d209",
     },
     "price1_uncapped": {
         "exit": 0,
-        "surface.csv": "616a68cb369acd6a27a99462dab085fa673bd0fc0f7c3927b600d878f7bd6e0f",
-        "cost_field.csv": "2a1d36d4e2bfc4421117b2b39d4eac0e54bf33bb210edd5aadedaacb3cfdc012",
-        "convergence.csv": "d1db043a7916a20aa92dfbbc7bb4d635fe12b919fd1bdef036bb110ae0f3a9ad",
+        "surface.csv": "3962aa0fca4dc2964f953959671aad2155ca13df7fcfb123ecc1f6cac574a681",
+        "cost_field.csv": "4d86e94ff922fbea7b933c421c7fdb18c73b5e1142e0518cffcefcf091302b6b",
+        "convergence.csv": "6048f6cfce630b4efc8bfaee10405cd416d515592fe43947062e7365b65d4040",
     },
     "price2": {
         "exit": 0,
-        "surface.csv": "efbae7fcc51006c5cec3776e3e6fd21f8f9f52a6fd5acadcafaad2877de577c2",
-        "cost_field.csv": "2569521e7440d24d94c5beddf6de0cb7a08fce43e4bf42e968c604d73bd39c62",
-        "convergence.csv": "72cfa701d0af34ca8ae0c9e2ba25d095db078634ed95d3286621c0ffe47f0aaa",
+        "surface.csv": "d200ee9fc2bb02536e4ade2e7939e8c97c147754d45e6aa0ca4db40ca6681423",
+        "cost_field.csv": "a47dab1487ac0a106f070f09e7a10072cec388922ebfb9f234671e15d83a4dd8",
+        "convergence.csv": "c1f4a9e0a9f2d3dd904db5377d09d4e529c473a7e1dcab28f3b0eb18426fb397",
     },
     "price3": {
         "exit": 0,
-        "surface.csv": "5055f1ce93d2c0abf36cbf94fa25dac3e1d96285cf1809cc94482d7f0e18bf13",
-        "cost_field.csv": "c49f730c32af71f4530975a76cf7555d1ca97d873e237080ac1a42f37b8c6ec1",
-        "convergence.csv": "ec4c9a364a6dc2d690a3b0527e747f80f38e9cf5fa7c8222fe36508b3bad6827",
+        "surface.csv": "efbefc93c70e4df7683176f1c531f10d8ee8cfceba69ae7c9692bcac04f3c7e2",
+        "cost_field.csv": "5f18fb741a2b9e48e21e85dada8738d49b2131386a0b4dd5a5f9a1ebefbb32f5",
+        "convergence.csv": "688c7c75223d7f7250496fdbce867878d8caf70fb6275867053147dcdf2fab2b",
     },
     "price1_central": {
         "exit": 0,
-        "surface.csv": "340c5431805a9ce3bbd47d6e17282c01e267715e7f8b8c7e5d9f516cc54babcd",
-        "cost_field.csv": "0593b157bdedff3134f944775255608b85b47c50fe607917ff3955623ac971ad",
-        "convergence.csv": "9b86d80323c7178bc197ff9bb8f2019248903f11a4522e13b7849e63b766f9d4",
+        "surface.csv": "d33a5b980e1d72e67eb99e6e59a1d7d8c0a41a8b759ceac8f001ed55f50aef3a",
+        "cost_field.csv": "d69c724141eae930ac382549e0770a6ef2ef296c9fa972264c6de278cfdcb335",
+        "convergence.csv": "70c05a66c3f195856efb55d88c67dd319838c32bb49a7bc332cfe21dff845203",
     },
     "price2_price_grid": {
         "exit": 0,
-        "surface.csv": "f06c16407b580dbef0fbb2e6c40f641ba8ef93bdc88da541d01e0cbeafc2b055",
-        "cost_field.csv": "2575260114cc37c1eed5bf0d861762c53c468f40780ad45686a97d6ab8afe9ae",
-        "convergence.csv": "fa45b9d2d8350d3fe7ebfdc7f7b1d4f47ec4fa0a37d9c735668192c76abeeaf3",
+        "surface.csv": "0d739f60fb71f1e4da575580ef140ae2309a0a63a04eb5f9f0c16e6a0c9cec0f",
+        "cost_field.csv": "9ec7138b7400c8f65350d7d4471fd6552c0d280158c617879cbdc4d8436cc468",
+        "convergence.csv": "3224d8af8b530a2b3c68591f518d44b1d2ee865b2e90784da5888d27498eb9f4",
     },
     "price3_sampled": {
         "exit": 0,
-        "surface.csv": "f689138f05d9d7e67f408f71a8e2e1c04e2379658ea12855dd7b96079a62ad1e",
-        "cost_field.csv": "b7daa8d8797d56bc4c023dab96d570a7261df7d5c08e8f9c8df3b43a34b9e721",
-        "convergence.csv": "3d8bf862c4003f6103c45367321cbdb6904da021e4bff6153c55eef1be8b44c8",
+        "surface.csv": "f53f1e4310ffee2d739bdf97f941e09cb19cda682d02239e09d328048b3c6134",
+        "cost_field.csv": "2d3a8faf0fdf8abcfc465db055f2953cc90fb19d7958c8fda395e291d94f0c18",
+        "convergence.csv": "e3ed840a04fceec524aade7ce58cb995852aa9001ff85e97a91f899b2c2d9078",
     },
     "price3_sampled_16": {
         "exit": 0,
-        "surface.csv": "254f606fd5192eb01d01376e341df070038d26f9bda66333293966e7eb9d36aa",
-        "cost_field.csv": "19f307554e6a9f9a8aa03a0235aaf8d3f1d445b5f1171883bab39c194afd605c",
-        "convergence.csv": "652ff5e1ea214bd188722fca70f87d94fdefb2a996e3e3ee773670eb9f42bb76",
+        "surface.csv": "0cca89bca6f7ea036c2443d010594f664416b4c6ae53e0cd5f9640c72c594bb9",
+        "cost_field.csv": "6753c3512be4ef365d3c77ef4d0051cbf57d1bd0ba275e1b717b7998dc488fc0",
+        "convergence.csv": "2438ff729003ff0cfcdbc1db60bdb1722dd3d1ed53c7495b6ab76250ca5a4a89",
     },
     "leland1": {
         "exit": 0,
-        "ellipticity.json": "bcacaaf09f70dd2ff17597b88ea7e7f8ada7542ce4edbad47be5a3a887837d3d",
-        "ellipticity_nodes.csv": "49e3e301f85eeb37a6f53936023f0a13be28ce68043b979775400c01b741a48a",
+        "ellipticity.json": "8d0e5736fef127a77170f38ac182ab266717acd580510af268f217cbe74e8f7c",
+        "ellipticity_nodes.csv": "e236addcebfd2f2b2e2facda8e61a47b2c422edab827acdea30224e4992af489",
     },
     "leland2": {
         "exit": 0,
-        "ellipticity.json": "f760772d71c60e431076fae8742382243ddea72d4a366649d2b0def2a0f9a889",
-        "ellipticity_nodes.csv": "463d0860205e8e245bff326e65a7d7d009073a375d69ff39d8fb6f59eb748887",
+        "ellipticity.json": "11d99a120bb992e9ac9e470fb020a1be0261333de1c34ec1e3cfe64768bf8820",
+        "ellipticity_nodes.csv": "765261db00117096aab8d5483d96f5b8adfe46754971ea393febce12806ddeb3",
     },
     "leland3_exact": {
         "exit": 0,
-        "ellipticity.json": "9f446317f2e44713cf57becdf441d812cc741e3823066cfbd89b104bdcf72525",
-        "ellipticity_nodes.csv": "a0394d45f7adc2ea92519df188b63267bddecdf100927212b56904ca156256be",
+        "ellipticity.json": "0069c30fc85631265075244f833fa1583c85e95c68674744bb9bd09fbb02466e",
+        "ellipticity_nodes.csv": "f6ea1f981b1a06c29865e238f78a79fcd6a9b8396091de1269b03e7356f044b6",
     },
     "leland3_sampled_exact": {
         "exit": 0,
-        "ellipticity.json": "399ee7d4c652e1f3a01dbdb1c437213418511c193fd5fa4a75f59d472f2e156c",
-        "ellipticity_nodes.csv": "51a33d58a789398ea88d1e41b7d4f6550920a333ec7bbe1874d390c0de075915",
+        "ellipticity.json": "45a690d7aeb8c335029efcb1b7ad17f9a745d44722a2f6560d54d6cf51d3cfb4",
+        "ellipticity_nodes.csv": "164f8a1c6a864713f81415d4ce6501d995b4321008d12281142c6872bba109b1",
     },
     "leland3_sampled_16": {
         "exit": 0,
-        "ellipticity.json": "539e0b9c0e733493b1884f9cde2d22ab6784c5d836e30a4adeab44faf0fb732d",
-        "ellipticity_nodes.csv": "9b5a8b3ee6c8d945bb87c6aa64eab0535700f58a6709d5e23a13c427898b8e4f",
+        "ellipticity.json": "663f024590c843e4e347e9d699cd7192969c5b200fd0ce241e026fae5f155d42",
+        "ellipticity_nodes.csv": "de3d7650de3e72c63f7c921f1918b9ab814d39da263d87360ac4205b9dc80efe",
     },
     "sweep1": {
         "exit": 3,
-        "sweep.csv": "9bf537d8e21ff47973410cd842b8d5818b3277c0f1d89cab9dddfb2f4f77aa47",
+        "sweep.csv": "494f231d3b898ddba0d71a64b231c91e25c8f4e792730331d2971cf83f241cca",
     },
     "sweep2": {
         "exit": 0,
-        "sweep.csv": "4729f619f4c654ed1c2f0a2bff05bcd86fb3a879db59b05e939d4f3e5990254f",
+        "sweep.csv": "b3cbea71cdfbe114d6be11786644c41aa9af17af194fccdf78fc3caff5449181",
     },
     "sweep3": {
         "exit": 0,
-        "sweep.csv": "ce0910c3908e51191eb9bd277bfac93deeebef51f87be487d52e174a4a55e872",
+        "sweep.csv": "8806b1a7d043e3f61dcfa1451059b812ef19ab15a27030906c6dc2cdbb8475b9",
     },
 }
 

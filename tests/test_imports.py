@@ -1,5 +1,5 @@
-"""Module layout: every import sits at the top of its module, and the
-package exports only what its modules export."""
+"""Module layout: every import sits at the top of its module and is used
+there, and the package exports only what its modules export."""
 
 import ast
 from pathlib import Path
@@ -20,6 +20,37 @@ def test_no_import_inside_a_function_body():
                 if any(isinstance(node, (ast.Import, ast.ImportFrom)) for node in ast.walk(func)):
                     found.add((path.name, func.name))
     assert found == ALLOWED
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names bound by a module-level import that the module never reads.
+
+    A name counts as read where it appears as a name (``np`` in ``np.exp``)
+    or as an ``__all__`` entry, so a package re-export counts as a use.
+    """
+    tree = ast.parse(source)
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update(alias.asname or alias.name for alias in node.names)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            read.update(ast.literal_eval(node.value))
+    return sorted(bound - read)
+
+
+def test_unused_imports_are_found():
+    source = "from __future__ import annotations\nimport os.path\nimport sys\nfrom typing import Callable\nsys.exit\n"
+    assert unused_imports(source) == ["Callable", "os"]
+    assert unused_imports("from .a import f\n__all__ = ['f']\n") == []
+
+
+def test_every_module_level_import_is_used():
+    found = {path.name: unused_imports(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    assert {name: names for name, names in found.items() if names} == {}
 
 
 def test_the_grid_lives_with_the_other_scenario_containers():
