@@ -40,15 +40,20 @@ enters, so the edges stay consistent with the interior discretization for
 any cost level.
 
 Each coordinate direction's half of the operator is one object (``_Axis``):
-its LU factor, Dirichlet lift and explicit weights serve the interior
+its tridiagonal matrix, Dirichlet lift and explicit weights serve the interior
 stage operators and the edge marches alike.  The edges march in pairs, bottom
 with top along asset 1 and left with right along asset 2, as the two columns
 of one array; only these pairs are stored for each half level, O(nt nx)
 floats, and the stage operators write them straight into their output level.
-LAPACK's ``dgttrf`` factors each direction's matrix once, and each
-half-step's tridiagonal line solves run as one ``dgttrs`` call on that
-factor.  On the scheme's matrices ``dgttrf`` interchanges no rows, so the
-result is bit-identical to the row-by-row Thomas loop.
+
+A half-step allocates no level-sized array: its right-hand side is built in
+place in two (nx-1)^2 scratch arrays that both stage operators of a sweep
+share, laid out so that every implicit line is contiguous, and its output
+goes straight to the level that is kept.  Its nx - 1 line solves are one
+LAPACK ``dgtsv`` call, which eliminates across all lines at once.  On the
+scheme's matrices ``dgtsv`` interchanges no rows, so it repeats the
+row-by-row Thomas loop's operations in its order and the result is
+bit-identical to it.
 """
 
 from __future__ import annotations
@@ -57,9 +62,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dgttrf, dgttrs
+from scipy.linalg.lapack import dgtsv
 
-from .cost_engine import _hedge_row, _mixed_diff, _theta, _variance_weight, assemble_G, expected_cost
+from .cost_engine import _corner_sum, _hedge_row, _theta, _variance_weight, assemble_G, expected_cost
 from .market_model import BestCashOrNothing, GridSpec, Scenario, SolverFlags, ValidationError
 
 __all__ = [
@@ -131,31 +136,23 @@ class SolveResult:
 
 
 class ZeroPivotError(ValueError):
-    """A tridiagonal matrix is singular: LAPACK's ``dgttrf`` met a zero pivot."""
+    """A tridiagonal matrix is singular: LAPACK's ``dgtsv`` met a zero pivot."""
 
 
-def _tridiag_factor(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray) -> tuple:
-    """LU factor (dl, d, du, du2, ipiv) of a tridiagonal matrix by LAPACK ``dgttrf``.
-
-    Where ``dgttrf`` interchanges no rows (``ipiv`` the identity, as on every
-    scheme matrix the tests cover) dl and d are the Thomas loop's multipliers
-    and pivots, bit for bit.
-    """
-    *lu, info = dgttrf(lower, diag, upper)
-    if info > 0:
-        raise ZeroPivotError(f"singular matrix: zero pivot at row {info - 1}")
-    return tuple(lu)
-
-
-def _tridiag_solve(lu: tuple, rhs: np.ndarray) -> np.ndarray:
-    """Solve with the factor of :func:`_tridiag_factor` by one LAPACK ``dgttrs`` call.
+def _tridiag_solve(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve a tridiagonal system for every column of ``rhs`` by one LAPACK ``dgtsv`` call.
 
     ``rhs`` is (n, m) for m systems of n rows; a Fortran-ordered rhs is
-    solved in place, any other is copied.
+    solved in place, any other is copied.  The matrix is left alone.  Where
+    ``dgtsv`` interchanges no rows (as on every scheme matrix the tests
+    cover) it runs the Thomas loop's operations in its order.
     """
     # numpy transposes faster than the f2py wrapper
     b = rhs if rhs.flags.f_contiguous else np.array(rhs, dtype=float, order="F")
-    return dgttrs(*lu, b, overwrite_b=True)[0]
+    *_, x, info = dgtsv(lower, diag, upper, b, overwrite_b=True)
+    if info > 0:
+        raise ZeroPivotError(f"singular matrix: zero pivot at row {info - 1}")
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -189,8 +186,10 @@ def _write_edges(out: np.ndarray, edges: Edges) -> None:
     Each corner therefore takes its value from the left or right edge.
     """
     bottom_top, left_right = edges
-    out[:, [0, -1]] = bottom_top
-    out[[0, -1], :] = left_right.T
+    out[:, 0] = bottom_top[:, 0]
+    out[:, -1] = bottom_top[:, 1]
+    out[0, :] = left_right[:, 0]
+    out[-1, :] = left_right[:, 1]
 
 
 class BoundaryData:
@@ -222,8 +221,8 @@ class _Axis:
     Holds half of the direction's one-dimensional convection-diffusion-
     discount operator, dtau included, in the two forms a stage needs:
     :meth:`solve` treats the direction implicitly (one tridiagonal solve per
-    line, on the LU factor computed here), :meth:`explicit` applies it on
-    the right-hand side of the other direction's stage.  The interior stage
+    line, all lines in one LAPACK call), :meth:`explicit` applies it on the
+    right-hand side of the other direction's stage.  The interior stage
     operators and the edge marches share this object, so both use identical
     coefficients.  Both methods run along axis 0 and broadcast over axis 1.
     """
@@ -247,23 +246,34 @@ class _Axis:
             diag = 1.0 + dtau * (2.0 * diff + r / 2.0)
             upper = -dtau * (diff + drift / (2.0 * dx))
             weights = (dtau * (diff + drift / (2.0 * dx)), -dtau * 2.0 * diff, dtau * (diff - drift / (2.0 * dx)))
-        self._up, self._mid, self._dn = (c[:, None] for c in weights)
+        # a log grid's weights are the same on every row, and numpy multiplies
+        # by a scalar about twice as fast as by a broadcast column
+        self._up, self._mid, self._dn = (c[0] if grid.coord == "log" else c[:, None] for c in weights)
         self._lift = lower[0], upper[-1]
-        self._lu = _tridiag_factor(lower[1:], diag, upper[:-1])
+        self._tridiag = lower[1:], diag, upper[:-1]
 
-    def explicit(self, f: np.ndarray) -> np.ndarray:
-        """``f`` on interior rows plus this direction's explicit increment."""
-        return f[1:-1] + self._up * f[2:] + self._mid * f[1:-1] + self._dn * f[:-2]
+    def explicit(self, f: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+        """``f`` on interior rows plus this direction's explicit increment, into ``out``.
+
+        ``out`` and the scratch ``tmp`` have the shape of ``f[1:-1]``.  The
+        sum runs ((f + up f[2:]) + mid f) + dn f[:-2].
+        """
+        np.multiply(self._up, f[2:], out=out)
+        out += f[1:-1]
+        out += np.multiply(self._mid, f[1:-1], out=tmp)
+        out += np.multiply(self._dn, f[:-2], out=tmp)
+        return out
 
     def solve(self, rhs: np.ndarray, first: np.ndarray, last: np.ndarray) -> np.ndarray:
         """Interior rows of the implicit half-step; ``rhs`` is overwritten.
 
         ``first`` and ``last`` are the Dirichlet values at rows 0 and nx,
-        lifted onto the right-hand side before the line solves.
+        lifted onto the right-hand side before the line solves.  A
+        Fortran-ordered ``rhs`` holds the solution on return.
         """
         rhs[0] -= self._lift[0] * first
         rhs[-1] -= self._lift[1] * last
-        return _tridiag_solve(self._lu, rhs)
+        return _tridiag_solve(*self._tridiag, rhs)
 
 
 def _edge_cost_term(
@@ -320,8 +330,10 @@ def _evolve_edges(scenario: Scenario, flags: SolverFlags, dtau: float) -> list[E
 
     def explicit(axis: _Axis, f: np.ndarray, g: np.ndarray | None = None) -> np.ndarray:
         out = f * scale
-        rhs = axis.explicit(f)
-        out[1:-1] = (rhs if g is None else rhs - dtau * g) * scale
+        rhs = axis.explicit(f, out[1:-1], np.empty_like(f[1:-1]))
+        if g is not None:
+            rhs -= dtau * g
+        rhs *= scale
         return out
 
     levels = [(bottom_top, left_right)]
@@ -350,10 +362,16 @@ class _StageOperator:
                         + (s1 s2 rho / 2) dxy W ]  - dtau G_ij (stage 2 only)
 
     with bA = (r - sA^2/2)/2.  The tridiagonal matrix is identical for every
-    line, so it is factored once at construction.
+    line, so one LAPACK call solves all lines.
+
+    The right-hand side is built in ``scratch``, two (nx-1, nx-1) arrays;
+    operators that never run at once may share it.  Without it the operator
+    allocates its own.
     """
 
-    def __init__(self, scenario: Scenario, flags: SolverFlags, dtau: float, axis: int) -> None:
+    def __init__(
+        self, scenario: Scenario, flags: SolverFlags, dtau: float, axis: int, scratch: np.ndarray | None = None
+    ) -> None:
         grid = scenario.grid
         market = scenario.market
         sig1, sig2 = market.sigmas
@@ -369,23 +387,40 @@ class _StageOperator:
         self.dtau = dtau
         self.dx = grid.dx
         self.n = grid.nx
+        self._scratch = np.empty((2, grid.nx - 1, grid.nx - 1)) if scratch is None else scratch
 
-    def apply(self, w_level: np.ndarray, edges: Edges, g: np.ndarray | None = None) -> np.ndarray:
-        """The output level, with ``edges`` (as :class:`BoundaryData` holds them) on its ring."""
+    def apply(self, w_level: np.ndarray, edges: Edges, g: np.ndarray | None = None, *, out: np.ndarray) -> np.ndarray:
+        """Write the output level into ``out``, with ``edges`` (as
+        :class:`BoundaryData` holds them) on its ring, and return it.
+
+        ``out`` must not overlap ``w_level`` or ``g``.  The right-hand side
+        runs ((explicit part + dtau mixed term) - dtau g), as in the
+        equation above, with the mixed term coeff ((((NE + SW) - SE) - NW)
+        / (4 dx^2)).
+        """
         n = self.n
         if w_level.shape != (n + 1, n + 1):
             raise ValidationError("surface", f"expected shape ({n + 1}, {n + 1}), got {w_level.shape}")
         # seen through ``orient``, the implicit direction runs along axis 0
         orient = (lambda a: a) if self.axis == 0 else np.transpose
-        mix = self._mixed_coeff * _mixed_diff(w_level, self.dx)
-        rhs = self._explicit.explicit(orient(w_level)[1:-1].T).T + self.dtau * orient(mix)
+        rhs, tmp = self._scratch
+        # every operand has the level's layout, so numpy walks memory in order
+        self._explicit.explicit(orient(w_level)[1:-1].T, orient(rhs).T, orient(tmp).T)
+        mix = _corner_sum(w_level, out=tmp)
+        mix /= 4.0 * self.dx * self.dx
+        mix *= self._mixed_coeff
+        mix *= self.dtau
+        rhs += mix
         if g is not None:
-            rhs = rhs - self.dtau * orient(g)[1:-1, 1:-1]
-        out = np.empty((n + 1, n + 1))
+            rhs -= np.multiply(self.dtau, g[1:-1, 1:-1], out=tmp)
+        lines = orient(rhs)
+        if self.axis == 0:  # LAPACK solves in place lines that are contiguous: the rows of tmp
+            lines = tmp.T
+            lines[...] = rhs
         _write_edges(out, edges)
         # the line ends: left and right for axis 0, bottom and top for axis 1
         ends = edges[1 - self.axis]
-        orient(out)[1:-1, 1:-1] = self._implicit.solve(rhs, ends[1:-1, 0], ends[1:-1, 1])
+        orient(out)[1:-1, 1:-1] = self._implicit.solve(lines, ends[1:-1, 0], ends[1:-1, 1])
         return out
 
 
@@ -411,22 +446,27 @@ def sweep(
     the next sweep's source to read.  A zero-cost one streams: it holds only
     the current level and its half level and returns the terminal level
     alone, shape (1, nx+1, nx+1).
+
+    Each stage writes its level where it is kept: the x stage into one
+    reusable half level, the y stage into the block, or, when streaming,
+    back into the level the x stage has just read.
     """
     grid = scenario.grid
+    n = grid.nx
     dtau = scenario.market.T / grid.nt
-    op_x, op_y = (_StageOperator(scenario, flags, dtau, axis) for axis in (0, 1))
-    block = np.empty((grid.nt + 1, grid.nx + 1, grid.nx + 1)) if scenario.cost.bounds()[1] > 0.0 else None
+    # the block is allocated first: on glibc that order keeps the peak RSS lower
+    block = np.empty((grid.nt + 1, n + 1, n + 1)) if scenario.cost.bounds()[1] > 0.0 else None
+    scratch = np.empty((2, n - 1, n - 1))
+    op_x, op_y = (_StageOperator(scenario, flags, dtau, axis, scratch) for axis in (0, 1))
+    half = np.empty((n + 1, n + 1))
     level = initial_condition(grid, scenario.payoff)
+    if block is not None:
+        block[0] = level
     for m in range(grid.nt):
-        if block is not None:
-            block[m] = level
         g = None if source is None else assemble_G(source[m], scenario, flags=flags)
-        half = op_x.apply(level, boundary.edges(2 * m + 1))
-        level = op_y.apply(half, boundary.edges(2 * m + 2), g)
-    if block is None:
-        return level[None]
-    block[-1] = level
-    return block
+        op_x.apply(level, boundary.edges(2 * m + 1), out=half)
+        level = op_y.apply(half, boundary.edges(2 * m + 2), g, out=level if block is None else block[m + 1])
+    return level[None] if block is None else block
 
 
 def solve_nonlinear(

@@ -205,14 +205,15 @@ def cost_integrals(cost: CostModel, h: float) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 
-def _corner_sum(u: np.ndarray) -> np.ndarray:
-    """Four-corner sum on interior nodes, shape (n-1, n-1): 4 dx^2 times the mixed difference."""
-    return u[2:, 2:] + u[:-2, :-2] - u[2:, :-2] - u[:-2, 2:]
+def _corner_sum(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Four-corner sum on interior nodes, shape (n-1, n-1): 4 dx^2 times the mixed difference.
 
-
-def _mixed_diff(u: np.ndarray, dx: float) -> np.ndarray:
-    """Four-corner mixed second difference on interior nodes, shape (n-1, n-1)."""
-    return _corner_sum(u) / (4.0 * dx * dx)
+    Written into ``out`` when given; the sum runs ((NE + SW) - SE) - NW.
+    """
+    out = np.add(u[2:, 2:], u[:-2, :-2], out=out)
+    out -= u[2:, :-2]
+    out -= u[:-2, 2:]
+    return out
 
 
 def _hedge_row(u: np.ndarray, grid, first: str) -> np.ndarray:

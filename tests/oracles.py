@@ -7,7 +7,9 @@ not tautology.  Three sections are different on purpose: the legacy closed
 form and the summed-sensitivity operator derivative are defective variants
 the package does not implement, kept here so the tests can pin their
 defects; the lagged march composes the package's stage operators to pin
-the structure of its fixed-point loop.
+the structure of its fixed-point loop, and the allocating stage reference
+re-evaluates a stage operator's right-hand side from its coefficients as
+whole-array expressions, to pin the in-place one's rounding.
 """
 
 from __future__ import annotations
@@ -710,6 +712,43 @@ def lagged_march(scenario, flags) -> np.ndarray:
     u = initial_condition(grid, scenario.payoff)
     for m in range(grid.nt):
         g = assemble_G(u, scenario, flags=flags)
-        half = op_x.apply(u, boundary.edges(2 * m + 1))
-        u = op_y.apply(half, boundary.edges(2 * m + 2), g)
+        half = op_x.apply(u, boundary.edges(2 * m + 1), out=np.empty_like(u))
+        u = op_y.apply(half, boundary.edges(2 * m + 2), g, out=np.empty_like(u))
     return u
+
+
+# ---------------------------------------------------------------------------
+# allocating stage reference
+# ---------------------------------------------------------------------------
+
+
+def stage_apply_reference(op, w, edges, g=None) -> np.ndarray:
+    """One half-step of the stage operator ``op``, each term a fresh array.
+
+    Reads the operator's coefficients (explicit weights, mixed coefficient,
+    tridiagonal matrix and lift) and evaluates its right-hand side in the
+    order (((w + up E) + mid w) + dn W) + dtau (coeff (((NE + SW) - SE) - NW)
+    / (4 dx^2)), then - dtau g; the lines are solved by the Thomas row loops.
+    ``edges`` are (bottom/top, left/right) column pairs, as the package's
+    boundary data holds them; corners come from left/right.
+    """
+    n = op.n
+    orient = (lambda a: a) if op.axis == 0 else np.transpose
+    ex, im = op._explicit, op._implicit
+    f = orient(w)[1:-1].T  # the explicit direction along axis 0
+    explicit = f[1:-1] + ex._up * f[2:] + ex._mid * f[1:-1] + ex._dn * f[:-2]
+    corners = w[2:, 2:] + w[:-2, :-2] - w[2:, :-2] - w[:-2, 2:]
+    mix = op._mixed_coeff * (corners / (4.0 * op.dx * op.dx))
+    rhs = explicit.T + op.dtau * orient(mix)
+    if g is not None:
+        rhs = rhs - op.dtau * orient(g)[1:-1, 1:-1]
+    out = np.empty((n + 1, n + 1))
+    bottom_top, left_right = edges
+    out[:, [0, -1]] = bottom_top
+    out[[0, -1], :] = left_right.T
+    ends = edges[1 - op.axis]
+    rhs[0] -= im._lift[0] * ends[1:-1, 0]
+    rhs[-1] -= im._lift[1] * ends[1:-1, 1]
+    lower, diag, upper = im._tridiag
+    orient(out)[1:-1, 1:-1] = thomas_apply_loop(*thomas_factor_loop(lower, diag, upper), upper, rhs)
+    return out

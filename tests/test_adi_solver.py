@@ -10,6 +10,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dgtsv
 from scipy.special import ndtr
 
 from nlbs import (
@@ -21,12 +22,13 @@ from nlbs import (
     SolverFlags,
     ValidationError,
     ZeroPivotError,
+    assemble_G,
     default_grid,
     initial_condition,
     solve_nonlinear,
     sweep,
 )
-from nlbs.adi_solver import _Axis, _StageOperator, _tridiag_factor, _tridiag_solve, _write_edges
+from nlbs.adi_solver import _Axis, _StageOperator, _tridiag_solve, _write_edges
 
 import oracles
 from conftest import benchmark_scenario
@@ -117,7 +119,7 @@ def test_thomas_solve_against_dense_oracle():
         diag += np.sign(diag) * (3.0 + np.abs(np.r_[lower, 0.0]) + np.abs(np.r_[0.0, upper]))
         rhs = rng.normal(size=(n, 1))
         ref = oracles.dense_tridiagonal_solve(lower, diag, upper, rhs)  # before rhs is solved in place
-        ours = _tridiag_solve(_tridiag_factor(lower, diag, upper), rhs)
+        ours = _tridiag_solve(lower, diag, upper, rhs)
         np.testing.assert_allclose(ours, ref, atol=1e-11)
 
 
@@ -128,7 +130,7 @@ def test_thomas_solve_matrix_rhs():
     upper = rng.normal(size=n - 1)
     diag = 4.0 + np.abs(rng.normal(size=n))
     rhs = rng.normal(size=(n, m))
-    out = _tridiag_solve(_tridiag_factor(lower, diag, upper), rhs)
+    out = _tridiag_solve(lower, diag, upper, rhs)
     assert out.shape == (n, m)
     for col in range(m):
         np.testing.assert_allclose(
@@ -138,27 +140,35 @@ def test_thomas_solve_matrix_rhs():
 
 
 def test_thomas_solve_zero_pivot():
-    """Only a singular matrix stops the factor; ``dgttrf`` pivots past a zero diagonal."""
+    """Only a singular matrix stops the solve; ``dgtsv`` pivots past a zero diagonal."""
     with pytest.raises(ZeroPivotError, match="row 0"):
-        _tridiag_factor(np.r_[0.0, 0.0], np.r_[0.0, 1.0, 1.0], np.r_[1.0, 1.0])  # zero first column
+        _tridiag_solve(np.r_[0.0, 0.0], np.r_[0.0, 1.0, 1.0], np.r_[1.0, 1.0], np.ones((3, 1)))  # zero first column
     # elimination can also break down later: rows 0 and 1 are equal
     with pytest.raises(ZeroPivotError, match="row 1"):
-        _tridiag_factor(np.r_[1.0, 0.0], np.r_[1.0, 1.0, 1.0], np.r_[1.0, 0.0])
-    _tridiag_factor(np.r_[1.0, 1.0], np.r_[0.0, 1.0, 1.0], np.r_[1.0, 1.0])  # nonsingular: rows swap
+        _tridiag_solve(np.r_[1.0, 0.0], np.r_[1.0, 1.0, 1.0], np.r_[1.0, 0.0], np.ones((3, 1)))
+    # nonsingular: rows swap
+    lower, diag, upper = np.r_[1.0, 1.0], np.r_[0.0, 1.0, 1.0], np.r_[1.0, 1.0]
+    rhs = np.arange(1.0, 4.0)[:, None]
+    ref = oracles.dense_tridiagonal_solve(lower, diag, upper, rhs)
+    np.testing.assert_allclose(_tridiag_solve(lower, diag, upper, rhs), ref, atol=1e-15)
 
 
-def assert_thomas_factor(lower, diag, upper, lu):
-    """``lu`` interchanges no rows and holds the Thomas loop's factor, bit for bit."""
-    dl, d, du, du2, ipiv = lu
-    w, piv = oracles.thomas_factor_loop(lower, diag, upper)
-    assert np.array_equal(ipiv, np.arange(1, diag.size + 1)) and not du2.any()
-    assert np.array_equal(dl, w) and np.array_equal(d, piv) and np.array_equal(du, upper)
+def assert_thomas_factor(lower, diag, upper):
+    """``dgtsv`` interchanges no rows and eliminates to the Thomas loop's pivots, bit for bit.
+
+    Without interchanges it zeroes each used subdiagonal entry, where an
+    interchange would leave fill-in; the last one it leaves as it was.
+    """
+    du2, d, du, _, info = dgtsv(lower, diag, upper, np.zeros((diag.size, 1)))
+    _, piv = oracles.thomas_factor_loop(lower, diag, upper)
+    assert info == 0 and not du2[:-1].any() and du2[-1] == lower[-1]
+    assert np.array_equal(d, piv) and np.array_equal(du, upper)
 
 
 @pytest.mark.parametrize("layout", ["C", "F"])
 def test_thomas_apply_is_bit_identical_to_the_row_loop(layout):
-    """Without row interchanges LAPACK's factor and substitution repeat the
-    loop's operations in its order; a Fortran-ordered rhs is solved in
+    """Without row interchanges LAPACK's elimination and substitution repeat
+    the loop's operations in its order; a Fortran-ordered rhs is solved in
     place, any other is left alone."""
     rng = np.random.default_rng(2718)
     for n in range(3, 61):
@@ -166,12 +176,11 @@ def test_thomas_apply_is_bit_identical_to_the_row_loop(layout):
         upper = rng.normal(size=n - 1)
         diag = rng.normal(size=n)
         diag += np.sign(diag) * (3.0 + np.abs(np.r_[lower, 0.0]) + np.abs(np.r_[0.0, upper]))
-        lu = _tridiag_factor(lower, diag, upper)
-        assert_thomas_factor(lower, diag, upper, lu)
+        assert_thomas_factor(lower, diag, upper)
         rhs = np.asarray(rng.normal(size=(n, 7)), order=layout)
         kept = rhs.copy()
         expected = oracles.thomas_apply_loop(*oracles.thomas_factor_loop(lower, diag, upper), upper, rhs)
-        out = _tridiag_solve(lu, rhs)
+        out = _tridiag_solve(lower, diag, upper, rhs)
         assert np.array_equal(out, expected)
         if layout == "F":
             assert np.shares_memory(out, rhs)
@@ -179,18 +188,11 @@ def test_thomas_apply_is_bit_identical_to_the_row_loop(layout):
             assert np.array_equal(rhs, kept)
 
 
-def test_scheme_matrices_factor_without_row_interchanges(monkeypatch):
+def test_scheme_matrices_factor_without_row_interchanges():
     """On every direction's matrix over configs 1-3, both stencils, log and
     price grids, nx in {8, 16, 40, 100, 400} and nt in {1, 16, 100, 400},
-    ``dgttrf``'s ``ipiv`` is the identity and its factor the Thomas loop's."""
-    factored = []
-
-    def recorded(lower, diag, upper):
-        lu = _tridiag_factor(lower, diag, upper)
-        factored.append((lower, diag, upper, lu))
-        return lu
-
-    monkeypatch.setattr("nlbs.adi_solver._tridiag_factor", recorded)
+    ``dgtsv`` interchanges no rows and its pivots are the Thomas loop's."""
+    matrices = []
     for config in (1, 2, 3):
         scen = benchmark_scenario(config)
         g, market = scen.grid, scen.market
@@ -198,10 +200,10 @@ def test_scheme_matrices_factor_without_row_interchanges(monkeypatch):
             a, b = (g.a, g.b) if coord == "log" else (math.exp(g.a), math.exp(g.b))
             grid = GridSpec(a=a, b=b, nx=nx, nt=nt, coord=coord)
             for sigma, first in itertools.product(market.sigmas, ("forward", "central")):
-                _Axis(grid, market.r, sigma, market.T / nt, first)
-    assert len(factored) == 480
-    for lower, diag, upper, lu in factored:
-        assert_thomas_factor(lower, diag, upper, lu)
+                matrices.append(_Axis(grid, market.r, sigma, market.T / nt, first)._tridiag)
+    assert len(matrices) == 480
+    for lower, diag, upper in matrices:
+        assert_thomas_factor(lower, diag, upper)
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +270,7 @@ def test_stage_discounts_a_constant_surface_exactly():
     u = np.full((9, 9), c)
     ring = np.full((9, 9), c * scale)
     for axis in (0, 1):
-        out = _StageOperator(scen, SolverFlags(), dtau, axis).apply(u, ring_edges(ring))
+        out = _StageOperator(scen, SolverFlags(), dtau, axis).apply(u, ring_edges(ring), out=np.empty((9, 9)))
         np.testing.assert_allclose(out, c * scale, rtol=1e-14)
 
 
@@ -285,7 +287,7 @@ def test_stage_matches_dense_oracle_log_grid(axis, first, mixed):
     g = np.zeros((9, 9))
     g[1:-1, 1:-1] = rng.normal(size=(7, 7))
     flags = SolverFlags(first_derivative=first)
-    ours = _StageOperator(scen, flags, dtau, axis).apply(u, ring_edges(ring), g)
+    ours = _StageOperator(scen, flags, dtau, axis).apply(u, ring_edges(ring), g, out=np.empty((9, 9)))
     ref = oracles.dense_half_step(
         u, ring, axis, scen.market.sigmas, float(scen.market.rho[0, 1]), scen.market.r,
         grid.a, grid.b, "log", dtau, g=g, first_derivative=first,
@@ -302,7 +304,7 @@ def test_stage_matches_dense_oracle_price_grid():
     u = rng.normal(size=(9, 9))
     ring = rng.normal(size=(9, 9))
     for axis in (0, 1):
-        ours = _StageOperator(scen, SolverFlags(), dtau, axis).apply(u, ring_edges(ring))
+        ours = _StageOperator(scen, SolverFlags(), dtau, axis).apply(u, ring_edges(ring), out=np.empty((9, 9)))
         ref = oracles.dense_half_step(
             u, ring, axis, scen.market.sigmas, float(scen.market.rho[0, 1]),
             scen.market.r, 5.0, 60.0, "price", dtau,
@@ -315,7 +317,7 @@ def test_stage_output_keeps_the_ring():
     rng = np.random.default_rng(3)
     u = rng.normal(size=(9, 9))
     ring = rng.normal(size=(9, 9))
-    out = _StageOperator(scen, SolverFlags(), scen.market.T / 4, 0).apply(u, ring_edges(ring))
+    out = _StageOperator(scen, SolverFlags(), scen.market.T / 4, 0).apply(u, ring_edges(ring), out=np.empty((9, 9)))
     np.testing.assert_array_equal(out[0, :], ring[0, :])
     np.testing.assert_array_equal(out[-1, :], ring[-1, :])
     np.testing.assert_array_equal(out[1:-1, 0], ring[1:-1, 0])
@@ -326,8 +328,54 @@ def test_stage_rejects_wrong_shape():
     scen = benchmark_scenario(1, nx=8, nt=4)
     with pytest.raises(ValidationError, match="surface"):
         _StageOperator(scen, SolverFlags(), scen.market.T / 4, 0).apply(
-            np.zeros((5, 5)), ring_edges(np.zeros((5, 5)))
+            np.zeros((5, 5)), ring_edges(np.zeros((5, 5))), out=np.empty((5, 5))
         )
+
+
+@pytest.mark.parametrize("with_g", [False, True])
+@pytest.mark.parametrize("axis", [0, 1])
+@pytest.mark.parametrize("first", ["forward", "central"])
+@pytest.mark.parametrize("coord", ["log", "price"])
+def test_stage_in_place_is_bit_identical_to_the_allocating_reference(coord, first, axis, with_g):
+    """The in-place right-hand side keeps the whole-array expressions'
+    operation order, so every rounding is the same; the two operators of a
+    sweep share one scratch pair."""
+    scen = benchmark_scenario(1, nx=12, nt=7)  # dtau = T/7: no scaling by it is exact
+    if coord == "price":
+        scen = scen.with_grid(GridSpec(a=5.0, b=60.0, nx=12, nt=7, coord="price"))
+    flags = SolverFlags(first_derivative=first)
+    dtau = scen.market.T / scen.grid.nt
+    scratch = np.empty((2, 11, 11))
+    ops = [_StageOperator(scen, flags, dtau, ax, scratch) for ax in (0, 1)]
+    rng = np.random.default_rng(100 + 8 * axis + 4 * (first == "central") + 2 * (coord == "price") + with_g)
+    for _ in range(3):
+        u, ring = rng.normal(size=(2, 13, 13))
+        g = rng.normal(size=(13, 13)) if with_g else None
+        out = np.empty((13, 13))
+        assert ops[axis].apply(u, ring_edges(ring), g, out=out) is out
+        assert np.array_equal(out, oracles.stage_apply_reference(ops[axis], u, ring_edges(ring), g))
+        ops[1 - axis].apply(ring, ring_edges(u), out=np.empty((13, 13)))  # the other operator reuses the scratch
+
+
+@pytest.mark.parametrize("config", [1, 2, 3])
+def test_costed_sweep_is_the_loop_of_the_reference_stages(config):
+    """A costed sweep with a source writes each level into its own slot of
+    the block, bit-identical to the allocating reference stages."""
+    scen = benchmark_scenario(config, nx=12, nt=7)
+    flags = SolverFlags()
+    dtau = scen.market.T / scen.grid.nt
+    bd = BoundaryData(scen, flags, dtau)
+    source = sweep(scen, flags=flags, boundary=bd)
+    block = sweep(scen, source, flags=flags, boundary=bd)
+    op_x, op_y = (_StageOperator(scen, flags, dtau, axis) for axis in (0, 1))
+    levels = [initial_condition(scen.grid, scen.payoff)]
+    for m in range(scen.grid.nt):
+        half = oracles.stage_apply_reference(op_x, levels[-1], bd.edges(2 * m + 1))
+        g = assemble_G(source[m], scen, flags=flags)
+        levels.append(oracles.stage_apply_reference(op_y, half, bd.edges(2 * m + 2), g))
+    assert np.array_equal(block, np.stack(levels))
+    assert block.base is None and block.flags.c_contiguous
+    assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(block, 2))
 
 
 # ---------------------------------------------------------------------------
