@@ -39,12 +39,15 @@ Corners decay by the scheme's own half-step discount factor.  No closed form
 enters, so the edges stay consistent with the interior discretization for
 any cost level.
 
-Each coordinate direction's half of the operator is one object (``_Axis``):
-its tridiagonal matrix, Dirichlet lift and explicit weights serve the interior
-stage operators and the edge marches alike.  The edges march in pairs, bottom
-with top along asset 1 and left with right along asset 2, as the two columns
-of one array; only these pairs are stored for each half level, O(nt nx)
-floats, and the stage operators write them straight into their output level.
+One solve's scheme is fixed by its stencil (``SolverFlags``) and its step
+dtau = T / nt, and :class:`BoundaryData` is where both are decided.  It
+builds each coordinate direction's half of the operator once, as one object
+(``_Axis``): its tridiagonal matrix, Dirichlet lift and explicit weights
+serve the edge march and every sweep's stage operators alike.  The edges
+march in pairs, bottom with top along asset 1 and left with right along
+asset 2, as the two columns of one array; only these pairs are stored for
+each half level, O(nt nx) floats, and the stage operators write them
+straight into their output level.
 
 A half-step allocates no level-sized array: its right-hand side is built in
 place in two (nx-1)^2 scratch arrays that both stage operators of a sweep
@@ -193,7 +196,11 @@ def _write_edges(out: np.ndarray, edges: Edges) -> None:
 
 
 class BoundaryData:
-    """Dirichlet edge values for every half time level.
+    """The scheme of one solve, and its Dirichlet edge values for every half time level.
+
+    ``flags`` picks the stencils, ``dtau`` is T / nt, and ``axes`` holds the
+    two directions' :class:`_Axis` objects, built once for the edge march
+    and every sweep's stage operators.
 
     ``edges(h)`` returns the edges at half-level h (time to maturity
     h * dtau / 2) as two (nx+1, 2) column pairs: bottom and top (the columns
@@ -203,8 +210,12 @@ class BoundaryData:
     these pairs are kept, 4 (2 nt + 1) (nx + 1) floats in all.
     """
 
-    def __init__(self, scenario: Scenario, flags: SolverFlags, dtau: float) -> None:
-        self._levels: list[Edges] = _evolve_edges(scenario, flags, float(dtau))
+    def __init__(self, scenario: Scenario, flags: SolverFlags = SolverFlags()) -> None:
+        grid, market = scenario.grid, scenario.market
+        self.flags = flags
+        self.dtau = market.T / grid.nt
+        self.axes = tuple(_Axis(grid, market.r, sigma, self.dtau, flags.first_derivative) for sigma in market.sigmas)
+        self._levels: list[Edges] = _evolve_edges(scenario, self)
 
     def edges(self, h: int) -> Edges:
         return self._levels[h]
@@ -293,7 +304,7 @@ def _edge_cost_term(
     return rate * expected_cost(scenario.cost, theta, scenario.dt_tc)
 
 
-def _evolve_edges(scenario: Scenario, flags: SolverFlags, dtau: float) -> list[Edges]:
+def _evolve_edges(scenario: Scenario, boundary: BoundaryData) -> list[Edges]:
     """March the four domain edges with the flat-transverse limit of the scheme.
 
     Far from the strike in the transverse direction the value surface loses
@@ -306,15 +317,14 @@ def _evolve_edges(scenario: Scenario, flags: SolverFlags, dtau: float) -> list[E
     of imposing a frictionless surface against it.
 
     Edges that run along the same asset march together as the two columns of
-    one array.  Returns the :class:`BoundaryData` pairs of every half level,
-    h = 0 .. 2 nt.
+    one array, with the scheme of ``boundary``.  Returns its pairs of every
+    half level, h = 0 .. 2 nt.
     """
     grid = scenario.grid
-    market = scenario.market
-    sig1, sig2 = market.sigmas
-    scale = 1.0 / (1.0 + dtau * market.r / 2.0)
+    sig1, sig2 = scenario.market.sigmas
+    flags, dtau, (axis1, axis2) = boundary.flags, boundary.dtau, boundary.axes
+    scale = 1.0 / (1.0 + dtau * scenario.market.r / 2.0)
     zero_cost = scenario.cost.bounds()[1] == 0.0
-    axis1, axis2 = (_Axis(grid, market.r, sigma, dtau, flags.first_derivative) for sigma in market.sigmas)
 
     # each edge's own asset is averaged over its cell, the other sits at a domain end
     below = _below_shares(grid, scenario.payoff.X)[:, None]
@@ -364,14 +374,12 @@ class _StageOperator:
     with bA = (r - sA^2/2)/2.  The tridiagonal matrix is identical for every
     line, so one LAPACK call solves all lines.
 
-    The right-hand side is built in ``scratch``, two (nx-1, nx-1) arrays;
-    operators that never run at once may share it.  Without it the operator
-    allocates its own.
+    The scheme's step and both directions come from ``boundary``.  The
+    right-hand side is built in ``scratch``, two (nx-1, nx-1) arrays;
+    operators that never run at once may share it.
     """
 
-    def __init__(
-        self, scenario: Scenario, flags: SolverFlags, dtau: float, axis: int, scratch: np.ndarray | None = None
-    ) -> None:
+    def __init__(self, scenario: Scenario, boundary: BoundaryData, axis: int, scratch: np.ndarray) -> None:
         grid = scenario.grid
         market = scenario.market
         sig1, sig2 = market.sigmas
@@ -381,13 +389,12 @@ class _StageOperator:
         else:
             s_in = grid.spot_axis()[1:-1]
             self._mixed_coeff = (sig1 * sig2 * rho / 2.0) * (s_in[:, None] * s_in[None, :])
-        axes = [_Axis(grid, market.r, sigma, dtau, flags.first_derivative) for sigma in market.sigmas]
-        self._implicit, self._explicit = axes[axis], axes[1 - axis]
+        self._implicit, self._explicit = boundary.axes[axis], boundary.axes[1 - axis]
         self.axis = axis
-        self.dtau = dtau
+        self.dtau = boundary.dtau
         self.dx = grid.dx
         self.n = grid.nx
-        self._scratch = np.empty((2, grid.nx - 1, grid.nx - 1)) if scratch is None else scratch
+        self._scratch = scratch
 
     def apply(self, w_level: np.ndarray, edges: Edges, g: np.ndarray | None = None, *, out: np.ndarray) -> np.ndarray:
         """Write the output level into ``out``, with ``edges`` (as
@@ -429,23 +436,18 @@ class _StageOperator:
 # ---------------------------------------------------------------------------
 
 
-def sweep(
-    scenario: Scenario,
-    source: np.ndarray | None = None,
-    *,
-    flags: SolverFlags,
-    boundary: BoundaryData,
-) -> np.ndarray:
+def sweep(scenario: Scenario, source: np.ndarray | None = None, *, boundary: BoundaryData) -> np.ndarray:
     """March the scheme from the payoff to tau = T.
 
     Step m -> m+1 takes the source ``assemble_G(source[m])``, from level m
     of an earlier sweep's block; without ``source`` the source is zero (the
-    linear problem).  ``boundary`` holds the edges for ``flags`` at
-    dtau = T / nt.  A costed scenario returns the full space-time block,
-    shape (nt+1, nx+1, nx+1), level m being the surface at tau = m dtau, for
-    the next sweep's source to read.  A zero-cost one streams: it holds only
-    the current level and its half level and returns the terminal level
-    alone, shape (1, nx+1, nx+1).
+    linear problem).  ``boundary`` is the solve's scheme: its stencils, its
+    step dtau = T / nt, both directions' operators and the edges.  A costed
+    scenario returns the full space-time block, shape (nt+1, nx+1, nx+1),
+    level m being the surface at tau = m dtau, for the next sweep's source
+    to read.  A zero-cost one streams: it holds only the current level and
+    its half level and returns the terminal level alone, shape
+    (1, nx+1, nx+1).
 
     Each stage writes its level where it is kept: the x stage into one
     reusable half level, the y stage into the block, or, when streaming,
@@ -453,17 +455,16 @@ def sweep(
     """
     grid = scenario.grid
     n = grid.nx
-    dtau = scenario.market.T / grid.nt
     # the block is allocated first: on glibc that order keeps the peak RSS lower
     block = np.empty((grid.nt + 1, n + 1, n + 1)) if scenario.cost.bounds()[1] > 0.0 else None
     scratch = np.empty((2, n - 1, n - 1))
-    op_x, op_y = (_StageOperator(scenario, flags, dtau, axis, scratch) for axis in (0, 1))
+    op_x, op_y = (_StageOperator(scenario, boundary, axis, scratch) for axis in (0, 1))
     half = np.empty((n + 1, n + 1))
     level = initial_condition(grid, scenario.payoff)
     if block is not None:
         block[0] = level
     for m in range(grid.nt):
-        g = None if source is None else assemble_G(source[m], scenario, flags=flags)
+        g = None if source is None else assemble_G(source[m], scenario, flags=boundary.flags)
         op_x.apply(level, boundary.edges(2 * m + 1), out=half)
         level = op_y.apply(half, boundary.edges(2 * m + 2), g, out=level if block is None else block[m + 1])
     return level[None] if block is None else block
@@ -498,11 +499,11 @@ def solve_nonlinear(
     if max_iter < 1:
         raise ValidationError("max_iter", f"need at least one sweep, got {max_iter}")
 
-    boundary = BoundaryData(scenario, flags, scenario.market.T / grid.nt)
+    boundary = BoundaryData(scenario, flags)
     records: list[ConvergenceRecord] = []
     prev: np.ndarray | None = None
     for sweeps in range(1, max_iter + 1):
-        cur = sweep(scenario, prev, flags=flags, boundary=boundary)
+        cur = sweep(scenario, prev, boundary=boundary)
         if prev is None:
             converged = scenario.cost.bounds()[1] == 0.0
         else:

@@ -6,9 +6,9 @@
   error is meaningless for a digital payoff (the benchmark underflows toward
   zero in the deep tails while any finite-difference surface carries a
   roundoff floor), so nodes near the payoff discontinuity (a configurable
-  Chebyshev band, a square-window dilation computed in numpy from running
-  counts) and the Dirichlet ring are excluded and the remaining errors are
-  scaled by the benchmark's peak.
+  Chebyshev band around it, two rectangles in closed form) and the Dirichlet
+  ring are excluded and the remaining errors are scaled by the benchmark's
+  peak.
 * :func:`dt_sensitivity_sweep` - re-solves the nonlinear problem across a
   range of rebalancing intervals and samples price and source term at probe
   spots, each snapped to an interior node (:func:`probe_nodes`).
@@ -49,28 +49,6 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-def _dilate(mask: np.ndarray, times: int) -> np.ndarray:
-    """Chebyshev (8-neighborhood) dilation of a boolean mask, ``times`` steps.
-
-    One square window of half-width ``times``, taken one axis at a time: a
-    node is set when the running count of set nodes rises across the window
-    around it.  Past the mask's own size more steps change nothing, so the
-    window is capped there.
-    """
-    out = np.asarray(mask, dtype=bool)
-    for axis in range(out.ndim):
-        lines = np.moveaxis(out, axis, 0)
-        n = lines.shape[0]
-        counts = np.zeros((n + 1,) + lines.shape[1:], dtype=np.intp)
-        np.cumsum(lines, axis=0, out=counts[1:])
-        reach = min(times, n)
-        node = np.arange(n)
-        hi = np.minimum(node + reach + 1, n)
-        lo = np.maximum(node - reach, 0)
-        out = np.moveaxis(counts[hi] > counts[lo], 0, axis)
-    return out
-
-
 def compared_nodes(scenario: Scenario, band: int = 2) -> np.ndarray:
     """Mask of the nodes :func:`error_vs_analytic` compares, shape (nx+1, nx+1).
 
@@ -84,16 +62,14 @@ def compared_nodes(scenario: Scenario, band: int = 2) -> np.ndarray:
     if band < 0:
         raise ValidationError("band", f"exclusion band must be nonnegative, got {band}")
     s = scenario.grid.spot_axis()
-    pay = scenario.payoff.value(s[:, None], s[None, :]) > 0.0
-    pay = np.broadcast_to(pay, (s.size, s.size))
-    edge = np.zeros_like(pay)
-    edge[:-1, :] |= pay[:-1, :] != pay[1:, :]
-    edge[1:, :] |= pay[:-1, :] != pay[1:, :]
-    edge[:, :-1] |= pay[:, :-1] != pay[:, 1:]
-    edge[:, 1:] |= pay[:, :-1] != pay[:, 1:]
-    include = ~_dilate(edge, band)
-    include[0, :] = include[-1, :] = False
-    include[:, 0] = include[:, -1] = False
+    include = np.zeros((s.size, s.size), dtype=bool)
+    include[1:-1, 1:-1] = True
+    # the payoff is 0 on nodes 0..k-1 of both axes, so the indicator changes
+    # between rows (columns) k-1 and k up to column (row) k-1
+    k = int(np.searchsorted(s, scenario.payoff.X))
+    if 0 < k < s.size:
+        rows = slice(max(k - 1 - band, 0), k + 1 + band)
+        include[rows, : k + band] = include[: k + band, rows] = False
     if not include.any():
         raise ValidationError("band", "exclusion band leaves no interior nodes to compare")
     return include

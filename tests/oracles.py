@@ -72,7 +72,8 @@ def thomas_apply_loop(w, piv, upper, rhs):
 def dilate_loop(mask: np.ndarray, times: int) -> np.ndarray:
     """Chebyshev dilation as ``times`` single steps, each OR-ing the eight shifts.
 
-    The package's one-window dilation must reproduce this mask exactly.
+    ``compared_nodes``'s closed-form band must equal this dilation of the
+    terminal indicator's neighbor changes.
     """
     out = mask.copy()
     for _ in range(times):
@@ -706,9 +707,9 @@ def lagged_march(scenario, flags) -> np.ndarray:
     from nlbs.adi_solver import _StageOperator
 
     grid = scenario.grid
-    dtau = scenario.market.T / grid.nt
-    boundary = BoundaryData(scenario, flags, dtau)
-    op_x, op_y = (_StageOperator(scenario, flags, dtau, axis) for axis in (0, 1))
+    boundary = BoundaryData(scenario, flags)
+    scratch = np.empty((2, grid.nx - 1, grid.nx - 1))
+    op_x, op_y = (_StageOperator(scenario, boundary, axis, scratch) for axis in (0, 1))
     u = initial_condition(grid, scenario.payoff)
     for m in range(grid.nt):
         g = assemble_G(u, scenario, flags=flags)

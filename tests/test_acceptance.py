@@ -29,13 +29,13 @@ import pytest
 
 from nlbs import (
     BestCashOrNothing,
+    BoundaryData,
     ConstantCost,
     DyfInputs,
     ExponentialCost,
     GridSpec,
     MarketParams,
     Scenario,
-    SolverFlags,
     assemble_G,
     bivariate_cdf,
     dt_sensitivity_sweep,
@@ -327,8 +327,9 @@ def test_criterion_08_linear_algebra_oracles():
     grid = scen.grid
     dtau = scen.market.T / grid.nt
     worst_stage = 0.0
+    boundary = BoundaryData(scen)
     for axis in (0, 1):
-        op = _StageOperator(scen, SolverFlags(), dtau, axis)
+        op = _StageOperator(scen, boundary, axis, np.empty((2, 19, 19)))
         for _ in range(5):
             u = rng.normal(size=(21, 21))
             ring = rng.normal(size=(21, 21))

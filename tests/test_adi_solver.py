@@ -260,6 +260,12 @@ def ring_edges(ring):
     return ring[:, [0, -1]], ring[[0, -1], :].T
 
 
+def stage(scen, axis, flags=SolverFlags()):
+    """The stage operator along ``axis`` of a solve's scheme, with scratch of its own."""
+    n = scen.grid.nx
+    return _StageOperator(scen, BoundaryData(scen, flags), axis, np.empty((2, n - 1, n - 1)))
+
+
 def test_stage_discounts_a_constant_surface_exactly():
     """Flat input: all space derivatives vanish, each half-step is a pure
     division by 1 + r dtau / 2."""
@@ -270,7 +276,7 @@ def test_stage_discounts_a_constant_surface_exactly():
     u = np.full((9, 9), c)
     ring = np.full((9, 9), c * scale)
     for axis in (0, 1):
-        out = _StageOperator(scen, SolverFlags(), dtau, axis).apply(u, ring_edges(ring), out=np.empty((9, 9)))
+        out = stage(scen, axis).apply(u, ring_edges(ring), out=np.empty((9, 9)))
         np.testing.assert_allclose(out, c * scale, rtol=1e-14)
 
 
@@ -287,7 +293,7 @@ def test_stage_matches_dense_oracle_log_grid(axis, first, mixed):
     g = np.zeros((9, 9))
     g[1:-1, 1:-1] = rng.normal(size=(7, 7))
     flags = SolverFlags(first_derivative=first)
-    ours = _StageOperator(scen, flags, dtau, axis).apply(u, ring_edges(ring), g, out=np.empty((9, 9)))
+    ours = stage(scen, axis, flags).apply(u, ring_edges(ring), g, out=np.empty((9, 9)))
     ref = oracles.dense_half_step(
         u, ring, axis, scen.market.sigmas, float(scen.market.rho[0, 1]), scen.market.r,
         grid.a, grid.b, "log", dtau, g=g, first_derivative=first,
@@ -304,7 +310,7 @@ def test_stage_matches_dense_oracle_price_grid():
     u = rng.normal(size=(9, 9))
     ring = rng.normal(size=(9, 9))
     for axis in (0, 1):
-        ours = _StageOperator(scen, SolverFlags(), dtau, axis).apply(u, ring_edges(ring), out=np.empty((9, 9)))
+        ours = stage(scen, axis).apply(u, ring_edges(ring), out=np.empty((9, 9)))
         ref = oracles.dense_half_step(
             u, ring, axis, scen.market.sigmas, float(scen.market.rho[0, 1]),
             scen.market.r, 5.0, 60.0, "price", dtau,
@@ -317,7 +323,7 @@ def test_stage_output_keeps_the_ring():
     rng = np.random.default_rng(3)
     u = rng.normal(size=(9, 9))
     ring = rng.normal(size=(9, 9))
-    out = _StageOperator(scen, SolverFlags(), scen.market.T / 4, 0).apply(u, ring_edges(ring), out=np.empty((9, 9)))
+    out = stage(scen, 0).apply(u, ring_edges(ring), out=np.empty((9, 9)))
     np.testing.assert_array_equal(out[0, :], ring[0, :])
     np.testing.assert_array_equal(out[-1, :], ring[-1, :])
     np.testing.assert_array_equal(out[1:-1, 0], ring[1:-1, 0])
@@ -327,7 +333,7 @@ def test_stage_output_keeps_the_ring():
 def test_stage_rejects_wrong_shape():
     scen = benchmark_scenario(1, nx=8, nt=4)
     with pytest.raises(ValidationError, match="surface"):
-        _StageOperator(scen, SolverFlags(), scen.market.T / 4, 0).apply(
+        stage(scen, 0).apply(
             np.zeros((5, 5)), ring_edges(np.zeros((5, 5))), out=np.empty((5, 5))
         )
 
@@ -343,10 +349,9 @@ def test_stage_in_place_is_bit_identical_to_the_allocating_reference(coord, firs
     scen = benchmark_scenario(1, nx=12, nt=7)  # dtau = T/7: no scaling by it is exact
     if coord == "price":
         scen = scen.with_grid(GridSpec(a=5.0, b=60.0, nx=12, nt=7, coord="price"))
-    flags = SolverFlags(first_derivative=first)
-    dtau = scen.market.T / scen.grid.nt
+    bd = BoundaryData(scen, SolverFlags(first_derivative=first))
     scratch = np.empty((2, 11, 11))
-    ops = [_StageOperator(scen, flags, dtau, ax, scratch) for ax in (0, 1)]
+    ops = [_StageOperator(scen, bd, ax, scratch) for ax in (0, 1)]
     rng = np.random.default_rng(100 + 8 * axis + 4 * (first == "central") + 2 * (coord == "price") + with_g)
     for _ in range(3):
         u, ring = rng.normal(size=(2, 13, 13))
@@ -363,11 +368,10 @@ def test_costed_sweep_is_the_loop_of_the_reference_stages(config):
     the block, bit-identical to the allocating reference stages."""
     scen = benchmark_scenario(config, nx=12, nt=7)
     flags = SolverFlags()
-    dtau = scen.market.T / scen.grid.nt
-    bd = BoundaryData(scen, flags, dtau)
-    source = sweep(scen, flags=flags, boundary=bd)
-    block = sweep(scen, source, flags=flags, boundary=bd)
-    op_x, op_y = (_StageOperator(scen, flags, dtau, axis) for axis in (0, 1))
+    bd = BoundaryData(scen, flags)
+    source = sweep(scen, boundary=bd)
+    block = sweep(scen, source, boundary=bd)
+    op_x, op_y = (_StageOperator(scen, bd, axis, np.empty((2, 11, 11))) for axis in (0, 1))
     levels = [initial_condition(scen.grid, scen.payoff)]
     for m in range(scen.grid.nt):
         half = oracles.stage_apply_reference(op_x, levels[-1], bd.edges(2 * m + 1))
@@ -400,12 +404,12 @@ def payoff_ring(scen):
 
 def march(scen, source=None, flags=SolverFlags()):
     """One sweep on its own boundary data."""
-    return sweep(scen, source, flags=flags, boundary=BoundaryData(scen, flags, scen.market.T / scen.grid.nt))
+    return sweep(scen, source, boundary=BoundaryData(scen, flags))
 
 
 def test_boundary_rings_are_cached():
     scen = benchmark_scenario(1, nx=8, nt=4)
-    bd = BoundaryData(scen, SolverFlags(), scen.market.T / 4)
+    bd = BoundaryData(scen)
     assert bd.edges(3) is bd.edges(3)
 
 
@@ -420,7 +424,7 @@ RING_SHA256 = {
 @pytest.mark.parametrize("policy", sorted(RING_SHA256))
 def test_boundary_rings_match_the_recorded_dense_rings(policy):
     scen = benchmark_scenario(1, nx=8, nt=8)
-    bd = BoundaryData(scen, SolverFlags(), scen.market.T / 8)
+    bd = BoundaryData(scen)
     rings = np.stack([dense_ring(bd, h) for h in range(17)])
     assert hashlib.sha256(rings.tobytes()).hexdigest() == RING_SHA256[policy]
 
@@ -447,8 +451,8 @@ def _array_bytes(obj, seen=None) -> int:
 def test_boundary_data_keeps_only_the_edge_vectors():
     nx = nt = 40
     scen = benchmark_scenario(1, nx=nx, nt=nt)
-    bd = BoundaryData(scen, SolverFlags(), scen.market.T / nt)
-    sweep(scen, flags=SolverFlags(), boundary=bd)
+    bd = BoundaryData(scen)
+    sweep(scen, boundary=bd)
     assert 0 < _array_bytes(vars(bd)) <= 4 * (2 * nt + 1) * (nx + 1) * 8
     for h in (0, 1, 2, nt, 2 * nt):
         bottom_top, left_right = bd.edges(h)
@@ -484,7 +488,7 @@ def test_edges_1d_level_zero_is_the_smoothed_edge_payoff():
     K/(2m)."""
     scen = benchmark_scenario(1, nx=12, nt=4)
     grid, payoff = scen.grid, scen.payoff
-    bottom_top, left_right = BoundaryData(scen, SolverFlags(), scen.market.T / grid.nt).edges(0)
+    bottom_top, left_right = BoundaryData(scen).edges(0)
     m = 100
     own, ends = cell_lattice(grid, m)[:, None, :], grid.spot_axis()[[0, -1]]
     tol = payoff.K / (2 * m)
@@ -506,7 +510,7 @@ def test_edges_1d_constant_payoff_reduces_to_scheme_discount():
         market=scen.market, cost=scen.cost, payoff=low_x, dt_tc=scen.dt_tc, grid=scen.grid
     )
     dtau = scen.market.T / scen.grid.nt
-    bd = BoundaryData(scen, SolverFlags(), dtau)
+    bd = BoundaryData(scen)
     for h in [0, 1, 2, 5, 10]:
         ref = payoff_ring(scen) * (1.0 + scen.market.r * dtau / 2.0) ** (-h)
         np.testing.assert_allclose(dense_ring(bd, h), ref, rtol=1e-12, atol=1e-13)
@@ -515,7 +519,7 @@ def test_edges_1d_constant_payoff_reduces_to_scheme_discount():
 def test_edges_1d_corners_decay_by_half_step_discount():
     scen = benchmark_scenario(1, nx=10, nt=5)
     dtau = scen.market.T / scen.grid.nt
-    bd = BoundaryData(scen, SolverFlags(), dtau)
+    bd = BoundaryData(scen)
     scale = 1.0 / (1.0 + scen.market.r * dtau / 2.0)
     k = scen.payoff.K
     for h in [1, 4, 10]:
@@ -532,7 +536,7 @@ def test_edges_1d_zero_cost_edge_approaches_single_asset_digital():
     scen = benchmark_scenario(1, nx=100, nt=100).with_cost(ConstantCost(c0=0.0))
     market = scen.market
     dtau = market.T / scen.grid.nt
-    bd = BoundaryData(scen, SolverFlags(), dtau)
+    bd = BoundaryData(scen)
     ring = dense_ring(bd, 2 * scen.grid.nt)
     s = scen.grid.spot_axis()
     k, x = scen.payoff.K, scen.payoff.X
@@ -556,8 +560,8 @@ def test_edges_1d_zero_cost_edge_approaches_single_asset_digital():
 def test_sweep_block_layout():
     scen = benchmark_scenario(1, nx=10, nt=6)
     flags = SolverFlags()
-    bd = BoundaryData(scen, flags, scen.market.T / 6)
-    block = sweep(scen, flags=flags, boundary=bd)
+    bd = BoundaryData(scen, flags)
+    block = sweep(scen, boundary=bd)
     assert block.shape == (7, 11, 11)
     np.testing.assert_array_equal(
         block[0], initial_condition(scen.grid, scen.payoff)
@@ -650,6 +654,25 @@ def test_costed_solve_keeps_the_full_block():
     assert res.iterations >= 2
     assert res.block.shape == (7, 13, 13)
     np.testing.assert_array_equal(res.block[-1], res.surface.values)
+
+
+def test_one_solve_builds_each_direction_once(monkeypatch):
+    """The boundary data decides a solve's scheme: its step is T / nt, and
+    its two directions serve the edge march and every sweep's stages."""
+    scen = benchmark_scenario(1, nx=12, nt=6)
+    flags = SolverFlags(first_derivative="central")
+    assert BoundaryData(scen, flags).dtau == scen.market.T / scen.grid.nt
+    built = []
+    init = _Axis.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(_Axis, "__init__", counted)
+    res = solve_nonlinear(scen, flags=flags)
+    assert res.iterations >= 2
+    assert len(built) == 2
 
 
 def test_solve_costed_converges_on_coarse_grid():

@@ -3,11 +3,13 @@ sweeps, and the source-term bound on the closed-form surface."""
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from nlbs import (
+    BestCashOrNothing,
     ConstantCost,
     ExponentialCost,
     GridSpec,
@@ -20,7 +22,7 @@ from nlbs import (
 
 from nlbs.adi_solver import _spectral_norm
 from nlbs import diagnostics
-from nlbs.diagnostics import _dilate, probe_nodes
+from nlbs.diagnostics import compared_nodes, probe_nodes
 
 import oracles
 from conftest import benchmark_scenario
@@ -92,14 +94,43 @@ def test_error_report_band_controls_inclusion():
         error_vs_analytic(u, scen, band=-1)
 
 
-@pytest.mark.parametrize("shape", [(9, 9), (12, 7)])
-def test_dilation_matches_the_step_loop(shape):
-    rng = np.random.default_rng(7)
-    masks = [np.zeros(shape, bool), rng.random(shape) < 0.05, rng.random(shape) < 0.3]
-    masks[0][0, -1] = True
-    for mask in masks:
-        for band in list(range(0, 15)) + [40, 200]:
-            assert np.array_equal(_dilate(mask, band), oracles.dilate_loop(mask, band)), band
+def neighbor_changes(scen):
+    """Nodes where the terminal indicator differs from a horizontal or vertical neighbor."""
+    s = scen.grid.spot_axis()
+    pay = np.broadcast_to(scen.payoff.value(s[:, None], s[None, :]) > 0.0, (s.size, s.size))
+    edge = np.zeros_like(pay)
+    edge[:-1, :] |= pay[:-1, :] != pay[1:, :]
+    edge[1:, :] |= pay[:-1, :] != pay[1:, :]
+    edge[:, :-1] |= pay[:, :-1] != pay[:, 1:]
+    edge[:, 1:] |= pay[:, :-1] != pay[:, 1:]
+    return edge
+
+
+@pytest.mark.parametrize("nx", [5, 12])
+@pytest.mark.parametrize("coord", ["log", "price"])
+def test_compared_nodes_match_the_dilated_neighbor_changes(coord, nx):
+    """The closed-form mask is the generic route's: the neighbor changes of
+    the terminal indicator dilated by the step loop, less the ring.  X lies
+    below the grid, on its end nodes, on an interior node spot, inside a
+    cell and above the grid; a band that leaves no node raises."""
+    scen = benchmark_scenario(1, nx=nx, nt=4)
+    if coord == "price":
+        scen = scen.with_grid(GridSpec(a=10.0, b=60.0, nx=nx, nt=4, coord="price"))
+    s = scen.grid.spot_axis()
+    empty = 0
+    for x in (s[0] / 2, s[0], s[1], s[nx // 2], (s[2] + s[3]) / 2, s[-1], 2 * s[-1]):
+        scen_x = replace(scen, payoff=BestCashOrNothing(K=5.0, X=float(x)))
+        edge = neighbor_changes(scen_x)
+        for band in list(range(nx + 2)) + [200]:
+            expected = ~oracles.dilate_loop(edge, band)
+            expected[[0, -1], :] = expected[:, [0, -1]] = False
+            if expected.any():
+                assert np.array_equal(compared_nodes(scen_x, band), expected), (x, band)
+            else:
+                with pytest.raises(ValidationError, match="band"):
+                    compared_nodes(scen_x, band)
+                empty += 1
+    assert empty > 0
 
 
 def test_error_report_ignores_errors_inside_the_excluded_band():
