@@ -39,11 +39,13 @@ Corners decay by the scheme's own half-step discount factor.  No closed form
 enters, so the edges stay consistent with the interior discretization for
 any cost level.
 
-One solve's scheme is fixed by its stencil (``SolverFlags``) and its step
-dtau = T / nt, and :class:`BoundaryData` is where both are decided.  It
-builds each coordinate direction's half of the operator once, as one object
-(``_Axis``): its tridiagonal matrix, Dirichlet lift and explicit weights
-serve the edge march and every sweep's stage operators alike.  The edges
+One solve is fixed by its scenario, its stencil (``SolverFlags``), its step
+dtau = T / nt and whether it carries a cost, and :class:`BoundaryData` is
+where all four are decided; :func:`sweep` and everything it calls read
+them from there and from nowhere else.  It builds each coordinate
+direction's half of the operator once, as one object (``_Axis``): its
+tridiagonal matrix, Dirichlet lift and explicit weights serve the edge
+march and every sweep's stage operators alike.  The edges
 march in pairs, bottom with top along asset 1 and left with right along
 asset 2, as the two columns of one array; only these pairs are stored for
 each half level, O(nt nx) floats, and the stage operators write them
@@ -198,9 +200,11 @@ def _write_edges(out: np.ndarray, edges: Edges) -> None:
 class BoundaryData:
     """The scheme of one solve, and its Dirichlet edge values for every half time level.
 
-    ``flags`` picks the stencils, ``dtau`` is T / nt, and ``axes`` holds the
-    two directions' :class:`_Axis` objects, built once for the edge march
-    and every sweep's stage operators.
+    Everything that fixes a solve is decided here, once: ``scenario`` and
+    its ``grid``, ``flags`` (the stencils), ``dtau`` = T / nt, ``costed``
+    (the cost's upper bound is above 0), and ``axes``, the two directions'
+    :class:`_Axis` objects, built once for the edge march and every sweep's
+    stage operators.
 
     ``edges(h)`` returns the edges at half-level h (time to maturity
     h * dtau / 2) as two (nx+1, 2) column pairs: bottom and top (the columns
@@ -212,10 +216,11 @@ class BoundaryData:
 
     def __init__(self, scenario: Scenario, flags: SolverFlags = SolverFlags()) -> None:
         grid, market = scenario.grid, scenario.market
-        self.flags = flags
+        self.scenario, self.grid, self.flags = scenario, grid, flags
+        self.costed = scenario.cost.bounds()[1] > 0.0
         self.dtau = market.T / grid.nt
         self.axes = tuple(_Axis(grid, market.r, sigma, self.dtau, flags.first_derivative) for sigma in market.sigmas)
-        self._levels: list[Edges] = _evolve_edges(scenario, self)
+        self._levels: list[Edges] = _evolve_edges(self)
 
     def edges(self, h: int) -> Edges:
         return self._levels[h]
@@ -287,9 +292,7 @@ class _Axis:
         return _tridiag_solve(*self._tridiag, rhs)
 
 
-def _edge_cost_term(
-    f: np.ndarray, sigma: float, scenario: Scenario, flags: SolverFlags
-) -> np.ndarray:
+def _edge_cost_term(f: np.ndarray, sigma: float, boundary: BoundaryData) -> np.ndarray:
     """One-asset transaction-cost term along a pair of domain edges, interior nodes.
 
     ``f`` holds two edges that run along the same asset as its columns.  On
@@ -297,14 +300,14 @@ def _edge_cost_term(
     only the edge's own asset carries hedging volume (the one-asset Theta).
     Stencils and normalization match :func:`nlbs.cost_engine.assemble_G`.
     """
-    grid = scenario.grid
-    p = _hedge_row(f, grid, flags.first_derivative)
+    scenario, grid = boundary.scenario, boundary.grid
+    p = _hedge_row(f, grid, boundary.flags.first_derivative)
     theta = _theta(p, _variance_weight(grid, sigma)[:, None], p)
     rate = grid.spot_axis()[1:-1, None] / math.sqrt(scenario.dt_tc)
     return rate * expected_cost(scenario.cost, theta, scenario.dt_tc)
 
 
-def _evolve_edges(scenario: Scenario, boundary: BoundaryData) -> list[Edges]:
+def _evolve_edges(boundary: BoundaryData) -> list[Edges]:
     """March the four domain edges with the flat-transverse limit of the scheme.
 
     Far from the strike in the transverse direction the value surface loses
@@ -320,11 +323,10 @@ def _evolve_edges(scenario: Scenario, boundary: BoundaryData) -> list[Edges]:
     one array, with the scheme of ``boundary``.  Returns its pairs of every
     half level, h = 0 .. 2 nt.
     """
-    grid = scenario.grid
+    scenario, grid = boundary.scenario, boundary.grid
     sig1, sig2 = scenario.market.sigmas
-    flags, dtau, (axis1, axis2) = boundary.flags, boundary.dtau, boundary.axes
+    dtau, (axis1, axis2) = boundary.dtau, boundary.axes
     scale = 1.0 / (1.0 + dtau * scenario.market.r / 2.0)
-    zero_cost = scenario.cost.bounds()[1] == 0.0
 
     # each edge's own asset is averaged over its cell, the other sits at a domain end
     below = _below_shares(grid, scenario.payoff.X)[:, None]
@@ -349,9 +351,9 @@ def _evolve_edges(scenario: Scenario, boundary: BoundaryData) -> list[Edges]:
     levels = [(bottom_top, left_right)]
     for _ in range(grid.nt):
         g_bt = g_lr = None
-        if not zero_cost:
-            g_bt = _edge_cost_term(bottom_top, sig1, scenario, flags)
-            g_lr = _edge_cost_term(left_right, sig2, scenario, flags)
+        if boundary.costed:
+            g_bt = _edge_cost_term(bottom_top, sig1, boundary)
+            g_lr = _edge_cost_term(left_right, sig2, boundary)
         # stage 1: implicit along asset 1 (bottom/top solve, left/right are flat)
         bottom_top, left_right = implicit(axis1, bottom_top), explicit(axis2, left_right)
         levels.append((bottom_top, left_right))
@@ -374,14 +376,13 @@ class _StageOperator:
     with bA = (r - sA^2/2)/2.  The tridiagonal matrix is identical for every
     line, so one LAPACK call solves all lines.
 
-    The scheme's step and both directions come from ``boundary``.  The
-    right-hand side is built in ``scratch``, two (nx-1, nx-1) arrays;
-    operators that never run at once may share it.
+    The grid, the market, the scheme's step and both directions come from
+    ``boundary``.  The right-hand side is built in ``scratch``, two
+    (nx-1, nx-1) arrays; operators that never run at once may share it.
     """
 
-    def __init__(self, scenario: Scenario, boundary: BoundaryData, axis: int, scratch: np.ndarray) -> None:
-        grid = scenario.grid
-        market = scenario.market
+    def __init__(self, boundary: BoundaryData, axis: int, scratch: np.ndarray) -> None:
+        grid, market = boundary.grid, boundary.scenario.market
         sig1, sig2 = market.sigmas
         rho = float(market.rho[0, 1])
         if grid.coord == "log":
@@ -436,13 +437,14 @@ class _StageOperator:
 # ---------------------------------------------------------------------------
 
 
-def sweep(scenario: Scenario, source: np.ndarray | None = None, *, boundary: BoundaryData) -> np.ndarray:
-    """March the scheme from the payoff to tau = T.
+def sweep(boundary: BoundaryData, source: np.ndarray | None = None) -> np.ndarray:
+    """March the scheme of ``boundary`` from the payoff to tau = T.
 
-    Step m -> m+1 takes the source ``assemble_G(source[m])``, from level m
-    of an earlier sweep's block; without ``source`` the source is zero (the
-    linear problem).  ``boundary`` is the solve's scheme: its stencils, its
-    step dtau = T / nt, both directions' operators and the edges.  A costed
+    ``boundary`` is the solve's one source of inputs: its scenario and grid,
+    its stencils, its step dtau = T / nt, whether it is costed, both
+    directions' operators and the edges.  Step m -> m+1 takes the source
+    ``assemble_G(source[m])``, from level m of an earlier sweep's block;
+    without ``source`` the source is zero (the linear problem).  A costed
     scenario returns the full space-time block, shape (nt+1, nx+1, nx+1),
     level m being the surface at tau = m dtau, for the next sweep's source
     to read.  A zero-cost one streams: it holds only the current level and
@@ -453,12 +455,12 @@ def sweep(scenario: Scenario, source: np.ndarray | None = None, *, boundary: Bou
     reusable half level, the y stage into the block, or, when streaming,
     back into the level the x stage has just read.
     """
-    grid = scenario.grid
+    scenario, grid = boundary.scenario, boundary.grid
     n = grid.nx
     # the block is allocated first: on glibc that order keeps the peak RSS lower
-    block = np.empty((grid.nt + 1, n + 1, n + 1)) if scenario.cost.bounds()[1] > 0.0 else None
+    block = np.empty((grid.nt + 1, n + 1, n + 1)) if boundary.costed else None
     scratch = np.empty((2, n - 1, n - 1))
-    op_x, op_y = (_StageOperator(scenario, boundary, axis, scratch) for axis in (0, 1))
+    op_x, op_y = (_StageOperator(boundary, axis, scratch) for axis in (0, 1))
     half = np.empty((n + 1, n + 1))
     level = initial_condition(grid, scenario.payoff)
     if block is not None:
@@ -503,9 +505,9 @@ def solve_nonlinear(
     records: list[ConvergenceRecord] = []
     prev: np.ndarray | None = None
     for sweeps in range(1, max_iter + 1):
-        cur = sweep(scenario, prev, boundary=boundary)
+        cur = sweep(boundary, prev)
         if prev is None:
-            converged = scenario.cost.bounds()[1] == 0.0
+            converged = not boundary.costed
         else:
             diff = cur[-1] - prev[-1]
             records.append(

@@ -37,13 +37,15 @@ Exit codes: 0 success, 2 invalid config, 3 a result not to trust, 4 I/O
 failure.  Exit 3 means: for ``price`` and a scanning ``leland``, an asset
 with Leland number Le >= 1 at ``dt_tc`` (from the cost's upper bound), a
 non-finite surface, or a solve stopped short by an explicit ``max_iter``
-(``leland`` then does not scan); for ``sweep``, a row with Le >= 1 or a
-non-finite price; for ``converge``, a solve stopped short.
+(``leland`` then does not scan); for ``sweep``, a row with Le >= 1, a
+non-finite price or a solve stopped short; for ``converge``, a solve
+stopped short.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -167,10 +169,6 @@ _COMMAND_PARSERS = {
     ),
 }
 _TOP_LEVEL_KEYS = ("market", "cost", "payoff", "dt_tc", "grid", "solver", "output")
-# config key -> keyword of the library call it configures
-_FLAG_ARGS = {"first_derivative": "first_derivative"}
-_SOLVE_ARGS = {"tol": "tol", "max_iter": "max_iter"}
-_BAND_ARG = {"error_band": "band"}
 
 
 def _parsed_section(cfg: dict, name: str, parsers: dict, command: str) -> dict:
@@ -268,7 +266,7 @@ def _write_run_metadata(out: Path, command: str, cfg: dict, scenario: Scenario, 
 
 
 def _solve_json(result: SolveResult) -> dict:
-    records = [{"n": r.n, "d1": r.d1, "d2": r.d2, "dinf": r.dinf} for r in result.records]
+    records = [dataclasses.asdict(r) for r in result.records]
     return {"converged": result.converged, "iterations": result.iterations, "records": records}
 
 
@@ -287,11 +285,13 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _setup(args) -> tuple[dict, Scenario, SolverFlags, dict, dict]:
-    """Load the config, validate the scenario, resolve the solver flags.
+def _setup(args) -> tuple[dict, Scenario, dict, dict, dict]:
+    """Load the config, validate the scenario, resolve the solve settings.
 
-    Returns the config, the scenario, the flags and the parsed ``solver`` and
-    ``output`` sections, which may hold only the keys ``args.command`` reads.
+    Returns the config, the scenario, the keyword arguments of
+    :func:`solve_nonlinear` (``flags`` always, ``tol`` and ``max_iter`` when
+    the config sets them) and the parsed ``solver`` and ``output`` sections,
+    which may hold only the keys ``args.command`` reads.
     """
     cfg = _load_config(args.config, args.flag)
     for key in cfg:
@@ -301,13 +301,9 @@ def _setup(args) -> tuple[dict, Scenario, SolverFlags, dict, dict]:
     solver_parsers, output_parsers = _COMMAND_PARSERS[args.command]
     solver = _parsed_section(cfg, "solver", solver_parsers, args.command)
     output = _parsed_section(cfg, "output", output_parsers, args.command)
-    flags = SolverFlags(**_settings(solver, _FLAG_ARGS))
-    return cfg, scenario, flags, solver, output
-
-
-def _settings(section: dict, args: dict[str, str]) -> dict:
-    """Keyword arguments for the keys of ``args`` that ``section`` sets; the rest keep the library's defaults."""
-    return {arg: section[key] for key, arg in args.items() if key in section}
+    solve = {key: solver[key] for key in ("tol", "max_iter") if key in solver}
+    solve["flags"] = SolverFlags(solver.get("first_derivative", SolverFlags.first_derivative))
+    return cfg, scenario, solve, solver, output
 
 
 def _checked(key: str, check, *args, **kwargs):
@@ -335,13 +331,13 @@ def _status(result: SolveResult) -> str:
 
 
 def _cmd_price(args) -> int:
-    cfg, scenario, flags, solver, output = _setup(args)
-    band = _settings(output, _BAND_ARG)
+    cfg, scenario, solve, _, output = _setup(args)
+    band = {"band": output["error_band"]} if "error_band" in output else {}
     _checked("output.error_band", compared_nodes, scenario, **band)
     out = _out_dir(args)
 
-    result = solve_nonlinear(scenario, flags=flags, **_settings(solver, _SOLVE_ARGS))
-    g = assemble_G(result.surface.values, scenario, flags=flags)
+    result = solve_nonlinear(scenario, **solve)
+    g = assemble_G(result.surface.values, scenario, flags=solve["flags"])
     err = error_vs_analytic(result.surface.values, scenario, **band)
 
     lelands = _leland_numbers(scenario, scenario.dt_tc)
@@ -356,12 +352,7 @@ def _cmd_price(args) -> int:
         ["surface.csv", "cost_field.csv", "convergence.csv"],
         {
             **_solve_json(result),
-            "error_vs_analytic": {
-                "max_rel": err.max_rel,
-                "mean_abs": err.mean_abs,
-                "n_included": err.n_included,
-                "peak_analytic": err.peak_analytic,
-            },
+            "error_vs_analytic": dataclasses.asdict(err),
             "leland_numbers": [le.value for le in lelands],
         },
     )
@@ -393,7 +384,7 @@ def _cmd_analytic(args) -> int:
 
 
 def _cmd_leland(args) -> int:
-    cfg, scenario, flags, solver, output = _setup(args)
+    cfg, scenario, solve, solver, output = _setup(args)
     skip_scan = solver.get("skip_scan", False)
     per_node_csv = output.get("per_node_csv", False)
     if per_node_csv and (args.out is None or skip_scan):
@@ -416,7 +407,7 @@ def _cmd_leland(args) -> int:
     # the classification alone is a trusted result, whatever its verdict
     status, outputs = 0, []
     if not skip_scan:
-        status, outputs = _leland_scan(args, cfg, scenario, flags, solver, per_node_csv)
+        status, outputs = _leland_scan(args, cfg, scenario, solve, per_node_csv)
         if not all(le.well_posed for le in lelands):
             status = 3
     if args.out is not None:
@@ -425,16 +416,16 @@ def _cmd_leland(args) -> int:
     return status
 
 
-def _leland_scan(args, cfg: dict, scenario: Scenario, flags: SolverFlags, solver: dict, per_node_csv: bool):
+def _leland_scan(args, cfg: dict, scenario: Scenario, solve: dict, per_node_csv: bool):
     """Solve and scan for ``leland``: the exit status so far and the files written."""
-    result = solve_nonlinear(scenario, flags=flags, **_settings(solver, _SOLVE_ARGS))
+    result = solve_nonlinear(scenario, **solve)
     if not result.converged:
         print(f"leland: solve {_status(result)}; surface not scanned")
         return 3, []
     if not np.isfinite(result.surface.values).all():
         print("leland: the surface is not finite; not scanned")
         return 3, []
-    report = scan_surface(result.surface.values, scenario, flags=flags)
+    report = scan_surface(result.surface.values, scenario, flags=solve["flags"])
     if report.n_checked:
         verdict = "satisfied" if report.satisfied else "violated"
         print(
@@ -464,9 +455,9 @@ def _leland_scan(args, cfg: dict, scenario: Scenario, flags: SolverFlags, solver
 
 
 def _cmd_converge(args) -> int:
-    cfg, scenario, flags, solver, _ = _setup(args)
+    cfg, scenario, solve, _, _ = _setup(args)
     out = _out_dir(args)
-    result = solve_nonlinear(scenario, flags=flags, **_settings(solver, _SOLVE_ARGS))
+    result = solve_nonlinear(scenario, **solve)
     _write_convergence_csv(out / "convergence.csv", result.records)
     _write_run_metadata(out, "converge", cfg, scenario, ["convergence.csv"], _solve_json(result))
     print("n    d1            d2            dinf")
@@ -477,7 +468,7 @@ def _cmd_converge(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    cfg, scenario, flags, solver, output = _setup(args)
+    cfg, scenario, solve, _, output = _setup(args)
     probes = output.get("probes")
     _checked("output.probes", probe_nodes, scenario, probes)
     out = _out_dir(args)
@@ -485,7 +476,7 @@ def _cmd_sweep(args) -> int:
     dt_values = output.get("dt_values")
     if dt_values is None:
         dt_values = np.logspace(math.log10(7.6e-5), math.log10(7e-3), 20).tolist()
-    result = dt_sensitivity_sweep(scenario, dt_values, probes, flags=flags, **_settings(solver, _SOLVE_ARGS))
+    result = dt_sensitivity_sweep(scenario, dt_values, probes, **solve)
     n_probe = len(result.probe_nodes)
     with open(out / "sweep.csv", "w", newline="") as fh:
         heads = ["dt", "converged", "iterations"]
@@ -500,6 +491,7 @@ def _cmd_sweep(args) -> int:
     leland = [_leland_numbers(scenario, row.dt) for row in result.rows]
     ill_posed = [row.dt for row, les in zip(result.rows, leland) if not all(le.well_posed for le in les)]
     non_finite = [row.dt for row in result.rows if not all(map(math.isfinite, row.prices))]
+    stopped = [row.dt for row in result.rows if not row.converged]
     _write_run_metadata(
         out,
         "sweep",
@@ -520,7 +512,9 @@ def _cmd_sweep(args) -> int:
         print(f"sweep: ILL-POSED (Le >= 1) at dt = {', '.join(f'{d:.6g}' for d in ill_posed)}")
     if non_finite:
         print(f"sweep: non-finite prices at dt = {', '.join(f'{d:.6g}' for d in non_finite)}")
-    return 3 if ill_posed or non_finite else 0
+    if stopped:
+        print(f"sweep: NOT converged at dt = {', '.join(f'{d:.6g}' for d in stopped)}")
+    return 3 if ill_posed or non_finite or stopped else 0
 
 
 # ---------------------------------------------------------------------------

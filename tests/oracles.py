@@ -709,7 +709,7 @@ def lagged_march(scenario, flags) -> np.ndarray:
     grid = scenario.grid
     boundary = BoundaryData(scenario, flags)
     scratch = np.empty((2, grid.nx - 1, grid.nx - 1))
-    op_x, op_y = (_StageOperator(scenario, boundary, axis, scratch) for axis in (0, 1))
+    op_x, op_y = (_StageOperator(boundary, axis, scratch) for axis in (0, 1))
     u = initial_condition(grid, scenario.payoff)
     for m in range(grid.nt):
         g = assemble_G(u, scenario, flags=flags)

@@ -329,7 +329,7 @@ def test_criterion_08_linear_algebra_oracles():
     worst_stage = 0.0
     boundary = BoundaryData(scen)
     for axis in (0, 1):
-        op = _StageOperator(scen, boundary, axis, np.empty((2, 19, 19)))
+        op = _StageOperator(boundary, axis, np.empty((2, 19, 19)))
         for _ in range(5):
             u = rng.normal(size=(21, 21))
             ring = rng.normal(size=(21, 21))

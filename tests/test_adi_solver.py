@@ -263,7 +263,7 @@ def ring_edges(ring):
 def stage(scen, axis, flags=SolverFlags()):
     """The stage operator along ``axis`` of a solve's scheme, with scratch of its own."""
     n = scen.grid.nx
-    return _StageOperator(scen, BoundaryData(scen, flags), axis, np.empty((2, n - 1, n - 1)))
+    return _StageOperator(BoundaryData(scen, flags), axis, np.empty((2, n - 1, n - 1)))
 
 
 def test_stage_discounts_a_constant_surface_exactly():
@@ -351,7 +351,7 @@ def test_stage_in_place_is_bit_identical_to_the_allocating_reference(coord, firs
         scen = scen.with_grid(GridSpec(a=5.0, b=60.0, nx=12, nt=7, coord="price"))
     bd = BoundaryData(scen, SolverFlags(first_derivative=first))
     scratch = np.empty((2, 11, 11))
-    ops = [_StageOperator(scen, bd, ax, scratch) for ax in (0, 1)]
+    ops = [_StageOperator(bd, ax, scratch) for ax in (0, 1)]
     rng = np.random.default_rng(100 + 8 * axis + 4 * (first == "central") + 2 * (coord == "price") + with_g)
     for _ in range(3):
         u, ring = rng.normal(size=(2, 13, 13))
@@ -369,9 +369,9 @@ def test_costed_sweep_is_the_loop_of_the_reference_stages(config):
     scen = benchmark_scenario(config, nx=12, nt=7)
     flags = SolverFlags()
     bd = BoundaryData(scen, flags)
-    source = sweep(scen, boundary=bd)
-    block = sweep(scen, source, boundary=bd)
-    op_x, op_y = (_StageOperator(scen, bd, axis, np.empty((2, 11, 11))) for axis in (0, 1))
+    source = sweep(bd)
+    block = sweep(bd, source)
+    op_x, op_y = (_StageOperator(bd, axis, np.empty((2, 11, 11))) for axis in (0, 1))
     levels = [initial_condition(scen.grid, scen.payoff)]
     for m in range(scen.grid.nt):
         half = oracles.stage_apply_reference(op_x, levels[-1], bd.edges(2 * m + 1))
@@ -404,7 +404,7 @@ def payoff_ring(scen):
 
 def march(scen, source=None, flags=SolverFlags()):
     """One sweep on its own boundary data."""
-    return sweep(scen, source, boundary=BoundaryData(scen, flags))
+    return sweep(BoundaryData(scen, flags), source)
 
 
 def test_boundary_rings_are_cached():
@@ -452,7 +452,7 @@ def test_boundary_data_keeps_only_the_edge_vectors():
     nx = nt = 40
     scen = benchmark_scenario(1, nx=nx, nt=nt)
     bd = BoundaryData(scen)
-    sweep(scen, boundary=bd)
+    sweep(bd)
     assert 0 < _array_bytes(vars(bd)) <= 4 * (2 * nt + 1) * (nx + 1) * 8
     for h in (0, 1, 2, nt, 2 * nt):
         bottom_top, left_right = bd.edges(h)
@@ -561,7 +561,7 @@ def test_sweep_block_layout():
     scen = benchmark_scenario(1, nx=10, nt=6)
     flags = SolverFlags()
     bd = BoundaryData(scen, flags)
-    block = sweep(scen, boundary=bd)
+    block = sweep(bd)
     assert block.shape == (7, 11, 11)
     np.testing.assert_array_equal(
         block[0], initial_condition(scen.grid, scen.payoff)
@@ -673,6 +673,33 @@ def test_one_solve_builds_each_direction_once(monkeypatch):
     res = solve_nonlinear(scen, flags=flags)
     assert res.iterations >= 2
     assert len(built) == 2
+
+
+def test_one_solve_reads_the_cost_bound_once(monkeypatch):
+    """Whether a solve carries a cost is decided once, by its boundary data,
+    and the edge march, every sweep and the convergence test read it there."""
+    scen = benchmark_scenario(1, nx=12, nt=6)
+    calls = []
+    bounds = type(scen.cost).bounds
+    monkeypatch.setattr(type(scen.cost), "bounds", lambda self: calls.append(self) or bounds(self))
+    res = solve_nonlinear(scen)
+    assert res.iterations >= 2
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("nt", [10, 20])
+def test_sweep_reads_its_scenario_from_the_boundary(nt):
+    """``sweep`` takes no scenario beside its boundary data, so it cannot
+    march one time grid with the step and edges of another: on config 1 at
+    nx = 20, costed, each grid marches its own nt steps to tau = T."""
+    scen = benchmark_scenario(1, nx=20, nt=nt)
+    bd = BoundaryData(scen)
+    assert bd.scenario is scen and bd.grid is scen.grid and bd.costed
+    block = sweep(bd)
+    assert block.shape == (nt + 1, 21, 21)
+    terminal = block[-1].copy()
+    terminal[1:-1, 1:-1] = 0.0
+    assert np.array_equal(terminal, dense_ring(bd, 2 * nt))
 
 
 def test_solve_costed_converges_on_coarse_grid():

@@ -547,6 +547,21 @@ def test_sweep_exits_3_and_names_the_ill_posed_intervals(tmp_path, capsys):
 SMALL_GRID = ("grid.a=1.5", "grid.b=5.3", "grid.nx=16", "grid.nt=8")
 
 
+def test_sweep_reports_nonconvergence_with_exit_3(tmp_path, capsys):
+    """A well-posed row whose solve an explicit max_iter stopped short is
+    written, but the result is not to be trusted, as for ``price``."""
+    out = tmp_path / "sweep"
+    argv = ["sweep", "--config", str(CONFIG_DIR / "testing1.json"), "--out", str(out)]
+    for flag in SMALL_GRID + ("solver.max_iter=1", "solver.tol=1e-14", "output.dt_values=[0.004]"):
+        argv += ["--flag", flag]
+    assert main(argv) == 3
+    text = capsys.readouterr().out
+    assert "sweep: NOT converged at dt = 0.004" in text
+    assert "ILL-POSED" not in text
+    _, rows = read_csv(out / "sweep.csv")
+    assert [row[1] for row in rows] == ["0"]
+
+
 @pytest.mark.parametrize("command", ["price", "leland"])
 def test_an_ill_posed_dt_tc_exits_3(tmp_path, capsys, command):
     """Config 1 at dt_tc = 7.6e-5 has Le = 3.05 and 6.10: the solve converges
