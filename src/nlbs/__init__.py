@@ -62,7 +62,6 @@ from .market_model import (
     MarketParams,
     SampledCost,
     Scenario,
-    SolverFlags,
     ValidationError,
     default_grid,
     validate,
@@ -89,7 +88,6 @@ __all__ = [
     "SampledCost",
     "Scenario",
     "SolveResult",
-    "SolverFlags",
     "Surface",
     "ValidationError",
     "ZeroPivotError",

@@ -39,13 +39,13 @@ Corners decay by the scheme's own half-step discount factor.  No closed form
 enters, so the edges stay consistent with the interior discretization for
 any cost level.
 
-One solve is fixed by its scenario, its stencil (``SolverFlags``), its step
-dtau = T / nt and whether it carries a cost, and :class:`BoundaryData` is
-where all four are decided; :func:`sweep` and everything it calls read
-them from there and from nowhere else.  It builds each coordinate
-direction's half of the operator once, as one object (``_Axis``): its
-tridiagonal matrix, Dirichlet lift and explicit weights serve the edge
-march and every sweep's stage operators alike.  The edges
+One solve is fixed by its scenario (whose grid carries the first-difference
+stencil), its step dtau = T / nt and whether it carries a cost, and
+:class:`BoundaryData` is where all three are decided; :func:`sweep` and
+everything it calls read them from there and from nowhere else.  It builds
+each coordinate direction's half of the operator once, as one object
+(``_Axis``): its tridiagonal matrix, Dirichlet lift and explicit weights
+serve the edge march and every sweep's stage operators alike.  The edges
 march in pairs, bottom with top along asset 1 and left with right along
 asset 2, as the two columns of one array; only these pairs are stored for
 each half level, O(nt nx) floats, and the stage operators write them
@@ -70,7 +70,7 @@ import numpy as np
 from scipy.linalg.lapack import dgtsv
 
 from .cost_engine import _corner_sum, _hedge_row, _theta, _variance_weight, assemble_G, expected_cost
-from .market_model import BestCashOrNothing, GridSpec, Scenario, SolverFlags, ValidationError
+from .market_model import BestCashOrNothing, GridSpec, Scenario, ValidationError, _integer, _numbers
 
 __all__ = [
     "Surface",
@@ -201,7 +201,7 @@ class BoundaryData:
     """The scheme of one solve, and its Dirichlet edge values for every half time level.
 
     Everything that fixes a solve is decided here, once: ``scenario`` and
-    its ``grid``, ``flags`` (the stencils), ``dtau`` = T / nt, ``costed``
+    its ``grid`` (which carries the stencils), ``dtau`` = T / nt, ``costed``
     (the cost's upper bound is above 0), and ``axes``, the two directions'
     :class:`_Axis` objects, built once for the edge march and every sweep's
     stage operators.
@@ -214,12 +214,12 @@ class BoundaryData:
     these pairs are kept, 4 (2 nt + 1) (nx + 1) floats in all.
     """
 
-    def __init__(self, scenario: Scenario, flags: SolverFlags = SolverFlags()) -> None:
+    def __init__(self, scenario: Scenario) -> None:
         grid, market = scenario.grid, scenario.market
-        self.scenario, self.grid, self.flags = scenario, grid, flags
+        self.scenario, self.grid = scenario, grid
         self.costed = scenario.cost.bounds()[1] > 0.0
         self.dtau = market.T / grid.nt
-        self.axes = tuple(_Axis(grid, market.r, sigma, self.dtau, flags.first_derivative) for sigma in market.sigmas)
+        self.axes = tuple(_Axis(grid, market.r, sigma, self.dtau) for sigma in market.sigmas)
         self._levels: list[Edges] = _evolve_edges(self)
 
     def edges(self, h: int) -> Edges:
@@ -241,9 +241,10 @@ class _Axis:
     right-hand side of the other direction's stage.  The interior stage
     operators and the edge marches share this object, so both use identical
     coefficients.  Both methods run along axis 0 and broadcast over axis 1.
+    The first difference is the grid's ``first_derivative`` stencil.
     """
 
-    def __init__(self, grid: GridSpec, r: float, sigma: float, dtau: float, first_derivative: str) -> None:
+    def __init__(self, grid: GridSpec, r: float, sigma: float, dtau: float) -> None:
         dx = grid.dx
         if grid.coord == "log":
             diff = np.full(grid.nx - 1, sigma * sigma / (4.0 * dx * dx))
@@ -252,7 +253,7 @@ class _Axis:
             s_in = grid.spot_axis()[1:-1]
             diff = sigma * sigma * s_in * s_in / (4.0 * dx * dx)
             drift = r * s_in / 2.0
-        if first_derivative == "forward":
+        if grid.first_derivative == "forward":
             lower = -dtau * diff
             diag = 1.0 + dtau * (2.0 * diff + r / 2.0 + drift / dx)
             upper = -dtau * (diff + drift / dx)
@@ -301,7 +302,7 @@ def _edge_cost_term(f: np.ndarray, sigma: float, boundary: BoundaryData) -> np.n
     Stencils and normalization match :func:`nlbs.cost_engine.assemble_G`.
     """
     scenario, grid = boundary.scenario, boundary.grid
-    p = _hedge_row(f, grid, boundary.flags.first_derivative)
+    p = _hedge_row(f, grid)
     theta = _theta(p, _variance_weight(grid, sigma)[:, None], p)
     rate = grid.spot_axis()[1:-1, None] / math.sqrt(scenario.dt_tc)
     return rate * expected_cost(scenario.cost, theta, scenario.dt_tc)
@@ -440,8 +441,8 @@ class _StageOperator:
 def sweep(boundary: BoundaryData, source: np.ndarray | None = None) -> np.ndarray:
     """March the scheme of ``boundary`` from the payoff to tau = T.
 
-    ``boundary`` is the solve's one source of inputs: its scenario and grid,
-    its stencils, its step dtau = T / nt, whether it is costed, both
+    ``boundary`` is the solve's one source of inputs: its scenario and grid
+    (with the stencils), its step dtau = T / nt, whether it is costed, both
     directions' operators and the edges.  Step m -> m+1 takes the source
     ``assemble_G(source[m])``, from level m of an earlier sweep's block;
     without ``source`` the source is zero (the linear problem).  A costed
@@ -466,7 +467,7 @@ def sweep(boundary: BoundaryData, source: np.ndarray | None = None) -> np.ndarra
     if block is not None:
         block[0] = level
     for m in range(grid.nt):
-        g = None if source is None else assemble_G(source[m], scenario, flags=boundary.flags)
+        g = None if source is None else assemble_G(source[m], scenario)
         op_x.apply(level, boundary.edges(2 * m + 1), out=half)
         level = op_y.apply(half, boundary.edges(2 * m + 2), g, out=level if block is None else block[m + 1])
     return level[None] if block is None else block
@@ -477,7 +478,6 @@ def solve_nonlinear(
     *,
     tol: float = 1e-6,
     max_iter: int | None = None,
-    flags: SolverFlags = SolverFlags(),
 ) -> SolveResult:
     """Fixed-point iteration on the transaction-cost source term.
 
@@ -493,15 +493,14 @@ def solve_nonlinear(
     the linear sweep is returned immediately as converged; that sweep streams
     its levels and ``block`` holds the terminal level alone.
     """
-    grid = scenario.grid
-    tol = float(tol)
+    tol = _numbers(tol, "tol")
     if not math.isfinite(tol) or tol <= 0.0:
         raise ValidationError("tol", f"tolerance must be positive, got {tol}")
-    max_iter = grid.nt + 2 if max_iter is None else int(max_iter)
+    max_iter = scenario.grid.nt + 2 if max_iter is None else _integer(max_iter, "max_iter")
     if max_iter < 1:
         raise ValidationError("max_iter", f"need at least one sweep, got {max_iter}")
 
-    boundary = BoundaryData(scenario, flags)
+    boundary = BoundaryData(scenario)
     records: list[ConvergenceRecord] = []
     prev: np.ndarray | None = None
     for sweeps in range(1, max_iter + 1):

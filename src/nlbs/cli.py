@@ -65,7 +65,6 @@ from .market_model import (
     GridSpec,
     SampledCost,
     Scenario,
-    SolverFlags,
     ValidationError,
     _integer,
     _numbers,
@@ -147,7 +146,7 @@ def _probes(value: Any, qualified: str) -> np.ndarray:
     return probes
 
 
-# the parser of every solve key; SolverFlags checks first_derivative itself
+# the parser of every solve key; the grid checks first_derivative itself
 _SOLVE_PARSERS = {
     "first_derivative": lambda value, qualified: value,
     "tol": _positive,
@@ -178,7 +177,7 @@ def _parsed_section(cfg: dict, name: str, parsers: dict, command: str) -> dict:
     any other key, even one another command reads, and a value of the wrong
     type; a null value is dropped, so the command uses its default.
     """
-    section = cfg.get(name) or {}
+    section = {} if cfg.get(name) is None else cfg[name]
     if not isinstance(section, dict):
         raise ValidationError(name, f"expected a mapping, got {type(section).__name__}")
     parsed = {}
@@ -288,10 +287,11 @@ def _out_dir(args) -> Path:
 def _setup(args) -> tuple[dict, Scenario, dict, dict, dict]:
     """Load the config, validate the scenario, resolve the solve settings.
 
-    Returns the config, the scenario, the keyword arguments of
-    :func:`solve_nonlinear` (``flags`` always, ``tol`` and ``max_iter`` when
-    the config sets them) and the parsed ``solver`` and ``output`` sections,
-    which may hold only the keys ``args.command`` reads.
+    Returns the config, the scenario (its grid carrying the stencil of
+    ``solver.first_derivative``), the keyword arguments of
+    :func:`solve_nonlinear` (``tol`` and ``max_iter`` when the config sets
+    them) and the parsed ``solver`` and ``output`` sections, which may hold
+    only the keys ``args.command`` reads.
     """
     cfg = _load_config(args.config, args.flag)
     for key in cfg:
@@ -301,8 +301,9 @@ def _setup(args) -> tuple[dict, Scenario, dict, dict, dict]:
     solver_parsers, output_parsers = _COMMAND_PARSERS[args.command]
     solver = _parsed_section(cfg, "solver", solver_parsers, args.command)
     output = _parsed_section(cfg, "output", output_parsers, args.command)
+    if "first_derivative" in solver:
+        scenario = scenario.with_grid(dataclasses.replace(scenario.grid, first_derivative=solver["first_derivative"]))
     solve = {key: solver[key] for key in ("tol", "max_iter") if key in solver}
-    solve["flags"] = SolverFlags(solver.get("first_derivative", SolverFlags.first_derivative))
     return cfg, scenario, solve, solver, output
 
 
@@ -337,7 +338,7 @@ def _cmd_price(args) -> int:
     out = _out_dir(args)
 
     result = solve_nonlinear(scenario, **solve)
-    g = assemble_G(result.surface.values, scenario, flags=solve["flags"])
+    g = assemble_G(result.surface.values, scenario)
     err = error_vs_analytic(result.surface.values, scenario, **band)
 
     lelands = _leland_numbers(scenario, scenario.dt_tc)
@@ -425,7 +426,7 @@ def _leland_scan(args, cfg: dict, scenario: Scenario, solve: dict, per_node_csv:
     if not np.isfinite(result.surface.values).all():
         print("leland: the surface is not finite; not scanned")
         return 3, []
-    report = scan_surface(result.surface.values, scenario, flags=solve["flags"])
+    report = scan_surface(result.surface.values, scenario)
     if report.n_checked:
         verdict = "satisfied" if report.satisfied else "violated"
         print(

@@ -34,7 +34,7 @@ asymptotic series).  No cost model integrates numerically.
 The package's finite-difference stencils live here: the four-corner mixed
 difference (also the ADI stage operators' mixed term) and the hedge rows
 dx^2 (u_xx - u_x) (dx^2 s u_xx on a price grid), with the first derivative
-chosen by :class:`~nlbs.market_model.SolverFlags`.  One grid routine writes
+the grid's ``first_derivative`` stencil.  One grid routine writes
 Theta_1 = w_1 [(sigma_1 p_1 + rho sigma_2 q)^2 + (1 - rho^2) sigma_2^2 q^2]
 (p_1 the hedge row, q the mixed difference, Theta_2 likewise), a sum of
 squares and so >= 0 with no clamp, for ``assemble_G`` (one
@@ -55,7 +55,6 @@ from .market_model import (
     ExponentialCost,
     SampledCost,
     Scenario,
-    SolverFlags,
     ValidationError,
 )
 
@@ -216,17 +215,17 @@ def _corner_sum(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-def _hedge_row(u: np.ndarray, grid, first: str) -> np.ndarray:
+def _hedge_row(u: np.ndarray, grid) -> np.ndarray:
     """dx^2 (u_xx - u_x) along axis 0 at interior positions; dx^2 s u_xx on a price grid.
 
     ``u`` is a pair of edge vectors or a 2-D array, s the spot of the row and
-    u_x the ``first`` difference ("forward" or "central").  Both are weights
-    on the two one-sided differences, so the row is exactly 0 where u is flat.
+    u_x the grid's ``first_derivative`` difference.  Both are weights on the
+    two one-sided differences, so the row is exactly 0 where u is flat.
     """
     row, back = u[2:] - u[1:-1], u[1:-1] - u[:-2]
     if grid.coord == "price":
         return (row - back) * grid.spot_axis()[1:-1, None]
-    if first == "forward":
+    if grid.first_derivative == "forward":
         return (1.0 - grid.dx) * row - back
     return (1.0 - grid.dx / 2.0) * row - (1.0 + grid.dx / 2.0) * back
 
@@ -253,15 +252,15 @@ def _theta(p, w, out, q=None, ratio: float = 0.0, rho: float = 0.0) -> np.ndarra
     return out
 
 
-def _grid_theta(u: np.ndarray, scenario: Scenario, first: str) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+def _grid_theta(u: np.ndarray, scenario: Scenario) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     """(Theta_1, Theta_2) on interior nodes as one (2, n-1, n-1) array, and the
     hedge rows p_1, p_2 and four-corner sum m they come from (for the scan)."""
     grid = scenario.grid
     sig1, sig2 = scenario.market.sigmas
     rho = float(scenario.market.rho[0, 1])
     # whole rows are contiguous and cheaper to difference than the interior block
-    p1 = _hedge_row(u, grid, first)[:, 1:-1]
-    p2 = _hedge_row(u.T, grid, first)[:, 1:-1].T
+    p1 = _hedge_row(u, grid)[:, 1:-1]
+    p2 = _hedge_row(u.T, grid)[:, 1:-1].T
     q1 = q2 = m = _corner_sum(u)
     if grid.coord == "price":
         s = grid.spot_axis()[1:-1]
@@ -277,13 +276,14 @@ def _grid_theta(u: np.ndarray, scenario: Scenario, first: str) -> tuple[np.ndarr
 # ---------------------------------------------------------------------------
 
 
-def assemble_G(surface: np.ndarray, scenario: Scenario, *, flags: SolverFlags = SolverFlags()) -> np.ndarray:
+def assemble_G(surface: np.ndarray, scenario: Scenario) -> np.ndarray:
     """Evaluate the transaction-cost term on every interior grid node.
 
-    ``surface`` is a value array of shape (nx+1, nx+1) on ``scenario.grid``.
-    Returns an array of the same shape; the boundary ring is zero (the PDE
-    never reads the source term on Dirichlet nodes, and one-sided second
-    differences there would be meaningless).
+    ``surface`` is a value array of shape (nx+1, nx+1) on ``scenario.grid``,
+    differenced with the grid's stencils.  Returns an array of the same
+    shape; the boundary ring is zero (the PDE never reads the source term on
+    Dirichlet nodes, and one-sided second differences there would be
+    meaningless).
 
     The per-interval expected cost becomes a per-unit-time term by division
     by sqrt(dt), consistent with the classical discrete-rebalancing limit.
@@ -293,7 +293,7 @@ def assemble_G(surface: np.ndarray, scenario: Scenario, *, flags: SolverFlags = 
     n = grid.nx
     if u.shape != (n + 1, n + 1):
         raise ValidationError("surface", f"expected shape ({n + 1}, {n + 1}), got {u.shape}")
-    e = expected_cost(scenario.cost, _grid_theta(u, scenario, flags.first_derivative)[0], scenario.dt_tc)
+    e = expected_cost(scenario.cost, _grid_theta(u, scenario)[0], scenario.dt_tc)
     rate = grid.spot_axis()[1:-1] / math.sqrt(scenario.dt_tc)
     g = np.zeros_like(u)
     g[1:-1, 1:-1] = e[0] * rate[:, None] + e[1] * rate[None, :]

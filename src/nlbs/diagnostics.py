@@ -29,7 +29,7 @@ import numpy as np
 from .adi_solver import SolveResult, solve_nonlinear
 from .analytic_pricing import cbest_price
 from .cost_engine import assemble_G
-from .market_model import Scenario, SolverFlags, ValidationError
+from .market_model import Scenario, ValidationError, _integer, _numbers
 
 __all__ = [
     "ErrorReport",
@@ -59,6 +59,7 @@ def compared_nodes(scenario: Scenario, band: int = 2) -> np.ndarray:
     solve: a negative band, or one that leaves no node, raises
     :class:`ValidationError` naming ``band``.
     """
+    band = _integer(band, "band")
     if band < 0:
         raise ValidationError("band", f"exclusion band must be nonnegative, got {band}")
     s = scenario.grid.spot_axis()
@@ -169,14 +170,7 @@ def probe_nodes(scenario: Scenario, probes=None) -> list[tuple[int, int]]:
     return nodes
 
 
-def dt_sensitivity_sweep(
-    scenario: Scenario,
-    dt_values,
-    probes=None,
-    *,
-    flags: SolverFlags = SolverFlags(),
-    **settings,
-) -> DtSweepResult:
+def dt_sensitivity_sweep(scenario: Scenario, dt_values, probes=None, **settings) -> DtSweepResult:
     """Solve the nonlinear problem for each rebalancing interval in dt_values.
 
     ``probes`` is a sequence of (S1, S2) spot pairs, each snapped to the
@@ -186,7 +180,7 @@ def dt_sensitivity_sweep(
     nt + 2 every solve converges.  A solve stopped short by an explicit
     ``max_iter`` is recorded with ``converged=False`` and the sweep continues.
     """
-    dts = [float(d) for d in np.atleast_1d(dt_values)]
+    dts = np.atleast_1d(_numbers(dt_values, "dt_values", (0, 1))).tolist()
     if not dts:
         raise ValidationError("dt_values", "need at least one rebalancing interval")
     for d in dts:
@@ -197,8 +191,8 @@ def dt_sensitivity_sweep(
     rows: list[DtSweepRow] = []
     for d in dts:
         scen_d = scenario.with_dt(d)
-        result: SolveResult = solve_nonlinear(scen_d, flags=flags, **settings)
-        g = assemble_G(result.surface.values, scen_d, flags=flags)
+        result: SolveResult = solve_nonlinear(scen_d, **settings)
+        g = assemble_G(result.surface.values, scen_d)
         rows.append(
             DtSweepRow(
                 dt=d,
@@ -228,16 +222,11 @@ class PerronBound:
     tau: float
 
 
-def perron_bound(
-    scenario: Scenario,
-    *,
-    tau: float | None = None,
-    flags: SolverFlags = SolverFlags(),
-) -> PerronBound:
+def perron_bound(scenario: Scenario, *, tau: float | None = None) -> PerronBound:
     """Largest |G| on the closed-form surface at time-to-maturity tau.
 
     The benchmark surface is sampled on the scenario grid, its Hessian taken
-    with the scheme's own stencils (``flags``), and the cost term assembled
+    with the scheme's own stencils (the grid's), and the cost term assembled
     on interior nodes.  Linear in the cost level for constant and
     exponential models.
     """
@@ -248,7 +237,7 @@ def perron_bound(
     s = grid.spot_axis()
     ana = cbest_price(s[:, None], s[None, :], tau, scenario)
     ana = np.broadcast_to(ana, (grid.nx + 1, grid.nx + 1))
-    g = assemble_G(ana, scenario, flags=flags)
+    g = assemble_G(ana, scenario)
     inner = np.abs(g[1:-1, 1:-1])
     flat = int(np.argmax(inner))
     wi, wj = np.unravel_index(flat, inner.shape)

@@ -55,7 +55,6 @@ from .market_model import (
     CostModel,
     MarketParams,
     Scenario,
-    SolverFlags,
     ValidationError,
 )
 
@@ -238,17 +237,12 @@ class EllipticityReport:
                     )
 
 
-def scan_surface(
-    surface: np.ndarray,
-    scenario: Scenario,
-    *,
-    flags: SolverFlags = SolverFlags(),
-) -> EllipticityReport:
+def scan_surface(surface: np.ndarray, scenario: Scenario) -> EllipticityReport:
     """Classify the operator derivative at every interior node of a surface.
 
     ``surface`` is a value array of shape (nx+1, nx+1) on ``scenario.grid``.
-    Its finite-difference Hessian uses the same stencils as the PDE scheme
-    (``flags``).  Nodes where either Theta_i <= THETA_FLOOR (flat
+    Its finite-difference Hessian uses the same stencils as the PDE scheme,
+    the grid's.  Nodes where either Theta_i <= THETA_FLOOR (flat
     payoff regions, deep tails) are counted as degenerate and excluded from
     the eigenvalue statistics rather than misclassified.
     """
@@ -259,7 +253,7 @@ def scan_surface(
         raise ValidationError("surface", f"expected shape ({n + 1}, {n + 1}), got {u.shape}")
     dt = scenario.dt_tc
 
-    theta, (p1, p2, m) = _grid_theta(u, scenario, flags.first_derivative)
+    theta, (p1, p2, m) = _grid_theta(u, scenario)
     theta = np.moveaxis(theta, 0, -1)  # (n-1, n-1, 2): one state per node
     spot_axis = grid.spot_axis()[1:-1]
     s1 = spot_axis[:, None]

@@ -36,7 +36,6 @@ __all__ = [
     "GridSpec",
     "default_grid",
     "Scenario",
-    "SolverFlags",
     "validate",
 ]
 
@@ -337,6 +336,11 @@ class GridSpec:
 
     ``coord="log"`` means the axis holds log prices (spots are exp(axis));
     ``coord="price"`` uses prices directly and then requires a > 0.
+    ``first_derivative`` is the first-difference stencil of every routine
+    that differences a surface on this grid (the scheme's drift, the
+    hedge-variance term, the cost source and the ellipticity scan):
+    one-sided ``"forward"`` differences (default) or ``"central"`` ones.
+    The config sets it with the key ``solver.first_derivative``.
     """
 
     a: float
@@ -344,6 +348,7 @@ class GridSpec:
     nx: int = 100
     nt: int = 100
     coord: Literal["log", "price"] = "log"
+    first_derivative: Literal["forward", "central"] = "forward"
 
     def __post_init__(self) -> None:
         a, b = _numbers(self.a, "grid.a"), _numbers(self.b, "grid.b")
@@ -358,6 +363,9 @@ class GridSpec:
             raise ValidationError("grid.coord", f"expected 'log' or 'price', got {self.coord!r}")
         if self.coord == "price" and a <= 0.0:
             raise ValidationError("grid.a", f"price-coordinate grids need a > 0, got {a}")
+        if self.first_derivative not in ("forward", "central"):
+            message = f"expected one of ('forward', 'central'), got {self.first_derivative!r}"
+            raise ValidationError("solver.first_derivative", message)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "nx", nx)
@@ -442,24 +450,6 @@ class Scenario:
 
     def with_grid(self, grid: GridSpec) -> "Scenario":
         return replace(self, grid=grid)
-
-
-@dataclass(frozen=True)
-class SolverFlags:
-    """Discretization choices (defaults = production scheme).
-
-    The only choice is the first-derivative stencil of the drift and
-    hedge-variance terms: one-sided ``"forward"`` differences (default) or
-    ``"central"`` ones, set by the config key ``solver.first_derivative``.
-    """
-
-    first_derivative: Literal["forward", "central"] = "forward"
-
-    def __post_init__(self) -> None:
-        allowed = ("forward", "central")
-        if self.first_derivative not in allowed:
-            message = f"expected one of {allowed}, got {self.first_derivative!r}"
-            raise ValidationError("solver.first_derivative", message)
 
 
 # ---------------------------------------------------------------------------

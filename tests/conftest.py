@@ -2,10 +2,12 @@
 
 The three shipped benchmark configs (configs/testing{1,2,3}.json) are used
 throughout the suite; ``benchmark_scenario`` loads one and optionally swaps
-in a coarser grid so module tests stay fast.
+in a coarser grid so module tests stay fast; ``with_stencil`` sets the
+first-difference stencil of a scenario's grid.
 """
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 from nlbs import GridSpec, Scenario, validate
@@ -26,3 +28,8 @@ def benchmark_scenario(n: int, nx: int | None = None, nt: int | None = None) -> 
             GridSpec(a=g.a, b=g.b, nx=nx or g.nx, nt=nt or g.nt, coord=g.coord)
         )
     return scen
+
+
+def with_stencil(scen: Scenario, first: str) -> Scenario:
+    """``scen`` on the same grid with the ``first`` first-difference stencil."""
+    return scen.with_grid(replace(scen.grid, first_derivative=first))

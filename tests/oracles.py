@@ -696,7 +696,7 @@ def dyf_aggregate(inputs) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def lagged_march(scenario, flags) -> np.ndarray:
+def lagged_march(scenario) -> np.ndarray:
     """Terminal surface of one march whose step m -> m+1 takes its source
     term from level m of the same march, level 0 included.
 
@@ -707,12 +707,12 @@ def lagged_march(scenario, flags) -> np.ndarray:
     from nlbs.adi_solver import _StageOperator
 
     grid = scenario.grid
-    boundary = BoundaryData(scenario, flags)
+    boundary = BoundaryData(scenario)
     scratch = np.empty((2, grid.nx - 1, grid.nx - 1))
     op_x, op_y = (_StageOperator(boundary, axis, scratch) for axis in (0, 1))
     u = initial_condition(grid, scenario.payoff)
     for m in range(grid.nt):
-        g = assemble_G(u, scenario, flags=flags)
+        g = assemble_G(u, scenario)
         half = op_x.apply(u, boundary.edges(2 * m + 1), out=np.empty_like(u))
         u = op_y.apply(half, boundary.edges(2 * m + 2), g, out=np.empty_like(u))
     return u

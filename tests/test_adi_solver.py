@@ -19,7 +19,6 @@ from nlbs import (
     ConstantCost,
     ConvergenceRecord,
     GridSpec,
-    SolverFlags,
     ValidationError,
     ZeroPivotError,
     assemble_G,
@@ -31,7 +30,7 @@ from nlbs import (
 from nlbs.adi_solver import _Axis, _StageOperator, _tridiag_solve, _write_edges
 
 import oracles
-from conftest import benchmark_scenario
+from conftest import benchmark_scenario, with_stencil
 
 
 # ---------------------------------------------------------------------------
@@ -95,12 +94,14 @@ def test_default_grid_pinned_bounds():
     assert g.a + (g.b - g.a) / 2.0 == pytest.approx(math.log(30.0))
 
 
-def test_solver_flags_defaults_and_validation():
-    assert [f.name for f in fields(SolverFlags)] == ["first_derivative"]
-    assert SolverFlags().first_derivative == "forward"
-    assert SolverFlags(first_derivative="central").first_derivative == "central"
+def test_grid_stencil_defaults_and_validation():
+    """The first-difference stencil is a field of the grid: forward by
+    default, central accepted, anything else rejected under its config key."""
+    assert [f.name for f in fields(GridSpec)] == ["a", "b", "nx", "nt", "coord", "first_derivative"]
+    assert GridSpec(a=1.0, b=2.0).first_derivative == "forward"
+    assert GridSpec(a=1.0, b=2.0, first_derivative="central").first_derivative == "central"
     with pytest.raises(ValidationError, match="solver.first_derivative"):
-        SolverFlags(first_derivative="upwind")
+        GridSpec(a=1.0, b=2.0, first_derivative="upwind")
 
 
 # ---------------------------------------------------------------------------
@@ -198,9 +199,9 @@ def test_scheme_matrices_factor_without_row_interchanges():
         g, market = scen.grid, scen.market
         for nx, nt, coord in itertools.product((8, 16, 40, 100, 400), (1, 16, 100, 400), ("log", "price")):
             a, b = (g.a, g.b) if coord == "log" else (math.exp(g.a), math.exp(g.b))
-            grid = GridSpec(a=a, b=b, nx=nx, nt=nt, coord=coord)
             for sigma, first in itertools.product(market.sigmas, ("forward", "central")):
-                matrices.append(_Axis(grid, market.r, sigma, market.T / nt, first)._tridiag)
+                grid = GridSpec(a=a, b=b, nx=nx, nt=nt, coord=coord, first_derivative=first)
+                matrices.append(_Axis(grid, market.r, sigma, market.T / nt)._tridiag)
     assert len(matrices) == 480
     for lower, diag, upper in matrices:
         assert_thomas_factor(lower, diag, upper)
@@ -260,10 +261,10 @@ def ring_edges(ring):
     return ring[:, [0, -1]], ring[[0, -1], :].T
 
 
-def stage(scen, axis, flags=SolverFlags()):
+def stage(scen, axis):
     """The stage operator along ``axis`` of a solve's scheme, with scratch of its own."""
     n = scen.grid.nx
-    return _StageOperator(BoundaryData(scen, flags), axis, np.empty((2, n - 1, n - 1)))
+    return _StageOperator(BoundaryData(scen), axis, np.empty((2, n - 1, n - 1)))
 
 
 def test_stage_discounts_a_constant_surface_exactly():
@@ -284,7 +285,7 @@ def test_stage_discounts_a_constant_surface_exactly():
 @pytest.mark.parametrize("first", ["forward", "central"])
 @pytest.mark.parametrize("mixed", ["four_corner"])  # the one mixed stencil; keeps the test ids
 def test_stage_matches_dense_oracle_log_grid(axis, first, mixed):
-    scen = benchmark_scenario(1, nx=8, nt=4)
+    scen = with_stencil(benchmark_scenario(1, nx=8, nt=4), first)
     grid = scen.grid
     dtau = scen.market.T / grid.nt
     rng = np.random.default_rng(10 * axis + (first == "central") * 5)
@@ -292,8 +293,7 @@ def test_stage_matches_dense_oracle_log_grid(axis, first, mixed):
     ring = rng.normal(size=(9, 9))
     g = np.zeros((9, 9))
     g[1:-1, 1:-1] = rng.normal(size=(7, 7))
-    flags = SolverFlags(first_derivative=first)
-    ours = stage(scen, axis, flags).apply(u, ring_edges(ring), g, out=np.empty((9, 9)))
+    ours = stage(scen, axis).apply(u, ring_edges(ring), g, out=np.empty((9, 9)))
     ref = oracles.dense_half_step(
         u, ring, axis, scen.market.sigmas, float(scen.market.rho[0, 1]), scen.market.r,
         grid.a, grid.b, "log", dtau, g=g, first_derivative=first,
@@ -349,7 +349,7 @@ def test_stage_in_place_is_bit_identical_to_the_allocating_reference(coord, firs
     scen = benchmark_scenario(1, nx=12, nt=7)  # dtau = T/7: no scaling by it is exact
     if coord == "price":
         scen = scen.with_grid(GridSpec(a=5.0, b=60.0, nx=12, nt=7, coord="price"))
-    bd = BoundaryData(scen, SolverFlags(first_derivative=first))
+    bd = BoundaryData(with_stencil(scen, first))
     scratch = np.empty((2, 11, 11))
     ops = [_StageOperator(bd, ax, scratch) for ax in (0, 1)]
     rng = np.random.default_rng(100 + 8 * axis + 4 * (first == "central") + 2 * (coord == "price") + with_g)
@@ -367,15 +367,14 @@ def test_costed_sweep_is_the_loop_of_the_reference_stages(config):
     """A costed sweep with a source writes each level into its own slot of
     the block, bit-identical to the allocating reference stages."""
     scen = benchmark_scenario(config, nx=12, nt=7)
-    flags = SolverFlags()
-    bd = BoundaryData(scen, flags)
+    bd = BoundaryData(scen)
     source = sweep(bd)
     block = sweep(bd, source)
     op_x, op_y = (_StageOperator(bd, axis, np.empty((2, 11, 11))) for axis in (0, 1))
     levels = [initial_condition(scen.grid, scen.payoff)]
     for m in range(scen.grid.nt):
         half = oracles.stage_apply_reference(op_x, levels[-1], bd.edges(2 * m + 1))
-        g = assemble_G(source[m], scen, flags=flags)
+        g = assemble_G(source[m], scen)
         levels.append(oracles.stage_apply_reference(op_y, half, bd.edges(2 * m + 2), g))
     assert np.array_equal(block, np.stack(levels))
     assert block.base is None and block.flags.c_contiguous
@@ -402,9 +401,9 @@ def payoff_ring(scen):
     return pay
 
 
-def march(scen, source=None, flags=SolverFlags()):
+def march(scen, source=None):
     """One sweep on its own boundary data."""
-    return sweep(BoundaryData(scen, flags), source)
+    return sweep(BoundaryData(scen), source)
 
 
 def test_boundary_rings_are_cached():
@@ -559,8 +558,7 @@ def test_edges_1d_zero_cost_edge_approaches_single_asset_digital():
 
 def test_sweep_block_layout():
     scen = benchmark_scenario(1, nx=10, nt=6)
-    flags = SolverFlags()
-    bd = BoundaryData(scen, flags)
+    bd = BoundaryData(scen)
     block = sweep(bd)
     assert block.shape == (7, 11, 11)
     np.testing.assert_array_equal(
@@ -578,7 +576,7 @@ def test_sweep_assembles_the_source_once_per_step(monkeypatch):
     linear = march(scen)
     seen = []
 
-    def zero_source(u, scenario, flags):
+    def zero_source(u, scenario):
         seen.append(u.copy())
         return np.zeros_like(u)
 
@@ -595,7 +593,7 @@ def test_sweep_positive_source_lowers_the_price(monkeypatch):
     g = np.zeros((11, 11))
     g[1:-1, 1:-1] = 0.5
     base = march(scen)
-    monkeypatch.setattr("nlbs.adi_solver.assemble_G", lambda u, scenario, flags: g)
+    monkeypatch.setattr("nlbs.adi_solver.assemble_G", lambda u, scenario: g)
     damped = march(scen, base)
     diff = base[-1][1:-1, 1:-1] - damped[-1][1:-1, 1:-1]
     assert np.all(diff > 0.0)
@@ -622,7 +620,7 @@ def test_zero_cost_solve_streams_the_march(nx, nt):
     scen = benchmark_scenario(1, nx=nx, nt=nt).with_cost(ConstantCost(c0=0.0))
     res = solve_nonlinear(scen)
     assert res.block.shape == (1, nx + 1, nx + 1)
-    np.testing.assert_array_equal(res.surface.values, oracles.lagged_march(scen, SolverFlags()))
+    np.testing.assert_array_equal(res.surface.values, oracles.lagged_march(scen))
 
 
 def test_zero_cost_solve_memory_is_a_few_levels():
@@ -645,7 +643,7 @@ def test_sweep_keeps_its_block_only_when_costed():
     zero = scen.with_cost(ConstantCost(c0=0.0))
     last = march(zero)
     assert last.shape == (1, 15, 15)
-    np.testing.assert_array_equal(last[0], oracles.lagged_march(zero, SolverFlags()))
+    np.testing.assert_array_equal(last[0], oracles.lagged_march(zero))
 
 
 def test_costed_solve_keeps_the_full_block():
@@ -659,9 +657,8 @@ def test_costed_solve_keeps_the_full_block():
 def test_one_solve_builds_each_direction_once(monkeypatch):
     """The boundary data decides a solve's scheme: its step is T / nt, and
     its two directions serve the edge march and every sweep's stages."""
-    scen = benchmark_scenario(1, nx=12, nt=6)
-    flags = SolverFlags(first_derivative="central")
-    assert BoundaryData(scen, flags).dtau == scen.market.T / scen.grid.nt
+    scen = with_stencil(benchmark_scenario(1, nx=12, nt=6), "central")
+    assert BoundaryData(scen).dtau == scen.market.T / scen.grid.nt
     built = []
     init = _Axis.__init__
 
@@ -670,7 +667,7 @@ def test_one_solve_builds_each_direction_once(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(_Axis, "__init__", counted)
-    res = solve_nonlinear(scen, flags=flags)
+    res = solve_nonlinear(scen)
     assert res.iterations >= 2
     assert len(built) == 2
 
@@ -736,11 +733,10 @@ def test_fixed_point_limit_is_the_single_lagged_march(case):
     by nt + 2 sweeps, on the march that takes each step's source from the
     level it has just computed."""
     scen = benchmark_scenario(case, nx=20, nt=20)
-    flags = SolverFlags()
-    res = solve_nonlinear(scen, tol=1e-300, max_iter=scen.grid.nt + 2, flags=flags)
+    res = solve_nonlinear(scen, tol=1e-300, max_iter=scen.grid.nt + 2)
     assert res.converged
     assert res.records[-1].dinf == 0.0
-    np.testing.assert_array_equal(res.surface.values, oracles.lagged_march(scen, flags))
+    np.testing.assert_array_equal(res.surface.values, oracles.lagged_march(scen))
 
 
 def test_default_iteration_cap_reaches_the_fixed_point():
@@ -770,6 +766,13 @@ def test_solve_validation():
         solve_nonlinear(scen, tol=0.0)
     with pytest.raises(ValidationError, match="max_iter"):
         solve_nonlinear(scen, max_iter=0)
+    # numbers parse as the containers parse them: no booleans, strings or fractional counts
+    for bad in (True, "1e-6", None):
+        with pytest.raises(ValidationError, match="tol"):
+            solve_nonlinear(scen, tol=bad)
+    for bad in (2.5, True, "3", math.inf):
+        with pytest.raises(ValidationError, match="max_iter"):
+            solve_nonlinear(scen, max_iter=bad)
 
 
 def test_convergence_record_is_frozen():

@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from nlbs import GridSpec, SolverFlags, cbest_price, solve_nonlinear, validate
+from nlbs import GridSpec, cbest_price, solve_nonlinear, validate
 from nlbs import cli
 from nlbs.cli import main
 
@@ -53,7 +53,7 @@ def test_price_writes_exact_artifacts(tmp_path, capsys):
 
     # %.17g round-trips doubles, so the CSV must reproduce the solver output
     # bit for bit
-    result = solve_nonlinear(validate(cfg), flags=SolverFlags())
+    result = solve_nonlinear(validate(cfg))
     parsed = np.array([float(r[4]) for r in rows]).reshape(11, 11)
     assert np.array_equal(parsed, result.surface.values)
 
@@ -305,6 +305,7 @@ def test_exit_code_2_names_a_malformed_grid_or_market_field(tmp_path, capsys, fl
         ('grid={"a":1.5,"b":5.3,"nx":8,"nt":2,"cord":"log"}', "grid.cord"),
         ("output.tua=0.5", "output.tua"),
         ("tua=0.5", "tua"),
+        ('grid.first_derivative="central"', "grid.first_derivative"),
     ],
 )
 def test_exit_code_2_names_an_unknown_section_key(tmp_path, capsys, flag, field):
@@ -362,6 +363,10 @@ def test_exit_code_2_names_an_unknown_section_key(tmp_path, capsys, flag, field)
         ("leland", "solver.theta_floor=Infinity", "solver.theta_floor"),
         ("leland", "solver.eig_tol=NaN", "solver.eig_tol"),
         ("leland", "solver.eig_tol=-Infinity", "solver.eig_tol"),
+        ("analytic", "output=0", "output"),
+        ("analytic", "output=[]", "output"),
+        ("analytic", "solver=false", "solver"),
+        ("analytic", 'solver=""', "solver"),
     ],
 )
 def test_exit_code_2_names_a_malformed_output_or_solver_value(tmp_path, capsys, command, flag, field):

@@ -20,7 +20,6 @@ from nlbs import (
     MarketParams,
     SampledCost,
     Scenario,
-    SolverFlags,
     ValidationError,
     assemble_G,
     cost_integrals,
@@ -30,7 +29,7 @@ from nlbs import (
 from nlbs.cost_engine import _grid_theta
 
 import oracles
-from conftest import benchmark_scenario
+from conftest import benchmark_scenario, with_stencil
 
 
 # ---------------------------------------------------------------------------
@@ -355,24 +354,25 @@ def test_assemble_g_checks_shape():
 
 
 def test_assemble_g_rejects_unknown_flags():
+    """An unknown stencil is rejected where it is set, on the grid, so no
+    surface is ever differenced with it."""
     scen = small_scenario()
-    u = bumpy_surface(scen, np.random.default_rng(8))
-    with pytest.raises(ValidationError, match="first_derivative"):
-        assemble_G(u, scen, flags=SolverFlags(first_derivative="upwind"))
+    with pytest.raises(ValidationError, match="solver.first_derivative"):
+        with_stencil(scen, "upwind")
 
 
 def test_assemble_g_first_derivative_variants_differ_but_agree_on_symmetric_data():
     scen = small_scenario()
     rng = np.random.default_rng(9)
     u = bumpy_surface(scen, rng)
-    g_f = assemble_G(u, scen, flags=SolverFlags(first_derivative="forward"))
-    g_c = assemble_G(u, scen, flags=SolverFlags(first_derivative="central"))
+    g_f = assemble_G(u, with_stencil(scen, "forward"))
+    g_c = assemble_G(u, with_stencil(scen, "central"))
     assert not np.allclose(g_f, g_c)
     # on an axis-constant surface the first derivatives vanish either way
     flat = np.full_like(u, 3.0)
     np.testing.assert_array_equal(
-        assemble_G(flat, scen, flags=SolverFlags(first_derivative="forward")),
-        assemble_G(flat, scen, flags=SolverFlags(first_derivative="central")),
+        assemble_G(flat, with_stencil(scen, "forward")),
+        assemble_G(flat, with_stencil(scen, "central")),
     )
 
 
@@ -395,7 +395,7 @@ def test_grid_theta_matches_the_per_node_routes(coord, first, rho):
     scen = with_rho(small_scenario(nx=10, coord=coord), rho)
     rng = np.random.default_rng(31)
     u = bumpy_surface(scen, rng)
-    theta, _ = _grid_theta(u, scen, first)
+    theta, _ = _grid_theta(u, with_stencil(scen, first))
     ax, dx = scen.grid.axis(), scen.grid.dx
     scale = np.abs(theta).max()
     for i, j in rng.integers(1, 10, size=(12, 2)):
@@ -428,7 +428,7 @@ def test_grid_theta_stays_nonnegative_where_the_expanded_form_cancels_below_zero
     expanded_negative = 0
     for a in np.linspace(0.1, 3.0, 30):
         u = a * s1**2 - 2.0 * a * rho * sig1 / sig2 * s1 * s2
-        theta, _ = _grid_theta(u, scen, "forward")
+        theta, _ = _grid_theta(u, scen)
         assert theta.min() >= 0.0
         dx = scen.grid.dx
         uxx = (u[2:, 1:-1] - 2.0 * u[1:-1, 1:-1] + u[:-2, 1:-1]) / dx**2
@@ -450,7 +450,7 @@ def test_assemble_g_matches_the_expanded_forms_on_picard_blocks(config):
     for first in ("forward", "central"):
         for level in block:
             np.testing.assert_allclose(
-                assemble_G(level, scen, flags=SolverFlags(first_derivative=first)),
+                assemble_G(level, with_stencil(scen, first)),
                 oracles.assemble_g_expanded(level, scen, first),
                 rtol=1e-12,
                 atol=0.0,

@@ -14,10 +14,13 @@ from nlbs import (
     ExponentialCost,
     GridSpec,
     ValidationError,
+    assemble_G,
     cbest_price,
     dt_sensitivity_sweep,
     error_vs_analytic,
     perron_bound,
+    scan_surface,
+    solve_nonlinear,
 )
 
 from nlbs.adi_solver import _spectral_norm
@@ -25,7 +28,7 @@ from nlbs import diagnostics
 from nlbs.diagnostics import compared_nodes, probe_nodes
 
 import oracles
-from conftest import benchmark_scenario
+from conftest import benchmark_scenario, with_stencil
 
 
 # ---------------------------------------------------------------------------
@@ -92,6 +95,11 @@ def test_error_report_band_controls_inclusion():
         error_vs_analytic(u, scen, band=1_000_000)
     with pytest.raises(ValidationError, match="band"):
         error_vs_analytic(u, scen, band=-1)
+    # a band is a count of cells, parsed as the containers parse integers
+    for bad in (1.5, True, "2", None):
+        with pytest.raises(ValidationError, match="band"):
+            compared_nodes(scen, band=bad)
+    assert np.array_equal(compared_nodes(scen, band=2.0), compared_nodes(scen, band=2))
 
 
 def neighbor_changes(scen):
@@ -214,6 +222,10 @@ def test_dt_sweep_validation():
         dt_sensitivity_sweep(scen, [0.01], probes=[(0.0, 30.0)])
     with pytest.raises(ValidationError, match="probes"):
         dt_sensitivity_sweep(scen, [0.01], probes=[(30.0, math.nan)])
+    # intervals are numbers, parsed as the containers parse them
+    for bad in ([True], ["0.004"], [[0.01]], None):
+        with pytest.raises(ValidationError, match="dt_values"):
+            dt_sensitivity_sweep(scen, bad)
 
 
 @pytest.mark.parametrize("probe", [(1e6, 30.0), "below S_max"])
@@ -232,6 +244,29 @@ def test_dt_sweep_rejects_a_probe_on_the_dirichlet_ring(monkeypatch, probe):
         dt_sensitivity_sweep(scen, [0.01], probes=[(30.0, 30.0), probe])
     # the nearest interior nodes are accepted
     assert probe_nodes(scen, [(scen.grid.spot_axis()[19], 30.0)]) == [(19, 10)]
+
+
+def test_dt_sweep_source_uses_the_grid_stencil():
+    """A sweep row's G at its probe is the cost term of that row's solve,
+    assembled with the stencil the solve used: the grid's."""
+    scen = with_stencil(benchmark_scenario(1, nx=16, nt=16), "central")
+    res = dt_sensitivity_sweep(scen, [scen.dt_tc, 0.004])
+    ((i, j),) = res.probe_nodes
+    for row in res.rows:
+        scen_d = scen.with_dt(row.dt)
+        assert row.g_values == (assemble_G(solve_nonlinear(scen_d).surface.values, scen_d)[i, j],)
+
+
+def test_every_surface_routine_reads_the_stencil_from_the_grid():
+    """The cost term, the scan and the source bound difference a surface
+    with its grid's stencil, so forward and central grids give different numbers."""
+    forward = benchmark_scenario(1, nx=16, nt=16)
+    central = with_stencil(forward, "central")
+    u = solve_nonlinear(central).surface.values
+    assert not np.array_equal(assemble_G(u, forward), assemble_G(u, central))
+    eig_f, eig_c = (scan_surface(u, scen).eigenvalues for scen in (forward, central))
+    assert not np.allclose(eig_f, eig_c, equal_nan=True)
+    assert perron_bound(forward).value != perron_bound(central).value
 
 
 # ---------------------------------------------------------------------------

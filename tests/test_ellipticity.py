@@ -413,7 +413,7 @@ def test_scan_surface_cross_checks_single_point_api(cost):
     grid = scen.grid
     dx = grid.dx
     ax = grid.axis()
-    kept = _grid_theta(u, scen, "forward")[0].min(axis=0) > CROSS_CHECK_THETA_CUT
+    kept = _grid_theta(u, scen)[0].min(axis=0) > CROSS_CHECK_THETA_CUT
     assert kept.sum() == 110 and report.n_checked == 130
     for i, j in np.argwhere(kept) + 1:
         ux = (u[i + 1, j] - u[i, j]) / dx

@@ -10,8 +10,9 @@ that moves outputs must restate the digests it moves and say why.
 
 ``python tests/test_golden_outputs.py`` prints the digests of the current
 tree in the layout of ``GOLDEN``; with ``--changed`` it prints only the
-artifacts whose digest (or exit code) differs from ``GOLDEN``, old -> new.
-Run as a script from a checkout, it imports the package from ``src/``.
+artifacts whose digest (or exit code) differs from ``GOLDEN``, old -> new,
+and exits 1 if there is any, so its exit status says whether an output
+moved.  Run as a script from a checkout, it imports the package from ``src/``.
 """
 
 import argparse
@@ -268,22 +269,25 @@ def test_artifacts_match_pinned_digests(name):
     assert run_case(name) == GOLDEN[name]
 
 
-def print_changed() -> None:
-    """Print each case's artifacts whose digest differs from ``GOLDEN``."""
+def print_changed() -> bool:
+    """Print each case's artifacts whose digest differs from ``GOLDEN``; True if any did."""
+    changed = False
     for case in CASES:
         old, new = GOLDEN.get(case, {}), run_case(case)
         moved = [key for key in {**old, **new} if old.get(key) != new.get(key)]
         if moved:
+            changed = True
             print(f"{case}:")
             for key in moved:
                 print(f"    {key}: {old.get(key)} -> {new.get(key)}")
+    return changed
 
 
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description="Print the golden digests of the current tree.")
     parser.add_argument("--changed", action="store_true", help="print only the digests that differ from GOLDEN")
     if parser.parse_args().changed:
-        print_changed()
+        sys.exit(1 if print_changed() else 0)
     else:
         print("GOLDEN = {")
         for case in CASES:

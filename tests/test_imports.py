@@ -2,6 +2,7 @@
 there, and the package exports only what its modules export."""
 
 import ast
+import inspect
 from pathlib import Path
 
 import nlbs
@@ -68,5 +69,14 @@ def test_every_package_export_is_a_module_export():
         "thomas_solve", "TridiagonalSystem", "lx_stage", "ly_stage",
         "pnorm_distance", "univariate_cdf", "theta_log_coords", "QuadratureError",
         "theta_from_hessian", "is_negative_definite", "NegativeDefiniteness",
+        "SolverFlags",
     ):
         assert not hasattr(nlbs, name), name
+
+
+def test_no_package_callable_takes_flags():
+    """The stencil is a field of the grid, so no entry point takes it beside the scenario."""
+    for name in nlbs.__all__:
+        obj = getattr(nlbs, name)
+        if inspect.isfunction(obj) or inspect.isclass(obj) and not issubclass(obj, Exception):
+            assert "flags" not in inspect.signature(obj).parameters, name

@@ -27,9 +27,9 @@ import functools
 import numpy as np
 import pytest
 
-from nlbs import ConstantCost, SolverFlags, error_vs_analytic, solve_nonlinear
+from nlbs import ConstantCost, error_vs_analytic, solve_nonlinear
 
-from conftest import benchmark_scenario
+from conftest import benchmark_scenario, with_stencil
 
 STENCILS = ("forward", "central")
 CONFIGS = (1, 2, 3)
@@ -39,8 +39,8 @@ TIME_LADDER = (25, 50, 100, 200)
 @functools.lru_cache(maxsize=None)
 def zero_cost_solve(config: int, stencil: str, nx: int, nt: int):
     """Scenario and terminal surface of a zero-cost solve."""
-    scen = benchmark_scenario(config, nx=nx, nt=nt).with_cost(ConstantCost(c0=0.0))
-    return scen, solve_nonlinear(scen, flags=SolverFlags(first_derivative=stencil)).surface.values
+    scen = with_stencil(benchmark_scenario(config, nx=nx, nt=nt).with_cost(ConstantCost(c0=0.0)), stencil)
+    return scen, solve_nonlinear(scen).surface.values
 
 
 def max_rel(config: int, stencil: str, nx: int, nt: int) -> float:
