@@ -70,7 +70,7 @@ import numpy as np
 from scipy.linalg.lapack import dgtsv
 
 from .cost_engine import _corner_sum, _hedge_row, _theta, _variance_weight, assemble_G, expected_cost
-from .market_model import BestCashOrNothing, GridSpec, Scenario, ValidationError, _integer, _numbers
+from .market_model import BestCashOrNothing, GridSpec, Scenario, _bounded, _integer, _numbers
 
 __all__ = [
     "Surface",
@@ -165,20 +165,17 @@ def _tridiag_solve(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray, rhs: 
 # ---------------------------------------------------------------------------
 
 
-def _below_shares(grid: GridSpec, X: float) -> np.ndarray:
-    """Share of each node's cell [x - dx/2, x + dx/2] below X, in the grid's
-    own coordinate (ln X on a log grid)."""
-    c = math.log(X) if grid.coord == "log" else X
-    return np.clip((c - grid.axis()) / grid.dx + 0.5, 0.0, 1.0)
-
-
 def initial_condition(grid: GridSpec, payoff: BestCashOrNothing) -> np.ndarray:
     """The payoff's exact average over each node's grid cell.
 
-    Sampling the payoff at the nodes would alias its jump onto the nearest
-    node, displacing it by up to half a cell: a first-order error near X.
+    The share of a node's cell [x - dx/2, x + dx/2] below X is taken in the
+    grid's own coordinate (ln X on a log grid).  Sampling the payoff at the
+    nodes would alias its jump onto the nearest node, displacing it by up to
+    half a cell: a first-order error near X.  The edge march starts from
+    this level's ring.
     """
-    below = _below_shares(grid, payoff.X)
+    c = math.log(payoff.X) if grid.coord == "log" else payoff.X
+    below = np.clip((c - grid.axis()) / grid.dx + 0.5, 0.0, 1.0)
     return payoff.cell_average(below[:, None], below[None, :])
 
 
@@ -329,11 +326,9 @@ def _evolve_edges(boundary: BoundaryData) -> list[Edges]:
     dtau, (axis1, axis2) = boundary.dtau, boundary.axes
     scale = 1.0 / (1.0 + dtau * scenario.market.r / 2.0)
 
-    # each edge's own asset is averaged over its cell, the other sits at a domain end
-    below = _below_shares(grid, scenario.payoff.X)[:, None]
-    ends_below = grid.spot_axis()[None, [0, -1]] < scenario.payoff.X
-    bottom_top = scenario.payoff.cell_average(below, ends_below)
-    left_right = scenario.payoff.cell_average(ends_below, below)
+    # level 0 is the ring of the initial level, the payoff averaged over each node's cell
+    level = initial_condition(grid, scenario.payoff)
+    bottom_top, left_right = level[:, [0, -1]], level[[0, -1]].T.copy()
 
     def implicit(axis: _Axis, f: np.ndarray, g: np.ndarray | None = None) -> np.ndarray:
         out = f * scale
@@ -407,9 +402,7 @@ class _StageOperator:
         equation above, with the mixed term coeff ((((NE + SW) - SE) - NW)
         / (4 dx^2)).
         """
-        n = self.n
-        if w_level.shape != (n + 1, n + 1):
-            raise ValidationError("surface", f"expected shape ({n + 1}, {n + 1}), got {w_level.shape}")
+        w_level = _numbers(w_level, "surface", shape=(self.n + 1, self.n + 1))
         # seen through ``orient``, the implicit direction runs along axis 0
         orient = (lambda a: a) if self.axis == 0 else np.transpose
         rhs, tmp = self._scratch
@@ -493,12 +486,8 @@ def solve_nonlinear(
     the linear sweep is returned immediately as converged; that sweep streams
     its levels and ``block`` holds the terminal level alone.
     """
-    tol = _numbers(tol, "tol")
-    if not math.isfinite(tol) or tol <= 0.0:
-        raise ValidationError("tol", f"tolerance must be positive, got {tol}")
-    max_iter = scenario.grid.nt + 2 if max_iter is None else _integer(max_iter, "max_iter")
-    if max_iter < 1:
-        raise ValidationError("max_iter", f"need at least one sweep, got {max_iter}")
+    tol = _bounded(tol, "tol", 0.0)
+    max_iter = scenario.grid.nt + 2 if max_iter is None else _integer(max_iter, "max_iter", 1)
 
     boundary = BoundaryData(scenario)
     records: list[ConvergenceRecord] = []

@@ -37,7 +37,7 @@ import math
 import numpy as np
 from scipy.special import ndtr, owens_t
 
-from .market_model import Scenario, ValidationError
+from .market_model import Scenario, ValidationError, _bounded, _numbers
 
 __all__ = [
     "bivariate_cdf",
@@ -79,8 +79,8 @@ def bivariate_cdf(a, b, corr: float):
     (reduction to the univariate CDF / zero).  NaN arguments and degenerate
     correlations are rejected.
     """
-    corr = float(corr)
-    if not math.isfinite(corr) or abs(corr) >= 1.0:
+    corr = _numbers(corr, "corr")
+    if not abs(corr) < 1.0:  # also NaN
         raise ValidationError("corr", f"degenerate correlation {corr}; need |corr| < 1")
     a_arr, b_arr = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
     if np.any(np.isnan(a_arr)) or np.any(np.isnan(b_arr)):
@@ -122,12 +122,10 @@ def _bvn_closed(a, b, corr: float):
 def cbest_price(s1, s2, tau: float, scenario: Scenario):
     """Closed-form risk-neutral price of the best cash-or-nothing option.
 
-    Vectorized over spots; ``tau`` (time to maturity) is a scalar.
+    Vectorized over spots; ``tau`` (time to maturity) is a nonnegative scalar.
     ``tau = 0`` returns the payoff.
     """
-    tau = float(tau)
-    if not math.isfinite(tau) or tau < 0.0:
-        raise ValidationError("tau", f"time to maturity must be nonnegative, got {tau}")
+    tau = _bounded(tau, "tau", 0.0, strict=False)
     s1 = np.asarray(s1, dtype=float)
     s2 = np.asarray(s2, dtype=float)
     for name, s in (("s1", s1), ("s2", s2)):

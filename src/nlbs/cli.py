@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -66,8 +67,8 @@ from .market_model import (
     SampledCost,
     Scenario,
     ValidationError,
+    _bounded,
     _integer,
-    _numbers,
     validate,
 )
 
@@ -117,45 +118,17 @@ def _exact(value: Any, qualified: str) -> str:
     return value
 
 
-def _positive(value: Any, qualified: str, ndims: tuple[int, ...] = (0,)) -> Any:
-    x = _numbers(value, qualified, ndims)
-    arr = np.asarray(x)
-    if arr.size == 0 or not (np.isfinite(arr) & (arr > 0.0)).all():
-        raise ValidationError(qualified, f"expected positive finite numbers, got {value!r}")
-    return x
-
-
-def _nonnegative(value: Any, qualified: str) -> float:
-    x = _numbers(value, qualified)
-    if not (math.isfinite(x) and x >= 0.0):
-        raise ValidationError(qualified, f"expected a nonnegative finite number, got {value!r}")
-    return x
-
-
-def _sweep_count(value: Any, qualified: str) -> int:
-    n = _integer(value, qualified)
-    if n < 1:
-        raise ValidationError(qualified, f"need at least one sweep, got {n}")
-    return n
-
-
-def _probes(value: Any, qualified: str) -> np.ndarray:
-    probes = _positive(value, qualified, (2,))
-    if probes.shape[1] != 2:
-        raise ValidationError(qualified, f"expected a list of [S1, S2] pairs, got {value!r}")
-    return probes
-
-
 # the parser of every solve key; the grid checks first_derivative itself
 _SOLVE_PARSERS = {
     "first_derivative": lambda value, qualified: value,
-    "tol": _positive,
-    "max_iter": _sweep_count,
+    "tol": functools.partial(_bounded, low=0.0),
+    "max_iter": functools.partial(_integer, low=1),
 }
-# command -> the parsers of the solver keys and of the output keys it reads
+# command -> the parsers of the solver keys and of the output keys it reads;
+# probe_nodes checks that each probe is a pair
 _COMMAND_PARSERS = {
-    "price": (_SOLVE_PARSERS, {"error_band": _integer}),
-    "analytic": ({}, {"tau": _nonnegative}),
+    "price": (_SOLVE_PARSERS, {"error_band": functools.partial(_integer, low=0)}),
+    "analytic": ({}, {"tau": functools.partial(_bounded, low=0.0, strict=False)}),
     "leland": (
         # dyf_form names the one operator derivative; nothing to choose
         {**_SOLVE_PARSERS, "dyf_form": _exact, "skip_scan": _boolean},
@@ -164,7 +137,10 @@ _COMMAND_PARSERS = {
     "converge": (_SOLVE_PARSERS, {}),
     "sweep": (
         _SOLVE_PARSERS,
-        {"dt_values": lambda value, qualified: _positive(value, qualified, (0, 1)), "probes": _probes},
+        {
+            "dt_values": functools.partial(_bounded, low=0.0, ndims=(0, 1)),
+            "probes": functools.partial(_bounded, low=0.0, ndims=(2,)),
+        },
     ),
 }
 _TOP_LEVEL_KEYS = ("market", "cost", "payoff", "dt_tc", "grid", "solver", "output")

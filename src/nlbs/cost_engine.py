@@ -56,6 +56,8 @@ from .market_model import (
     SampledCost,
     Scenario,
     ValidationError,
+    _bounded,
+    _numbers,
 )
 
 __all__ = [
@@ -130,13 +132,11 @@ def _sampled_integral(x: np.ndarray, v: np.ndarray, h, n: int) -> np.ndarray:
 
 
 def expected_cost(cost: CostModel, theta, dt: float):
-    """E[C(sqrt(dt) |phi|) |phi|] for phi ~ N(0, theta), vectorized over theta.
+    """E[C(sqrt(dt) |phi|) |phi|] for phi ~ N(0, theta), vectorized over theta; dt > 0.
 
     Every cost model has a closed form (see the module docstring).
     """
-    dt = float(dt)
-    if not math.isfinite(dt) or dt <= 0.0:
-        raise ValidationError("dt", f"rebalancing interval must be positive, got {dt}")
+    dt = _bounded(dt, "dt", 0.0)
     theta_arr = np.asarray(theta, dtype=float)
     if np.any(theta_arr < -1e-12):
         raise ValidationError("theta", "variance must be nonnegative")
@@ -162,7 +162,7 @@ def expected_cost(cost: CostModel, theta, dt: float):
 
 
 def cost_integrals(cost: CostModel, h: float) -> tuple[float, float]:
-    """(I1, I2) sensitivity integrals for cost argument scale h = sqrt(2 dt Theta).
+    """(I1, I2) sensitivity integrals for cost argument scale h = sqrt(2 dt Theta) >= 0.
 
     I1 = int_0^inf C(h y) y exp(-y^2) dy,
     I2 = int_0^inf C'(h y) y^2 exp(-y^2) dy.
@@ -180,9 +180,7 @@ def cost_integrals(cost: CostModel, h: float) -> tuple[float, float]:
 
         I1 = -(c0/2) sum_{m>=1} s_m,    I2 = (k c0/a) sum_{m>=1} m s_m.
     """
-    h = float(h)
-    if not math.isfinite(h) or h < 0.0:
-        raise ValidationError("h", f"argument scale must be nonnegative, got {h}")
+    h = _bounded(h, "h", 0.0, strict=False)
     if isinstance(cost, ConstantCost):
         return cost.c0 / 2.0, 0.0
     if isinstance(cost, SampledCost):
@@ -288,11 +286,8 @@ def assemble_G(surface: np.ndarray, scenario: Scenario) -> np.ndarray:
     The per-interval expected cost becomes a per-unit-time term by division
     by sqrt(dt), consistent with the classical discrete-rebalancing limit.
     """
-    u = np.asarray(surface, dtype=float)
     grid = scenario.grid
-    n = grid.nx
-    if u.shape != (n + 1, n + 1):
-        raise ValidationError("surface", f"expected shape ({n + 1}, {n + 1}), got {u.shape}")
+    u = _numbers(surface, "surface", shape=(grid.nx + 1, grid.nx + 1))
     e = expected_cost(scenario.cost, _grid_theta(u, scenario)[0], scenario.dt_tc)
     rate = grid.spot_axis()[1:-1] / math.sqrt(scenario.dt_tc)
     g = np.zeros_like(u)

@@ -29,7 +29,7 @@ import numpy as np
 from .adi_solver import SolveResult, solve_nonlinear
 from .analytic_pricing import cbest_price
 from .cost_engine import assemble_G
-from .market_model import Scenario, ValidationError, _integer, _numbers
+from .market_model import Scenario, ValidationError, _bounded, _integer, _numbers
 
 __all__ = [
     "ErrorReport",
@@ -59,9 +59,7 @@ def compared_nodes(scenario: Scenario, band: int = 2) -> np.ndarray:
     solve: a negative band, or one that leaves no node, raises
     :class:`ValidationError` naming ``band``.
     """
-    band = _integer(band, "band")
-    if band < 0:
-        raise ValidationError("band", f"exclusion band must be nonnegative, got {band}")
+    band = _integer(band, "band", 0)
     s = scenario.grid.spot_axis()
     include = np.zeros((s.size, s.size), dtype=bool)
     include[1:-1, 1:-1] = True
@@ -101,10 +99,8 @@ def error_vs_analytic(
 
     The statistics cover the nodes of :func:`compared_nodes`.
     """
-    u = np.asarray(surface, dtype=float)
     n = scenario.grid.nx
-    if u.shape != (n + 1, n + 1):
-        raise ValidationError("surface", f"expected shape ({n + 1}, {n + 1}), got {u.shape}")
+    u = _numbers(surface, "surface", shape=(n + 1, n + 1))
     include = compared_nodes(scenario, band)
 
     s = scenario.grid.spot_axis()
@@ -150,17 +146,18 @@ class DtSweepResult:
 def probe_nodes(scenario: Scenario, probes=None) -> list[tuple[int, int]]:
     """The grid nodes nearest the (S1, S2) ``probes``, default the single probe (X, X).
 
-    A probe that is not positive and finite, or whose nearest node lies on
-    the Dirichlet ring, where the source is never evaluated, raises
+    A probe that is not a pair of positive finite numbers, or whose nearest
+    node lies on the Dirichlet ring, where the source is never evaluated, raises
     :class:`ValidationError` naming ``probes``; like :func:`compared_nodes`,
     this needs no solve.
     """
     grid = scenario.grid
+    default = [(scenario.payoff.X, scenario.payoff.X)]
+    spots = _bounded(default if probes is None else probes, "probes", 0.0, ndims=(2,))
+    if spots.shape[1] != 2:
+        raise ValidationError("probes", f"expected a list of [S1, S2] pairs, got {probes!r}")
     nodes = []
-    for s1, s2 in [(scenario.payoff.X, scenario.payoff.X)] if probes is None else probes:
-        s1, s2 = float(s1), float(s2)
-        if not (0.0 < s1 < math.inf and 0.0 < s2 < math.inf):
-            raise ValidationError("probes", f"probe spots must be positive and finite, got ({s1}, {s2})")
+    for s1, s2 in spots.tolist():
         c1, c2 = (math.log(s1), math.log(s2)) if grid.coord == "log" else (s1, s2)
         # clamped before rounding, so a coordinate far off the grid cannot overflow
         i, j = (round(min(max((c - grid.a) / grid.dx, -1.0), grid.nx + 1.0)) for c in (c1, c2))
@@ -180,12 +177,7 @@ def dt_sensitivity_sweep(scenario: Scenario, dt_values, probes=None, **settings)
     nt + 2 every solve converges.  A solve stopped short by an explicit
     ``max_iter`` is recorded with ``converged=False`` and the sweep continues.
     """
-    dts = np.atleast_1d(_numbers(dt_values, "dt_values", (0, 1))).tolist()
-    if not dts:
-        raise ValidationError("dt_values", "need at least one rebalancing interval")
-    for d in dts:
-        if not math.isfinite(d) or d <= 0.0:
-            raise ValidationError("dt_values", f"rebalancing intervals must be positive, got {d}")
+    dts = np.atleast_1d(_bounded(dt_values, "dt_values", 0.0, ndims=(0, 1))).tolist()
     nodes = probe_nodes(scenario, probes)
 
     rows: list[DtSweepRow] = []
@@ -231,9 +223,7 @@ def perron_bound(scenario: Scenario, *, tau: float | None = None) -> PerronBound
     exponential models.
     """
     grid = scenario.grid
-    tau = scenario.market.T if tau is None else float(tau)
-    if not math.isfinite(tau) or tau <= 0.0:
-        raise ValidationError("tau", f"time to maturity must be positive, got {tau}")
+    tau = scenario.market.T if tau is None else _bounded(tau, "tau", 0.0)
     s = grid.spot_axis()
     ana = cbest_price(s[:, None], s[None, :], tau, scenario)
     ana = np.broadcast_to(ana, (grid.nx + 1, grid.nx + 1))

@@ -56,6 +56,8 @@ from .market_model import (
     MarketParams,
     Scenario,
     ValidationError,
+    _bounded,
+    _numbers,
 )
 
 __all__ = [
@@ -87,18 +89,13 @@ class LelandNumber(NamedTuple):
 def leland_number(sigma: float, c0: float, dt: float) -> LelandNumber:
     """Le = sqrt(2/pi) * c0 / (sigma sqrt(dt)); well-posed iff Le < 1.
 
-    ``c0`` is the round-trip proportional cost.  Example: sigma = 0.30,
+    ``c0`` is the round-trip proportional cost.  Each argument is a finite
+    number, ``sigma`` and ``dt`` positive, ``c0`` nonnegative; anything else
+    raises :class:`ValidationError` naming it.  Example: sigma = 0.30,
     c0 = 0.005, dt = 1/261 gives Le ~ 0.2148.
     """
-    sigma = float(sigma)
-    c0 = float(c0)
-    dt = float(dt)
-    if not math.isfinite(sigma) or sigma <= 0.0:
-        raise ValidationError("sigma", f"volatility must be positive, got {sigma}")
-    if not math.isfinite(c0) or c0 < 0.0:
-        raise ValidationError("c0", f"cost level must be nonnegative, got {c0}")
-    if not math.isfinite(dt) or dt <= 0.0:
-        raise ValidationError("dt", f"rebalancing interval must be positive, got {dt}")
+    sigma, dt = _bounded(sigma, "sigma", 0.0), _bounded(dt, "dt", 0.0)
+    c0 = _bounded(c0, "c0", 0.0, strict=False)
     value = _SQRT_2_OVER_PI * c0 / (sigma * math.sqrt(dt))
     return LelandNumber(value=value, well_posed=value < 1.0)
 
@@ -113,8 +110,9 @@ class DyfInputs:
     """State at which the derivative of the nonlinear operator is evaluated.
 
     ``hessian`` is the price-coordinate Hessian of the value function at the
-    node, ``spots`` the asset prices there, ``dt`` the rebalancing interval,
-    ``cost`` the transaction-cost model.
+    node (finite and symmetric), ``spots`` the asset prices there (positive),
+    ``dt`` the rebalancing interval (positive), ``cost`` the
+    transaction-cost model.
     """
 
     hessian: np.ndarray
@@ -125,22 +123,17 @@ class DyfInputs:
 
     def __post_init__(self) -> None:
         n = self.market.n_assets
-        b = np.asarray(self.hessian, dtype=float)
+        b = _bounded(self.hessian, "hessian", -math.inf, ndims=(2,))
         if b.shape != (n, n):
             raise ValidationError("hessian", f"expected shape ({n}, {n}), got {b.shape}")
         if not np.allclose(b, b.T, atol=1e-8 * (1.0 + np.abs(b).max())):
             raise ValidationError("hessian", "Hessian must be symmetric")
-        s = np.asarray(self.spots, dtype=float)
+        s = _bounded(self.spots, "spots", 0.0, ndims=(1,))
         if s.shape != (n,):
             raise ValidationError("spots", f"expected shape ({n},), got {s.shape}")
-        if np.any(~np.isfinite(s)) or np.any(s <= 0.0):
-            raise ValidationError("spots", "spot prices must be positive and finite")
-        dt = float(self.dt)
-        if not math.isfinite(dt) or dt <= 0.0:
-            raise ValidationError("dt", f"rebalancing interval must be positive, got {dt}")
         object.__setattr__(self, "hessian", b)
         object.__setattr__(self, "spots", s)
-        object.__setattr__(self, "dt", dt)
+        object.__setattr__(self, "dt", _bounded(self.dt, "dt", 0.0))
 
 
 def _sensitivities(cost: CostModel, spots: np.ndarray, theta: np.ndarray, dt: float) -> np.ndarray:
@@ -246,11 +239,8 @@ def scan_surface(surface: np.ndarray, scenario: Scenario) -> EllipticityReport:
     payoff regions, deep tails) are counted as degenerate and excluded from
     the eigenvalue statistics rather than misclassified.
     """
-    u = np.asarray(surface, dtype=float)
     grid = scenario.grid
-    n = grid.nx
-    if u.shape != (n + 1, n + 1):
-        raise ValidationError("surface", f"expected shape ({n + 1}, {n + 1}), got {u.shape}")
+    u = _numbers(surface, "surface", shape=(grid.nx + 1, grid.nx + 1))
     dt = scenario.dt_tc
 
     theta, (p1, p2, m) = _grid_theta(u, scenario)

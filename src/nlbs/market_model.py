@@ -3,13 +3,20 @@
 Everything downstream (closed-form pricing, the cost term, the Jacobian
 classifier, the ADI solver, the CLI) consumes the validated containers defined
 here.  Validation happens eagerly in ``__post_init__``: each container parses
-its own numeric fields (numbers, or lists of numbers where the field is a
-list; strings, booleans and nulls are rejected) and checks their ranges, and
-every error names the offending field by its config key (``market.sigmas``,
-``cost.C0``, ``grid.a``, ``dt_tc``), so a bad config fails loudly at
-construction time instead of producing NaNs three modules later.
-:func:`validate` only checks which keys each config section holds and
-builds the containers from them.
+its own numeric fields and checks their ranges, and every error names the
+offending field by its config key (``market.sigmas``, ``cost.C0``,
+``grid.a``, ``dt_tc``), so a bad config fails loudly at construction time
+instead of producing NaNs three modules later.  :func:`validate` only checks
+which keys each config section holds and builds the containers from them.
+
+This module holds the package's one number parser: :func:`_numbers` (a
+number, or lists of numbers where the field is a list; strings, booleans and
+nulls are rejected; optionally of one exact shape), :func:`_bounded` (also
+finite and above a bound) and :func:`_integer` (a whole number at least a
+bound).  The containers, every public entry point that takes a number
+(``leland_number``'s ``sigma``, ``cost_integrals``'s ``h``, a solve's ``tol``,
+a surface's shape, ...) and the command line's ``solver`` and ``output``
+keys all parse with them, each naming its own field.
 
 All containers are frozen dataclasses; array-valued fields are stored as
 read-only ``numpy`` arrays.
@@ -58,28 +65,50 @@ def _holds_bool(value: Any) -> bool:
     return isinstance(value, (bool, np.bool_))
 
 
-def _numbers(value: Any, qualified: str, ndims: tuple[int, ...] = (0,)) -> Any:
+def _numbers(value: Any, qualified: str, ndims: tuple[int, ...] = (0,), shape: tuple[int, ...] | None = None) -> Any:
     """``value`` as floats: a number (ndim 0) or nested lists of numbers.
 
     Strings, booleans (also inside a list), nulls and ragged lists are
-    rejected, as is an array whose number of dimensions is not in ``ndims``.
+    rejected, as is an array whose number of dimensions is not in ``ndims``
+    or, when ``shape`` is given, whose shape is not ``shape``.  A float
+    array comes back as it is, not copied.
     """
+    if isinstance(value, float) and 0 in ndims and shape is None:
+        return float(value)  # the per-node scalars stay out of numpy
     try:
         arr = np.asarray(value)
     except ValueError:
         arr = np.asarray(None)
     if arr.dtype.kind not in "iuf" or _holds_bool(value):
         raise ValidationError(qualified, f"expected numbers, got {value!r}")
-    if arr.ndim not in ndims:
+    if shape is not None:
+        if arr.shape != shape:
+            raise ValidationError(qualified, f"expected shape {shape}, got {arr.shape}")
+    elif arr.ndim not in ndims:
         want = " or ".join({0: "a number", 1: "a list of numbers", 2: "a matrix of numbers"}[d] for d in ndims)
         raise ValidationError(qualified, f"expected {want}, got {value!r}")
-    return float(arr) if arr.ndim == 0 else arr.astype(float)
+    return float(arr) if arr.ndim == 0 else arr.astype(float, copy=False)
 
 
-def _integer(value: Any, qualified: str) -> int:
+def _bounded(value: Any, qualified: str, low: float, *, strict: bool = True, ndims: tuple[int, ...] = (0,)) -> Any:
+    """:func:`_numbers` of ``value``, every entry finite and above ``low``
+    (at least ``low`` when not ``strict``); an empty list is rejected."""
+    x = _numbers(value, qualified, ndims)
+    if isinstance(x, float):
+        ok = math.isfinite(x) and (x > low if strict else x >= low)
+    else:
+        ok = x.size > 0 and bool(np.isfinite(x).all()) and bool((x > low if strict else x >= low).all())
+    if not ok:
+        bound = "" if low == -math.inf else f" {'>' if strict else '>='} {low:g}"
+        raise ValidationError(qualified, f"expected finite numbers{bound}, got {value!r}")
+    return x
+
+
+def _integer(value: Any, qualified: str, low: int) -> int:
+    """:func:`_numbers` of ``value``, a whole number at least ``low``."""
     x = _numbers(value, qualified)
-    if not x.is_integer():
-        raise ValidationError(qualified, f"expected an integer, got {value!r}")
+    if not (x.is_integer() and x >= low):
+        raise ValidationError(qualified, f"expected an integer >= {low}, got {value!r}")
     return int(x)
 
 
@@ -118,15 +147,11 @@ class MarketParams:
     T: float
 
     def __post_init__(self) -> None:
-        sigmas = tuple(_numbers(self.sigmas, "market.sigmas", (1,)).tolist())
-        rho = _numbers(self.rho, "market.rho", (0, 2))
-        r, T = _numbers(self.r, "market.r"), _numbers(self.T, "market.T")
-        if len(sigmas) == 0:
-            raise ValidationError("market.sigmas", "at least one asset is required")
-        for i, s in enumerate(sigmas):
-            if not math.isfinite(s) or s <= 0.0:
-                raise ValidationError("market.sigmas", f"volatility must be positive, got sigmas[{i}]={s}")
+        sigmas = tuple(_bounded(self.sigmas, "market.sigmas", 0.0, ndims=(1,)).tolist())
+        rho = _bounded(self.rho, "market.rho", -math.inf, ndims=(0, 2))
         object.__setattr__(self, "sigmas", sigmas)
+        object.__setattr__(self, "r", _bounded(self.r, "market.r", 0.0, strict=False))
+        object.__setattr__(self, "T", _bounded(self.T, "market.T", 0.0))
 
         n = len(sigmas)
         if np.ndim(rho) == 0:
@@ -135,8 +160,6 @@ class MarketParams:
             rho = np.array([[1.0, rho], [rho, 1.0]])
         if rho.shape != (n, n):
             raise ValidationError("market.rho", f"expected shape ({n}, {n}), got {rho.shape}")
-        if not np.all(np.isfinite(rho)):
-            raise ValidationError("market.rho", "correlation entries must be finite")
         if not np.allclose(rho, rho.T, atol=1e-12):
             raise ValidationError("market.rho", "correlation matrix must be symmetric")
         if not np.allclose(np.diag(rho), 1.0, atol=1e-12):
@@ -146,14 +169,6 @@ class MarketParams:
         if np.linalg.eigvalsh(rho).min() < -1e-10:
             raise ValidationError("market.rho", "correlation matrix not positive semidefinite")
         object.__setattr__(self, "rho", _readonly(rho))
-
-        if not math.isfinite(r) or r < 0.0:
-            raise ValidationError("market.r", f"risk-free rate must be nonnegative, got r={r}")
-        object.__setattr__(self, "r", r)
-
-        if not math.isfinite(T) or T <= 0.0:
-            raise ValidationError("market.T", f"maturity must be positive, got T={T}")
-        object.__setattr__(self, "T", T)
 
     @property
     def n_assets(self) -> int:
@@ -187,10 +202,7 @@ class ConstantCost:
     c0: float
 
     def __post_init__(self) -> None:
-        c0 = _numbers(self.c0, "cost.C0")
-        if not math.isfinite(c0) or c0 < 0.0:
-            raise ValidationError("cost.C0", f"cost level must be nonnegative, got {c0}")
-        object.__setattr__(self, "c0", c0)
+        object.__setattr__(self, "c0", _bounded(self.c0, "cost.C0", 0.0, strict=False))
 
     def value(self, x: np.ndarray) -> np.ndarray:
         return np.full_like(np.asarray(x, dtype=float), self.c0)
@@ -211,13 +223,8 @@ class ExponentialCost:
     k: float
 
     def __post_init__(self) -> None:
-        c0, k = _numbers(self.c0, "cost.C0"), _numbers(self.k, "cost.k")
-        if not math.isfinite(c0) or c0 < 0.0:
-            raise ValidationError("cost.C0", f"cost level must be nonnegative, got {c0}")
-        if not math.isfinite(k) or k < 0.0:
-            raise ValidationError("cost.k", f"decay rate must be nonnegative, got {k}")
-        object.__setattr__(self, "c0", c0)
-        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "c0", _bounded(self.c0, "cost.C0", 0.0, strict=False))
+        object.__setattr__(self, "k", _bounded(self.k, "cost.k", 0.0, strict=False))
 
     def value(self, x: np.ndarray) -> np.ndarray:
         return self.c0 * np.exp(-self.k * np.asarray(x, dtype=float))
@@ -255,24 +262,22 @@ class SampledCost:
     dc: Any = None
 
     def __post_init__(self) -> None:
-        x, c = _numbers(self.x, "cost.x", (1,)), _numbers(self.c, "cost.c", (1,))
-        lo, hi = _numbers(self.c_lower, "cost.c_lower"), _numbers(self.c_upper, "cost.c_upper")
-        dc = None if self.dc is None else _numbers(self.dc, "cost.dc", (1,))
-        if x.size < 2:
-            raise ValidationError("cost.x", "need at least two sample volumes")
-        if np.any(~np.isfinite(x)) or x[0] < 0.0 or np.any(np.diff(x) <= 0.0):
-            raise ValidationError("cost.x", "sample volumes must be finite, nonnegative, strictly increasing")
+        x = _bounded(self.x, "cost.x", 0.0, strict=False, ndims=(1,))
+        c = _bounded(self.c, "cost.c", -math.inf, ndims=(1,))
+        lo = _bounded(self.c_lower, "cost.c_lower", 0.0, strict=False)
+        hi = _bounded(self.c_upper, "cost.c_upper", 0.0, strict=False)
+        dc = None if self.dc is None else _bounded(self.dc, "cost.dc", -math.inf, ndims=(1,))
+        if x.size < 2 or np.any(np.diff(x) <= 0.0):
+            raise ValidationError("cost.x", "need at least two strictly increasing sample volumes")
         if c.shape != x.shape:
             raise ValidationError("cost.c", f"expected shape {x.shape}, got {c.shape}")
-        if not (math.isfinite(lo) and math.isfinite(hi)) or not (0.0 <= lo <= hi):
-            raise ValidationError("cost.c_lower", f"bounds must satisfy 0 <= c_lower <= c_upper, got ({lo}, {hi})")
+        if lo > hi:
+            raise ValidationError("cost.c_lower", f"bounds must satisfy c_lower <= c_upper, got ({lo}, {hi})")
         if np.any(c < lo - 1e-15) or np.any(c > hi + 1e-15):
             raise ValidationError("cost.c", "sampled values must lie within [c_lower, c_upper]")
         if dc is not None:
             if dc.shape != x.shape:
                 raise ValidationError("cost.dc", f"expected shape {x.shape}, got {dc.shape}")
-            if np.any(~np.isfinite(dc)):
-                raise ValidationError("cost.dc", "derivative samples must be finite")
             dc = _readonly(dc)
         object.__setattr__(self, "x", _readonly(x))
         object.__setattr__(self, "c", _readonly(c))
@@ -308,13 +313,8 @@ class BestCashOrNothing:
     X: float
 
     def __post_init__(self) -> None:
-        K, X = _numbers(self.K, "payoff.K"), _numbers(self.X, "payoff.X")
-        if not math.isfinite(K) or K <= 0.0:
-            raise ValidationError("payoff.K", f"cash amount must be positive, got K={K}")
-        if not math.isfinite(X) or X <= 0.0:
-            raise ValidationError("payoff.X", f"threshold must be positive, got X={X}")
-        object.__setattr__(self, "K", K)
-        object.__setattr__(self, "X", X)
+        object.__setattr__(self, "K", _bounded(self.K, "payoff.K", 0.0))
+        object.__setattr__(self, "X", _bounded(self.X, "payoff.X", 0.0))
 
     def value(self, s1: np.ndarray, s2: np.ndarray) -> np.ndarray:
         return self.cell_average(np.asarray(s1, dtype=float) < self.X, np.asarray(s2, dtype=float) < self.X)
@@ -351,14 +351,9 @@ class GridSpec:
     first_derivative: Literal["forward", "central"] = "forward"
 
     def __post_init__(self) -> None:
-        a, b = _numbers(self.a, "grid.a"), _numbers(self.b, "grid.b")
-        if not (math.isfinite(a) and math.isfinite(b)) or b <= a:
-            raise ValidationError("grid.b", f"need finite bounds with b > a, got ({a}, {b})")
-        nx, nt = _integer(self.nx, "grid.nx"), _integer(self.nt, "grid.nt")
-        if nx < 4:
-            raise ValidationError("grid.nx", f"need at least 4 cells per axis, got {nx}")
-        if nt < 1:
-            raise ValidationError("grid.nt", f"need at least one time step, got {nt}")
+        a = _bounded(self.a, "grid.a", -math.inf)
+        b = _bounded(self.b, "grid.b", a)  # b > a
+        nx, nt = _integer(self.nx, "grid.nx", 4), _integer(self.nt, "grid.nt", 1)
         if self.coord not in ("log", "price"):
             raise ValidationError("grid.coord", f"expected 'log' or 'price', got {self.coord!r}")
         if self.coord == "price" and a <= 0.0:
@@ -421,7 +416,7 @@ class Scenario:
     grid: GridSpec | None = None
 
     def __post_init__(self) -> None:
-        dt = _numbers(self.dt_tc, "dt_tc")
+        dt = _bounded(self.dt_tc, "dt_tc", 0.0)
         if not isinstance(self.market, MarketParams):
             raise ValidationError("market", f"expected MarketParams, got {type(self.market).__name__}")
         if not isinstance(self.cost, (ConstantCost, ExponentialCost, SampledCost)):
@@ -430,8 +425,6 @@ class Scenario:
             raise ValidationError("payoff", f"expected BestCashOrNothing, got {type(self.payoff).__name__}")
         if self.market.n_assets != 2:
             raise ValidationError("market.sigmas", "the pricing engine is two-asset; provide exactly 2 volatilities")
-        if not math.isfinite(dt) or dt <= 0.0:
-            raise ValidationError("dt_tc", f"rebalancing interval must be positive, got {dt}")
         object.__setattr__(self, "dt_tc", dt)
 
         grid = self.grid

@@ -6,7 +6,7 @@ import itertools
 import math
 import tracemalloc
 import warnings
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -482,9 +482,10 @@ def test_costed_sweep_block_is_bit_identical_to_the_recorded_one(config):
 
 
 def test_edges_1d_level_zero_is_the_smoothed_edge_payoff():
-    """Each edge carries the payoff's mean over its own asset's cell, the
-    other asset at a domain end; an m-point midpoint lattice agrees within
-    K/(2m)."""
+    """Each edge carries the payoff's mean over its own asset's cell and the
+    other asset's end cell; with X far from both domain ends that end cell
+    lies wholly on one side of X, so the other asset acts as its domain-end
+    spot.  An m-point midpoint lattice agrees within K/(2m)."""
     scen = benchmark_scenario(1, nx=12, nt=4)
     grid, payoff = scen.grid, scen.payoff
     bottom_top, left_right = BoundaryData(scen).edges(0)
@@ -498,6 +499,22 @@ def test_edges_1d_level_zero_is_the_smoothed_edge_payoff():
     corners = payoff.value(ends[:, None], ends[None, :])
     np.testing.assert_array_equal(bottom_top[[0, -1]], corners)
     np.testing.assert_array_equal(left_right[[0, -1]], corners.T)
+
+
+@pytest.mark.parametrize("end", [0, -1])
+def test_edges_1d_level_zero_is_the_ring_of_the_initial_level(end):
+    """With ln X inside a domain end's cell, a quarter cell from the end node,
+    the edges start from the ring of the initial level, which averages the
+    payoff over that end cell as well."""
+    scen = benchmark_scenario(1, nx=12, nt=4)
+    grid = scen.grid
+    x = grid.axis()[end] + (grid.dx / 4.0 if end == 0 else -grid.dx / 4.0)
+    scen = replace(scen, payoff=BestCashOrNothing(K=scen.payoff.K, X=math.exp(x)))
+    level = initial_condition(grid, scen.payoff)
+    ring = level.copy()
+    ring[1:-1, 1:-1] = 0.0
+    assert 0.0 < level[end, end] < scen.payoff.K  # the end cell straddles X
+    np.testing.assert_array_equal(dense_ring(BoundaryData(scen), 0), ring)
 
 
 def test_edges_1d_constant_payoff_reduces_to_scheme_discount():
@@ -766,11 +783,12 @@ def test_solve_validation():
         solve_nonlinear(scen, tol=0.0)
     with pytest.raises(ValidationError, match="max_iter"):
         solve_nonlinear(scen, max_iter=0)
-    # numbers parse as the containers parse them: no booleans, strings or fractional counts
-    for bad in (True, "1e-6", None):
+    # numbers parse as the containers parse them: no booleans, strings,
+    # non-finite values or fractional counts (a null max_iter means nt + 2)
+    for bad in (True, "1e-6", "0.5", None, math.nan, math.inf, -1e-6):
         with pytest.raises(ValidationError, match="tol"):
             solve_nonlinear(scen, tol=bad)
-    for bad in (2.5, True, "3", math.inf):
+    for bad in (2.5, True, "3", "0.5", math.nan, math.inf, -1):
         with pytest.raises(ValidationError, match="max_iter"):
             solve_nonlinear(scen, max_iter=bad)
 

@@ -222,8 +222,8 @@ def test_dt_sweep_validation():
         dt_sensitivity_sweep(scen, [0.01], probes=[(0.0, 30.0)])
     with pytest.raises(ValidationError, match="probes"):
         dt_sensitivity_sweep(scen, [0.01], probes=[(30.0, math.nan)])
-    # intervals are numbers, parsed as the containers parse them
-    for bad in ([True], ["0.004"], [[0.01]], None):
+    # intervals are finite numbers, parsed as the containers parse them
+    for bad in (True, "0.5", [True], ["0.004"], [[0.01]], None, math.nan, [math.inf], [0.004, math.nan]):
         with pytest.raises(ValidationError, match="dt_values"):
             dt_sensitivity_sweep(scen, bad)
 

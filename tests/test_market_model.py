@@ -1,5 +1,7 @@
 """Validation-layer tests: market parameters, cost models, payoff, configs."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -7,14 +9,22 @@ from nlbs import (
     BestCashOrNothing,
     ConstantCost,
     CostDerivativeError,
+    DyfInputs,
     ExponentialCost,
     GridSpec,
     MarketParams,
     SampledCost,
     Scenario,
     ValidationError,
+    bivariate_cdf,
+    cbest_price,
+    cost_integrals,
+    expected_cost,
+    leland_number,
+    perron_bound,
     validate,
 )
+from nlbs.diagnostics import compared_nodes, probe_nodes
 
 from conftest import benchmark_scenario, load_config
 
@@ -419,6 +429,50 @@ def test_every_numeric_field_rejects_a_non_number(container, name, field, bad):
         return
     with pytest.raises(ValidationError) as exc:
         container(**{**_VALID[container], name: bad})
+    assert exc.value.field == field
+
+
+def _dyf(scen, **kw):
+    base = {"hessian": np.eye(2), "spots": [30.0, 30.0], "market": scen.market, "dt": 0.004, "cost": scen.cost}
+    return DyfInputs(**{**base, **kw})
+
+
+# (entry point and argument, field, call(scenario, value), a number out of its range or None);
+# an array argument gets the bad value as one entry
+_ENTRY_NUMBERS = [
+    ("leland_number.sigma", "sigma", lambda scen, v: leland_number(v, 0.01, 0.004), 0.0),
+    ("leland_number.c0", "c0", lambda scen, v: leland_number(0.2, v, 0.004), -0.01),
+    ("leland_number.dt", "dt", lambda scen, v: leland_number(0.2, 0.01, v), 0.0),
+    ("expected_cost.dt", "dt", lambda scen, v: expected_cost(scen.cost, 1.0, v), 0.0),
+    ("cost_integrals.h", "h", lambda scen, v: cost_integrals(scen.cost, v), -1.0),
+    ("cbest_price.tau", "tau", lambda scen, v: cbest_price(30.0, 30.0, v, scen), -0.5),
+    ("perron_bound.tau", "tau", lambda scen, v: perron_bound(scen, tau=v), 0.0),
+    ("DyfInputs.dt", "dt", lambda scen, v: _dyf(scen, dt=v), 0.0),
+    ("DyfInputs.spots", "spots", lambda scen, v: _dyf(scen, spots=[v, 30.0]), 0.0),
+    ("DyfInputs.hessian", "hessian", lambda scen, v: _dyf(scen, hessian=[[v, 0.0], [0.0, 1.0]]), None),
+    ("bivariate_cdf.corr", "corr", lambda scen, v: bivariate_cdf(0.0, 0.0, v), 1.0),
+    ("probe_nodes.probes", "probes", lambda scen, v: probe_nodes(scen, [(v, 30.0)]), 0.0),
+    ("compared_nodes.band", "band", lambda scen, v: compared_nodes(scen, v), -1),
+]
+_BAD_NUMBERS = {"bool": True, "string": "0.5", "null": None, "nan": math.nan, "inf": math.inf}
+
+
+@pytest.mark.parametrize(
+    "field,call,bad",
+    [
+        pytest.param(field, call, bad, id=f"{name}-{label}")
+        for name, field, call, out_of_range in _ENTRY_NUMBERS
+        for label, bad in [*_BAD_NUMBERS.items(), ("out_of_range", out_of_range)]
+        # a null tau means perron_bound's default, T; a Hessian has no range
+        if (name, label) != ("perron_bound.tau", "null") and (label, bad) != ("out_of_range", None)
+    ],
+)
+def test_every_entry_point_number_rejects_a_non_number_naming_the_argument(field, call, bad):
+    """The library entry points parse their numbers as the containers do:
+    a boolean, a string, a null, a non-finite or an out-of-range value
+    raises :class:`ValidationError` naming the argument."""
+    with pytest.raises(ValidationError) as exc:
+        call(benchmark_scenario(1, nx=16, nt=4), bad)
     assert exc.value.field == field
 
 
