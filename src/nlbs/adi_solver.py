@@ -45,18 +45,19 @@ stencil), its step dtau = T / nt and whether it carries a cost, and
 everything it calls read them from there and from nowhere else.  It builds
 each coordinate direction's half of the operator once, as one object
 (``_Axis``): its tridiagonal matrix, Dirichlet lift and explicit weights
-serve the edge march and every sweep's stage operators alike.  The edges
-march in pairs, bottom with top along asset 1 and left with right along
-asset 2, as the two columns of one array; only these pairs are stored for
-each half level, O(nt nx) floats, and the stage operators write them
-straight into their output level.
+serve the edge march and every sweep's half-steps alike.  It also builds
+the initial level once, read-only, for the edge march and every sweep to
+start from.  The edges march in pairs, bottom with top along asset 1 and
+left with right along asset 2, as the two columns of one array; only these
+pairs are stored for each half level, O(nt nx) floats, and
+:meth:`BoundaryData.half_step` writes them straight into its output level.
 
 A half-step allocates no level-sized array: its right-hand side is built in
-place in two (nx-1)^2 scratch arrays that both stage operators of a sweep
-share, laid out so that every implicit line is contiguous, and its output
-goes straight to the level that is kept.  Its nx - 1 line solves are one
-LAPACK ``dgtsv`` call, which eliminates across all lines at once.  On the
-scheme's matrices ``dgtsv`` interchanges no rows, so it repeats the
+place in two (nx-1)^2 scratch arrays that the boundary data keeps for both
+directions, laid out so that every implicit line is contiguous, and its
+output goes straight to the level that is kept.  Its nx - 1 line solves are
+one LAPACK ``dgtsv`` call, which eliminates across all lines at once.  On
+the scheme's matrices ``dgtsv`` interchanges no rows, so it repeats the
 row-by-row Thomas loop's operations in its order and the result is
 bit-identical to it.
 """
@@ -195,18 +196,20 @@ def _write_edges(out: np.ndarray, edges: Edges) -> None:
 
 
 class BoundaryData:
-    """The scheme of one solve, and its Dirichlet edge values for every half time level.
+    """The scheme of one solve: its inputs, its Dirichlet edge values for
+    every half time level, and its half-step.
 
     Everything that fixes a solve is decided here, once: ``scenario`` and
     its ``grid`` (which carries the stencils), ``dtau`` = T / nt, ``costed``
-    (the cost's upper bound is above 0), and ``axes``, the two directions'
-    :class:`_Axis` objects, built once for the edge march and every sweep's
-    stage operators.
+    (the cost's upper bound is above 0), ``axes``, the two directions'
+    :class:`_Axis` objects, and ``level0``, the read-only initial level
+    (:func:`initial_condition`) that the edge march and every sweep start
+    from.
 
     ``edges(h)`` returns the edges at half-level h (time to maturity
     h * dtau / 2) as two (nx+1, 2) column pairs: bottom and top (the columns
     j = 0 and j = nx, along asset 1), then left and right (the rows i = 0 and
-    i = nx, along asset 2); stage operators write them into their output.
+    i = nx, along asset 2); :meth:`half_step` writes them into its output.
     Every level is marched at construction, one pair per direction, and only
     these pairs are kept, 4 (2 nt + 1) (nx + 1) floats in all.
     """
@@ -217,14 +220,65 @@ class BoundaryData:
         self.costed = scenario.cost.bounds()[1] > 0.0
         self.dtau = market.T / grid.nt
         self.axes = tuple(_Axis(grid, market.r, sigma, self.dtau) for sigma in market.sigmas)
+        self.level0 = initial_condition(grid, scenario.payoff)
+        self.level0.flags.writeable = False
+        sig1, sig2 = market.sigmas
+        mixed, s_in = sig1 * sig2 * float(market.rho[0, 1]) / 2.0, grid.spot_axis()[1:-1]
+        self._mixed_coeff = mixed if grid.coord == "log" else mixed * (s_in[:, None] * s_in[None, :])
+        # the right-hand side of either direction's half-step is built here
+        self._scratch = np.empty((2, grid.nx - 1, grid.nx - 1))
         self._levels: list[Edges] = _evolve_edges(self)
 
     def edges(self, h: int) -> Edges:
         return self._levels[h]
 
+    def half_step(
+        self, axis: int, w_level: np.ndarray, edges: Edges, g: np.ndarray | None = None, *, out: np.ndarray
+    ) -> np.ndarray:
+        """One half-step, implicit along ``axis`` (0 or 1) and explicit along
+        the other: the output level H of the input level W, written into
+        ``out`` with ``edges`` (as :meth:`edges` returns them) on its ring.
+
+        Interior equation (coefficients shown for axis = 0, log coordinates,
+        forward drift):
+
+            H_ij - dtau [ sA^2/4 dxx H + bA/dx (H_{i+1,j} - H_ij) - (r/2) H_ij ]
+            = W_ij + dtau [ sB^2/4 dyy W + bB/dx (W_{i,j+1} - W_ij)
+                            + (s1 s2 rho / 2) dxy W ]  - dtau G_ij (stage 2 only)
+
+        with bA = (r - sA^2/2)/2.  The tridiagonal matrix is identical for
+        every line, so one LAPACK call solves all lines.  The right-hand side
+        runs ((explicit part + dtau mixed term) - dtau g), with the mixed term
+        coeff ((((NE + SW) - SE) - NW) / (4 dx^2)).  ``out`` must not overlap
+        ``w_level`` or ``g``.
+        """
+        n = self.grid.nx
+        w_level = _numbers(w_level, "surface", shape=(n + 1, n + 1))
+        # seen through ``orient``, the implicit direction runs along axis 0
+        orient = (lambda a: a) if axis == 0 else np.transpose
+        rhs, tmp = self._scratch
+        # every operand has the level's layout, so numpy walks memory in order
+        self.axes[1 - axis].explicit(orient(w_level)[1:-1].T, orient(rhs).T, orient(tmp).T)
+        mix = _corner_sum(w_level, out=tmp)
+        mix /= 4.0 * self.grid.dx * self.grid.dx
+        mix *= self._mixed_coeff
+        mix *= self.dtau
+        rhs += mix
+        if g is not None:
+            rhs -= np.multiply(self.dtau, g[1:-1, 1:-1], out=tmp)
+        lines = orient(rhs)
+        if axis == 0:  # LAPACK solves in place lines that are contiguous: the rows of tmp
+            lines = tmp.T
+            lines[...] = rhs
+        _write_edges(out, edges)
+        # the line ends: left and right for axis 0, bottom and top for axis 1
+        ends = edges[1 - axis]
+        orient(out)[1:-1, 1:-1] = self.axes[axis].solve(lines, ends[1:-1, 0], ends[1:-1, 1])
+        return out
+
 
 # ---------------------------------------------------------------------------
-# one direction's half-step, and the stage operators
+# one direction's half-step, and the edge march
 # ---------------------------------------------------------------------------
 
 
@@ -235,8 +289,8 @@ class _Axis:
     discount operator, dtau included, in the two forms a stage needs:
     :meth:`solve` treats the direction implicitly (one tridiagonal solve per
     line, all lines in one LAPACK call), :meth:`explicit` applies it on the
-    right-hand side of the other direction's stage.  The interior stage
-    operators and the edge marches share this object, so both use identical
+    right-hand side of the other direction's stage.  The interior half-steps
+    and the edge marches share this object, so both use identical
     coefficients.  Both methods run along axis 0 and broadcast over axis 1.
     The first difference is the grid's ``first_derivative`` stencil.
     """
@@ -327,7 +381,7 @@ def _evolve_edges(boundary: BoundaryData) -> list[Edges]:
     scale = 1.0 / (1.0 + dtau * scenario.market.r / 2.0)
 
     # level 0 is the ring of the initial level, the payoff averaged over each node's cell
-    level = initial_condition(grid, scenario.payoff)
+    level = boundary.level0
     bottom_top, left_right = level[:, [0, -1]], level[[0, -1]].T.copy()
 
     def implicit(axis: _Axis, f: np.ndarray, g: np.ndarray | None = None) -> np.ndarray:
@@ -359,111 +413,41 @@ def _evolve_edges(boundary: BoundaryData) -> list[Edges]:
     return levels
 
 
-class _StageOperator:
-    """One half-step: implicit along ``axis``, explicit along the other axis.
-
-    Interior equation solved for the output level H given the input level W
-    (coefficients shown for axis = 0, log coordinates, forward drift):
-
-        H_ij - dtau [ sA^2/4 dxx H + bA/dx (H_{i+1,j} - H_ij) - (r/2) H_ij ]
-        = W_ij + dtau [ sB^2/4 dyy W + bB/dx (W_{i,j+1} - W_ij)
-                        + (s1 s2 rho / 2) dxy W ]  - dtau G_ij (stage 2 only)
-
-    with bA = (r - sA^2/2)/2.  The tridiagonal matrix is identical for every
-    line, so one LAPACK call solves all lines.
-
-    The grid, the market, the scheme's step and both directions come from
-    ``boundary``.  The right-hand side is built in ``scratch``, two
-    (nx-1, nx-1) arrays; operators that never run at once may share it.
-    """
-
-    def __init__(self, boundary: BoundaryData, axis: int, scratch: np.ndarray) -> None:
-        grid, market = boundary.grid, boundary.scenario.market
-        sig1, sig2 = market.sigmas
-        rho = float(market.rho[0, 1])
-        if grid.coord == "log":
-            self._mixed_coeff = sig1 * sig2 * rho / 2.0
-        else:
-            s_in = grid.spot_axis()[1:-1]
-            self._mixed_coeff = (sig1 * sig2 * rho / 2.0) * (s_in[:, None] * s_in[None, :])
-        self._implicit, self._explicit = boundary.axes[axis], boundary.axes[1 - axis]
-        self.axis = axis
-        self.dtau = boundary.dtau
-        self.dx = grid.dx
-        self.n = grid.nx
-        self._scratch = scratch
-
-    def apply(self, w_level: np.ndarray, edges: Edges, g: np.ndarray | None = None, *, out: np.ndarray) -> np.ndarray:
-        """Write the output level into ``out``, with ``edges`` (as
-        :class:`BoundaryData` holds them) on its ring, and return it.
-
-        ``out`` must not overlap ``w_level`` or ``g``.  The right-hand side
-        runs ((explicit part + dtau mixed term) - dtau g), as in the
-        equation above, with the mixed term coeff ((((NE + SW) - SE) - NW)
-        / (4 dx^2)).
-        """
-        w_level = _numbers(w_level, "surface", shape=(self.n + 1, self.n + 1))
-        # seen through ``orient``, the implicit direction runs along axis 0
-        orient = (lambda a: a) if self.axis == 0 else np.transpose
-        rhs, tmp = self._scratch
-        # every operand has the level's layout, so numpy walks memory in order
-        self._explicit.explicit(orient(w_level)[1:-1].T, orient(rhs).T, orient(tmp).T)
-        mix = _corner_sum(w_level, out=tmp)
-        mix /= 4.0 * self.dx * self.dx
-        mix *= self._mixed_coeff
-        mix *= self.dtau
-        rhs += mix
-        if g is not None:
-            rhs -= np.multiply(self.dtau, g[1:-1, 1:-1], out=tmp)
-        lines = orient(rhs)
-        if self.axis == 0:  # LAPACK solves in place lines that are contiguous: the rows of tmp
-            lines = tmp.T
-            lines[...] = rhs
-        _write_edges(out, edges)
-        # the line ends: left and right for axis 0, bottom and top for axis 1
-        ends = edges[1 - self.axis]
-        orient(out)[1:-1, 1:-1] = self._implicit.solve(lines, ends[1:-1, 0], ends[1:-1, 1])
-        return out
-
-
 # ---------------------------------------------------------------------------
 # time marching and the fixed-point iteration
 # ---------------------------------------------------------------------------
 
 
 def sweep(boundary: BoundaryData, source: np.ndarray | None = None) -> np.ndarray:
-    """March the scheme of ``boundary`` from the payoff to tau = T.
+    """March the scheme of ``boundary`` from its level 0 to tau = T.
 
     ``boundary`` is the solve's one source of inputs: its scenario and grid
-    (with the stencils), its step dtau = T / nt, whether it is costed, both
-    directions' operators and the edges.  Step m -> m+1 takes the source
+    (with the stencils), its step dtau = T / nt, whether it is costed, its
+    level 0, its half-step and the edges.  Step m -> m+1 takes the source
     ``assemble_G(source[m])``, from level m of an earlier sweep's block;
     without ``source`` the source is zero (the linear problem).  A costed
     scenario returns the full space-time block, shape (nt+1, nx+1, nx+1),
     level m being the surface at tau = m dtau, for the next sweep's source
     to read.  A zero-cost one streams: it holds only the current level and
     its half level and returns the terminal level alone, shape
-    (1, nx+1, nx+1).
+    (1, nx+1, nx+1).  Neither shares memory with ``boundary``.
 
-    Each stage writes its level where it is kept: the x stage into one
+    Each half-step writes its level where it is kept: the x stage into one
     reusable half level, the y stage into the block, or, when streaming,
     back into the level the x stage has just read.
     """
-    scenario, grid = boundary.scenario, boundary.grid
+    grid, costed = boundary.grid, boundary.costed
     n = grid.nx
     # the block is allocated first: on glibc that order keeps the peak RSS lower
-    block = np.empty((grid.nt + 1, n + 1, n + 1)) if boundary.costed else None
-    scratch = np.empty((2, n - 1, n - 1))
-    op_x, op_y = (_StageOperator(boundary, axis, scratch) for axis in (0, 1))
+    block = np.empty((grid.nt + 1 if costed else 1, n + 1, n + 1))
     half = np.empty((n + 1, n + 1))
-    level = initial_condition(grid, scenario.payoff)
-    if block is not None:
-        block[0] = level
+    block[0] = boundary.level0
     for m in range(grid.nt):
-        g = None if source is None else assemble_G(source[m], scenario)
-        op_x.apply(level, boundary.edges(2 * m + 1), out=half)
-        level = op_y.apply(half, boundary.edges(2 * m + 2), g, out=level if block is None else block[m + 1])
-    return level[None] if block is None else block
+        g = None if source is None else assemble_G(source[m], boundary.scenario)
+        # a streaming sweep reads and writes its one level, block[0]
+        boundary.half_step(0, block[m * costed], boundary.edges(2 * m + 1), out=half)
+        boundary.half_step(1, half, boundary.edges(2 * m + 2), g, out=block[(m + 1) * costed])
+    return block
 
 
 def solve_nonlinear(

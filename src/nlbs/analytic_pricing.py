@@ -74,17 +74,20 @@ def _bvn_owen(h, k, corr: float):
 def bivariate_cdf(a, b, corr: float):
     """P(X <= a, Y <= b) for a standard bivariate normal with correlation corr.
 
-    Vectorized over ``a`` and ``b`` (broadcast together); ``corr`` is a scalar
-    with |corr| < 1.  ``+inf``/``-inf`` sentinels are resolved analytically
-    (reduction to the univariate CDF / zero).  NaN arguments and degenerate
-    correlations are rejected.
+    Vectorized over ``a`` and ``b`` (numbers or arrays of any shape,
+    broadcast together); ``corr`` is a scalar with |corr| < 1.
+    ``+inf``/``-inf`` sentinels are resolved analytically (reduction to the
+    univariate CDF / zero).  Booleans, strings, NaN arguments and degenerate
+    correlations are rejected, each naming its argument.
     """
     corr = _numbers(corr, "corr")
     if not abs(corr) < 1.0:  # also NaN
         raise ValidationError("corr", f"degenerate correlation {corr}; need |corr| < 1")
-    a_arr, b_arr = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
-    if np.any(np.isnan(a_arr)) or np.any(np.isnan(b_arr)):
-        raise ValidationError("a", "bivariate_cdf arguments must not be NaN")
+    a, b = _numbers(a, "a", None), _numbers(b, "b", None)
+    for name, x in (("a", a), ("b", b)):
+        if np.isnan(x).any():
+            raise ValidationError(name, "expected numbers or +-inf, got NaN")
+    a_arr, b_arr = np.broadcast_arrays(a, b)
 
     out = np.empty(a_arr.shape, dtype=float)
     neg_inf = np.isneginf(a_arr) | np.isneginf(b_arr)
@@ -122,16 +125,13 @@ def _bvn_closed(a, b, corr: float):
 def cbest_price(s1, s2, tau: float, scenario: Scenario):
     """Closed-form risk-neutral price of the best cash-or-nothing option.
 
-    Vectorized over spots; ``tau`` (time to maturity) is a nonnegative scalar.
-    ``tau = 0`` returns the payoff.
+    Vectorized over spots, which must be positive and finite (arrays of any
+    shape); ``tau`` (time to maturity) is a nonnegative scalar.  ``tau = 0``
+    returns the payoff.
     """
     tau = _bounded(tau, "tau", 0.0, strict=False)
-    s1 = np.asarray(s1, dtype=float)
-    s2 = np.asarray(s2, dtype=float)
-    for name, s in (("s1", s1), ("s2", s2)):
-        if np.any(~np.isfinite(s)) or np.any(s <= 0.0):
-            raise ValidationError(name, "spot prices must be positive and finite")
-    scalar_in = s1.ndim == 0 and s2.ndim == 0
+    s1, s2 = _bounded(s1, "s1", 0.0, ndims=None), _bounded(s2, "s2", 0.0, ndims=None)
+    scalar_in = np.ndim(s1) == 0 and np.ndim(s2) == 0
     market, spec = scenario.market, scenario.payoff
     if tau == 0.0:
         out = spec.value(s1, s2)

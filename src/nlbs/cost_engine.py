@@ -32,7 +32,7 @@ cost model, in closed form too (the exponential ones past a = k h = 20 by an
 asymptotic series).  No cost model integrates numerically.
 
 The package's finite-difference stencils live here: the four-corner mixed
-difference (also the ADI stage operators' mixed term) and the hedge rows
+difference (also the ADI half-step's mixed term) and the hedge rows
 dx^2 (u_xx - u_x) (dx^2 s u_xx on a price grid), with the first derivative
 the grid's ``first_derivative`` stencil.  One grid routine writes
 Theta_1 = w_1 [(sigma_1 p_1 + rho sigma_2 q)^2 + (1 - rho^2) sigma_2^2 q^2]
@@ -134,10 +134,12 @@ def _sampled_integral(x: np.ndarray, v: np.ndarray, h, n: int) -> np.ndarray:
 def expected_cost(cost: CostModel, theta, dt: float):
     """E[C(sqrt(dt) |phi|) |phi|] for phi ~ N(0, theta), vectorized over theta; dt > 0.
 
+    ``theta`` is a number or an array of any shape, not below -1e-12; a NaN
+    passes through, so a diverging solve reaches its non-finite check.
     Every cost model has a closed form (see the module docstring).
     """
     dt = _bounded(dt, "dt", 0.0)
-    theta_arr = np.asarray(theta, dtype=float)
+    theta_arr = _numbers(theta, "theta", None)
     if np.any(theta_arr < -1e-12):
         raise ValidationError("theta", "variance must be nonnegative")
     theta_arr = np.asarray(np.maximum(theta_arr, 0.0))  # a fresh array, also for scalar theta

@@ -65,15 +65,17 @@ def _holds_bool(value: Any) -> bool:
     return isinstance(value, (bool, np.bool_))
 
 
-def _numbers(value: Any, qualified: str, ndims: tuple[int, ...] = (0,), shape: tuple[int, ...] | None = None) -> Any:
+def _numbers(
+    value: Any, qualified: str, ndims: tuple[int, ...] | None = (0,), shape: tuple[int, ...] | None = None
+) -> Any:
     """``value`` as floats: a number (ndim 0) or nested lists of numbers.
 
     Strings, booleans (also inside a list), nulls and ragged lists are
     rejected, as is an array whose number of dimensions is not in ``ndims``
-    or, when ``shape`` is given, whose shape is not ``shape``.  A float
-    array comes back as it is, not copied.
+    (any number when ``ndims`` is None) or, when ``shape`` is given, whose
+    shape is not ``shape``.  A float array comes back as it is, not copied.
     """
-    if isinstance(value, float) and 0 in ndims and shape is None:
+    if isinstance(value, float) and (ndims is None or 0 in ndims) and shape is None:
         return float(value)  # the per-node scalars stay out of numpy
     try:
         arr = np.asarray(value)
@@ -84,13 +86,15 @@ def _numbers(value: Any, qualified: str, ndims: tuple[int, ...] = (0,), shape: t
     if shape is not None:
         if arr.shape != shape:
             raise ValidationError(qualified, f"expected shape {shape}, got {arr.shape}")
-    elif arr.ndim not in ndims:
+    elif ndims is not None and arr.ndim not in ndims:
         want = " or ".join({0: "a number", 1: "a list of numbers", 2: "a matrix of numbers"}[d] for d in ndims)
         raise ValidationError(qualified, f"expected {want}, got {value!r}")
     return float(arr) if arr.ndim == 0 else arr.astype(float, copy=False)
 
 
-def _bounded(value: Any, qualified: str, low: float, *, strict: bool = True, ndims: tuple[int, ...] = (0,)) -> Any:
+def _bounded(
+    value: Any, qualified: str, low: float, *, strict: bool = True, ndims: tuple[int, ...] | None = (0,)
+) -> Any:
     """:func:`_numbers` of ``value``, every entry finite and above ``low``
     (at least ``low`` when not ``strict``); an empty list is rejected."""
     x = _numbers(value, qualified, ndims)

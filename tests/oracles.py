@@ -6,9 +6,9 @@ quadrature, Monte Carlo, mpmath) so agreement with the package is evidence,
 not tautology.  Three sections are different on purpose: the legacy closed
 form and the summed-sensitivity operator derivative are defective variants
 the package does not implement, kept here so the tests can pin their
-defects; the lagged march composes the package's stage operators to pin
-the structure of its fixed-point loop, and the allocating stage reference
-re-evaluates a stage operator's right-hand side from its coefficients as
+defects; the lagged march composes the package's half-steps to pin the
+structure of its fixed-point loop, and the allocating stage reference
+re-evaluates a half-step's right-hand side from its coefficients as
 whole-array expressions, to pin the in-place one's rounding.
 """
 
@@ -700,21 +700,17 @@ def lagged_march(scenario) -> np.ndarray:
     """Terminal surface of one march whose step m -> m+1 takes its source
     term from level m of the same march, level 0 included.
 
-    Built from the package's pieces (initial data, boundary edges, the two
-    stage operators of ``sweep``, the source assembly), one level at a time.
+    Built from the package's pieces (the boundary data's initial level,
+    edges and half-steps, the source assembly), one level at a time.
     """
-    from nlbs import BoundaryData, assemble_G, initial_condition
-    from nlbs.adi_solver import _StageOperator
+    from nlbs import BoundaryData, assemble_G
 
-    grid = scenario.grid
     boundary = BoundaryData(scenario)
-    scratch = np.empty((2, grid.nx - 1, grid.nx - 1))
-    op_x, op_y = (_StageOperator(boundary, axis, scratch) for axis in (0, 1))
-    u = initial_condition(grid, scenario.payoff)
-    for m in range(grid.nt):
+    u = boundary.level0
+    for m in range(scenario.grid.nt):
         g = assemble_G(u, scenario)
-        half = op_x.apply(u, boundary.edges(2 * m + 1), out=np.empty_like(u))
-        u = op_y.apply(half, boundary.edges(2 * m + 2), g, out=np.empty_like(u))
+        half = boundary.half_step(0, u, boundary.edges(2 * m + 1), out=np.empty_like(u))
+        u = boundary.half_step(1, half, boundary.edges(2 * m + 2), g, out=np.empty_like(u))
     return u
 
 
@@ -723,31 +719,32 @@ def lagged_march(scenario) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def stage_apply_reference(op, w, edges, g=None) -> np.ndarray:
-    """One half-step of the stage operator ``op``, each term a fresh array.
+def stage_apply_reference(boundary, axis, w, edges, g=None) -> np.ndarray:
+    """One half-step of ``boundary`` along ``axis``, each term a fresh array.
 
-    Reads the operator's coefficients (explicit weights, mixed coefficient,
-    tridiagonal matrix and lift) and evaluates its right-hand side in the
-    order (((w + up E) + mid w) + dn W) + dtau (coeff (((NE + SW) - SE) - NW)
-    / (4 dx^2)), then - dtau g; the lines are solved by the Thomas row loops.
-    ``edges`` are (bottom/top, left/right) column pairs, as the package's
-    boundary data holds them; corners come from left/right.
+    Reads the boundary data's coefficients (explicit weights, mixed
+    coefficient, tridiagonal matrix and lift) and evaluates the right-hand
+    side in the order (((w + up E) + mid w) + dn W) + dtau (coeff
+    (((NE + SW) - SE) - NW) / (4 dx^2)), then - dtau g; the lines are solved
+    by the Thomas row loops.  ``edges`` are (bottom/top, left/right) column
+    pairs, as the package's boundary data holds them; corners come from
+    left/right.
     """
-    n = op.n
-    orient = (lambda a: a) if op.axis == 0 else np.transpose
-    ex, im = op._explicit, op._implicit
+    n, dx = boundary.grid.nx, boundary.grid.dx
+    orient = (lambda a: a) if axis == 0 else np.transpose
+    ex, im = boundary.axes[1 - axis], boundary.axes[axis]
     f = orient(w)[1:-1].T  # the explicit direction along axis 0
     explicit = f[1:-1] + ex._up * f[2:] + ex._mid * f[1:-1] + ex._dn * f[:-2]
     corners = w[2:, 2:] + w[:-2, :-2] - w[2:, :-2] - w[:-2, 2:]
-    mix = op._mixed_coeff * (corners / (4.0 * op.dx * op.dx))
-    rhs = explicit.T + op.dtau * orient(mix)
+    mix = boundary._mixed_coeff * (corners / (4.0 * dx * dx))
+    rhs = explicit.T + boundary.dtau * orient(mix)
     if g is not None:
-        rhs = rhs - op.dtau * orient(g)[1:-1, 1:-1]
+        rhs = rhs - boundary.dtau * orient(g)[1:-1, 1:-1]
     out = np.empty((n + 1, n + 1))
     bottom_top, left_right = edges
     out[:, [0, -1]] = bottom_top
     out[[0, -1], :] = left_right.T
-    ends = edges[1 - op.axis]
+    ends = edges[1 - axis]
     rhs[0] -= im._lift[0] * ends[1:-1, 0]
     rhs[-1] -= im._lift[1] * ends[1:-1, 1]
     lower, diag, upper = im._tridiag

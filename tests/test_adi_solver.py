@@ -1,4 +1,4 @@
-"""Scheme-level tests: tridiagonal solver and stage operators against dense
+"""Scheme-level tests: tridiagonal solver and half-steps against dense
 oracles, the boundary edge march, the time march, the fixed-point wrapper."""
 
 import hashlib
@@ -27,7 +27,7 @@ from nlbs import (
     solve_nonlinear,
     sweep,
 )
-from nlbs.adi_solver import _Axis, _StageOperator, _tridiag_solve, _write_edges
+from nlbs.adi_solver import _Axis, _tridiag_solve, _write_edges
 
 import oracles
 from conftest import benchmark_scenario, with_stencil
@@ -252,19 +252,13 @@ def test_initial_condition_is_the_exact_cell_average(case):
 
 
 # ---------------------------------------------------------------------------
-# stage operators
+# half-steps
 # ---------------------------------------------------------------------------
 
 
 def ring_edges(ring):
-    """The edges of a dense (nx+1, nx+1) ring, as the stage operators take them."""
+    """The edges of a dense (nx+1, nx+1) ring, as ``BoundaryData.half_step`` takes them."""
     return ring[:, [0, -1]], ring[[0, -1], :].T
-
-
-def stage(scen, axis):
-    """The stage operator along ``axis`` of a solve's scheme, with scratch of its own."""
-    n = scen.grid.nx
-    return _StageOperator(BoundaryData(scen), axis, np.empty((2, n - 1, n - 1)))
 
 
 def test_stage_discounts_a_constant_surface_exactly():
@@ -277,7 +271,7 @@ def test_stage_discounts_a_constant_surface_exactly():
     u = np.full((9, 9), c)
     ring = np.full((9, 9), c * scale)
     for axis in (0, 1):
-        out = stage(scen, axis).apply(u, ring_edges(ring), out=np.empty((9, 9)))
+        out = BoundaryData(scen).half_step(axis, u, ring_edges(ring), out=np.empty((9, 9)))
         np.testing.assert_allclose(out, c * scale, rtol=1e-14)
 
 
@@ -293,7 +287,7 @@ def test_stage_matches_dense_oracle_log_grid(axis, first, mixed):
     ring = rng.normal(size=(9, 9))
     g = np.zeros((9, 9))
     g[1:-1, 1:-1] = rng.normal(size=(7, 7))
-    ours = stage(scen, axis).apply(u, ring_edges(ring), g, out=np.empty((9, 9)))
+    ours = BoundaryData(scen).half_step(axis, u, ring_edges(ring), g, out=np.empty((9, 9)))
     ref = oracles.dense_half_step(
         u, ring, axis, scen.market.sigmas, float(scen.market.rho[0, 1]), scen.market.r,
         grid.a, grid.b, "log", dtau, g=g, first_derivative=first,
@@ -310,7 +304,7 @@ def test_stage_matches_dense_oracle_price_grid():
     u = rng.normal(size=(9, 9))
     ring = rng.normal(size=(9, 9))
     for axis in (0, 1):
-        ours = stage(scen, axis).apply(u, ring_edges(ring), out=np.empty((9, 9)))
+        ours = BoundaryData(scen).half_step(axis, u, ring_edges(ring), out=np.empty((9, 9)))
         ref = oracles.dense_half_step(
             u, ring, axis, scen.market.sigmas, float(scen.market.rho[0, 1]),
             scen.market.r, 5.0, 60.0, "price", dtau,
@@ -323,7 +317,7 @@ def test_stage_output_keeps_the_ring():
     rng = np.random.default_rng(3)
     u = rng.normal(size=(9, 9))
     ring = rng.normal(size=(9, 9))
-    out = stage(scen, 0).apply(u, ring_edges(ring), out=np.empty((9, 9)))
+    out = BoundaryData(scen).half_step(0, u, ring_edges(ring), out=np.empty((9, 9)))
     np.testing.assert_array_equal(out[0, :], ring[0, :])
     np.testing.assert_array_equal(out[-1, :], ring[-1, :])
     np.testing.assert_array_equal(out[1:-1, 0], ring[1:-1, 0])
@@ -333,9 +327,7 @@ def test_stage_output_keeps_the_ring():
 def test_stage_rejects_wrong_shape():
     scen = benchmark_scenario(1, nx=8, nt=4)
     with pytest.raises(ValidationError, match="surface"):
-        stage(scen, 0).apply(
-            np.zeros((5, 5)), ring_edges(np.zeros((5, 5))), out=np.empty((5, 5))
-        )
+        BoundaryData(scen).half_step(0, np.zeros((5, 5)), ring_edges(np.zeros((5, 5))), out=np.empty((5, 5)))
 
 
 @pytest.mark.parametrize("with_g", [False, True])
@@ -344,22 +336,20 @@ def test_stage_rejects_wrong_shape():
 @pytest.mark.parametrize("coord", ["log", "price"])
 def test_stage_in_place_is_bit_identical_to_the_allocating_reference(coord, first, axis, with_g):
     """The in-place right-hand side keeps the whole-array expressions'
-    operation order, so every rounding is the same; the two operators of a
-    sweep share one scratch pair."""
+    operation order, so every rounding is the same; both directions'
+    half-steps share the boundary data's one scratch pair."""
     scen = benchmark_scenario(1, nx=12, nt=7)  # dtau = T/7: no scaling by it is exact
     if coord == "price":
         scen = scen.with_grid(GridSpec(a=5.0, b=60.0, nx=12, nt=7, coord="price"))
     bd = BoundaryData(with_stencil(scen, first))
-    scratch = np.empty((2, 11, 11))
-    ops = [_StageOperator(bd, ax, scratch) for ax in (0, 1)]
     rng = np.random.default_rng(100 + 8 * axis + 4 * (first == "central") + 2 * (coord == "price") + with_g)
     for _ in range(3):
         u, ring = rng.normal(size=(2, 13, 13))
         g = rng.normal(size=(13, 13)) if with_g else None
         out = np.empty((13, 13))
-        assert ops[axis].apply(u, ring_edges(ring), g, out=out) is out
-        assert np.array_equal(out, oracles.stage_apply_reference(ops[axis], u, ring_edges(ring), g))
-        ops[1 - axis].apply(ring, ring_edges(u), out=np.empty((13, 13)))  # the other operator reuses the scratch
+        assert bd.half_step(axis, u, ring_edges(ring), g, out=out) is out
+        assert np.array_equal(out, oracles.stage_apply_reference(bd, axis, u, ring_edges(ring), g))
+        bd.half_step(1 - axis, ring, ring_edges(u), out=np.empty((13, 13)))  # the other direction reuses the scratch
 
 
 @pytest.mark.parametrize("config", [1, 2, 3])
@@ -370,12 +360,11 @@ def test_costed_sweep_is_the_loop_of_the_reference_stages(config):
     bd = BoundaryData(scen)
     source = sweep(bd)
     block = sweep(bd, source)
-    op_x, op_y = (_StageOperator(bd, axis, np.empty((2, 11, 11))) for axis in (0, 1))
     levels = [initial_condition(scen.grid, scen.payoff)]
     for m in range(scen.grid.nt):
-        half = oracles.stage_apply_reference(op_x, levels[-1], bd.edges(2 * m + 1))
+        half = oracles.stage_apply_reference(bd, 0, levels[-1], bd.edges(2 * m + 1))
         g = assemble_G(source[m], scen)
-        levels.append(oracles.stage_apply_reference(op_y, half, bd.edges(2 * m + 2), g))
+        levels.append(oracles.stage_apply_reference(bd, 1, half, bd.edges(2 * m + 2), g))
     assert np.array_equal(block, np.stack(levels))
     assert block.base is None and block.flags.c_contiguous
     assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(block, 2))
@@ -452,7 +441,9 @@ def test_boundary_data_keeps_only_the_edge_vectors():
     scen = benchmark_scenario(1, nx=nx, nt=nt)
     bd = BoundaryData(scen)
     sweep(bd)
-    assert 0 < _array_bytes(vars(bd)) <= 4 * (2 * nt + 1) * (nx + 1) * 8
+    # besides the edge pairs, one initial level and the half-step's scratch pair: no level per half step
+    edges, level0, scratch = 4 * (2 * nt + 1) * (nx + 1) * 8, (nx + 1) ** 2 * 8, 2 * (nx - 1) ** 2 * 8
+    assert 0 < _array_bytes(vars(bd)) <= edges + level0 + scratch
     for h in (0, 1, 2, nt, 2 * nt):
         bottom_top, left_right = bd.edges(h)
         assert bottom_top.shape == left_right.shape == (nx + 1, 2)
@@ -687,6 +678,38 @@ def test_one_solve_builds_each_direction_once(monkeypatch):
     res = solve_nonlinear(scen)
     assert res.iterations >= 2
     assert len(built) == 2
+
+
+def test_a_costed_solve_builds_its_initial_level_once(monkeypatch):
+    """The boundary data builds the initial level once, read-only, and the
+    edge march and every sweep start from it."""
+    scen = benchmark_scenario(1, nx=16, nt=8)
+    calls = []
+    build = initial_condition
+    monkeypatch.setattr("nlbs.adi_solver.initial_condition", lambda *args: calls.append(args) or build(*args))
+    res = solve_nonlinear(scen)
+    assert res.iterations > 1 and len(calls) == 1
+
+
+@pytest.mark.parametrize("cost", ["costed", "zero"])
+def test_every_sweep_starts_from_the_read_only_level0(cost):
+    """A sweep's level 0 is the boundary data's, copied: the block a sweep
+    returns, streamed or kept, never shares the boundary data's memory."""
+    scen = benchmark_scenario(1, nx=16, nt=8)
+    if cost == "zero":
+        scen = scen.with_cost(ConstantCost(c0=0.0))
+    bd = BoundaryData(scen)
+    np.testing.assert_array_equal(bd.level0, initial_condition(scen.grid, scen.payoff))
+    kept = bd.level0.copy()
+    block = sweep(bd)
+    if cost == "costed":
+        np.testing.assert_array_equal(block[0], bd.level0)
+        block = sweep(bd, block)
+        np.testing.assert_array_equal(block[0], bd.level0)
+    np.testing.assert_array_equal(bd.level0, kept)
+    assert not any(np.shares_memory(block, a) for a in (bd.level0, bd._scratch))
+    with pytest.raises(ValueError, match="read-only"):
+        bd.level0[8, 8] = 0.0
 
 
 def test_one_solve_reads_the_cost_bound_once(monkeypatch):

@@ -444,17 +444,32 @@ _ENTRY_NUMBERS = [
     ("leland_number.c0", "c0", lambda scen, v: leland_number(0.2, v, 0.004), -0.01),
     ("leland_number.dt", "dt", lambda scen, v: leland_number(0.2, 0.01, v), 0.0),
     ("expected_cost.dt", "dt", lambda scen, v: expected_cost(scen.cost, 1.0, v), 0.0),
+    ("expected_cost.theta", "theta", lambda scen, v: expected_cost(scen.cost, [1.0, v], 0.004), -1.0),
     ("cost_integrals.h", "h", lambda scen, v: cost_integrals(scen.cost, v), -1.0),
     ("cbest_price.tau", "tau", lambda scen, v: cbest_price(30.0, 30.0, v, scen), -0.5),
+    ("cbest_price.s1", "s1", lambda scen, v: cbest_price([v, 30.0], 30.0, 1.0, scen), 0.0),
+    ("cbest_price.s2", "s2", lambda scen, v: cbest_price(30.0, [[v], [30.0]], 1.0, scen), -1.0),
     ("perron_bound.tau", "tau", lambda scen, v: perron_bound(scen, tau=v), 0.0),
     ("DyfInputs.dt", "dt", lambda scen, v: _dyf(scen, dt=v), 0.0),
     ("DyfInputs.spots", "spots", lambda scen, v: _dyf(scen, spots=[v, 30.0]), 0.0),
     ("DyfInputs.hessian", "hessian", lambda scen, v: _dyf(scen, hessian=[[v, 0.0], [0.0, 1.0]]), None),
     ("bivariate_cdf.corr", "corr", lambda scen, v: bivariate_cdf(0.0, 0.0, v), 1.0),
+    ("bivariate_cdf.a", "a", lambda scen, v: bivariate_cdf([v, 0.0], 0.0, 0.5), None),
+    ("bivariate_cdf.b", "b", lambda scen, v: bivariate_cdf(0.0, v, 0.5), None),
     ("probe_nodes.probes", "probes", lambda scen, v: probe_nodes(scen, [(v, 30.0)]), 0.0),
     ("compared_nodes.band", "band", lambda scen, v: compared_nodes(scen, v), -1),
 ]
 _BAD_NUMBERS = {"bool": True, "string": "0.5", "null": None, "nan": math.nan, "inf": math.inf}
+# values an argument takes on purpose: a null tau means perron_bound's default, T; an infinite
+# bivariate_cdf limit is a sentinel; a diverging solve's NaN or infinite Theta must reach the
+# non-finite check of the CLI (exit 3)
+_ACCEPTED = {
+    ("perron_bound.tau", "null"),
+    ("bivariate_cdf.a", "inf"),
+    ("bivariate_cdf.b", "inf"),
+    ("expected_cost.theta", "nan"),
+    ("expected_cost.theta", "inf"),
+}
 
 
 @pytest.mark.parametrize(
@@ -463,8 +478,8 @@ _BAD_NUMBERS = {"bool": True, "string": "0.5", "null": None, "nan": math.nan, "i
         pytest.param(field, call, bad, id=f"{name}-{label}")
         for name, field, call, out_of_range in _ENTRY_NUMBERS
         for label, bad in [*_BAD_NUMBERS.items(), ("out_of_range", out_of_range)]
-        # a null tau means perron_bound's default, T; a Hessian has no range
-        if (name, label) != ("perron_bound.tau", "null") and (label, bad) != ("out_of_range", None)
+        # a Hessian and a normal quantile have no range
+        if (name, label) not in _ACCEPTED and (label, bad) != ("out_of_range", None)
     ],
 )
 def test_every_entry_point_number_rejects_a_non_number_naming_the_argument(field, call, bad):
